@@ -40,7 +40,7 @@ from .transport import (
     QueueMesh,
     TcpEndpoint,
 )
-from .worker import Master, TeamContext, _unpack_answers, worker_process_main
+from .worker import Master, TeamContext, unpack_answers, worker_process_main
 from .engine import WorkerState
 
 log = logging.getLogger("layered_or")
@@ -352,7 +352,7 @@ class EngineHandle:
             if msg is None:
                 return
             if msg.kind == ANSWER and msg.goal_id == self.goal_seq:
-                self.answers.extend(_unpack_answers(msg.raw))
+                self.answers.extend(unpack_answers(msg.raw))
             elif msg.kind == TERMINATE and msg.goal_id == self.goal_seq:
                 self.state = FINISHED
             elif msg.kind == FAULT and msg.goal_id == self.goal_seq:

@@ -11,6 +11,12 @@ shipping alternative lists.
 Alternatives are consumed through a cursor that advances by ``split_offset``
 (a power of two). Horizontal splitting doubles the offset on both sides so
 two workers interleave disjoint alternative subsets of the same node.
+
+``WorkerState.load`` counts the open alternatives of private nodes. Its
+shared copy, the team's load register that ``load_sink`` writes, is updated
+at service ticks and when ``run_loop`` returns, not on every push and
+backtrack: teammates read it only to pick whom to ask for work, and a value
+one tick old is as good for that as an exact one.
 """
 
 from __future__ import annotations
@@ -132,9 +138,6 @@ class WorkerState:
         self.store.append(value)
         return len(self.store) - 1
 
-    def read(self, idx: int) -> int:
-        return self.store[idx]
-
     def write(self, idx: int, value: int) -> None:
         if idx < self._guard:
             self.trail_cells.append(idx)
@@ -185,7 +188,8 @@ def push_choice_point(ws: WorkerState, node_tag: int, alts: Sequence[int],
 
     The marks must be the ones captured just before ``node_tag`` was
     expanded. Returns the taken alternative's tag; the remaining
-    ``len(alts) - 1`` alternatives are counted as open load.
+    ``len(alts) - 1`` alternatives are counted in ``ws.load`` (the shared
+    load register is left to the next service tick).
     """
     n = len(alts)
     assert n >= 1, "choice point needs at least one alternative"
@@ -193,7 +197,7 @@ def push_choice_point(ws: WorkerState, node_tag: int, alts: Sequence[int],
                      depth=len(ws.cps), frame=-1, alts=list(alts),
                      post_store=len(ws.store), post_trail=len(ws.trail_cells))
     ws.cps.append(cp)
-    ws.set_load(ws.load + n - 1)
+    ws.load += n - 1
     return alts[0]
 
 
@@ -227,7 +231,7 @@ def backtrack(ws: WorkerState):
         elif cp.cursor < cp.n_alts:
             idx = cp.cursor
             cp.cursor += cp.split_offset
-            ws.set_load(ws.load - 1)
+            ws.load -= 1
         else:
             idx = -1
         if idx < 0:
@@ -242,12 +246,6 @@ def backtrack(ws: WorkerState):
             _restore_to(ws, cp.post_store, cp.post_trail)
         return cp.alts[idx]
     return EXHAUSTED
-
-
-def project(ws: WorkerState) -> tuple:
-    """Build the answer term for the current leaf from the template cells."""
-    store = ws.store
-    return tuple(store[c] for c in ws.template_cells)
 
 
 def setup_goal(ws: WorkerState, program, args: Sequence[int],
@@ -293,32 +291,104 @@ def run_loop(ws: WorkerState, emit: Callable[[tuple], None], *,
 
     ``emit`` receives one projected answer per answer leaf. ``service`` runs
     every ``service_every`` steps; sharing, message handling and teardown
-    checks happen there (it may raise to unwind the goal). With
-    ``start_tag=None`` the loop opens with a fail, taking the next open
-    alternative: that is how execution resumes after an install.
+    checks happen there (it may raise to unwind the goal). A node pushed in
+    the step before a tick still owes its first alternative; the tick hands
+    it back to the node for the length of ``service``, so ``service`` sees
+    stacks holding exactly the remaining work. Stacks left by a ``service``
+    that raises therefore resume, here or copied elsewhere, to exactly the
+    remaining answers. ``start_tag`` is the root tag of a goal whose stack
+    is still empty; with ``start_tag=None`` the loop opens with a fail,
+    taking the next open alternative: that is how execution resumes after
+    an install.
+
+    The common step runs inline on local copies of the registers: expand the
+    tag, push a private node, or take the next cached alternative of a
+    private top node. Public nodes, dead-node pops and re-derivation go
+    through ``backtrack``. ``ws.load`` and ``ws.backtracks`` are exact at
+    ``emit``, at ``service``, when ``expand`` raises and on return; the
+    shared load register (``ws.load_sink``) is written at service ticks and
+    on return only.
     """
-    program = ws.program
-    expand = program.expand
+    assert start_tag is None or not ws.cps, "start_tag needs an empty stack"
+    expand = ws.program.expand
+    template = ws.template_cells
+    store = ws.store
+    tcells = ws.trail_cells
+    tprevs = ws.trail_prevs
+    cps = ws.cps
+    sink = ws.load_sink
+    load = ws.load
+    backtracks = ws.backtracks
+    countdown = service_every if service is not None else -1
     tag = start_tag
-    steps = 0
     while True:
-        steps += 1
-        if service is not None and steps % service_every == 0:
+        countdown -= 1
+        if countdown == 0:
+            countdown = service_every
+            held = None
+            if tag is not None and cps:
+                held = cps[-1]
+                held.cursor = 0
+                load += 1
+                tag = None
+            ws.load = load
+            ws.backtracks = backtracks
+            if sink is not None:
+                sink(load)
             service()
+            load = ws.load
+            backtracks = ws.backtracks
+            cps = ws.cps
+            if held is not None and cps and cps[-1] is held and held.frame < 0 \
+                    and held.cursor < held.n_alts:
+                # take it again; unless service moved it away, this is no backtrack
+                idx = held.cursor
+                held.cursor = idx + held.split_offset
+                load -= 1
+                tag = held.alts[idx]
         if tag is None:
-            nxt = backtrack(ws)
-            if nxt is EXHAUSTED:
-                return
-            tag = nxt
-        ws._guard = pre_store = len(ws.store)
-        pre_trail = len(ws.trail_cells)
-        kind, payload = expand(ws, tag)
+            cp = cps[-1] if cps else None
+            if cp is not None and cp.frame < 0 and cp.cursor < cp.n_alts \
+                    and cp.alts is not None:
+                backtracks += 1
+                idx = cp.cursor
+                cp.cursor = idx + cp.split_offset
+                load -= 1
+                mark = cp.post_trail
+                while len(tcells) > mark:
+                    store[tcells.pop()] = tprevs.pop()
+                del store[cp.post_store:]
+                tag = cp.alts[idx]
+            else:
+                ws.load = load
+                ws.backtracks = backtracks
+                tag = backtrack(ws)
+                load = ws.load
+                backtracks = ws.backtracks
+                if tag is EXHAUSTED:
+                    if sink is not None:
+                        sink(load)
+                    return
+        pre_store = ws._guard = len(store)
+        pre_trail = len(tcells)
+        try:
+            kind, payload = expand(ws, tag)
+        except BaseException:
+            ws.load = load
+            ws.backtracks = backtracks
+            raise
         if kind == EXPAND_CHOICE:
-            tag = push_choice_point(ws, tag, payload, pre_store, pre_trail)
-        elif kind == EXPAND_ANSWER:
-            emit(project(ws))
-            tag = None
+            n = len(payload)
+            assert n >= 1, "choice point needs at least one alternative"
+            cps.append(ChoicePoint(tag, n, 1, 1, pre_store, pre_trail, len(cps),
+                                   -1, payload, len(store), len(tcells)))
+            load += n - 1
+            tag = payload[0]
         else:
+            if kind == EXPAND_ANSWER:
+                ws.load = load
+                ws.backtracks = backtracks
+                emit(tuple([store[c] for c in template]))
             tag = None
 
 

@@ -24,9 +24,6 @@ class _CopyStore:
         self.store.append(value)
         return len(self.store) - 1
 
-    def read(self, idx: int) -> int:
-        return self.store[idx]
-
     def write(self, idx: int, value: int) -> None:
         self.store[idx] = value
 

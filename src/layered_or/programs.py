@@ -3,8 +3,12 @@
 A program is stateless: ``expand`` derives everything from the store contents
 and the node tag, so identical (store, tag) pairs expand identically on any
 worker of any team. Tags are plain non-negative integers small enough for a
-signed 64-bit wire field. All mutable state lives in store cells and is
-written through the trailed ``write`` API.
+signed 64-bit wire field. All mutable state lives in store cells.
+
+Read through ``store.store``, write through ``write``: ``expand`` reads cells
+by indexing or slicing the cell list that both ``WorkerState`` and the
+oracle's copy store expose, with no method call per cell, and changes them
+only through the trailed ``write`` so backtracking can undo the change.
 """
 
 from __future__ import annotations
@@ -45,7 +49,8 @@ class Queens:
         return {f"q{i + 1}": i + 1 for i in range(n)}
 
     def expand(self, store, tag):
-        n = store.read(0)
+        cells = store.store
+        n = cells[0]
         if tag == 0:
             depth = 0
         else:
@@ -54,16 +59,18 @@ class Queens:
             depth = row + 1
             if depth == n:
                 return _ANSWER
-        alts = []
-        for col in range(n):
-            ok = True
-            for r in range(depth):
-                c = store.read(1 + r) - 1
-                if c == col or depth - r == abs(col - c):
-                    ok = False
-                    break
-            if ok:
-                alts.append(1 + depth * n + col)
+        # a queen in column c, d rows up, attacks c and c +- d on this row
+        # (cells hold col+1, hence the shifted arithmetic)
+        attacked = set()
+        add = attacked.add
+        d = depth
+        for v in cells[1:1 + depth]:
+            add(v - 1)
+            add(v - 1 - d)
+            add(v - 1 + d)
+            d -= 1
+        base = 1 + depth * n
+        alts = [base + col for col in range(n) if col not in attacked]
         return (EXPAND_CHOICE, alts) if alts else _FAIL
 
 
@@ -90,7 +97,8 @@ class KnightMove:
         return {f"c{i}": 1 + i for i in range(n * n)}
 
     def expand(self, store, tag):
-        n = store.read(0)
+        cells = store.store
+        n = cells[0]
         nn = n * n
         if tag == 0:
             step, sq = 1, 0
@@ -103,7 +111,7 @@ class KnightMove:
         alts = []
         for dr, dc in self._JUMPS:
             r, c = row + dr, col + dc
-            if 0 <= r < n and 0 <= c < n and store.read(1 + r * n + c) == 0:
+            if 0 <= r < n and 0 <= c < n and cells[1 + r * n + c] == 0:
                 alts.append(1 + (step + 1) * nn + r * n + c)
         return (EXPAND_CHOICE, alts) if alts else _FAIL
 
@@ -146,8 +154,9 @@ class MapColouring:
         return {f"r{i}": 2 + i for i in range(len(regions))}
 
     def expand(self, store, tag):
-        preset = store.read(0)
-        n = store.read(1)
+        cells = store.store
+        preset = cells[0]
+        n = cells[1]
         adjacency = _MAPS[preset]
         if tag == 0:
             region = 0
@@ -157,9 +166,7 @@ class MapColouring:
             region += 1
             if region == n:
                 return _ANSWER
-        used = set()
-        for nb in adjacency[region]:
-            used.add(store.read(2 + nb))
+        used = {cells[2 + nb] for nb in adjacency[region]}
         alts = [1 + region * self.colours + c
                 for c in range(self.colours) if c + 1 not in used]
         return (EXPAND_CHOICE, alts) if alts else _FAIL
@@ -184,17 +191,18 @@ class MagicSquare:
         n = int(args[0])
         return {f"m{i}": 1 + i for i in range(n * n)}
 
-    def _line_ok(self, store, n, cells, magic):
+    def _line_ok(self, cells, line, magic):
         total = 0
-        for idx in cells:
-            v = store.read(1 + idx)
+        for idx in line:
+            v = cells[1 + idx]
             if v == 0:
                 return True  # line not complete yet
             total += v
         return total == magic
 
     def expand(self, store, tag):
-        n = store.read(0)
+        cells = store.store
+        n = cells[0]
         nn = n * n
         magic = n * (nn + 1) // 2
         if tag == 0:
@@ -203,19 +211,19 @@ class MagicSquare:
             pos, value = divmod(tag - 1, nn)
             store.write(1 + pos, value + 1)
             row, col = divmod(pos, n)
-            if col == n - 1 and not self._line_ok(store, n, range(row * n, row * n + n), magic):
+            if col == n - 1 and not self._line_ok(cells, range(row * n, row * n + n), magic):
                 return _FAIL
             if row == n - 1:
-                if not self._line_ok(store, n, range(col, nn, n), magic):
+                if not self._line_ok(cells, range(col, nn, n), magic):
                     return _FAIL
-                if col == n - 1 and not self._line_ok(store, n, range(0, nn, n + 1), magic):
+                if col == n - 1 and not self._line_ok(cells, range(0, nn, n + 1), magic):
                     return _FAIL
-                if col == 0 and not self._line_ok(store, n, range(n - 1, nn - 1, n - 1), magic):
+                if col == 0 and not self._line_ok(cells, range(n - 1, nn - 1, n - 1), magic):
                     return _FAIL
             pos += 1
             if pos == nn:
                 return _ANSWER
-        taken = {store.read(1 + i) for i in range(pos)}
+        taken = set(cells[1:1 + pos])
         alts = [1 + pos * nn + v for v in range(nn) if v + 1 not in taken]
         return (EXPAND_CHOICE, alts) if alts else _FAIL
 
@@ -238,25 +246,25 @@ class SendMore:
         return {name: i for i, name in enumerate(self.LETTERS)}
 
     def expand(self, store, tag):
+        cells = store.store
         if tag == 0:
             pos = 0
         else:
             pos, digit = divmod(tag - 1, 10)
             store.write(pos, digit)
             pos += 1
-            if not self._columns_ok(store, pos):
+            if not self._columns_ok(cells, pos):
                 return _FAIL
             if pos == len(self.LETTERS):
                 return _ANSWER
-        used = {store.read(i) for i in range(pos)}
+        used = set(cells[:pos])
         letter = self.LETTERS[pos]
         lo = 1 if letter in ("S", "M") else 0
         alts = [1 + pos * 10 + d for d in range(lo, 10) if d not in used]
         return (EXPAND_CHOICE, alts) if alts else _FAIL
 
-    def _columns_ok(self, store, bound: int) -> bool:
-        d, e, y, n, r, o, s, m = (store.read(i) if i < bound else -1
-                                  for i in range(8))
+    def _columns_ok(self, cells, bound: int) -> bool:
+        d, e, y, n, r, o, s, m = cells[:bound] + [-1] * (8 - bound)
         if y >= 0:
             if (d + e) % 10 != y:
                 return False
@@ -302,19 +310,20 @@ class NSort:
         return {f"s{i}": 1 + n + i for i in range(n)}
 
     def expand(self, store, tag):
-        n = store.read(0)
+        cells = store.store
+        n = cells[0]
         if tag == 0:
             pos = 0
         else:
             pos, pick = divmod(tag - 1, n)
-            store.write(1 + n + pos, store.read(1 + pick))
+            store.write(1 + n + pos, cells[1 + pick])
             pos += 1
             if pos == n:
-                out = [store.read(1 + n + i) for i in range(n)]
+                out = cells[1 + n:1 + 2 * n]
                 return _ANSWER if all(out[i] <= out[i + 1] for i in range(n - 1)) else _FAIL
-        chosen = {store.read(1 + n + i) for i in range(pos)}
+        chosen = set(cells[1 + n:1 + n + pos])
         alts = [1 + pos * n + p for p in range(n)
-                if store.read(1 + p) not in chosen]
+                if cells[1 + p] not in chosen]
         return (EXPAND_CHOICE, alts) if alts else _FAIL
 
 
@@ -339,8 +348,7 @@ class Spread:
         return {f"p{i}": 2 + i for i in range(depth)}
 
     def expand(self, store, tag):
-        depth = store.read(0)
-        branch = store.read(1)
+        depth, branch = store.store[:2]
         if tag == 0:
             level = 0
         else:
@@ -380,9 +388,7 @@ class RandTree:
         return {f"w{i}": 3 + i for i in range(self._WINDOW)}
 
     def expand(self, store, tag):
-        seed = store.read(0)
-        max_depth = store.read(1)
-        branch = store.read(2)
+        seed, max_depth, branch = store.store[:3]
         level = tag & 63
         state = tag >> 6
         r = _mix64(state ^ (seed * 0x9E3779B97F4A7C15 & _M64))
@@ -421,7 +427,7 @@ class Faulty:
         return {"t": 0}
 
     def expand(self, store, tag):
-        threshold = store.read(0)
+        threshold = store.store[0]
         if tag >= threshold:
             raise RuntimeError(f"synthetic fault at node {tag}")
         return (EXPAND_CHOICE, [2 * tag + 1, 2 * tag + 2])

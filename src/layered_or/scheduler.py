@@ -8,12 +8,12 @@ every message it sends, so entries are totally ordered per team and arrays
 merge as a join: larger timestamp wins, and on equal timestamps the larger
 load wins. The load tie-break keeps a "this team just received work" record
 written by the work's giver from being shadowed by the receiver's own
-equally-stamped idle entry -- the property the termination check leans on.
+equally-stamped idle entry.
 
-Termination: a team that finds every entry (its own included) at -1 may end
-the goal. Work moves only through SHARE_ACCEPT, and an accepting team both
-stays visible as busy itself and records its requester as busy, so an
-all–minus-one view cannot form while any alternative is still open.
+Load arrays only choose request targets. They can go stale in both
+directions (an idle team's newer refusal can shadow a record that it just
+received work), so they do not decide termination; credit recovery does,
+in ``worker``.
 """
 
 from __future__ import annotations

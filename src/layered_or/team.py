@@ -7,6 +7,15 @@ mutable state), per-worker load registers / flags, and a few counters.
 Everything bulky (stack segments, answers, notifications) travels through
 per-worker message queues instead.
 
+Signal counters tell a reader whether a queue has anything for it, so a
+quiet service tick costs a few mmap reads and no syscall. Each counter has
+a single writer and so needs no lock: ``mail[receiver][sender]`` is bumped
+by the sender after each put into the receiver's mailbox, and
+``batches[rank]`` by a worker after each answer batch it puts into the
+team's answer pipe. A reader remembers the sum it last saw and drains the
+queue only when the sum has moved; the put completes before its bump, so a
+bump it has seen never announces a message that is not in the queue yet.
+
 Frame cursor/offset fields are read and written only under the frame's
 stripe lock. ``public_alts`` counts open alternatives currently owned by
 live frames; the team is out of work exactly when every worker is idle and
@@ -45,7 +54,9 @@ class TeamShared:
         ctx = ctx or mp.get_context("fork")
         self.n_workers = n_workers
         self.n_frames = n_frames
-        self._frames_off = _HDR + 4 * n_workers
+        self._mail_off = _HDR + 4 * n_workers
+        self._batch_off = self._mail_off + n_workers * n_workers
+        self._frames_off = self._batch_off + n_workers
         size = 8 * (self._frames_off + n_frames * _FRAME_SLOTS)
         self._mm = mmap.mmap(-1, size)
         self._mv = memoryview(self._mm).cast("q")
@@ -94,6 +105,20 @@ class TeamShared:
 
     def public_nodes_of(self, rank: int) -> int:
         return self._mv[self._warr(3, rank)]
+
+    # -- signal counters --------------------------------------------------------
+    def count_mail(self, sender: int, receiver: int) -> None:
+        self._mv[self._mail_off + receiver * self.n_workers + sender] += 1
+
+    def mail_count(self, receiver: int) -> int:
+        base = self._mail_off + receiver * self.n_workers
+        return sum(self._mv[base:base + self.n_workers])
+
+    def count_answer_batch(self, rank: int) -> None:
+        self._mv[self._batch_off + rank] += 1
+
+    def answer_batches(self) -> int:
+        return sum(self._mv[self._batch_off:self._batch_off + self.n_workers])
 
     # -- counters / flags -------------------------------------------------------
     def public_alts(self) -> int:

@@ -7,12 +7,41 @@ launches its teammates, and runs the two inter-team scheduler halves (the
 idle scheduler when the whole team is out of work, the busy scheduler woven
 into its execution loop). The client's goals enter through the master team's
 master, and every worker parks in ``getwork_first_time`` between goals.
+
+Answers travel packed. A worker buffers the answers it finds and, once per
+service tick, puts them into the team's answer pipe as one packed batch:
+a little-endian ``u32`` answer count, then per answer a ``u32`` length and
+that many ``i64`` values. It flushes the buffer before raising its idle
+flag. A master never writes into that pipe: it drains the pipe on every
+tick and packs its own answers straight into its forward buffer, next to
+its teammates' batches and the ANSWER payloads of other teams. It sends
+the lot as one ANSWER frame, at most every ``ANSWER_FLUSH_S`` while its
+team works and at once when the team goes idle or the goal ends. An
+ANSWER payload is therefore a concatenation of packed batches; nothing
+between the worker and the client unpacks it.
+
+A goal ends by credit recovery (Mattern, IPL 30(4), 1989). Team 0 starts
+it holding credit 1. Every SHARE_ACCEPT carries half of the sharer's
+credit, kept as an exponent ``k`` meaning ``2**-k``, so a team that works
+always holds some and a team that is idle holds none. A team going idle
+hands its credit back to team 0 on an ANSWER frame behind its last answers;
+on the FIFO link to team 0 that frame also ends the team's answer stream.
+Team 0 sums what comes back exactly and broadcasts TERMINATE once it holds
+credit 1 again: then no team works, no stacks are in flight, and every
+answer has arrived. Load arrays only pick whom to ask for work.
 """
 
 from __future__ import annotations
 
+import ctypes
+import os
+import signal
+import struct
+import sys
 import time
 import traceback
+from fractions import Fraction
+from functools import lru_cache
 
 from . import scheduler, splitting, transport
 from .config import EngineOptions
@@ -40,6 +69,12 @@ N_FAULT = "fault"
 _WORK = "work"
 _DONE = "done"
 
+# A busy master sends its buffered answers on at most this often; a team
+# going idle and a goal ending send them at once. Each ANSWER frame costs
+# every process on its path tens of microseconds, far more than the answers
+# in it; at one frame per tick, sparse answers (queens) paid it per answer.
+ANSWER_FLUSH_S = 0.01
+
 
 class GoalDone(Exception):
     """The current goal ended (termination, fault, or a newer goal appeared)."""
@@ -50,6 +85,7 @@ class TeamContext:
 
     def __init__(self, engine_id, team_id, n_teams, n_workers, options,
                  shared, mailboxes, answers, trace_queue):
+        self.master_pid = os.getpid()      # built by the master, before it forks
         self.engine_id = engine_id
         self.team_id = team_id
         self.n_teams = n_teams
@@ -60,8 +96,9 @@ class TeamContext:
         self.answers = answers
         self.trace_queue = trace_queue
 
-    def notify(self, rank: int, kind: str, meta: dict, payload=None) -> None:
+    def notify(self, sender: int, rank: int, kind: str, meta: dict, payload=None) -> None:
         self.mailboxes[rank].put((kind, meta, payload))
+        self.shared.count_mail(sender, rank)
 
     def trace(self, rank: int, kind: str, **data) -> None:
         if self.trace_queue is not None:
@@ -77,7 +114,28 @@ def _parse_goal_meta(meta: dict):
 # non-master workers
 # ---------------------------------------------------------------------------
 
+def _die_with_parent(parent_pid: int) -> None:
+    """Have the kernel kill this process when its master dies (Linux only).
+
+    Exits at once if the master is already gone: the signal is only armed
+    for a parent that is still alive.
+    """
+    if sys.platform.startswith("linux"):
+        libc = ctypes.CDLL(None, use_errno=True)
+        prctl = libc.prctl
+        prctl.argtypes = [ctypes.c_int, ctypes.c_ulong, ctypes.c_ulong,
+                          ctypes.c_ulong, ctypes.c_ulong]
+        prctl.restype = ctypes.c_int
+        pr_set_pdeathsig = 1
+        if prctl(pr_set_pdeathsig, signal.SIGKILL, 0, 0, 0) != 0:
+            err = ctypes.get_errno()
+            raise OSError(err, f"prctl(PR_SET_PDEATHSIG): {os.strerror(err)}")
+    if os.getppid() != parent_pid:
+        os._exit(0)
+
+
 def worker_process_main(ctx: TeamContext, rank: int) -> None:
+    _die_with_parent(ctx.master_pid)
     ws = WorkerState(team_id=ctx.team_id, worker_id=rank)
     ws.frames = ctx.shared
     ws.load_sink = lambda load: ctx.shared.set_load(rank, load)
@@ -89,7 +147,7 @@ def worker_process_main(ctx: TeamContext, rank: int) -> None:
         pass
     except Exception:
         ctx.trace(rank, "worker_crash", error=traceback.format_exc())
-        ctx.notify(0, N_FAULT, {"goal": w.goal_id, "error": traceback.format_exc()})
+        ctx.notify(rank, 0, N_FAULT, {"goal": w.goal_id, "error": traceback.format_exc()})
 
 
 class _Worker:
@@ -101,6 +159,11 @@ class _Worker:
         self.rank = rank
         self.goal_id = -1
         self.goal_meta = None
+        self._answers: list[tuple] = []    # found since the last tick
+        self._mail_seen = 0                # mail count at the last drain
+
+    def _tell(self, rank: int, kind: str, meta: dict, payload=None) -> None:
+        self.ctx.notify(self.rank, rank, kind, meta, payload)
 
     # -- Alg. getwork: park, run, repeat ------------------------------------
     def getwork_first_time(self) -> None:
@@ -138,6 +201,7 @@ class _Worker:
         program, args, template, goal_id, _ = _parse_goal_meta(meta)
         self.goal_id = goal_id
         self.goal_meta = meta
+        self._answers.clear()
         setup_goal(self.ws, program, args, template)
         allocate_dead_root(self.ws)
         self.ctx.shared.set_idle(self.rank, True)
@@ -151,6 +215,7 @@ class _Worker:
                 return
             self.ctx.shared.set_idle(self.rank, False)
             self._run()
+            self._flush_answers()
             self.ws.reset_to_base()
             self.ctx.shared.set_idle(self.rank, True)
 
@@ -163,22 +228,33 @@ class _Worker:
             raise
         except Exception:
             # a program fault aborts the goal engine-wide, not this worker
-            self.ctx.notify(0, N_FAULT, {"goal": self.goal_id,
-                                         "error": traceback.format_exc()})
+            self._tell(0, N_FAULT, {"goal": self.goal_id,
+                                    "error": traceback.format_exc()})
             raise GoalDone
 
     def _emit(self, answer: tuple) -> None:
-        self.ctx.answers.put((self.goal_id, self.rank, answer))
+        self._answers.append(answer)
+
+    def _flush_answers(self) -> None:
+        if self._answers:
+            self.ctx.answers.put((self.goal_id, pack_answers(self._answers)))
+            self.ctx.shared.count_answer_batch(self.rank)
+            self._answers.clear()
 
     def _service(self) -> None:
         if self.ctx.shared.aborted():
             raise EngineShutdown
+        self._flush_answers()
         self._drain_mailbox(busy=True)
 
     def _drain_mailbox(self, busy: bool) -> None:
+        sent = self.ctx.shared.mail_count(self.rank)
+        if sent == self._mail_seen:
+            return
         box = self.ctx.mailboxes[self.rank]
         while not box.empty():
             self._dispatch(*box.get(), busy=busy)
+        self._mail_seen = sent
 
     def _dispatch(self, kind, meta, payload, busy: bool) -> None:
         if kind == N_DELEGATE_REQUEST:
@@ -198,25 +274,22 @@ class _Worker:
             pass
 
     def _refuse(self, meta: dict) -> None:
-        if "req" in meta:
-            self.ctx.notify(0, N_DELEGATE_REFUSE, meta)
-        else:
-            self.ctx.notify(meta["local"], N_DELEGATE_REFUSE, meta)
+        self._tell(0 if "req" in meta else meta["local"], N_DELEGATE_REFUSE, meta)
 
     # -- sharing: this worker is the sharer ------------------------------------
     def _serve_local(self, meta: dict) -> None:
         requester = meta["local"]
         ws = self.ws
         if ws.load <= 0:
-            self.ctx.notify(requester, N_DELEGATE_REFUSE, meta)
+            self._tell(requester, N_DELEGATE_REFUSE, meta)
             return
         try:
             publish_private_nodes(ws, self.ctx.shared)
         except FramePoolExhausted:
-            self.ctx.notify(requester, N_DELEGATE_REFUSE, meta)
+            self._tell(requester, N_DELEGATE_REFUSE, meta)
             return
         segments = splitting.snapshot_segments(ws)
-        self.ctx.notify(requester, N_DELEGATE_ACCEPT, meta, segments)
+        self._tell(requester, N_DELEGATE_ACCEPT, meta, segments)
         self.ctx.trace(self.rank, "shared_locally", requester=requester,
                        frames=[f for f in segments["frames"] if f >= 0])
 
@@ -232,13 +305,13 @@ class _Worker:
         ws = self.ws
         opts = self.ctx.options
         if ws.load < opts.l_min and not self._has_live_public_node():
-            self.ctx.notify(0, N_DELEGATE_REFUSE, meta)
+            self._tell(0, N_DELEGATE_REFUSE, meta)
             return
         aux = splitting.split_for_transfer(ws, meta["goal"], meta.get("strategy", "vs"))
         if aux.load <= 0:
-            self.ctx.notify(0, N_DELEGATE_REFUSE, meta)
+            self._tell(0, N_DELEGATE_REFUSE, meta)
             return
-        self.ctx.notify(0, N_DELEGATE_ACCEPT, meta, splitting.serialize_aux(aux))
+        self._tell(0, N_DELEGATE_ACCEPT, meta, splitting.serialize_aux(aux))
         self.ctx.trace(self.rank, "shared_remotely", req=meta["req"], load=aux.load)
 
     # -- this worker is the requester -------------------------------------------
@@ -257,7 +330,7 @@ class _Worker:
                 backoff = ctx.options.backoff_min_s
                 continue
             if not signalled_idle and shared.idle_count() == ctx.n_workers:
-                ctx.notify(0, N_IDLE_AGAIN, {"goal": self.goal_id, "rank": self.rank})
+                self._tell(0, N_IDLE_AGAIN, {"goal": self.goal_id, "rank": self.rank})
                 signalled_idle = True
             if shared.aborted():
                 raise EngineShutdown
@@ -267,7 +340,7 @@ class _Worker:
     def _request_from(self, target: int) -> bool:
         ctx = self.ctx
         meta = {"goal": self.goal_id, "local": self.rank}
-        ctx.notify(target, N_DELEGATE_REQUEST, meta)
+        self._tell(target, N_DELEGATE_REQUEST, meta)
         box = ctx.mailboxes[self.rank]
         while True:
             if ctx.shared.aborted():
@@ -312,7 +385,11 @@ class Master(_Worker):
         self._goal_finished = False
         self._client_done_sent = False
         self._install_pending = None
-        self._flushed: set[int] = set()   # teams whose answer stream ended
+        self._credit = None               # exponent k of the held 2**-k, or None
+        self._recovered = Fraction(0)     # team 0: credit handed back so far
+        self._forward: list[tuple[int, bytes]] = []   # (origin team, packed batches)
+        self._batches_seen = 0            # answer batch count at the last drain
+        self._last_forward = 0.0          # when the last ANSWER frame went out
 
     # -- load array stamping -----------------------------------------------------
     def own_load(self) -> int:
@@ -397,7 +474,10 @@ class Master(_Worker):
         self._outstanding = None
         self._delegations.clear()
         self._install_pending = None
-        self._flushed.clear()
+        self._credit = None
+        self._recovered = Fraction(0)
+        self._answers.clear()
+        self._forward.clear()
         self.ctx.shared.set_goal_seq(goal_id)
         setup_goal(self.ws, program, args, template)
 
@@ -405,10 +485,11 @@ class Master(_Worker):
         ctx = self.ctx
         self._begin_goal_common(meta)
         self.team_idle = False
+        self._credit = 0
         for team in range(1, ctx.n_teams):
             self.ep.send(team, transport.ROOT_INFO, meta)
         for rank in range(1, ctx.n_workers):
-            ctx.notify(rank, N_HAS_WORK, meta)
+            self._tell(rank, N_HAS_WORK, meta)
         ctx.trace(0, "goal_started", goal=self.goal_id)
         try:
             self._master_cycle(start_tag=self.ws.program.root_tag)
@@ -455,6 +536,7 @@ class Master(_Worker):
             # team out of work: enter the inter-team idle scheduler
             self.team_idle = True
             self.ctx.trace(0, "team_idle", goal=self.goal_id)
+            self._return_credit()
             self._team_idle_scheduler()
             start_tag = None
 
@@ -462,36 +544,79 @@ class Master(_Worker):
         ctx = self.ctx
         if ctx.shared.aborted():
             raise EngineShutdown
-        self._forward_answers()
         self._drain_mailbox(busy=True)
         now = time.monotonic()
         if now - self._last_poll >= ctx.options.master_poll_s:
             self._last_poll = now
             self._drain_transport(busy=True)
+        self._forward_answers()
 
     # -- answers -------------------------------------------------------------------
-    def _forward_answers(self) -> None:
+    def _collect_batches(self) -> None:
+        """Move teammates' batches from the answer pipe to the forward buffer."""
         ctx = self.ctx
-        batch = []
-        while not ctx.answers.empty():
-            goal_id, rank, answer = ctx.answers.get()
-            if goal_id == self.goal_id:
-                batch.append(answer)
-        if not batch:
+        sent = ctx.shared.answer_batches()
+        if sent == self._batches_seen:
             return
-        if ctx.team_id == 0:
-            self._deliver_answers(ctx.team_id, batch)
-        else:
-            self.ep.send(0, transport.ANSWER, {"goal": self.goal_id},
-                         _pack_answers(batch))
+        while not ctx.answers.empty():
+            goal_id, raw = ctx.answers.get()
+            if goal_id == self.goal_id:
+                self._forward.append((ctx.team_id, raw))
+        self._batches_seen = sent
 
-    def _deliver_answers(self, origin: int, batch) -> None:
-        """Master team only: pass answers on to the client."""
+    def _forward_answers(self, now: bool = False, credit: int | None = None) -> None:
+        """Send everything buffered as one ANSWER frame: to the client from
+        the master team, to the master team from the others.
+
+        The answer pipe is drained on every call, so no teammate stays
+        blocked on it. The frame itself goes out at most every
+        ``ANSWER_FLUSH_S`` unless ``now`` is set. A ``credit`` goes out at
+        once on the frame, answers or not.
+        """
         ctx = self.ctx
-        for answer in batch:
-            ctx.trace(0, "client_answer", origin=origin, answer=tuple(answer))
-        self.ep.send(CLIENT_ID, transport.ANSWER, {"goal": self.goal_id},
-                     _pack_answers(batch))
+        self._collect_batches()
+        if self._answers:
+            self._forward.append((ctx.team_id, pack_answers(self._answers)))
+            self._answers.clear()
+        if not self._forward and credit is None:
+            return
+        t = time.monotonic()
+        if not now and credit is None and t - self._last_forward < ANSWER_FLUSH_S:
+            return
+        self._last_forward = t
+        if ctx.team_id != 0:
+            dest = 0
+        else:
+            dest = CLIENT_ID
+            if ctx.trace_queue is not None:
+                for origin, raw in self._forward:
+                    for answer in unpack_answers(raw):
+                        ctx.trace(0, "client_answer", origin=origin, answer=answer)
+        raw = b"".join(raw for _, raw in self._forward)
+        self._forward.clear()
+        meta = {"goal": self.goal_id}
+        if credit is not None:
+            meta["credit"] = credit
+        self.ep.send(dest, transport.ANSWER, meta, raw)
+
+    # -- credit ---------------------------------------------------------------------
+    def _return_credit(self) -> None:
+        """The team went idle: send its answers on, and its credit with them."""
+        k, self._credit = self._credit, None
+        if k is None:
+            raise ProtocolViolation(f"team {self.ctx.team_id} went idle holding no credit")
+        if self.ctx.team_id == 0:
+            self._recovered += Fraction(1, 1 << k)
+            self._forward_answers(now=True)
+        else:
+            self._forward_answers(now=True, credit=k)
+
+    def _halve_credit(self) -> int:
+        """Split off the half of the held credit that travels with a share."""
+        if self._credit is None:
+            raise ProtocolViolation(f"team {self.ctx.team_id} shared work holding no credit")
+        self._credit += 1
+        return self._credit
 
     # -- intra-team servicing ----------------------------------------------------
     def _dispatch(self, kind, meta, payload, busy: bool) -> None:
@@ -525,7 +650,8 @@ class Master(_Worker):
             frame.resolve(scheduler.ACCEPTED)
             shipped = splitting.deserialize_aux(aux_bytes).load
             self.ep.send(frame.requesting_team, transport.SHARE_ACCEPT,
-                         {"goal": self.goal_id, "req": frame.request_id},
+                         {"goal": self.goal_id, "req": frame.request_id,
+                          "credit": self._halve_credit()},
                          aux_bytes)
             scheduler.record_receiver_busy(self.ep.loads, frame.requesting_team, shipped)
             self.ctx.trace(0, "share_accepted", to=frame.requesting_team, load=shipped)
@@ -571,10 +697,11 @@ class Master(_Worker):
             if self.ctx.team_id != 0:
                 raise ProtocolViolation("answers routed to a non-master team")
             if msg.goal_id == self.goal_id:
-                if msg.meta.get("flush"):
-                    self._flushed.add(msg.sender)
-                else:
-                    self._deliver_answers(msg.sender, _unpack_answers(msg.raw))
+                if msg.raw:
+                    self._forward.append((msg.sender, msg.raw))
+                credit = msg.meta.get("credit")
+                if credit is not None:
+                    self._recovered += Fraction(1, 1 << credit)
         elif kind == transport.TERMINATE:
             if msg.goal_id == self.goal_id:
                 if busy:
@@ -627,7 +754,7 @@ class Master(_Worker):
                     aux = splitting.serialize_aux(got)
             self._delegate_reply(dict(meta), aux)
         else:
-            ctx.notify(target, N_DELEGATE_REQUEST, meta)
+            self._tell(target, N_DELEGATE_REQUEST, meta)
         ctx.trace(0, "delegated", req=req, worker=target, team=msg.sender)
 
     def _share_reply(self, msg: TeamMessage, busy: bool) -> None:
@@ -640,6 +767,7 @@ class Master(_Worker):
         if msg.kind == transport.SHARE_ACCEPT:
             if busy:
                 raise ProtocolViolation("SHARE_ACCEPT while this team is busy")
+            self._credit = msg.meta["credit"]
             self._install_pending = msg.raw
 
     # -- master as local requester ---------------------------------------------
@@ -649,23 +777,26 @@ class Master(_Worker):
         shared = ctx.shared
         tries = 0
         while True:
-            self._forward_answers()
             self._drain_mailbox(busy=False)
             self._drain_transport(busy=False)
+            self._forward_answers()
             if self._install_pending is not None:
                 raise ProtocolViolation("install pending outside the idle scheduler")
             target = scheduler.select_local_target(shared.loads(), 0)
             if target is not None:
                 meta = {"goal": self.goal_id, "local": 0}
-                ctx.notify(target, N_DELEGATE_REQUEST, meta)
+                self._tell(target, N_DELEGATE_REQUEST, meta)
                 got = self._await_local_reply()
                 if got:
                     return _WORK
                 tries = 0
                 continue
-            if shared.idle_count() == ctx.n_workers and shared.public_alts() == 0:
-                self._forward_answers()
-                if ctx.answers.empty():
+            if shared.idle_count() == ctx.n_workers and shared.public_alts() == 0 \
+                    and not self._delegations:
+                # a pending delegation may still ship stacks, under this
+                # team's credit; workers flush before they raise idle flags
+                self._collect_batches()
+                if shared.answer_batches() == self._batches_seen:
                     return None
             tries += 1
             time.sleep(min(ctx.options.backoff_min_s * (1 << min(tries, 10)),
@@ -678,6 +809,8 @@ class Master(_Worker):
             if ctx.shared.aborted():
                 raise EngineShutdown
             self._drain_transport(busy=False)
+            # the teammate may be blocked putting answers into a full pipe
+            self._forward_answers()
             if box.empty():
                 time.sleep(0.00002)
                 continue
@@ -710,16 +843,17 @@ class Master(_Worker):
             self._drain_transport(busy=False)
             if self._next_poll_count != before:
                 nap = 0.00001
+            self._forward_answers()
             if self._install_pending is not None:
                 self._install_stacks(self._install_pending)
                 self._install_pending = None
                 return
+            if self._recovered == 1:
+                self._terminate_peers()
+                raise GoalDone
             if self._outstanding is None and time.monotonic() >= retry_at:
                 target = scheduler.select_request_target(self.ep.loads, ctx.team_id)
-                if target is None:
-                    if self._try_termination():
-                        raise GoalDone
-                else:
+                if target is not None:
                     req = self._next_req
                     self._next_req += 1
                     self._outstanding = (req, target)
@@ -730,15 +864,11 @@ class Master(_Worker):
             time.sleep(nap)
             nap = min(nap * 2, 0.0005)
 
-    def _try_termination(self) -> bool:
-        if not scheduler.all_others_idle(self.ep.loads, self.ctx.team_id):
-            return False
-        if self.own_load() >= 0:
-            return False
+    def _terminate_peers(self) -> None:
+        """Team 0 holds all credit again: the goal is over everywhere."""
         for team in self.ep.peers():
             self.ep.send(team, transport.TERMINATE, {"goal": self.goal_id})
         self.ctx.trace(0, "terminate_broadcast", goal=self.goal_id)
-        return True
 
     def _install_stacks(self, aux_bytes: bytes) -> None:
         """Unpack received stacks, wake the team, resume with a fail."""
@@ -752,7 +882,7 @@ class Master(_Worker):
         self.team_idle = False
         ctx.shared.set_idle(0, False)
         for rank in range(1, ctx.n_workers):
-            ctx.notify(rank, N_HAS_WORK, self.goal_meta)
+            self._tell(rank, N_HAS_WORK, self.goal_meta)
         ctx.trace(0, "installed", load=ws.load, goal=self.goal_id)
 
     # -- goal wind-down ---------------------------------------------------------
@@ -761,58 +891,24 @@ class Master(_Worker):
         if self._goal_finished:
             return
         self._goal_finished = True
-        # answers already queued locally or in transit must reach the client
-        self._forward_answers()
+        # answers already queued locally must reach the client; the other
+        # teams' answers all arrived ahead of their credit
+        self._forward_answers(now=True)
         if ctx.team_id == 0:
-            self._drain_transport_final()
-            self._forward_answers()
             if not self._client_done_sent:
                 # trace first: its queue write completes before the client
                 # can possibly observe the TERMINATE that ends the goal
                 ctx.trace(0, "goal_done", goal=self.goal_id)
                 self.ep.send(CLIENT_ID, transport.TERMINATE, {"goal": self.goal_id})
                 self._client_done_sent = True
-        else:
-            # end-of-stream marker: FIFO per pair puts it after every answer
-            # this team ever sent, so the master team can finish exactly when
-            # all markers are in instead of sitting out a quiet window
-            self.ep.send(0, transport.ANSWER,
-                         {"goal": self.goal_id, "flush": True}, _pack_answers([]))
         for rank in range(1, ctx.n_workers):
-            ctx.notify(rank, N_GOAL_DONE, {"goal": self.goal_id})
+            self._tell(rank, N_GOAL_DONE, {"goal": self.goal_id})
         if self.ep.capture:
             ctx.trace(0, "wire_capture", frames=list(self.ep.capture))
             self.ep.capture.clear()
         self.ws.reset_to_base()
         self.team_idle = True
         ctx.shared.set_idle(0, True)
-
-    def _drain_transport_final(self) -> None:
-        """Collect the other teams' end-of-stream markers and late answers."""
-        ctx = self.ctx
-        everyone = set(range(1, ctx.n_teams))
-        opts = ctx.options
-        window = 5.0 + (4 * opts.delay[2] if opts.delay is not None else 0.0) \
-            + 4 * opts.tcp_latency_s
-        deadline = time.monotonic() + window
-        while not everyone <= self._flushed:
-            msg = self.ep.poll()
-            if msg is None:
-                if time.monotonic() >= deadline:
-                    ctx.trace(0, "flush_timeout",
-                              missing=sorted(everyone - self._flushed))
-                    return
-                time.sleep(0.0002)
-                continue
-            self._merge(msg)
-            if msg.kind == transport.ANSWER and msg.goal_id == self.goal_id:
-                if msg.meta.get("flush"):
-                    self._flushed.add(msg.sender)
-                else:
-                    self._deliver_answers(msg.sender, _unpack_answers(msg.raw))
-            elif msg.kind == transport.ENGINE_FREE:
-                self._engine_free(rebroadcast=True)
-            # everything else at this point is stale scheduler traffic
 
     def _engine_free(self, rebroadcast: bool) -> None:
         ctx = self.ctx
@@ -821,7 +917,7 @@ class Master(_Worker):
                 self.ep.send(team, transport.ENGINE_FREE, {})
         ctx.shared.signal_abort()
         for rank in range(1, ctx.n_workers):
-            ctx.notify(rank, N_GOAL_DONE, {"shutdown": True})
+            self._tell(rank, N_GOAL_DONE, {"shutdown": True})
         raise EngineShutdown
 
 
@@ -829,24 +925,34 @@ class Master(_Worker):
 # answer batch codec (ANSWER frame payload)
 # ---------------------------------------------------------------------------
 
-def _pack_answers(batch) -> bytes:
-    import struct
+_U32 = struct.Struct("<I")
 
-    out = [struct.pack("<I", len(batch))]
+
+@lru_cache(maxsize=64)
+def _answer_record(n: int) -> struct.Struct:
+    """Length prefix plus ``n`` values: one packed answer."""
+    return struct.Struct(f"<I{n}q")
+
+
+def pack_answers(batch) -> bytes:
+    """Pack one batch: the answer count, then each answer's length and values."""
+    out = [_U32.pack(len(batch))]
     for answer in batch:
-        out.append(struct.pack(f"<I{len(answer)}q", len(answer), *answer))
+        n = len(answer)
+        out.append(_answer_record(n).pack(n, *answer))
     return b"".join(out)
 
 
-def _unpack_answers(raw: bytes):
-    import struct
-
-    (count,) = struct.unpack_from("<I", raw, 0)
-    off = 4
-    batch = []
-    for _ in range(count):
-        (n,) = struct.unpack_from("<I", raw, off)
+def unpack_answers(raw: bytes) -> list[tuple]:
+    """Unpack a concatenation of packed batches into one answer list."""
+    answers = []
+    off = 0
+    end = len(raw)
+    while off < end:
+        (count,) = _U32.unpack_from(raw, off)
         off += 4
-        batch.append(tuple(struct.unpack_from(f"<{n}q", raw, off)))
-        off += 8 * n
-    return batch
+        for _ in range(count):
+            (n,) = _U32.unpack_from(raw, off)
+            answers.append(_answer_record(n).unpack_from(raw, off)[1:])
+            off += 4 + 8 * n
+    return answers

@@ -247,3 +247,86 @@ def test_rederive_rebuilds_alternatives_after_cache_drop():
     rest = Counter()
     run_loop(ws2, lambda a: rest.update([a]))
     assert partial + rest == got_before
+
+
+# -- service ticks ----------------------------------------------------------------
+
+def reference_tick_backtracks(name, args, every):
+    """``ws.backtracks`` at each tick of a plain loop over the public steps."""
+    from layered_or.engine import EXPAND_CHOICE
+
+    ws, prog = fresh_worker(name, args)
+    seen = []
+    steps = 0
+    tag = prog.root_tag
+    while True:
+        steps += 1
+        if steps % every == 0:
+            seen.append(ws.backtracks)
+        if tag is None:
+            tag = backtrack(ws)
+            if tag is EXHAUSTED:
+                return seen
+        ws._guard = pre_store = ws.H
+        pre_trail = ws.TR
+        kind, payload = prog.expand(ws, tag)
+        if kind == EXPAND_CHOICE:
+            tag = push_choice_point(ws, tag, payload, pre_store, pre_trail)
+        else:
+            tag = None
+
+
+@pytest.mark.parametrize("name,args", [("queens", [6]), ("rand_tree", [42, 6, 4])])
+@pytest.mark.parametrize("every", [1, 3, 32])
+def test_registers_are_exact_at_every_service_tick(name, args, every):
+    ws, prog = fresh_worker(name, args)
+    register = []
+    ws.load_sink = register.append
+    ticks = []
+
+    def service():
+        ticks.append(ws.backtracks)
+        assert ws.load == sum(cp.open_count() for cp in ws.cps if cp.frame < 0)
+        assert register and register[-1] == ws.load
+
+    got = Counter()
+    run_loop(ws, lambda a: got.update([a]), start_tag=prog.root_tag,
+             service=service, service_every=every)
+    assert ticks == reference_tick_backtracks(name, args, every)
+    assert register[-1] == ws.load == 0
+    assert got == oracle.enumerate_answers(prog, args)
+
+
+class _Stop(Exception):
+    pass
+
+
+@pytest.mark.parametrize("name,args", [("queens", [7]), ("rand_tree", [7, 8, 5]),
+                                       ("spread", [3, 4])])
+def test_stacks_left_by_a_raising_service_resume_to_the_remaining_answers(name, args):
+    from layered_or.engine import install_segments
+    from layered_or.splitting import snapshot_segments
+
+    prog = get_program(name)
+    everything = oracle.enumerate_answers(prog, args)
+    ws, _ = fresh_worker(name, args)
+    run_loop(ws, lambda a: None, start_tag=prog.root_tag)
+    for stop_at in range(1, ws.backtracks, max(1, ws.backtracks // 25)):
+        ws, _ = fresh_worker(name, args)
+        before = Counter()
+
+        def service():
+            if ws.backtracks >= stop_at:
+                raise _Stop
+
+        with pytest.raises(_Stop):
+            run_loop(ws, lambda a: before.update([a]), start_tag=prog.root_tag,
+                     service=service, service_every=1)
+        snap = snapshot_segments(ws)
+        peer, _ = fresh_worker(name, args)
+        install_segments(peer, snap["store_lo"], snap["store_cells"], snap["cp_records"],
+                         snap["trail_lo"], snap["trail_entries"])
+        assert peer.load == ws.load == snap["load"]
+        rest = Counter()
+        run_loop(peer, lambda a: rest.update([a]))
+        assert before + rest == everything, f"stopped at backtrack {stop_at}"

@@ -1,16 +1,20 @@
 """Team runtime: spawning, intra-team sharing, or-frame arbitration, answers."""
 
+import os
+import signal
+import sys
 import time
-from collections import Counter
+from collections import Counter, deque
 
 import pytest
 
-from layered_or import api, oracle
+from layered_or import api, oracle, transport
 from layered_or.config import EngineOptions
 from layered_or.engine import ChoicePoint, WorkerState, run_loop, setup_goal
 from layered_or.errors import EngineCreationError
 from layered_or.programs import get_program
 from layered_or.team import TeamShared, publish_private_nodes
+from layered_or.worker import GoalDone, Master, TeamContext
 
 
 def drain(handle):
@@ -204,6 +208,43 @@ def test_frame_hands_out_disjoint_alternatives_across_processes():
     shared.close()
 
 
+def test_signal_counters_announce_every_message_across_processes():
+    # three senders, more than the cores here, each bumping only its own
+    # counter; a reader that drains only when the sum moved must still see
+    # every message, and no bump may be lost
+    import multiprocessing
+
+    ctx = multiprocessing.get_context("fork")
+    shared = TeamShared(4)
+    box = ctx.SimpleQueue()
+    per_sender = 300
+
+    def sender(rank):
+        for i in range(per_sender):
+            box.put((rank, i))
+            shared.count_mail(rank, 0)
+
+    procs = [ctx.Process(target=sender, args=(r,)) for r in (1, 2, 3)]
+    for p in procs:
+        p.start()
+    got = []
+    seen = 0
+    deadline = time.monotonic() + 20.0
+    while len(got) < 3 * per_sender and time.monotonic() < deadline:
+        sent = shared.mail_count(0)
+        if sent != seen:
+            while not box.empty():
+                got.append(box.get())
+            seen = sent
+    for p in procs:
+        p.join(timeout=5.0)
+        assert not p.is_alive()
+    assert sorted(got) == [(r, i) for r in (1, 2, 3) for i in range(per_sender)]
+    assert shared.mail_count(0) == 3 * per_sender
+    assert shared.mail_count(1) == 0
+    shared.close()
+
+
 def test_frame_recycled_after_last_member_leaves():
     shared = TeamShared(2, n_frames=4)
     idx = shared.alloc(2, 2, 1, 0)     # dead on arrival
@@ -278,6 +319,61 @@ def test_each_share_request_resolves_to_exactly_one_reply():
         f"only {resolved} of {len(sent_requests)} requests resolved"
 
 
+class _ScriptedEndpoint(transport.Endpoint):
+    """Team 0's endpoint fed from a script of (due at poll number, frame)."""
+
+    def __init__(self, n_teams, script):
+        super().__init__("scripted", 0, n_teams)
+        self.script = deque(script)
+        self.polls = 0
+        self.sent = []                    # (polls so far, dest, kind)
+
+    def _transmit(self, dest, frame):
+        self.sent.append((self.polls, dest, transport.decode_frame(frame).kind))
+
+    def _receive(self):
+        self.polls += 1
+        if self.script and self.polls >= self.script[0][0]:
+            return self.script.popleft()[1]
+        return None
+
+
+def _credit_return(sender, k, n_teams=3):
+    # sent by an idle team, so its whole view reads idle
+    return transport.encode_frame(
+        transport.ANSWER, sender, [(-1, 9)] * n_teams,
+        transport.encode_payload({"goal": 1, "credit": k}, b""))
+
+
+def test_termination_waits_for_credit_despite_an_all_idle_load_view():
+    # Team 0 gave stacks to teams 1 and 2 and went idle. Every entry of its
+    # load array reads -1: a newer refusal from an idle team can shadow the
+    # record that the team just received work. The goal may end only once
+    # both teams have handed their credit back.
+    shared = TeamShared(1, n_frames=16)
+    ep = _ScriptedEndpoint(3, [(50, _credit_return(1, 1)), (100, _credit_return(2, 2))])
+    ctx = TeamContext("scripted", 0, 3, 1, EngineOptions(), shared, [None], None, None)
+    master = Master(ctx, WorkerState(team_id=0, worker_id=0), ep)
+    ep.own_load_fn = master.own_load
+    master._begin_goal_common({"program": "queens", "args": [4], "goal": 1})
+    master._credit = 0
+    assert master._halve_credit() == 1        # to team 1
+    assert master._halve_credit() == 2        # to team 2
+    master.team_idle = True
+    master._return_credit()
+    ep.loads = [(-1, 5)] * 3
+    try:
+        with pytest.raises(GoalDone):
+            master._team_idle_scheduler()
+    finally:
+        shared.close()
+    terminates = [(polls, dest) for polls, dest, kind in ep.sent
+                  if kind == transport.TERMINATE]
+    assert sorted(dest for _, dest in terminates) == [1, 2]
+    assert min(polls for polls, _ in terminates) >= 100, \
+        "TERMINATE went out while team 2 still held credit"
+
+
 def test_tcp_backend_gives_identical_answer_sets():
     expect = {
         "queens(8)": oracle.enumerate_answers(get_program("queens"), [8]),
@@ -300,4 +396,76 @@ def test_duplicate_answers_pass_through_unsuppressed():
     h = make_engine("dups", [2])
     api.par_run_goal(h, "rand_tree(19,6,3)")
     assert drain(h) == expect
+    api.par_free_parallel_engine(h)
+
+
+def count_within(h, goal, seconds):
+    """Run ``goal`` and count its answers, failing if it outlives ``seconds``."""
+    api.par_run_goal(h, goal)
+    deadline = time.monotonic() + seconds
+    got = 0
+    while True:
+        assert time.monotonic() < deadline, f"{goal} stalled after {got} answers"
+        batch = api.par_get_answers(h, ("max", 1 << 16))
+        if batch is None:
+            return got
+        got += batch[1]
+        if not batch[1]:
+            time.sleep(0.0005)
+
+
+def test_answer_stream_never_stalls_on_the_answer_pipe():
+    # a worker blocked writing into a full answer pipe used to wait on a
+    # master that was itself writing into that pipe or waiting on the worker
+    h = make_engine("stream", [2])
+    for i in range(50):
+        assert count_within(h, "spread(4,12)", 10.0) == 12 ** 4, f"goal {i}"
+    api.par_free_parallel_engine(h)
+
+
+@pytest.mark.parametrize("teams,transport", [([2], "inproc"), ([2, 2], "inproc"),
+                                             ([2, 2], "tcp")])
+def test_large_answer_stream_arrives_in_bounded_time(teams, transport):
+    h = make_engine(f"flood-{len(teams)}-{transport}", teams, transport=transport)
+    assert count_within(h, "spread(4,16)", 30.0) == 16 ** 4
+    api.par_free_parallel_engine(h)
+
+
+def _children_of(pid):
+    kids = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat") as f:
+                fields = f.read().rsplit(")", 1)[1].split()
+        except OSError:
+            continue
+        if int(fields[1]) == pid:
+            kids.append(int(entry))
+    return kids
+
+
+def _alive(pid):
+    try:
+        with open(f"/proc/{pid}/stat") as f:
+            state = f.read().rsplit(")", 1)[1].split()[0]
+    except OSError:
+        return False
+    return state not in ("Z", "X")
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="PR_SET_PDEATHSIG is Linux-only")
+def test_teammates_die_with_a_killed_master():
+    h = make_engine("orphans", [2])
+    api.par_run_goal(h, "queens(6)")
+    assert sum(drain(h).values()) == 4
+    master = h._procs[0].pid
+    teammates = _children_of(master)
+    assert teammates, "the master forked no teammate"
+    os.kill(master, signal.SIGKILL)
+    deadline = time.monotonic() + 2.0
+    while any(_alive(pid) for pid in teammates) and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert not any(_alive(pid) for pid in teammates), "teammate outlived its master"
     api.par_free_parallel_engine(h)
