@@ -4,6 +4,7 @@ Remote entries in an engine topology name a ``host:port`` where one of these
 agents listens. The client connects, sends a one-line json create request,
 and keeps the connection as the team's control channel; the agent forks the
 master process (handing it the connection) and goes back to accepting.
+A master dies with the agent that forked it.
 """
 
 from __future__ import annotations
@@ -12,15 +13,15 @@ import json
 import multiprocessing
 import socket
 
-from .api import SocketChannel, _MasterBoot, master_entry
+from .boot import MasterBoot, SocketChannel, master_entry
 from .config import EngineOptions
 
 
-def _boot_from_request(req: dict, chan: SocketChannel) -> _MasterBoot:
+def _boot_from_request(req: dict, chan: SocketChannel) -> MasterBoot:
     opts = dict(req["options"])
     if opts.get("delay") is not None:
         opts["delay"] = tuple(opts["delay"])
-    return _MasterBoot(
+    return MasterBoot(
         engine_id=req["engine"], team_id=req["team_id"], n_teams=req["n_teams"],
         n_workers=req["n_workers"], options=EngineOptions(**opts),
         transport_kind="tcp", bind_host=req.get("bind_host", "0.0.0.0"),

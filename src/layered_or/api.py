@@ -13,23 +13,21 @@ by ``layered-or serve-agent`` processes and require the tcp transport.
 from __future__ import annotations
 
 import atexit
-import json
 import logging
 import multiprocessing
 import os
 import re
 import socket
 import time
-import traceback
 from collections import deque
 from dataclasses import asdict, dataclass, field
 from typing import Optional, Sequence, Union
 
+from .boot import MasterBoot, SocketChannel, master_entry
 from .config import EngineOptions
+from .engine import WorkerState
 from .errors import EngineCreationError, EngineError, GoalError
-from .oracle import _CopyStore
 from .programs import get_program
-from .team import TeamShared
 from .transport import (
     ANSWER,
     CLIENT_ID,
@@ -40,8 +38,7 @@ from .transport import (
     QueueMesh,
     TcpEndpoint,
 )
-from .worker import Master, TeamContext, unpack_answers, worker_process_main
-from .engine import WorkerState
+from .worker import unpack_answers
 
 log = logging.getLogger("layered_or")
 
@@ -150,170 +147,13 @@ def _validate_goal(goal: GoalSpec) -> None:
         raise GoalError(f"{goal.program} takes {program.arity} argument(s), "
                         f"got {len(goal.args)}")
     try:
-        scratch = _CopyStore()
-        program.setup(scratch, goal.args)
+        program.setup(WorkerState(), goal.args)
         slots = program.slots(goal.args)
     except (ValueError, TypeError) as exc:
         raise GoalError(f"bad arguments for {goal.program}: {exc}") from None
     if goal.template is not None and goal.template not in slots:
         raise GoalError(f"unknown template slot {goal.template!r}; "
                         f"slots: {sorted(slots)}")
-
-
-# ---------------------------------------------------------------------------
-# master process bootstrap
-# ---------------------------------------------------------------------------
-
-@dataclass
-class _MasterBoot:
-    engine_id: str
-    team_id: int
-    n_teams: int
-    n_workers: int
-    options: EngineOptions
-    transport_kind: str
-    mesh: object = None            # queue back-end only
-    bind_host: str = "127.0.0.1"
-    trace_queue: object = None
-    channel: object = None         # ctrl channel back to the client
-
-
-class _QueueChannel:
-    """Bidirectional ctrl channel over a pair of multiprocess queues."""
-
-    def __init__(self, ctx):
-        self._a = ctx.SimpleQueue()
-        self._b = ctx.SimpleQueue()
-
-    def master_side(self):
-        return _QueueHalf(self._a, self._b)
-
-    def client_side(self):
-        return _QueueHalf(self._b, self._a)
-
-
-class _QueueHalf:
-    def __init__(self, inbound, outbound):
-        self._in = inbound
-        self._out = outbound
-
-    def put(self, obj) -> None:
-        self._out.put(obj)
-
-    def get(self, timeout: float):
-        deadline = time.monotonic() + timeout
-        while self._in.empty():
-            if time.monotonic() >= deadline:
-                raise TimeoutError("ctrl channel timed out")
-            time.sleep(0.002)
-        return self._in.get()
-
-    def close(self) -> None:
-        pass
-
-
-class SocketChannel:
-    """Ctrl channel as newline-delimited json over a socket (agent teams)."""
-
-    def __init__(self, sock: socket.socket):
-        self._sock = sock
-        self._buf = b""
-
-    def put(self, obj) -> None:
-        self._sock.sendall(json.dumps(obj).encode() + b"\n")
-
-    def get(self, timeout: float):
-        self._sock.settimeout(timeout)
-        while b"\n" not in self._buf:
-            chunk = self._sock.recv(4096)
-            if not chunk:
-                raise TimeoutError("ctrl channel closed")
-            self._buf += chunk
-        line, self._buf = self._buf.split(b"\n", 1)
-        return json.loads(line.decode())
-
-    def close(self) -> None:
-        try:
-            self._sock.close()
-        except OSError:
-            pass
-
-
-def master_entry(boot: _MasterBoot) -> None:
-    """Entry point of a team-master process."""
-    from .errors import EngineShutdown
-
-    chan = boot.channel
-    shared = None
-    workers = []
-    ep = None
-    try:
-        ctx = multiprocessing.get_context("fork")
-        shared = TeamShared(boot.n_workers, boot.options.frame_pool, ctx=ctx)
-        mailboxes = [ctx.SimpleQueue() for _ in range(boot.n_workers)]
-        answers = ctx.SimpleQueue()
-        tctx = TeamContext(boot.engine_id, boot.team_id, boot.n_teams,
-                           boot.n_workers, boot.options, shared, mailboxes,
-                           answers, boot.trace_queue)
-        for rank in range(1, boot.n_workers):
-            p = ctx.Process(target=worker_process_main, args=(tctx, rank),
-                            daemon=True, name=f"{boot.engine_id}-t{boot.team_id}w{rank}")
-            p.start()
-            workers.append(p)
-
-        ws = WorkerState(team_id=boot.team_id, worker_id=0)
-        ws.frames = shared
-        ws.load_sink = lambda load: shared.set_load(0, load)
-        ws.public_sink = lambda n: shared.set_public_nodes(0, n)
-
-        if boot.transport_kind == "inproc":
-            ep = boot.mesh.endpoint(boot.engine_id, boot.team_id)
-            chan.put({"ready": True})
-        else:
-            ep = TcpEndpoint(boot.engine_id, boot.team_id, boot.n_teams,
-                             latency=boot.options.tcp_latency_s)
-            srv, port = ep.listen(boot.bind_host)
-            chan.put({"port": port})
-            portmap = chan.get(boot.options.ready_timeout_s)["portmap"]
-            for peer in range(boot.team_id):
-                host, pport = portmap[str(peer)]
-                ep.dial(peer, host, pport)
-            expected = set(range(boot.team_id + 1, boot.n_teams))
-            if boot.team_id == 0:
-                expected.add(CLIENT_ID)
-            ep.accept_peers(srv, expected, boot.options.ready_timeout_s)
-            srv.close()
-            chan.put({"ready": True})
-
-        master = Master(tctx, ws, ep)
-        ep.own_load_fn = master.own_load
-        if boot.options.extra.get("capture_wire") and boot.trace_queue is not None:
-            ep.capture = []
-        master.getwork_first_time()
-    except EngineShutdown:
-        pass
-    except Exception:
-        if boot.trace_queue is not None:
-            boot.trace_queue.put((boot.team_id, 0, "master_crash",
-                                  {"error": traceback.format_exc()}))
-        try:
-            chan.put({"error": traceback.format_exc()})
-        except Exception:
-            pass
-    finally:
-        if shared is not None:
-            shared.signal_abort()
-        for p in workers:
-            p.join(timeout=2.0)
-        for p in workers:
-            if p.is_alive():
-                p.terminate()
-        if ep is not None:
-            ep.close()
-        try:
-            chan.put({"bye": True})
-        except Exception:
-            pass
 
 
 # ---------------------------------------------------------------------------
@@ -442,19 +282,21 @@ def _launch_teams(handle: EngineHandle, ctx) -> None:
     opts = handle.options
     n_teams = len(handle.topology)
     for team_id, spec in enumerate(handle.topology):
-        boot = _MasterBoot(
-            engine_id=handle.name, team_id=team_id, n_teams=n_teams,
-            n_workers=spec.n_workers, options=opts,
-            transport_kind=handle.transport_kind, mesh=handle._mesh,
-            trace_queue=handle._trace_queue)
         if spec.host in _LOCAL_HOSTS:
-            chan = _QueueChannel(ctx)
-            boot.channel = chan.master_side()
+            ours, theirs = (SocketChannel(s) for s in socket.socketpair())
+            handle._channels.append(ours)
+            boot = MasterBoot(
+                engine_id=handle.name, team_id=team_id, n_teams=n_teams,
+                n_workers=spec.n_workers, options=opts,
+                transport_kind=handle.transport_kind, channel=theirs,
+                mesh=handle._mesh, trace_queue=handle._trace_queue)
             proc = ctx.Process(target=master_entry, args=(boot,),
                                name=f"{handle.name}-master{team_id}")
-            proc.start()
+            try:
+                proc.start()
+            finally:
+                theirs.close()        # the forked master owns its copy now
             handle._procs.append(proc)
-            handle._channels.append(chan.client_side())
         else:
             host, _, port = spec.host.partition(":")
             if not port:

@@ -28,10 +28,6 @@ EXPAND_ANSWER = 1
 EXPAND_CHOICE = 2
 
 
-class GoalAborted(Exception):
-    """Unwinds a worker out of the current goal (teardown or engine fault)."""
-
-
 def count_open(n_alts: int, cursor: int, split_offset: int) -> int:
     """Open alternatives reachable from ``cursor`` stepping by ``split_offset``."""
     if cursor >= n_alts:
@@ -109,7 +105,6 @@ class WorkerState:
         self.trail_prevs: list[int] = []
         self.cps: list[ChoicePoint] = []
         self.load = 0                      # open alternatives in private nodes only
-        self.root = 0                      # index of the root choice point
         self.program = None
         self.template_cells: tuple[int, ...] = ()
         self.frames = None                 # or-frame pool (team-provided); None when standalone
@@ -120,7 +115,7 @@ class WorkerState:
         self.base_trail = 0
         self._guard = 0                    # writes below this store index are trailed
 
-    # registers (store top, trail top, youngest choice point)
+    # registers (store top, trail top)
     @property
     def H(self) -> int:
         return len(self.store)
@@ -128,10 +123,6 @@ class WorkerState:
     @property
     def TR(self) -> int:
         return len(self.trail_cells)
-
-    @property
-    def B(self) -> int:
-        return len(self.cps) - 1
 
     # -- store access used by programs --------------------------------------
     def push_cell(self, value: int) -> int:
@@ -430,7 +421,6 @@ def install_segments(ws: WorkerState, store_lo: int, store_cells: Sequence[int],
         ws.cps.append(cp)
         if frame < 0:
             load += cp.open_count()
-    ws.root = 0
     ws.set_load(load)
     ws.sync_public_nodes()
     ws._guard = len(store)

@@ -22,10 +22,6 @@ from typing import Optional, Sequence
 
 Entry = tuple[int, int]           # (load, timestamp)
 
-PENDING = "pending"
-ACCEPTED = "accepted"
-REFUSED = "refused"
-
 
 def merge_load_arrays(local: Sequence[Entry], received: Sequence[Entry],
                       keep: int = -1) -> list[Entry]:
@@ -71,10 +67,6 @@ def select_request_target(loads: Sequence[Entry], self_id: int) -> Optional[int]
     return best
 
 
-def all_others_idle(loads: Sequence[Entry], self_id: int) -> bool:
-    return all(load < 0 for team, (load, _) in enumerate(loads) if team != self_id)
-
-
 def select_local_target(worker_loads: Sequence[int], self_rank: int) -> Optional[int]:
     """Teammate with the highest load register; ties to the lowest rank."""
     best = None
@@ -106,19 +98,3 @@ def select_delegate(worker_loads: Sequence[int], public_nodes: Sequence[int],
             best, best_key = rank, key
     return best
 
-
-class DelegationFrame:
-    """Ties one inbound share request to the worker chosen to serve it."""
-
-    __slots__ = ("request_id", "requesting_team", "state", "worker")
-
-    def __init__(self, request_id: int, requesting_team: int, worker: int):
-        self.request_id = request_id
-        self.requesting_team = requesting_team
-        self.state = PENDING
-        self.worker = worker
-
-    def resolve(self, state: str) -> None:
-        assert self.state == PENDING, "delegation resolved twice"
-        assert state in (ACCEPTED, REFUSED)
-        self.state = state

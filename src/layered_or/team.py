@@ -33,9 +33,8 @@ from .engine import count_open
 _HDR = 8                   # header slots before the per-worker arrays
 _SLOT_PUBLIC_ALTS = 0
 _SLOT_ABORT = 1
-_SLOT_GOAL_SEQ = 2
-_SLOT_FREE_HEAD = 3
-_SLOT_HIGH_WATER = 4
+_SLOT_FREE_HEAD = 2
+_SLOT_HIGH_WATER = 3
 
 _FRAME_SLOTS = 6           # n_alts, cursor, split_offset, members, depth, next_free
 _F_NALTS, _F_CURSOR, _F_OFFSET, _F_MEMBERS, _F_DEPTH, _F_NEXT = range(_FRAME_SLOTS)
@@ -90,9 +89,6 @@ class TeamShared:
     def set_load(self, rank: int, load: int) -> None:
         self._mv[self._warr(2, rank)] = load
 
-    def load_of(self, rank: int) -> int:
-        return self._mv[self._warr(2, rank)]
-
     def loads(self) -> list[int]:
         base = _HDR + 2 * self.n_workers
         return [self._mv[base + r] for r in range(self.n_workers)]
@@ -133,12 +129,6 @@ class TeamShared:
 
     def aborted(self) -> bool:
         return bool(self._mv[_SLOT_ABORT])
-
-    def set_goal_seq(self, seq: int) -> None:
-        self._mv[_SLOT_GOAL_SEQ] = seq
-
-    def goal_seq(self) -> int:
-        return self._mv[_SLOT_GOAL_SEQ]
 
     # -- or-frame pool ----------------------------------------------------------
     def _base(self, idx: int) -> int:
@@ -247,15 +237,6 @@ class TeamShared:
         with self.lock(idx):
             return (mv[base + _F_NALTS], mv[base + _F_CURSOR],
                     mv[base + _F_OFFSET], mv[base + _F_MEMBERS])
-
-    def live_frame_count(self) -> int:
-        mv = self._mv
-        total = 0
-        for idx in range(mv[_SLOT_HIGH_WATER]):
-            base = self._base(idx)
-            if mv[base + _F_MEMBERS] > 0 and mv[base + _F_CURSOR] < mv[base + _F_NALTS]:
-                total += 1
-        return total
 
     def close(self) -> None:
         self._mv.release()

@@ -2,11 +2,15 @@
 idle/busy scheduling.
 
 Every worker of a team is a forked process sharing the team's ``TeamShared``
-region. Worker 0 is the team master: it alone owns the transport endpoint,
-launches its teammates, and runs the two inter-team scheduler halves (the
-idle scheduler when the whole team is out of work, the busy scheduler woven
-into its execution loop). The client's goals enter through the master team's
-master, and every worker parks in ``getwork_first_time`` between goals.
+region; ``boot`` starts them. Worker 0 is the team master: an ordinary
+worker that alone owns the transport endpoint and also runs the two
+inter-team scheduler halves (the idle scheduler when the whole team is out
+of work, the busy scheduler woven into its execution loop). It runs and
+waits in its teammates' loops, through two hooks: a pump that serves the
+transport and forwards answers while it waits, and the test that tells it
+the whole team is out of work. The client's goals enter through the master
+team's master, and every worker parks in ``getwork_first_time`` between
+goals.
 
 Answers travel packed. A worker buffers the answers it finds and, once per
 service tick, puts them into the team's answer pipe as one packed batch:
@@ -33,11 +37,8 @@ answer has arrived. Load arrays only pick whom to ask for work.
 
 from __future__ import annotations
 
-import ctypes
 import os
-import signal
 import struct
-import sys
 import time
 import traceback
 from fractions import Fraction
@@ -45,13 +46,7 @@ from functools import lru_cache
 
 from . import scheduler, splitting, transport
 from .config import EngineOptions
-from .engine import (
-    WorkerState,
-    allocate_dead_root,
-    install_segments,
-    run_loop,
-    setup_goal,
-)
+from .engine import WorkerState, allocate_dead_root, install_segments, run_loop, setup_goal
 from .errors import EngineShutdown, ProtocolViolation
 from .programs import get_program
 from .team import FramePoolExhausted, TeamShared, publish_private_nodes
@@ -62,12 +57,8 @@ N_HAS_WORK = "team_has_work"
 N_DELEGATE_REQUEST = "delegate_request"
 N_DELEGATE_ACCEPT = "delegate_accept"
 N_DELEGATE_REFUSE = "delegate_refuse"
-N_IDLE_AGAIN = "team_idle_again"
 N_GOAL_DONE = "goal_done"
 N_FAULT = "fault"
-
-_WORK = "work"
-_DONE = "done"
 
 # A busy master sends its buffered answers on at most this often; a team
 # going idle and a goal ending send them at once. Each ANSWER frame costs
@@ -105,53 +96,17 @@ class TeamContext:
             self.trace_queue.put((self.team_id, rank, kind, data))
 
 
-def _parse_goal_meta(meta: dict):
-    program = get_program(meta["program"])
-    return program, list(meta["args"]), meta.get("template"), meta["goal"], meta.get("strategy", "vs")
-
-
 # ---------------------------------------------------------------------------
-# non-master workers
+# workers
 # ---------------------------------------------------------------------------
 
-def _die_with_parent(parent_pid: int) -> None:
-    """Have the kernel kill this process when its master dies (Linux only).
+class Worker:
+    """A team worker: local scheduling plus delegated inter-team shares.
 
-    Exits at once if the master is already gone: the signal is only armed
-    for a parent that is still alive.
+    The master runs the same loops. It overrides two hooks: ``_pump``, which
+    keeps its transport and answer forwarding going while it waits, and
+    ``_team_out_of_work``, which lets ``_acquire_locally`` give up.
     """
-    if sys.platform.startswith("linux"):
-        libc = ctypes.CDLL(None, use_errno=True)
-        prctl = libc.prctl
-        prctl.argtypes = [ctypes.c_int, ctypes.c_ulong, ctypes.c_ulong,
-                          ctypes.c_ulong, ctypes.c_ulong]
-        prctl.restype = ctypes.c_int
-        pr_set_pdeathsig = 1
-        if prctl(pr_set_pdeathsig, signal.SIGKILL, 0, 0, 0) != 0:
-            err = ctypes.get_errno()
-            raise OSError(err, f"prctl(PR_SET_PDEATHSIG): {os.strerror(err)}")
-    if os.getppid() != parent_pid:
-        os._exit(0)
-
-
-def worker_process_main(ctx: TeamContext, rank: int) -> None:
-    _die_with_parent(ctx.master_pid)
-    ws = WorkerState(team_id=ctx.team_id, worker_id=rank)
-    ws.frames = ctx.shared
-    ws.load_sink = lambda load: ctx.shared.set_load(rank, load)
-    ws.public_sink = lambda n: ctx.shared.set_public_nodes(rank, n)
-    w = _Worker(ctx, ws, rank)
-    try:
-        w.getwork_first_time()
-    except EngineShutdown:
-        pass
-    except Exception:
-        ctx.trace(rank, "worker_crash", error=traceback.format_exc())
-        ctx.notify(rank, 0, N_FAULT, {"goal": w.goal_id, "error": traceback.format_exc()})
-
-
-class _Worker:
-    """A non-master worker: local scheduling plus delegated inter-team shares."""
 
     def __init__(self, ctx: TeamContext, ws: WorkerState, rank: int):
         self.ctx = ctx
@@ -165,15 +120,29 @@ class _Worker:
     def _tell(self, rank: int, kind: str, meta: dict, payload=None) -> None:
         self.ctx.notify(self.rank, rank, kind, meta, payload)
 
+    # -- hooks ------------------------------------------------------------------
+    def _pump(self) -> None:
+        """Work done on every turn of a wait loop besides the mailbox."""
+
+    def _team_out_of_work(self) -> bool:
+        """True once the whole team is out of work; a teammate never decides it."""
+        return False
+
     # -- Alg. getwork: park, run, repeat ------------------------------------
     def getwork_first_time(self) -> None:
         ctx = self.ctx
         ctx.shared.set_ready(self.rank)
         while True:
-            goal = self._wait_for_work_in_team()
-            self._begin_goal(goal)
+            self._begin_goal(self._wait_for_work_in_team())
+            self._park_on_dead_root()
             try:
-                self._local_cycle()
+                while True:
+                    self._acquire_locally()
+                    ctx.shared.set_idle(self.rank, False)
+                    self._run()
+                    self._flush_answers()
+                    self.ws.reset_to_base()
+                    ctx.shared.set_idle(self.rank, True)
             except GoalDone:
                 pass
             self.ws.reset_to_base()
@@ -198,39 +167,31 @@ class _Worker:
             # stale notifications of a finished goal are dropped
 
     def _begin_goal(self, meta: dict) -> None:
-        program, args, template, goal_id, _ = _parse_goal_meta(meta)
-        self.goal_id = goal_id
+        self.goal_id = meta["goal"]
         self.goal_meta = meta
         self._answers.clear()
-        setup_goal(self.ws, program, args, template)
+        setup_goal(self.ws, get_program(meta["program"]), list(meta["args"]),
+                   meta.get("template"))
+
+    def _park_on_dead_root(self) -> None:
         allocate_dead_root(self.ws)
         self.ctx.shared.set_idle(self.rank, True)
-        self.ctx.trace(self.rank, "root_allocated", goal=goal_id)
+        self.ctx.trace(self.rank, "root_allocated", goal=self.goal_id)
 
-    # -- execution + local scheduler ------------------------------------------
-    def _local_cycle(self) -> None:
-        while True:
-            got = self._acquire_locally()
-            if got == _DONE:
-                return
-            self.ctx.shared.set_idle(self.rank, False)
-            self._run()
-            self._flush_answers()
-            self.ws.reset_to_base()
-            self.ctx.shared.set_idle(self.rank, True)
-
-    def _run(self) -> None:
-        ws = self.ws
+    # -- execution --------------------------------------------------------------
+    def _run(self, start_tag=None) -> None:
         try:
-            run_loop(ws, self._emit, service=self._service,
+            run_loop(self.ws, self._emit, start_tag=start_tag, service=self._service,
                      service_every=self.ctx.options.k_backtracks)
         except (GoalDone, EngineShutdown, ProtocolViolation):
             raise
         except Exception:
             # a program fault aborts the goal engine-wide, not this worker
-            self._tell(0, N_FAULT, {"goal": self.goal_id,
-                                    "error": traceback.format_exc()})
-            raise GoalDone
+            self._propagate_fault({"goal": self.goal_id, "error": traceback.format_exc()})
+
+    def _propagate_fault(self, meta: dict) -> None:
+        self._tell(0, N_FAULT, meta)
+        raise GoalDone
 
     def _emit(self, answer: tuple) -> None:
         self._answers.append(answer)
@@ -245,18 +206,18 @@ class _Worker:
         if self.ctx.shared.aborted():
             raise EngineShutdown
         self._flush_answers()
-        self._drain_mailbox(busy=True)
+        self._drain_mailbox()
 
-    def _drain_mailbox(self, busy: bool) -> None:
+    def _drain_mailbox(self) -> None:
         sent = self.ctx.shared.mail_count(self.rank)
         if sent == self._mail_seen:
             return
         box = self.ctx.mailboxes[self.rank]
         while not box.empty():
-            self._dispatch(*box.get(), busy=busy)
+            self._dispatch(*box.get())
         self._mail_seen = sent
 
-    def _dispatch(self, kind, meta, payload, busy: bool) -> None:
+    def _dispatch(self, kind, meta, payload) -> None:
         if kind == N_DELEGATE_REQUEST:
             if meta.get("goal") != self.goal_id:
                 self._refuse(meta)
@@ -269,9 +230,7 @@ class _Worker:
                 raise EngineShutdown
             if meta.get("goal") == self.goal_id:
                 raise GoalDone
-        elif kind in (N_DELEGATE_ACCEPT, N_DELEGATE_REFUSE):
-            # reply to a request this worker abandoned (goal ended meanwhile)
-            pass
+        # a delegate reply here answers a request abandoned when its goal ended
 
     def _refuse(self, meta: dict) -> None:
         self._tell(0 if "req" in meta else meta["local"], N_DELEGATE_REFUSE, meta)
@@ -311,52 +270,53 @@ class _Worker:
         if aux.load <= 0:
             self._tell(0, N_DELEGATE_REFUSE, meta)
             return
+        meta["load"] = aux.load
         self._tell(0, N_DELEGATE_ACCEPT, meta, splitting.serialize_aux(aux))
         self.ctx.trace(self.rank, "shared_remotely", req=meta["req"], load=aux.load)
 
     # -- this worker is the requester -------------------------------------------
-    def _acquire_locally(self):
+    def _acquire_locally(self) -> bool:
+        """Pull work from a teammate; False once the team is out of work."""
         ctx = self.ctx
         shared = ctx.shared
-        backoff = ctx.options.backoff_min_s
-        signalled_idle = False
+        tries = 0
         while True:
-            self._drain_mailbox(busy=False)
-            target = scheduler.select_local_target(shared.loads(), self.rank)
-            if target is not None:
-                got = self._request_from(target)
-                if got:
-                    return _WORK
-                backoff = ctx.options.backoff_min_s
-                continue
-            if not signalled_idle and shared.idle_count() == ctx.n_workers:
-                self._tell(0, N_IDLE_AGAIN, {"goal": self.goal_id, "rank": self.rank})
-                signalled_idle = True
             if shared.aborted():
                 raise EngineShutdown
-            time.sleep(backoff)
-            backoff = min(backoff * 2, ctx.options.backoff_max_s)
+            self._drain_mailbox()
+            self._pump()
+            target = scheduler.select_local_target(shared.loads(), self.rank)
+            if target is not None:
+                if self._request_from(target):
+                    return True
+                tries = 0
+                continue
+            if self._team_out_of_work():
+                return False
+            time.sleep(min(ctx.options.backoff_min_s * (1 << min(tries, 10)),
+                           ctx.options.backoff_max_s))
+            tries += 1
 
     def _request_from(self, target: int) -> bool:
         ctx = self.ctx
-        meta = {"goal": self.goal_id, "local": self.rank}
-        self._tell(target, N_DELEGATE_REQUEST, meta)
+        self._tell(target, N_DELEGATE_REQUEST, {"goal": self.goal_id, "local": self.rank})
         box = ctx.mailboxes[self.rank]
         while True:
             if ctx.shared.aborted():
                 raise EngineShutdown
+            # a teammate may be blocked putting answers into a full pipe
+            self._pump()
             if box.empty():
                 time.sleep(0.00002)
                 continue
             kind, m, payload = box.get()
-            if kind == N_DELEGATE_ACCEPT and m.get("local") == self.rank \
-                    and m.get("goal") == self.goal_id:
+            if kind in (N_DELEGATE_ACCEPT, N_DELEGATE_REFUSE) \
+                    and m.get("local") == self.rank and m.get("goal") == self.goal_id:
+                if kind == N_DELEGATE_REFUSE:
+                    return False
                 self._install_local(payload)
                 return True
-            if kind == N_DELEGATE_REFUSE and m.get("local") == self.rank \
-                    and m.get("goal") == self.goal_id:
-                return False
-            self._dispatch(kind, m, payload, busy=False)
+            self._dispatch(kind, m, payload)
 
     def _install_local(self, seg: dict) -> None:
         ws = self.ws
@@ -370,7 +330,7 @@ class _Worker:
 # the team master (worker 0)
 # ---------------------------------------------------------------------------
 
-class Master(_Worker):
+class Master(Worker):
     """Worker 0: also runs the inter-team idle/busy scheduler halves."""
 
     def __init__(self, ctx: TeamContext, ws: WorkerState, endpoint):
@@ -379,7 +339,7 @@ class Master(_Worker):
         self.team_idle = False
         self._next_req = 0
         self._outstanding = None          # (req_id, target team)
-        self._delegations = {}            # req_id -> DelegationFrame
+        self._delegations = set()         # (requesting team, req_id) being served
         self._last_poll = 0.0
         self._next_poll_count = 0
         self._goal_finished = False
@@ -397,6 +357,21 @@ class Master(_Worker):
             return -1
         return self.ctx.shared.team_load()
 
+    # -- the two hooks ------------------------------------------------------------
+    def _pump(self) -> None:
+        self._drain_transport(busy=False)
+        self._forward_answers()
+
+    def _team_out_of_work(self) -> bool:
+        shared = self.ctx.shared
+        if shared.idle_count() < self.ctx.n_workers or shared.public_alts() \
+                or self._delegations:
+            # a pending delegation may still ship stacks, under this team's credit
+            return False
+        # workers flush their answers before they raise their idle flags
+        self._collect_batches()
+        return shared.answer_batches() == self._batches_seen
+
     # -- Alg. getwork, master branches ---------------------------------------------
     def getwork_first_time(self) -> None:
         ctx = self.ctx
@@ -404,18 +379,15 @@ class Master(_Worker):
         self.ep.barrier(ctx.options.barrier_timeout_s)
         ctx.trace(0, "barrier_passed")
         while True:
-            if ctx.team_id == 0:
-                goal = self._wait_for_client_goal()
-                try:
-                    self._run_goal_with_root(goal)
-                except (KeyError, ValueError) as exc:
-                    # the client validates goals, so this is defensive only
-                    self.goal_id = goal.get("goal", -1)
-                    self._client_done_sent = False
-                    self._client_fault(f"goal rejected: {exc}")
-            else:
-                goal = self._wait_for_work_in_engine()
-                self._run_goal_idle(goal)
+            goal = self._wait_for_goal(transport.GOAL if ctx.team_id == 0
+                                       else transport.ROOT_INFO)
+            try:
+                self._run_goal(goal)
+            except (KeyError, ValueError) as exc:
+                # the client validates goals, so this is defensive only
+                self.goal_id = goal.get("goal", -1)
+                self._client_done_sent = False
+                self._client_fault(f"goal rejected: {exc}")
 
     def _wait_for_teammates(self) -> None:
         ctx = self.ctx
@@ -430,7 +402,8 @@ class Master(_Worker):
             time.sleep(0.0005)
         ctx.trace(0, "teammates_ready", count=ctx.shared.ready_count())
 
-    def _wait_for_client_goal(self) -> dict:
+    def _wait_for_goal(self, kind: int) -> dict:
+        """Park between goals until a ``kind`` frame (GOAL or ROOT_INFO) starts one."""
         while True:
             msg = self.ep.poll_wait(0.05)
             if msg is None:
@@ -438,37 +411,17 @@ class Master(_Worker):
                     raise EngineShutdown
                 continue
             self._merge(msg)
-            if msg.kind == transport.GOAL:
+            if msg.kind == kind:
                 return msg.meta
             if msg.kind == transport.ENGINE_FREE:
-                self._engine_free(rebroadcast=True)
+                self._engine_free(rebroadcast=self.ctx.team_id == 0)
             if msg.kind == transport.SHARE_REQUEST:
                 self.ep.send(msg.sender, transport.SHARE_REFUSE,
                              {"goal": msg.goal_id, "req": msg.meta.get("req")})
-            # other stale frames from the previous goal are dropped here
-
-    def _wait_for_work_in_engine(self) -> dict:
-        while True:
-            msg = self.ep.poll_wait(0.05)
-            if msg is None:
-                if self.ctx.shared.aborted():
-                    raise EngineShutdown
-                continue
-            self._merge(msg)
-            if msg.kind == transport.ROOT_INFO:
-                return msg.meta
-            if msg.kind == transport.ENGINE_FREE:
-                self._engine_free(rebroadcast=False)
-            if msg.kind == transport.SHARE_REQUEST:
-                self.ep.send(msg.sender, transport.SHARE_REFUSE,
-                             {"goal": msg.goal_id, "req": msg.meta.get("req")})
-            # TERMINATE / FAULT / replies of the finished goal: dropped
+            # other stale frames of the previous goal are dropped here
 
     # -- goal execution ---------------------------------------------------------
-    def _begin_goal_common(self, meta: dict) -> None:
-        program, args, template, goal_id, _ = _parse_goal_meta(meta)
-        self.goal_id = goal_id
-        self.goal_meta = meta
+    def _begin_goal(self, meta: dict) -> None:
         self._goal_finished = False
         self._client_done_sent = False
         self._outstanding = None
@@ -476,75 +429,53 @@ class Master(_Worker):
         self._install_pending = None
         self._credit = None
         self._recovered = Fraction(0)
-        self._answers.clear()
         self._forward.clear()
-        self.ctx.shared.set_goal_seq(goal_id)
-        setup_goal(self.ws, program, args, template)
+        super()._begin_goal(meta)
 
-    def _run_goal_with_root(self, meta: dict) -> None:
+    def _run_goal(self, meta: dict) -> None:
+        """Team 0 starts the goal at its root; the others start idle."""
         ctx = self.ctx
-        self._begin_goal_common(meta)
-        self.team_idle = False
-        self._credit = 0
-        for team in range(1, ctx.n_teams):
-            self.ep.send(team, transport.ROOT_INFO, meta)
-        for rank in range(1, ctx.n_workers):
-            self._tell(rank, N_HAS_WORK, meta)
-        ctx.trace(0, "goal_started", goal=self.goal_id)
+        self._begin_goal(meta)
         try:
-            self._master_cycle(start_tag=self.ws.program.root_tag)
-        except GoalDone:
-            pass
-        self._finish_goal()
-
-    def _run_goal_idle(self, meta: dict) -> None:
-        self._begin_goal_common(meta)
-        allocate_dead_root(self.ws)
-        self.ctx.shared.set_idle(0, True)
-        self.team_idle = True
-        self.ctx.trace(0, "root_allocated", goal=self.goal_id)
-        try:
-            self._team_idle_scheduler()     # returns once stacks were installed
-            self._master_cycle(start_tag=None)
-        except GoalDone:
-            pass
-        self._finish_goal()
-
-    def _master_cycle(self, start_tag=None) -> None:
-        """Run own work, then keep the team fed until the goal ends."""
-        ctx = self.ctx
-        shared = ctx.shared
-        while True:
-            if start_tag is not _DONE:
-                shared.set_idle(0, False)
-                try:
-                    run_loop(self.ws, self._emit, start_tag=start_tag,
-                             service=self._service,
-                             service_every=ctx.options.k_backtracks)
-                except (GoalDone, EngineShutdown, ProtocolViolation):
-                    raise
-                except Exception:
-                    self._propagate_fault({"goal": self.goal_id,
-                                           "error": traceback.format_exc()})
-                self.ws.reset_to_base()
-                shared.set_idle(0, True)
-            start_tag = _DONE
-            got = self._acquire_locally_master()
-            if got == _WORK:
+            if ctx.team_id == 0:
+                self.team_idle = False
+                self._credit = 0
+                for team in range(1, ctx.n_teams):
+                    self.ep.send(team, transport.ROOT_INFO, meta)
+                for rank in range(1, ctx.n_workers):
+                    self._tell(rank, N_HAS_WORK, meta)
+                ctx.trace(0, "goal_started", goal=self.goal_id)
+                start_tag = self.ws.program.root_tag
+            else:
+                self._park_on_dead_root()
+                self._team_idle_scheduler()     # returns once stacks were installed
                 start_tag = None
-                continue
-            # team out of work: enter the inter-team idle scheduler
-            self.team_idle = True
-            self.ctx.trace(0, "team_idle", goal=self.goal_id)
-            self._return_credit()
-            self._team_idle_scheduler()
+            self._master_cycle(start_tag)
+        except GoalDone:
+            pass
+        self._finish_goal()
+
+    def _master_cycle(self, start_tag) -> None:
+        """Run own work, then keep the team fed until the goal ends."""
+        shared = self.ctx.shared
+        while True:
+            shared.set_idle(0, False)
+            self._run(start_tag)
             start_tag = None
+            self.ws.reset_to_base()
+            shared.set_idle(0, True)
+            if not self._acquire_locally():
+                # team out of work: enter the inter-team idle scheduler
+                self.team_idle = True
+                self.ctx.trace(0, "team_idle", goal=self.goal_id)
+                self._return_credit()
+                self._team_idle_scheduler()
 
     def _service(self) -> None:
         ctx = self.ctx
         if ctx.shared.aborted():
             raise EngineShutdown
-        self._drain_mailbox(busy=True)
+        self._drain_mailbox()
         now = time.monotonic()
         if now - self._last_poll >= ctx.options.master_poll_s:
             self._last_poll = now
@@ -619,42 +550,31 @@ class Master(_Worker):
         return self._credit
 
     # -- intra-team servicing ----------------------------------------------------
-    def _dispatch(self, kind, meta, payload, busy: bool) -> None:
-        if kind == N_DELEGATE_ACCEPT and "req" in meta:
+    def _dispatch(self, kind, meta, payload) -> None:
+        if kind in (N_DELEGATE_ACCEPT, N_DELEGATE_REFUSE) and "req" in meta:
             self._delegate_reply(meta, payload)
-        elif kind == N_DELEGATE_REFUSE and "req" in meta:
-            self._delegate_reply(meta, None)
-        elif kind == N_DELEGATE_REQUEST:
-            if meta.get("goal") != self.goal_id:
-                self._refuse(meta)
-            else:
-                self._serve_local(meta)     # the master itself is the sharer
-        elif kind == N_IDLE_AGAIN:
-            pass                            # flags in shared memory already say so
         elif kind == N_FAULT:
             self._propagate_fault(meta)
-        elif kind == N_GOAL_DONE:
-            if meta.get("shutdown"):
-                raise EngineShutdown
+        else:
+            super()._dispatch(kind, meta, payload)
 
     def _delegate_reply(self, meta: dict, aux_bytes) -> None:
+        """A teammate served (or refused) a delegated request: reply to its team."""
         # request ids are per requesting team; the pair is the unique key
-        frame = self._delegations.pop((meta.get("team"), meta["req"]), None)
-        if frame is None or meta.get("goal") != self.goal_id:
+        team, req = meta.get("team"), meta["req"]
+        if (team, req) not in self._delegations:
+            return
+        self._delegations.remove((team, req))
+        if meta.get("goal") != self.goal_id:
             return
         if aux_bytes is None:
-            frame.resolve(scheduler.REFUSED)
-            self.ep.send(frame.requesting_team, transport.SHARE_REFUSE,
-                         {"goal": self.goal_id, "req": frame.request_id})
+            self.ep.send(team, transport.SHARE_REFUSE, {"goal": self.goal_id, "req": req})
         else:
-            frame.resolve(scheduler.ACCEPTED)
-            shipped = splitting.deserialize_aux(aux_bytes).load
-            self.ep.send(frame.requesting_team, transport.SHARE_ACCEPT,
-                         {"goal": self.goal_id, "req": frame.request_id,
-                          "credit": self._halve_credit()},
+            self.ep.send(team, transport.SHARE_ACCEPT,
+                         {"goal": self.goal_id, "req": req, "credit": self._halve_credit()},
                          aux_bytes)
-            scheduler.record_receiver_busy(self.ep.loads, frame.requesting_team, shipped)
-            self.ctx.trace(0, "share_accepted", to=frame.requesting_team, load=shipped)
+            scheduler.record_receiver_busy(self.ep.loads, team, meta["load"])
+            self.ctx.trace(0, "share_accepted", to=team, load=meta["load"])
 
     def _propagate_fault(self, meta: dict) -> None:
         if meta.get("goal") != self.goal_id:
@@ -741,8 +661,7 @@ class Master(_Worker):
             self.ep.send(msg.sender, transport.SHARE_REFUSE,
                          {"goal": msg.goal_id, "req": req})
             return
-        frame = scheduler.DelegationFrame(req, msg.sender, target)
-        self._delegations[(msg.sender, req)] = frame
+        self._delegations.add((msg.sender, req))
         meta = {"goal": self.goal_id, "req": req, "team": msg.sender,
                 "strategy": self.goal_meta.get("strategy", "vs")}
         if target == 0:
@@ -752,7 +671,8 @@ class Master(_Worker):
                                                    meta["strategy"])
                 if got.load > 0:
                     aux = splitting.serialize_aux(got)
-            self._delegate_reply(dict(meta), aux)
+                    meta["load"] = got.load
+            self._delegate_reply(meta, aux)
         else:
             self._tell(target, N_DELEGATE_REQUEST, meta)
         ctx.trace(0, "delegated", req=req, worker=target, team=msg.sender)
@@ -770,61 +690,6 @@ class Master(_Worker):
             self._credit = msg.meta["credit"]
             self._install_pending = msg.raw
 
-    # -- master as local requester ---------------------------------------------
-    def _acquire_locally_master(self):
-        """Try to pull work from a teammate; None when the team looks idle."""
-        ctx = self.ctx
-        shared = ctx.shared
-        tries = 0
-        while True:
-            self._drain_mailbox(busy=False)
-            self._drain_transport(busy=False)
-            self._forward_answers()
-            if self._install_pending is not None:
-                raise ProtocolViolation("install pending outside the idle scheduler")
-            target = scheduler.select_local_target(shared.loads(), 0)
-            if target is not None:
-                meta = {"goal": self.goal_id, "local": 0}
-                self._tell(target, N_DELEGATE_REQUEST, meta)
-                got = self._await_local_reply()
-                if got:
-                    return _WORK
-                tries = 0
-                continue
-            if shared.idle_count() == ctx.n_workers and shared.public_alts() == 0 \
-                    and not self._delegations:
-                # a pending delegation may still ship stacks, under this
-                # team's credit; workers flush before they raise idle flags
-                self._collect_batches()
-                if shared.answer_batches() == self._batches_seen:
-                    return None
-            tries += 1
-            time.sleep(min(ctx.options.backoff_min_s * (1 << min(tries, 10)),
-                           ctx.options.backoff_max_s))
-
-    def _await_local_reply(self) -> bool:
-        ctx = self.ctx
-        box = ctx.mailboxes[0]
-        while True:
-            if ctx.shared.aborted():
-                raise EngineShutdown
-            self._drain_transport(busy=False)
-            # the teammate may be blocked putting answers into a full pipe
-            self._forward_answers()
-            if box.empty():
-                time.sleep(0.00002)
-                continue
-            kind, m, payload = box.get()
-            if kind == N_DELEGATE_ACCEPT and m.get("local") == 0 \
-                    and m.get("goal") == self.goal_id:
-                self._install_local(payload)
-                self.ctx.shared.set_idle(0, False)
-                return True
-            if kind == N_DELEGATE_REFUSE and m.get("local") == 0 \
-                    and m.get("goal") == self.goal_id:
-                return False
-            self._dispatch(kind, m, payload, busy=False)
-
     # -- the team idle scheduler ---------------------------------------------------
     def _team_idle_scheduler(self) -> None:
         """All workers idle: hunt other teams for work, or end the goal."""
@@ -838,12 +703,11 @@ class Master(_Worker):
         while True:
             if ctx.shared.aborted():
                 raise EngineShutdown
-            self._drain_mailbox(busy=False)
+            self._drain_mailbox()
             before = self._next_poll_count
-            self._drain_transport(busy=False)
+            self._pump()
             if self._next_poll_count != before:
                 nap = 0.00001
-            self._forward_answers()
             if self._install_pending is not None:
                 self._install_stacks(self._install_pending)
                 self._install_pending = None

@@ -2,9 +2,11 @@
 
 import os
 import signal
+import subprocess
 import sys
 import time
 from collections import Counter, deque
+from pathlib import Path
 
 import pytest
 
@@ -355,7 +357,7 @@ def test_termination_waits_for_credit_despite_an_all_idle_load_view():
     ctx = TeamContext("scripted", 0, 3, 1, EngineOptions(), shared, [None], None, None)
     master = Master(ctx, WorkerState(team_id=0, worker_id=0), ep)
     ep.own_load_fn = master.own_load
-    master._begin_goal_common({"program": "queens", "args": [4], "goal": 1})
+    master._begin_goal({"program": "queens", "args": [4], "goal": 1})
     master._credit = 0
     assert master._halve_credit() == 1        # to team 1
     assert master._halve_credit() == 2        # to team 2
@@ -469,3 +471,49 @@ def test_teammates_die_with_a_killed_master():
         time.sleep(0.01)
     assert not any(_alive(pid) for pid in teammates), "teammate outlived its master"
     api.par_free_parallel_engine(h)
+
+
+# a client holding a two-team engine; prints its masters' pids, then waits
+_HOLDING_CLIENT = """
+import time
+from layered_or import api
+h = api.par_create_parallel_engine("held", [("local", 1, "builtin"), ("local", 1, "builtin")])
+print(" ".join(str(p.pid) for p in h._procs), flush=True)
+time.sleep(60)
+"""
+
+
+def _descendants(pid):
+    found, stack = [], [pid]
+    while stack:
+        kids = _children_of(stack.pop())
+        found += kids
+        stack += kids
+    return found
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="PR_SET_PDEATHSIG is Linux-only")
+def test_masters_die_with_a_killed_client():
+    src = str(Path(api.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    client = subprocess.Popen([sys.executable, "-c", _HOLDING_CLIENT], stdout=subprocess.PIPE,
+                              text=True, env=dict(os.environ, PYTHONPATH=path))
+    engine = []
+    try:
+        masters = [int(pid) for pid in client.stdout.readline().split()]
+        assert len(masters) == 2, "the client created no engine"
+        engine = masters + [pid for m in masters for pid in _descendants(m)]
+        os.kill(client.pid, signal.SIGKILL)
+        client.wait()
+        deadline = time.monotonic() + 3.0
+        while any(_alive(pid) for pid in engine) and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert not any(_alive(pid) for pid in engine), "a team process outlived its client"
+    finally:
+        client.kill()
+        client.wait()
+        for pid in engine:
+            try:
+                os.kill(pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
