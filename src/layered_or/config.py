@@ -8,10 +8,9 @@ from typing import Optional
 
 @dataclass
 class EngineOptions:
-    # busy-scheduler cadence: worker mailboxes drain every k engine steps,
-    # the master additionally polls the transport at this interval
+    # busy-scheduler cadence: every k engine steps a worker drains its
+    # mailbox, and the master also polls its transport
     k_backtracks: int = 32
-    master_poll_s: float = 0.0002
     # a delegated worker accepts an inter-team request only with this many
     # open private alternatives (or a live public node of its own)
     l_min: int = 2

@@ -213,12 +213,39 @@ def can_yield_work(ws: WorkerState, strategy: str) -> bool:
     return False
 
 
+def _reach(gap: int) -> int:
+    """The smallest power of two that is at least ``gap``."""
+    return 1 << (gap - 1).bit_length()
+
+
+def narrow_last_alternatives(ws: WorkerState) -> None:
+    """Shrink the offset of every node that has exactly one open alternative.
+
+    Such a node (cursor < n_alts <= cursor + offset) gets the smallest power
+    of two that still steps past n_alts. Its open set stays {cursor}, and
+    its offset drops below 2 * n_alts. A horizontal split doubles the offset
+    of every live node, and a node that keeps its last alternative gains
+    nothing from it; without this, 63 splits overflow its 64-bit offset.
+    Public nodes are narrowed in their frame, under its lock.
+    """
+    frames = ws.frames
+    for cp in ws.cps:
+        if cp.frame >= 0:
+            with frames.lock(cp.frame):
+                n, c, s = frames.read_locked(cp.frame)
+                if c < n <= c + s:
+                    frames.set_offset_locked(cp.frame, _reach(n - c))
+        elif cp.cursor < cp.n_alts <= cp.cursor + cp.split_offset:
+            cp.split_offset = _reach(cp.n_alts - cp.cursor)
+
+
 def split_for_transfer(ws: WorkerState, goal_id: int, strategy: str) -> AuxArea:
     """Snapshot and split in one step; the caller refuses zero-load results."""
     if strategy not in ("vs", "hs"):
         raise ValueError(f"unknown splitting strategy {strategy!r}")
     if not can_yield_work(ws, strategy):
         return AuxArea(0, 0, 0, 0, 0, goal_id, 0, [], [], [])
+    narrow_last_alternatives(ws)
     aux = snapshot_to_aux(ws, goal_id)
     if strategy == "vs":
         vertical_split(ws, aux)

@@ -7,14 +7,16 @@ mutable state), per-worker load registers / flags, and a few counters.
 Everything bulky (stack segments, answers, notifications) travels through
 per-worker message queues instead.
 
-Signal counters tell a reader whether a queue has anything for it, so a
+Signal counters tell a reader how many messages a queue holds for it, so a
 quiet service tick costs a few mmap reads and no syscall. Each counter has
 a single writer and so needs no lock: ``mail[receiver][sender]`` is bumped
 by the sender after each put into the receiver's mailbox, and
 ``batches[rank]`` by a worker after each answer batch it puts into the
-team's answer pipe. A reader remembers the sum it last saw and drains the
-queue only when the sum has moved; the put completes before its bump, so a
-bump it has seen never announces a message that is not in the queue yet.
+team's answer pipe. A reader keeps the number of messages it has read;
+when the sum has moved by ``k`` it reads exactly ``k`` messages. The puts
+into one queue are serialized by its write lock and each completes before
+its bump, so the first ``k`` messages in the pipe are whole and a read
+never waits on a message that is still being written.
 
 Frame cursor/offset fields are read and written only under the frame's
 stripe lock. ``public_alts`` counts open alternatives currently owned by
@@ -229,6 +231,11 @@ class TeamShared:
         if moved:
             self._counter_add(-moved)
         return c, s
+
+    def set_offset_locked(self, idx: int, offset: int) -> None:
+        """Replace the frame's split offset (caller holds lock); the caller
+        keeps its open set, so ``public_alts`` does not move."""
+        self._mv[self._base(idx) + _F_OFFSET] = offset
 
     def frame_state(self, idx: int) -> tuple[int, int, int, int]:
         """(n_alts, cursor, split_offset, members) snapshot for tests/inspection."""

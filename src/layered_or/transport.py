@@ -5,14 +5,22 @@ queues (default) and TCP sockets. Both transmit the same checksummed wire
 frame, so every message -- whichever back-end carries it -- piggybacks the
 sender's full load array, and the codec is exercised constantly.
 
-Delivery is reliable and in order per (sender, receiver) pair. The queue
-back-end can inject randomized per-message delays and the TCP back-end a
-fixed added latency; both emulate slower links without reordering a pair.
+Delivery is reliable and in order per (sender, receiver) pair, and the
+links are served round-robin. The queue back-end can inject randomized
+per-message delays and the TCP back-end a fixed added latency; both emulate
+slower links without reordering a pair.
+
+Each endpoint keeps one ``select.poll`` object over all its inbound file
+descriptors (the queue links' read ends, or the peer sockets), so a poll
+that finds nothing costs one ``poll(2)`` call, and a wait blocks there
+until a frame arrives. The object holds no kernel resource: an endpoint
+built before a fork stays valid in the child.
 """
 
 from __future__ import annotations
 
 import json
+import select
 import socket
 import struct
 import time
@@ -174,6 +182,10 @@ class Endpoint:
     def _receive(self) -> Optional[bytes]:
         raise NotImplementedError
 
+    def _wait(self, timeout: float) -> None:
+        """Block until a frame may be ready, or for at most ``timeout`` seconds."""
+        raise NotImplementedError
+
     def close(self) -> None:
         pass
 
@@ -210,14 +222,16 @@ class Endpoint:
         return decode_frame(frame)
 
     def poll_wait(self, timeout: float) -> Optional[TeamMessage]:
+        """Next in-order message, blocking up to ``timeout`` seconds for one."""
         deadline = time.monotonic() + timeout
         while True:
             msg = self.poll()
             if msg is not None:
                 return msg
-            if time.monotonic() >= deadline:
+            left = deadline - time.monotonic()
+            if left <= 0:
                 return None
-            time.sleep(0.0002)
+            self._wait(left)
 
     def push_back(self, msg: TeamMessage) -> None:
         self._pending.appendleft(msg)
@@ -260,6 +274,20 @@ class Endpoint:
                 self.push_back(msg)
 
 
+def _block(poller, timeout: float) -> None:
+    """Wait in ``poller`` for an inbound fd, at most ``timeout`` seconds.
+
+    ``poll(2)`` counts whole milliseconds and Python rounds its timeout up,
+    so a wait shorter than one millisecond sleeps instead: it must not pass
+    a delay gate's release time.
+    """
+    ms = int(timeout * 1000)
+    if ms > 0:
+        poller.poll(ms)
+    elif timeout > 0:
+        time.sleep(timeout)
+
+
 class _DelayGate:
     """Receiver-side hold queue emulating link latency per sender."""
 
@@ -278,8 +306,9 @@ class _DelayGate:
             return self._held.popleft()[1]
         return None
 
-    def __bool__(self):
-        return bool(self._held)
+    def due(self) -> Optional[float]:
+        """When the next held frame is released, or None if none is held."""
+        return self._held[0][0] if self._held else None
 
 
 class QueueMesh:
@@ -309,10 +338,18 @@ class QueueEndpoint(Endpoint):
         elif team_id == CLIENT_ID:
             ids = [0]
         self._sources = ids
-        self._rr = 0
+        self._inbound = [mesh.links[(src, team_id)] for src in ids]
+        self._rr = 0                       # position of the source served next
+        self._ready: deque[int] = deque()  # readable positions, in turn
+        self._poller = select.poll()
+        self._position = {}                # fd -> position in self._sources
+        for pos, link in enumerate(self._inbound):
+            fd = link._reader.fileno()
+            self._poller.register(fd, select.POLLIN)
+            self._position[fd] = pos
         if mesh.delay is not None:
             seed, lo, hi = mesh.delay
-            self._gates = {s: _DelayGate(seed ^ (team_id << 20) ^ s, lo, hi) for s in ids}
+            self._gates = [_DelayGate(seed ^ (team_id << 20) ^ s, lo, hi) for s in ids]
         else:
             self._gates = None
 
@@ -323,24 +360,53 @@ class QueueEndpoint(Endpoint):
             raise EngineError(f"no link from {self.team_id:#x} to {dest:#x}") from None
         link.put(frame)
 
+    def _read(self, pos: int) -> bytes:
+        try:
+            return self._inbound[pos].get()
+        except EOFError:
+            raise EngineError(f"link from {self._sources[pos]:#x} closed") from None
+
+    def _readable(self) -> list[int]:
+        """Positions of the links that hold data, in round-robin order."""
+        events = self._poller.poll(0)
+        if not events:
+            return []
+        n = len(self._sources)
+        turn = sorted((self._position[fd] - self._rr) % n for fd, _ in events)
+        return [(self._rr + i) % n for i in turn]
+
     def _receive(self) -> Optional[bytes]:
+        if self._gates is not None:
+            return self._receive_gated()
+        if not self._ready:
+            ready = self._readable()
+            if not ready:
+                return None
+            self._ready.extend(ready)
+        pos = self._ready.popleft()
+        self._rr = (pos + 1) % len(self._sources)
+        return self._read(pos)
+
+    def _receive_gated(self) -> Optional[bytes]:
+        # every frame that has arrived enters its gate before any release
+        while ready := self._readable():
+            for pos in ready:
+                self._gates[pos].admit(self._read(pos))
         n = len(self._sources)
         for i in range(n):
-            src = self._sources[(self._rr + i) % n]
-            link = self._mesh.links[(src, self.team_id)]
-            if self._gates is None:
-                if not link.empty():
-                    self._rr = (self._rr + i + 1) % n
-                    return link.get()
-            else:
-                gate = self._gates[src]
-                while not link.empty():
-                    gate.admit(link.get())
-                frame = gate.release()
-                if frame is not None:
-                    self._rr = (self._rr + i + 1) % n
-                    return frame
+            pos = (self._rr + i) % n
+            frame = self._gates[pos].release()
+            if frame is not None:
+                self._rr = (pos + 1) % n
+                return frame
         return None
+
+    def _wait(self, timeout: float) -> None:
+        if self._gates is not None:
+            due = [t for t in (g.due() for g in self._gates) if t is not None]
+            if due:
+                timeout = min(timeout, min(due) - time.monotonic())
+        _block(self._poller, timeout)
 
 
 class TcpEndpoint(Endpoint):
@@ -354,6 +420,9 @@ class TcpEndpoint(Endpoint):
         self._order: deque[int] = deque()
         self._latency = latency
         self._gates: dict[int, deque[tuple[float, bytes]]] = {}
+        self._poller = select.poll()
+        self._peer_of: dict[int, int] = {}      # fd -> peer
+        self._backlog: set[int] = set()         # peers with buffered or held bytes
 
     # -- connection setup ---------------------------------------------------------
     def listen(self, host: str = "127.0.0.1") -> tuple[socket.socket, int]:
@@ -368,6 +437,8 @@ class TcpEndpoint(Endpoint):
         self._bufs[peer] = bytearray()
         self._gates[peer] = deque()
         self._order.append(peer)
+        self._poller.register(conn.fileno(), select.POLLIN)
+        self._peer_of[conn.fileno()] = peer
 
     def dial(self, peer: int, host: str, port: int, timeout: float = 10.0) -> None:
         conn = socket.create_connection((host, port), timeout=timeout)
@@ -406,11 +477,19 @@ class TcpEndpoint(Endpoint):
             conn.setblocking(False)
 
     def _receive(self) -> Optional[bytes]:
-        for _ in range(len(self._order)):
-            peer = self._order[0]
-            self._order.rotate(-1)
-            buf = self._bufs[peer]
+        # a complete frame may already sit in a buffer that poll(2) knows nothing of
+        frame = self._buffered_frame() if self._backlog else None
+        if frame is None and self._fill():
+            frame = self._buffered_frame()
+        return frame
+
+    def _fill(self) -> bool:
+        """Read every socket that holds data into its buffer; False if none did."""
+        events = self._poller.poll(0)
+        for fd, _ in events:
+            peer = self._peer_of[fd]
             conn = self._conns[peer]
+            buf = self._bufs[peer]
             try:
                 while True:
                     chunk = conn.recv(1 << 16)
@@ -421,28 +500,58 @@ class TcpEndpoint(Endpoint):
                         break
             except (BlockingIOError, InterruptedError):
                 pass
-            while True:
-                total = frame_length(buf)
-                if total is None or len(buf) < total:
-                    break
-                frame = bytes(buf[:total])
-                del buf[:total]
-                if self._latency > 0:
-                    self._gates[peer].append((time.monotonic() + self._latency, frame))
-                else:
-                    return frame
+            except ConnectionError as exc:
+                raise EngineError(f"connection to peer {peer:#x} failed: {exc}") from None
+            self._backlog.add(peer)
+        return bool(events)
+
+    def _buffered_frame(self) -> Optional[bytes]:
+        """The next complete (and, with latency, released) frame, peers in turn."""
+        for _ in range(len(self._order)):
+            peer = self._order[0]
+            self._order.rotate(-1)
+            if peer not in self._backlog:
+                continue
+            buf = self._bufs[peer]
             gate = self._gates[peer]
-            if gate and gate[0][0] <= time.monotonic():
-                return gate.popleft()[1]
+            frame = _cut_frame(buf)
+            while frame is not None and self._latency > 0:
+                gate.append((time.monotonic() + self._latency, frame))
+                frame = _cut_frame(buf)
+            if frame is None and gate and gate[0][0] <= time.monotonic():
+                frame = gate.popleft()[1]
+            if not buf and not gate:
+                self._backlog.discard(peer)
+            if frame is not None:
+                return frame
         return None
 
+    def _wait(self, timeout: float) -> None:
+        due = [g[0][0] for g in self._gates.values() if g]
+        if due:
+            timeout = min(timeout, min(due) - time.monotonic())
+        _block(self._poller, timeout)
+
     def close(self) -> None:
+        for fd in self._peer_of:
+            self._poller.unregister(fd)
+        self._peer_of.clear()
         for conn in self._conns.values():
             try:
                 conn.close()
             except OSError:
                 pass
         self._conns.clear()
+
+
+def _cut_frame(buf: bytearray) -> Optional[bytes]:
+    """Remove and return the complete frame at the head of ``buf``, if any."""
+    total = frame_length(buf)
+    if total is None or len(buf) < total:
+        return None
+    frame = bytes(buf[:total])
+    del buf[:total]
+    return frame
 
 
 def _recv_exactly(conn: socket.socket, n: int) -> bytes:

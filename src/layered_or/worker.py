@@ -12,17 +12,25 @@ the whole team is out of work. The client's goals enter through the master
 team's master, and every worker parks in ``getwork_first_time`` between
 goals.
 
-Answers travel packed. A worker buffers the answers it finds and, once per
-service tick, puts them into the team's answer pipe as one packed batch:
-a little-endian ``u32`` answer count, then per answer a ``u32`` length and
-that many ``i64`` values. It flushes the buffer before raising its idle
-flag. A master never writes into that pipe: it drains the pipe on every
-tick and packs its own answers straight into its forward buffer, next to
-its teammates' batches and the ANSWER payloads of other teams. It sends
-the lot as one ANSWER frame, at most every ``ANSWER_FLUSH_S`` while its
-team works and at once when the team goes idle or the goal ends. An
-ANSWER payload is therefore a concatenation of packed batches; nothing
-between the worker and the client unpacks it.
+Answers travel packed. A teammate buffers the answers it finds and puts
+them into the team's answer pipe as one packed batch: a little-endian
+``u32`` answer count, then per answer a ``u32`` length and that many
+``i64`` values. It puts a batch at most every ``ANSWER_FLUSH_S``, and at
+once for a goal's first answer, before the batch would pass
+``ANSWER_BATCH_CAP`` bytes, and before it raises its idle flag. A master
+never writes into that pipe: it drains the pipe on every tick and packs its
+own answers straight into its forward buffer, next to its teammates'
+batches and the ANSWER payloads of other teams. It sends the lot as one
+ANSWER frame, at most every ``ANSWER_FLUSH_S`` while its team works and at
+once when the team goes idle or the goal ends. An ANSWER payload is
+therefore a concatenation of packed batches; nothing between the worker
+and the client unpacks it.
+
+A quiet service tick makes no syscall besides the master's one ``poll(2)``
+on its transport. Every put into a team queue (a mailbox or the answer
+pipe) is counted in ``TeamShared`` after it completes, so a reader that
+sees a count move by ``k`` reads exactly ``k`` messages and never asks the
+pipe whether it holds one.
 
 A goal ends by credit recovery (Mattern, IPL 30(4), 1989). Team 0 starts
 it holding credit 1. Every SHARE_ACCEPT carries half of the sharer's
@@ -60,11 +68,17 @@ N_DELEGATE_REFUSE = "delegate_refuse"
 N_GOAL_DONE = "goal_done"
 N_FAULT = "fault"
 
-# A busy master sends its buffered answers on at most this often; a team
-# going idle and a goal ending send them at once. Each ANSWER frame costs
+# A busy master sends its buffered answers on at most this often, and a busy
+# teammate puts them into the answer pipe at most this often; a team going
+# idle and a goal ending send them at once. Each ANSWER frame or batch costs
 # every process on its path tens of microseconds, far more than the answers
-# in it; at one frame per tick, sparse answers (queens) paid it per answer.
+# in it; at one per tick, sparse answers (queens) paid it per answer.
 ANSWER_FLUSH_S = 0.01
+# A teammate puts its buffered answers at once when one more would take the
+# packed batch past this many bytes. Every put then fits an empty answer pipe
+# (64 KiB), so a put never blocks on a batch its master has not been told
+# of: the master reads exactly the batches that are counted.
+ANSWER_BATCH_CAP = 32 * 1024
 
 
 class GoalDone(Exception):
@@ -114,8 +128,10 @@ class Worker:
         self.rank = rank
         self.goal_id = -1
         self.goal_meta = None
-        self._answers: list[tuple] = []    # found since the last tick
-        self._mail_seen = 0                # mail count at the last drain
+        self._answers: list[tuple] = []    # found since the last flush
+        self._answer_bytes = 0             # their packed size, batch header aside
+        self._last_flush = 0.0
+        self._mail_seen = 0                # messages read from the mailbox
 
     def _tell(self, rank: int, kind: str, meta: dict, payload=None) -> None:
         self.ctx.notify(self.rank, rank, kind, meta, payload)
@@ -150,14 +166,14 @@ class Worker:
 
     def _wait_for_work_in_team(self) -> dict:
         ctx = self.ctx
-        box = ctx.mailboxes[self.rank]
         while True:
             if ctx.shared.aborted():
                 raise EngineShutdown
-            if box.empty():
+            mail = self._next_mail()
+            if mail is None:
                 time.sleep(0.001)
                 continue
-            kind, meta, payload = box.get()
+            kind, meta, payload = mail
             if kind == N_HAS_WORK:
                 return meta
             if kind == N_GOAL_DONE and meta.get("shutdown"):
@@ -170,6 +186,8 @@ class Worker:
         self.goal_id = meta["goal"]
         self.goal_meta = meta
         self._answers.clear()
+        self._answer_bytes = 0
+        self._last_flush = float("-inf")   # a goal's first answer goes out at once
         setup_goal(self.ws, get_program(meta["program"]), list(meta["args"]),
                    meta.get("template"))
 
@@ -194,28 +212,46 @@ class Worker:
         raise GoalDone
 
     def _emit(self, answer: tuple) -> None:
+        size = 4 + 8 * len(answer)
+        if self._answer_bytes + size > ANSWER_BATCH_CAP - 4:
+            self._flush_answers()
         self._answers.append(answer)
+        self._answer_bytes += size
+
+    def _take_batch(self) -> bytes:
+        """Pack the buffered answers into one batch and empty the buffer."""
+        raw = pack_answers(self._answers)
+        self._answers.clear()
+        self._answer_bytes = 0
+        return raw
 
     def _flush_answers(self) -> None:
         if self._answers:
-            self.ctx.answers.put((self.goal_id, pack_answers(self._answers)))
+            self.ctx.answers.put((self.goal_id, self._take_batch()))
             self.ctx.shared.count_answer_batch(self.rank)
-            self._answers.clear()
+            self._last_flush = time.monotonic()
 
     def _service(self) -> None:
         if self.ctx.shared.aborted():
             raise EngineShutdown
-        self._flush_answers()
+        if self._answers and time.monotonic() - self._last_flush >= ANSWER_FLUSH_S:
+            self._flush_answers()
         self._drain_mailbox()
 
+    def _next_mail(self):
+        """The next message of this worker's mailbox, or None if none is counted.
+
+        Every put into a mailbox is counted after it completes, so a counted
+        message can be read without asking the pipe whether it holds one.
+        """
+        if self._mail_seen == self.ctx.shared.mail_count(self.rank):
+            return None
+        self._mail_seen += 1
+        return self.ctx.mailboxes[self.rank].get()
+
     def _drain_mailbox(self) -> None:
-        sent = self.ctx.shared.mail_count(self.rank)
-        if sent == self._mail_seen:
-            return
-        box = self.ctx.mailboxes[self.rank]
-        while not box.empty():
-            self._dispatch(*box.get())
-        self._mail_seen = sent
+        while (mail := self._next_mail()) is not None:
+            self._dispatch(*mail)
 
     def _dispatch(self, kind, meta, payload) -> None:
         if kind == N_DELEGATE_REQUEST:
@@ -300,16 +336,16 @@ class Worker:
     def _request_from(self, target: int) -> bool:
         ctx = self.ctx
         self._tell(target, N_DELEGATE_REQUEST, {"goal": self.goal_id, "local": self.rank})
-        box = ctx.mailboxes[self.rank]
         while True:
             if ctx.shared.aborted():
                 raise EngineShutdown
             # a teammate may be blocked putting answers into a full pipe
             self._pump()
-            if box.empty():
+            mail = self._next_mail()
+            if mail is None:
                 time.sleep(0.00002)
                 continue
-            kind, m, payload = box.get()
+            kind, m, payload = mail
             if kind in (N_DELEGATE_ACCEPT, N_DELEGATE_REFUSE) \
                     and m.get("local") == self.rank and m.get("goal") == self.goal_id:
                 if kind == N_DELEGATE_REFUSE:
@@ -340,7 +376,6 @@ class Master(Worker):
         self._next_req = 0
         self._outstanding = None          # (req_id, target team)
         self._delegations = set()         # (requesting team, req_id) being served
-        self._last_poll = 0.0
         self._next_poll_count = 0
         self._goal_finished = False
         self._client_done_sent = False
@@ -472,24 +507,23 @@ class Master(Worker):
                 self._team_idle_scheduler()
 
     def _service(self) -> None:
-        ctx = self.ctx
-        if ctx.shared.aborted():
+        if self.ctx.shared.aborted():
             raise EngineShutdown
         self._drain_mailbox()
-        now = time.monotonic()
-        if now - self._last_poll >= ctx.options.master_poll_s:
-            self._last_poll = now
-            self._drain_transport(busy=True)
+        self._drain_transport(busy=True)
         self._forward_answers()
 
     # -- answers -------------------------------------------------------------------
+    def _flush_answers(self) -> None:
+        """A master packs its own answers straight into its forward buffer."""
+        if self._answers:
+            self._forward.append((self.ctx.team_id, self._take_batch()))
+
     def _collect_batches(self) -> None:
-        """Move teammates' batches from the answer pipe to the forward buffer."""
+        """Move teammates' counted batches from the answer pipe to the forward buffer."""
         ctx = self.ctx
         sent = ctx.shared.answer_batches()
-        if sent == self._batches_seen:
-            return
-        while not ctx.answers.empty():
+        for _ in range(sent - self._batches_seen):
             goal_id, raw = ctx.answers.get()
             if goal_id == self.goal_id:
                 self._forward.append((ctx.team_id, raw))
@@ -506,9 +540,7 @@ class Master(Worker):
         """
         ctx = self.ctx
         self._collect_batches()
-        if self._answers:
-            self._forward.append((ctx.team_id, pack_answers(self._answers)))
-            self._answers.clear()
+        self._flush_answers()
         if not self._forward and credit is None:
             return
         t = time.monotonic()

@@ -294,6 +294,37 @@ def test_offset_law_powers_of_two_under_repeated_splits():
         ws.set_load(sum(c.open_count() for c in ws.cps))
 
 
+@pytest.mark.parametrize("public", [False, True])
+def test_hs_offsets_stay_bounded_while_the_root_keeps_one_alternative(public):
+    # a shallow node that keeps its last alternative gains nothing from a
+    # horizontal split; doubling its offset each time overflowed the 64-bit
+    # offset slot at split 63
+    shared = TeamShared(2, n_frames=16)
+    ws = WorkerState()
+    ws.frames = shared
+    stack_of(ws, [1])
+    if public:
+        publish_private_nodes(ws, shared)
+    root = ws.cps[0]
+    try:
+        for _ in range(70):
+            del ws.cps[1:]       # fresh work below the root, as the search pushes it
+            ws.cps.append(ChoicePoint(1, 4, 0, 1, ws.H, ws.TR, 1, alts=list(range(4)),
+                                      post_store=ws.H, post_trail=ws.TR))
+            ws.set_load(ws.cps[1].open_count())
+            aux = splitting.split_for_transfer(ws, 1, "hs")
+            assert aux.load == 2
+            assert deserialize_aux(serialize_aux(aux)) == aux
+            if public:
+                n, c, s, _ = shared.frame_state(root.frame)
+            else:
+                n, c, s = root.n_alts, root.cursor, root.split_offset
+            assert open_set(n, c, s) == {3}
+            assert s & (s - 1) == 0 and s < 4 * n
+    finally:
+        shared.close()
+
+
 @pytest.mark.parametrize("strategy", ["vs", "hs"])
 def test_end_to_end_answers_partition_after_split(strategy):
     rng = random.Random(7 if strategy == "vs" else 8)

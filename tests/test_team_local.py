@@ -1,6 +1,9 @@
 """Team runtime: spawning, intra-team sharing, or-frame arbitration, answers."""
 
+import multiprocessing
+import multiprocessing.queues
 import os
+import pickle
 import signal
 import subprocess
 import sys
@@ -10,13 +13,21 @@ from pathlib import Path
 
 import pytest
 
-from layered_or import api, oracle, transport
+from layered_or import api, oracle, transport, worker
 from layered_or.config import EngineOptions
 from layered_or.engine import ChoicePoint, WorkerState, run_loop, setup_goal
 from layered_or.errors import EngineCreationError
 from layered_or.programs import get_program
 from layered_or.team import TeamShared, publish_private_nodes
-from layered_or.worker import GoalDone, Master, TeamContext
+from layered_or.worker import (
+    ANSWER_BATCH_CAP,
+    GoalDone,
+    Master,
+    TeamContext,
+    Worker,
+    pack_answers,
+    unpack_answers,
+)
 
 
 def drain(handle):
@@ -245,6 +256,75 @@ def test_signal_counters_announce_every_message_across_processes():
     assert shared.mail_count(0) == 3 * per_sender
     assert shared.mail_count(1) == 0
     shared.close()
+
+
+def _must_not_ask(*_args, **_kwargs):
+    raise AssertionError("a counted read asked the pipe whether it holds data")
+
+
+def test_team_queues_are_read_exactly_as_counted(monkeypatch):
+    ctx = multiprocessing.get_context("fork")
+    shared = TeamShared(3, n_frames=16)
+    pipe = ctx.SimpleQueue()
+    boxes = [ctx.SimpleQueue() for _ in range(3)]
+    tctx = TeamContext("counted", 0, 1, 3, EngineOptions(), shared, boxes, pipe, None)
+    master = Master(tctx, WorkerState(team_id=0, worker_id=0),
+                    transport.QueueMesh(1, ctx).endpoint("counted", 0))
+    master._begin_goal({"program": "queens", "args": [4], "goal": 1})
+    monkeypatch.setattr(multiprocessing.queues.SimpleQueue, "empty", _must_not_ask)
+    try:
+        batches = [pack_answers([(i, i)]) for i in range(3)]
+        for raw in batches:
+            pipe.put((1, raw))
+        shared.count_answer_batch(1)
+        shared.count_answer_batch(2)
+        master._collect_batches()
+        assert [raw for _, raw in master._forward] == batches[:2]
+        master._collect_batches()
+        assert len(master._forward) == 2, "an uncounted batch was read"
+        shared.count_answer_batch(1)
+        master._collect_batches()
+        assert [raw for _, raw in master._forward] == batches
+
+        boxes[0].put(("note", {}, None))
+        assert master._next_mail() is None, "an uncounted message was read"
+        shared.count_mail(2, 0)
+        assert master._next_mail() == ("note", {}, None)
+        assert master._next_mail() is None
+    finally:
+        shared.close()
+
+
+def test_answer_batches_stay_under_the_cap(monkeypatch):
+    # every answer of spread(6,5) projects all six slots; with the flush
+    # interval out of reach only the cap and the goal's first answer cut
+    # batches, and no put may outgrow an empty 64 KiB pipe
+    monkeypatch.setattr(worker, "ANSWER_FLUSH_S", 3600.0)
+    puts = []
+
+    class _Pipe:
+        def put(self, item):
+            puts.append(item)
+
+    shared = TeamShared(2, n_frames=16)
+    opts = EngineOptions()
+    tctx = TeamContext("cap", 0, 1, 2, opts, shared, [None, None], _Pipe(), None)
+    teammate = Worker(tctx, WorkerState(team_id=0, worker_id=1), 1)
+    teammate._begin_goal({"program": "spread", "args": [6, 5], "goal": 1})
+    try:
+        teammate._run(start_tag=teammate.ws.program.root_tag)
+        teammate._flush_answers()
+        assert shared.answer_batches() == len(puts)
+    finally:
+        shared.close()
+    sizes = [len(raw) for _, raw in puts]
+    assert max(sizes) <= ANSWER_BATCH_CAP
+    assert max(len(pickle.dumps(item)) for item in puts) < 1 << 16
+    assert len(unpack_answers(puts[0][1])) <= opts.k_backtracks, \
+        "the goal's first answer waited for the cap"
+    assert min(sizes[1:-1]) > ANSWER_BATCH_CAP - 64, "the cap cut a batch early"
+    got = Counter(unpack_answers(b"".join(raw for _, raw in puts)))
+    assert got == oracle.enumerate_answers(get_program("spread"), [6, 5])
 
 
 def test_frame_recycled_after_last_member_leaves():

@@ -1,7 +1,9 @@
 """Transport layer: wire frames, queue and tcp back-ends, barrier."""
 
 import multiprocessing
+import multiprocessing.queues
 import random
+import socket
 import threading
 import time
 
@@ -94,6 +96,55 @@ def test_send_to_unknown_team_is_a_local_error():
 def test_poll_on_empty_returns_none():
     a, b = make_pair()
     assert b.poll() is None
+
+
+def _must_not_read(*_args, **_kwargs):
+    raise AssertionError("a quiet poll read a link")
+
+
+def test_quiet_poll_reads_no_link_and_no_socket(monkeypatch):
+    eps = make_pair(n_teams=3)
+    a, b = tcp_pair()
+    try:
+        monkeypatch.setattr(multiprocessing.queues.SimpleQueue, "empty", _must_not_read)
+        monkeypatch.setattr(multiprocessing.queues.SimpleQueue, "get", _must_not_read)
+        monkeypatch.setattr(socket.socket, "recv", _must_not_read)
+        for ep in eps + [a, b]:
+            for _ in range(3):
+                assert ep.poll() is None
+        monkeypatch.undo()
+        eps[1].send(0, transport.ANSWER, {"goal": 1})
+        a.send(1, transport.ANSWER, {"goal": 2})
+        assert eps[0].poll_wait(1.0).meta == {"goal": 1}
+        assert b.poll_wait(1.0).meta == {"goal": 2}
+    finally:
+        a.close()
+        b.close()
+
+
+def test_poll_wait_sleeps_in_the_poller_and_wakes_on_arrival():
+    a, b = make_pair()
+    cpu = time.process_time()
+    assert b.poll_wait(0.3) is None
+    assert time.process_time() - cpu < 0.02, "poll_wait spun while nothing arrived"
+    timer = threading.Timer(0.1, a.send, args=(1, transport.ANSWER, {"goal": 3}))
+    t0 = time.monotonic()
+    timer.start()
+    msg = b.poll_wait(5.0)
+    timer.join()
+    assert msg is not None and msg.meta == {"goal": 3}
+    assert time.monotonic() - t0 < 1.0
+
+
+def test_round_robin_serves_every_busy_link_in_turn():
+    mesh = QueueMesh(3, CTX)
+    eps = [mesh.endpoint("t", i) for i in range(3)]
+    for i in range(4):
+        eps[0].send(2, transport.ANSWER, {"n": i})
+        eps[1].send(2, transport.ANSWER, {"n": i})
+    time.sleep(0.05)
+    senders = [eps[2].poll_wait(1.0).sender for _ in range(8)]
+    assert all(senders[i] != senders[i + 1] for i in range(7)), senders
 
 
 def test_per_sender_fifo_with_interleaved_senders():
@@ -204,6 +255,39 @@ def test_tcp_preserves_order_and_latency_holds_delivery():
     assert got == list(range(5))
     assert time.monotonic() - t0 >= 0.02
     a.close()
+    b.close()
+
+
+def test_tcp_delivers_every_frame_of_one_chunk_in_order():
+    a, b = tcp_pair()
+    frames = [encode_frame(transport.ANSWER, 0, [(0, i), (0, 0)],
+                           encode_payload({"n": i})) for i in range(2)]
+    a._transmit(1, b"".join(frames))
+    conn = b._conns[0]
+
+    def arrived():
+        try:
+            return len(conn.recv(1 << 16, socket.MSG_PEEK))
+        except BlockingIOError:
+            return 0
+
+    deadline = time.monotonic() + 5.0
+    while arrived() < sum(map(len, frames)):
+        assert time.monotonic() < deadline, "the chunk never arrived whole"
+        time.sleep(0.001)
+    assert b.poll_wait(1.0).meta == {"n": 0}
+    # the second frame sits in the endpoint's buffer; the socket is empty
+    assert b.poll().meta == {"n": 1}
+    assert b.poll() is None
+    a.close()
+    b.close()
+
+
+def test_tcp_peer_that_closes_raises_engine_error():
+    a, b = tcp_pair()
+    a.close()
+    with pytest.raises(EngineError):
+        b.poll_wait(2.0)
     b.close()
 
 
