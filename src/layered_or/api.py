@@ -47,6 +47,10 @@ RUNNING = "running"
 FINISHED = "finished"
 FREED = "freed"
 
+# an exact-mode wait blocks in the client endpoint's poller for at most this
+# long at a time, then drains the trace pipe and checks the masters are alive
+EXACT_WAIT_SLICE_S = 0.01
+
 _REGISTRY: dict[str, "EngineHandle"] = {}
 _LOCAL_HOSTS = ("local", "localhost", "127.0.0.1")
 
@@ -183,14 +187,14 @@ class EngineHandle:
         self._error: Optional[str] = None
 
     # -- client-side message pump ---------------------------------------------
-    def _pump(self) -> None:
+    def _pump(self, wait: float = 0.0) -> None:
+        """Handle every message that has arrived, first blocking up to
+        ``wait`` seconds in the endpoint's poller for one if none has."""
         if self._ep is None:
             return
         self._drain_trace()
-        while True:
-            msg = self._ep.poll()
-            if msg is None:
-                return
+        msg = self._ep.poll_wait(wait) if wait > 0 else self._ep.poll()
+        while msg is not None:
             if msg.kind == ANSWER and msg.goal_id == self.goal_seq:
                 self.answers.extend(unpack_answers(msg.raw))
             elif msg.kind == TERMINATE and msg.goal_id == self.goal_seq:
@@ -198,6 +202,7 @@ class EngineHandle:
             elif msg.kind == FAULT and msg.goal_id == self.goal_seq:
                 self.state = FINISHED
                 self._error = msg.meta.get("error", "engine fault")
+            msg = self._ep.poll()
 
     def _drain_trace(self) -> None:
         # tracing processes block once the trace pipe fills, so the client
@@ -390,8 +395,7 @@ def par_get_answers(engine: EngineHandle, mode: tuple[str, int]):
     engine._raise_if_faulted()
     if kind == "exact":
         while len(engine.answers) < n and engine.state != FINISHED:
-            time.sleep(0.0002)
-            engine._pump()
+            engine._pump(wait=EXACT_WAIT_SLICE_S)
             engine._raise_if_faulted()
             engine._check_masters()
     take = min(n, len(engine.answers))

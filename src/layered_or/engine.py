@@ -293,9 +293,10 @@ def run_loop(ws: WorkerState, emit: Callable[[tuple], None], *,
     an install.
 
     The common step runs inline on local copies of the registers: expand the
-    tag, push a private node, or take the next cached alternative of a
-    private top node. Public nodes, dead-node pops and re-derivation go
-    through ``backtrack``. ``ws.load`` and ``ws.backtracks`` are exact at
+    tag, push a private node, pop dead private nodes, or take the next cached
+    alternative of a private top node. Public nodes (whose or-frame is taken
+    from and left), re-derivation and the final ``EXHAUSTED`` go through
+    ``backtrack``. ``ws.load`` and ``ws.backtracks`` are exact at
     ``emit``, at ``service``, when ``expand`` raises and on return; the
     shared load register (``ws.load_sink``) is written at service ticks and
     on return only.
@@ -338,21 +339,29 @@ def run_loop(ws: WorkerState, emit: Callable[[tuple], None], *,
                 load -= 1
                 tag = held.alts[idx]
         if tag is None:
-            cp = cps[-1] if cps else None
-            if cp is not None and cp.frame < 0 and cp.cursor < cp.n_alts \
-                    and cp.alts is not None:
-                backtracks += 1
+            backtracks += 1
+            while cps:
+                cp = cps[-1]
+                if cp.frame >= 0:
+                    break
                 idx = cp.cursor
-                cp.cursor = idx + cp.split_offset
-                load -= 1
-                mark = cp.post_trail
-                while len(tcells) > mark:
-                    store[tcells.pop()] = tprevs.pop()
-                del store[cp.post_store:]
-                tag = cp.alts[idx]
-            else:
+                if idx < cp.n_alts:
+                    alts = cp.alts
+                    if alts is not None:
+                        cp.cursor = idx + cp.split_offset
+                        load -= 1
+                        mark = cp.post_trail
+                        while len(tcells) > mark:
+                            store[tcells.pop()] = tprevs.pop()
+                        del store[cp.post_store:]
+                        tag = alts[idx]
+                    break
+                cps.pop()
+            if tag is None:
+                # a public or uncached top node, or an empty stack; this
+                # step is already counted, and backtrack counts it again
                 ws.load = load
-                ws.backtracks = backtracks
+                ws.backtracks = backtracks - 1
                 tag = backtrack(ws)
                 load = ws.load
                 backtracks = ws.backtracks

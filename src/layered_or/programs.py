@@ -9,6 +9,19 @@ Read through ``store.store``, write through ``write``: ``expand`` reads cells
 by indexing or slicing the cell list that both ``WorkerState`` and the
 oracle's copy store expose, with no method call per cell, and changes them
 only through the trailed ``write`` so backtracking can undo the change.
+
+``Queens`` keeps no mask in the store: each ``expand`` folds the placed
+queens into one integer, one shift-or per row. ``_SPREAD[d]`` has the three
+bits a queen attacks ``d`` rows below it (its column and both diagonals),
+placed so that shifting it by the queen's cell value (column + 1) lands them
+on the attacked columns, offset by ``_QUEENS_OFF``; this needs no negative
+shift for a diagonal that leaves the board. The free columns of the row are
+the clear bits above that offset, emitted lowest first, so the alternatives
+and their order are those of a scan over the columns. The table has a
+fixed size (one entry per row distance), whatever the board.
+
+``REGISTRY`` holds the built-in programs; ``register`` adds one, such as a
+test program, before the engine processes that must see it are forked.
 """
 
 from __future__ import annotations
@@ -19,6 +32,13 @@ _FAIL = (EXPAND_FAIL, None)
 _ANSWER = (EXPAND_ANSWER, None)
 
 _M64 = (1 << 64) - 1
+
+# queens: a queen in column c (cell value c + 1) attacks columns c - d, c and
+# c + d of the row d rows below it, bits _QUEENS_OFF + c - d, ... of the mask
+_QUEENS_MAX = 24
+_QUEENS_OFF = _QUEENS_MAX + 1
+_SPREAD = (0,) + tuple((1 | 1 << d | 1 << 2 * d) << (_QUEENS_MAX - d)
+                       for d in range(1, _QUEENS_MAX))
 
 
 def _mix64(x: int) -> int:
@@ -38,7 +58,7 @@ class Queens:
 
     def setup(self, store, args):
         n = int(args[0])
-        if not 1 <= n <= 24:
+        if not 1 <= n <= _QUEENS_MAX:
             raise ValueError("queens arity out of range")
         store.push_cell(n)
         for _ in range(n):
@@ -59,19 +79,21 @@ class Queens:
             depth = row + 1
             if depth == n:
                 return _ANSWER
-        # a queen in column c, d rows up, attacks c and c +- d on this row
-        # (cells hold col+1, hence the shifted arithmetic)
-        attacked = set()
-        add = attacked.add
+        attacked = 0
         d = depth
         for v in cells[1:1 + depth]:
-            add(v - 1)
-            add(v - 1 - d)
-            add(v - 1 + d)
+            attacked |= _SPREAD[d] << v
             d -= 1
-        base = 1 + depth * n
-        alts = [base + col for col in range(n) if col not in attacked]
-        return (EXPAND_CHOICE, alts) if alts else _FAIL
+        free = ~attacked >> _QUEENS_OFF & ((1 << n) - 1)
+        if not free:
+            return _FAIL
+        base = depth * n              # tag of column c is base + c + 1
+        alts = []
+        while free:
+            low = free & -free
+            alts.append(base + low.bit_length())
+            free ^= low
+        return (EXPAND_CHOICE, alts)
 
 
 class KnightMove:
@@ -409,36 +431,23 @@ class RandTree:
         return (EXPAND_CHOICE, alts)
 
 
-class Faulty:
-    """Binary tree that raises once a node tag passes the threshold.
-
-    Exists to exercise the engine-wide abort path: a fault inside ``expand``
-    must surface to the client as a goal error, whichever worker hits it.
-    """
-
-    name = "faulty"
-    arity = 1
-    root_tag = 0
-
-    def setup(self, store, args):
-        store.push_cell(int(args[0]))
-
-    def slots(self, args):
-        return {"t": 0}
-
-    def expand(self, store, tag):
-        threshold = store.store[0]
-        if tag >= threshold:
-            raise RuntimeError(f"synthetic fault at node {tag}")
-        return (EXPAND_CHOICE, [2 * tag + 1, 2 * tag + 2])
-
-
 REGISTRY = {
     p.name: p for p in (
         Queens(), KnightMove(), MapColouring(), MagicSquare(),
-        SendMore(), NSort(), Spread(), RandTree(), Faulty(),
+        SendMore(), NSort(), Spread(), RandTree(),
     )
 }
+
+
+def register(program) -> None:
+    """Add ``program`` to ``REGISTRY`` under its ``name``.
+
+    Engine processes are forked, so they see a program registered before
+    the engine is created. A name already taken is an error.
+    """
+    if program.name in REGISTRY:
+        raise ValueError(f"program name {program.name!r} is already registered")
+    REGISTRY[program.name] = program
 
 
 def get_program(name: str):

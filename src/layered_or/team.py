@@ -21,22 +21,29 @@ never waits on a message that is still being written.
 Frame cursor/offset fields are read and written only under the frame's
 stripe lock. ``public_alts`` counts open alternatives currently owned by
 live frames; the team is out of work exactly when every worker is idle and
-this counter is zero.
+this count is zero. It is the sum of one single-writer counter per worker:
+a worker adds what its own ``alloc``, ``take``, ``kill_locked`` and
+``hsplit_locked`` calls move into or out of frames to its own slot, so a
+``take`` holds one lock, its frame's. A single slot may go negative (one
+worker allocates a frame, another takes from it); only the sum has a
+meaning. The sum is exact whenever no worker is busy, which is when the
+idle test reads it. Each process binds its rank into its own (forked) copy
+of the region with ``bind`` before it touches a frame; an unbound copy
+counts in slot 0.
 """
 
 from __future__ import annotations
 
 import mmap
 import multiprocessing as mp
-from contextlib import contextmanager
 
 from .engine import count_open
 
-_HDR = 8                   # header slots before the per-worker arrays
-_SLOT_PUBLIC_ALTS = 0
-_SLOT_ABORT = 1
-_SLOT_FREE_HEAD = 2
-_SLOT_HIGH_WATER = 3
+_HDR = 4                   # header slots before the per-worker arrays
+_SLOT_ABORT = 0
+_SLOT_FREE_HEAD = 1
+_SLOT_HIGH_WATER = 2
+_BANKS = 5                 # ready, idle, load, public nodes, public alts
 
 _FRAME_SLOTS = 6           # n_alts, cursor, split_offset, members, depth, next_free
 _F_NALTS, _F_CURSOR, _F_OFFSET, _F_MEMBERS, _F_DEPTH, _F_NEXT = range(_FRAME_SLOTS)
@@ -55,7 +62,7 @@ class TeamShared:
         ctx = ctx or mp.get_context("fork")
         self.n_workers = n_workers
         self.n_frames = n_frames
-        self._mail_off = _HDR + 4 * n_workers
+        self._mail_off = _HDR + _BANKS * n_workers
         self._batch_off = self._mail_off + n_workers * n_workers
         self._frames_off = self._batch_off + n_workers
         size = 8 * (self._frames_off + n_frames * _FRAME_SLOTS)
@@ -63,8 +70,12 @@ class TeamShared:
         self._mv = memoryview(self._mm).cast("q")
         self._mv[_SLOT_FREE_HEAD] = -1
         self._pool_lock = ctx.Lock()
-        self._counter_lock = ctx.Lock()
+        self._alts_slot = self._warr(4, 0)
         self._stripes = [ctx.Lock() for _ in range(_N_STRIPES)]
+
+    def bind(self, rank: int) -> None:
+        """Make this process's frame calls count in worker ``rank``'s slot."""
+        self._alts_slot = self._warr(4, rank)
 
     # -- per-worker registers -------------------------------------------------
     def _warr(self, bank: int, rank: int) -> int:
@@ -120,11 +131,8 @@ class TeamShared:
 
     # -- counters / flags -------------------------------------------------------
     def public_alts(self) -> int:
-        return self._mv[_SLOT_PUBLIC_ALTS]
-
-    def _counter_add(self, delta: int) -> None:
-        with self._counter_lock:
-            self._mv[_SLOT_PUBLIC_ALTS] += delta
+        base = self._warr(4, 0)
+        return sum(self._mv[base:base + self.n_workers])
 
     def signal_abort(self) -> None:
         self._mv[_SLOT_ABORT] = 1
@@ -136,14 +144,9 @@ class TeamShared:
     def _base(self, idx: int) -> int:
         return self._frames_off + idx * _FRAME_SLOTS
 
-    @contextmanager
     def lock(self, idx: int):
-        lk = self._stripes[idx % _N_STRIPES]
-        lk.acquire()
-        try:
-            yield
-        finally:
-            lk.release()
+        """The stripe lock of frame ``idx``, for a ``with`` statement."""
+        return self._stripes[idx % _N_STRIPES]
 
     def alloc(self, n_alts: int, cursor: int, split_offset: int, depth: int) -> int:
         """Create a frame for a freshly published node; counts its open load."""
@@ -163,7 +166,7 @@ class TeamShared:
         mv[base + _F_OFFSET] = split_offset
         mv[base + _F_MEMBERS] = 2          # publisher plus the receiving worker
         mv[base + _F_DEPTH] = depth
-        self._counter_add(count_open(n_alts, cursor, split_offset))
+        mv[self._alts_slot] += count_open(n_alts, cursor, split_offset)
         return idx
 
     def read_locked(self, idx: int) -> tuple[int, int, int]:
@@ -182,7 +185,7 @@ class TeamShared:
             if c >= n:
                 return -1
             mv[base + _F_CURSOR] = c + mv[base + _F_OFFSET]
-            self._counter_add(-1)
+            mv[self._alts_slot] -= 1
             return c
 
     def join(self, idx: int) -> None:
@@ -213,8 +216,7 @@ class TeamShared:
         n, c, s = mv[base + _F_NALTS], mv[base + _F_CURSOR], mv[base + _F_OFFSET]
         remaining = count_open(n, c, s)
         mv[base + _F_CURSOR] = n
-        if remaining:
-            self._counter_add(-remaining)
+        mv[self._alts_slot] -= remaining
         return remaining
 
     def hsplit_locked(self, idx: int) -> tuple[int, int]:
@@ -227,9 +229,7 @@ class TeamShared:
         mv = self._mv
         n, c, s = mv[base + _F_NALTS], mv[base + _F_CURSOR], mv[base + _F_OFFSET]
         mv[base + _F_OFFSET] = 2 * s
-        moved = count_open(n, c + s, 2 * s)
-        if moved:
-            self._counter_add(-moved)
+        mv[self._alts_slot] -= count_open(n, c + s, 2 * s)
         return c, s
 
     def set_offset_locked(self, idx: int, offset: int) -> None:

@@ -201,6 +201,25 @@ def test_exact_blocks_until_finish_returns_remainder():
     api.par_free_parallel_engine(h)
 
 
+def test_exact_wait_blocks_in_the_poller_instead_of_spinning():
+    # nsort(8) finds its one answer near the end of a search of about 0.4 s
+    # on one worker, so an exact wait for two answers lasts the whole goal
+    h = make("idlewait", counts=(1,))
+    waited = cpu = 0.0
+    for _ in range(10):
+        api.par_run_goal(h, "nsort(8)")
+        t0, c0 = time.monotonic(), time.process_time()
+        got, n = api.par_get_answers(h, ("exact", 2))
+        cpu += time.process_time() - c0
+        waited += time.monotonic() - t0
+        assert n == 1 and api.par_get_answers(h, ("exact", 1)) is None
+        if waited >= 0.3:
+            break
+    assert waited >= 0.3
+    assert cpu < 0.02, f"exact wait used {cpu * 1e3:.1f} ms of CPU over {waited:.2f} s"
+    api.par_free_parallel_engine(h)
+
+
 def test_batches_are_disjoint_and_exhaustive():
     h = make("batch")
     api.par_run_goal(h, "queens(8)")

@@ -18,6 +18,7 @@ from layered_or.engine import (
     setup_goal,
 )
 from layered_or.programs import get_program
+from layered_or.team import TeamShared
 
 
 def fresh_worker(name="spread", args=(2, 2), template=None):
@@ -330,3 +331,82 @@ def test_stacks_left_by_a_raising_service_resume_to_the_remaining_answers(name, 
         rest = Counter()
         run_loop(peer, lambda a: rest.update([a]))
         assert before + rest == everything, f"stopped at backtrack {stop_at}"
+
+
+class _LeaveCountingFrames(TeamShared):
+    def __init__(self):
+        super().__init__(1, n_frames=8)
+        self.left = []
+
+    def leave(self, idx):
+        self.left.append(idx)
+        super().leave(idx)
+
+
+def stacked_dead_nodes(cached):
+    """spread(6,3) paused four levels down: a dead public root, a live private
+    node, then two dead private nodes on top; the pending tag is dropped."""
+    ws, prog = fresh_worker("spread", (6, 3))
+    ws.frames = _LeaveCountingFrames()
+    tag = prog.root_tag
+    for _ in range(4):
+        ws._guard = pre_store = ws.H
+        pre_trail = ws.TR
+        tag = push_choice_point(ws, tag, prog.expand(ws, tag)[1], pre_store, pre_trail)
+    root, live, *dead = ws.cps
+    root.frame = ws.frames.alloc(root.n_alts, root.n_alts, 1, 0)
+    for cp in dead:
+        cp.cursor = cp.n_alts
+    if not cached:
+        live.alts = None
+    ws.load = live.open_count()
+    return ws, prog
+
+
+def plain_backtrack_ticks(ws, every):
+    """(backtracks, load) at each tick of a loop that fails through ``backtrack``;
+    a node pushed in the step before a tick shows its first alternative open,
+    as ``run_loop`` hands it back for the tick."""
+    from layered_or.engine import EXPAND_CHOICE
+
+    seen = []
+    steps = 0
+    tag = None
+    while True:
+        steps += 1
+        if steps % every == 0:
+            seen.append((ws.backtracks, ws.load + (tag is not None)))
+        if tag is None:
+            tag = backtrack(ws)
+            if tag is EXHAUSTED:
+                return seen
+        ws._guard = pre_store = ws.H
+        pre_trail = ws.TR
+        kind, payload = ws.program.expand(ws, tag)
+        if kind == EXPAND_CHOICE:
+            tag = push_choice_point(ws, tag, payload, pre_store, pre_trail)
+        else:
+            tag = None
+
+
+@pytest.mark.parametrize("cached", [True, False])
+@pytest.mark.parametrize("every", [1, 2, 5])
+def test_inline_dead_node_pops_keep_registers_and_leave_the_frame_once(cached, every):
+    ref, _ = stacked_dead_nodes(cached)
+    want = plain_backtrack_ticks(ref, every)
+    assert ref.frames.left == [0]
+
+    ws, prog = stacked_dead_nodes(cached)
+    ticks = []
+
+    def service():
+        ticks.append((ws.backtracks, ws.load))
+        assert ws.load == sum(cp.open_count() for cp in ws.cps if cp.frame < 0)
+
+    answers = []
+    run_loop(ws, answers.append, service=service, service_every=every)
+    assert ticks == want
+    assert ws.frames.left == [0]
+    assert ws.backtracks == ref.backtracks and ws.load == 0 and not ws.cps
+    # the live node's two other subtrees of 3 ** 4 leaves each
+    assert len(answers) == 162

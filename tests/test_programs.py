@@ -6,6 +6,7 @@ walking whole trees of small goals with both must give the same node kind,
 the same alternatives in the same order and the same store at every node.
 """
 
+import random
 from collections import Counter
 
 import pytest
@@ -300,9 +301,43 @@ def walk_both(name, args):
     ("spread", [3, 4]),
     ("rand_tree", [42, 6, 4]), ("rand_tree", [7, 8, 5]),
     ("faulty", [40]),
+    ("queens", [9]),
 ])
 def test_kernel_matches_reference_at_every_node(name, args):
     assert walk_both(name, args) > 1
+
+
+def test_queens_kernel_matches_reference_on_random_paths_of_the_largest_board():
+    # queens(24) is far too big to walk whole; follow seeded random paths
+    # from the root, comparing every node on the way; the last path places
+    # all 24 queens, in columns 2, 4, ..., 24 and then 1, 3, ..., 23
+    # (counting from 1), a known solution
+    program = get_program("queens")
+    rnd = random.Random(24)
+    solution = list(range(1, 24, 2)) + list(range(0, 24, 2))
+    depths = []
+    for path in range(301):
+        store = _RefStore()
+        program.setup(store, [24])
+        tag = program.root_tag
+        depth = 0
+        while True:
+            mine, ref = store.fork(), store.fork()
+            want = ref_queens(ref, tag)
+            assert program.expand(mine, tag) == want, f"queens(24) tag {tag}"
+            assert mine.store == ref.store, f"queens(24) tag {tag}: stores differ"
+            if want[0] != EXPAND_CHOICE:
+                break
+            if path == 300:
+                tag = 1 + depth * 24 + solution[depth]
+                assert tag in want[1]
+            else:
+                tag = rnd.choice(want[1])
+            store = ref
+            depth += 1
+        depths.append(depth)
+    assert want[0] == EXPAND_ANSWER and depths[-1] == 24
+    assert sum(depths) > 3000
 
 
 def test_every_builtin_program_has_a_reference():

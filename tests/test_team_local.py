@@ -15,7 +15,7 @@ import pytest
 
 from layered_or import api, oracle, transport, worker
 from layered_or.config import EngineOptions
-from layered_or.engine import ChoicePoint, WorkerState, run_loop, setup_goal
+from layered_or.engine import ChoicePoint, WorkerState, count_open, run_loop, setup_goal
 from layered_or.errors import EngineCreationError
 from layered_or.programs import get_program
 from layered_or.team import TeamShared, publish_private_nodes
@@ -200,7 +200,8 @@ def test_frame_hands_out_disjoint_alternatives_across_processes():
     idx = shared.alloc(n_alts=400, cursor=0, split_offset=1, depth=0)
     out = ctx.SimpleQueue()
 
-    def hammer():
+    def hammer(rank):
+        shared.bind(rank)
         taken = []
         while True:
             got = shared.take(idx)
@@ -209,7 +210,7 @@ def test_frame_hands_out_disjoint_alternatives_across_processes():
             taken.append(got)
         out.put(taken)
 
-    procs = [ctx.Process(target=hammer) for _ in range(3)]
+    procs = [ctx.Process(target=hammer, args=(rank,)) for rank in (1, 2, 3)]
     for p in procs:
         p.start()
     chunks = [out.get() for _ in procs]
@@ -218,6 +219,60 @@ def test_frame_hands_out_disjoint_alternatives_across_processes():
     everything = [i for chunk in chunks for i in chunk]
     assert sorted(everything) == list(range(400))
     assert shared.public_alts() == 0
+    shared.close()
+
+
+def test_per_worker_alt_counters_sum_to_the_open_alternatives_of_live_frames():
+    # three forked workers on two cores, started together, each counting in
+    # its own slot: they take from frames they all use and allocate, split
+    # and kill frames of their own; a lost update or a shared slot breaks
+    # the sum
+    import random
+
+    ctx = multiprocessing.get_context("fork")
+    shared = TeamShared(4, n_frames=256)
+    common = [shared.alloc(n_alts=200_000, cursor=0, split_offset=1, depth=0)
+              for _ in range(16)]
+    start = ctx.Event()
+    out = ctx.Queue()
+
+    def worker(rank):
+        shared.bind(rank)
+        rnd = random.Random(rank)
+        mine = [shared.alloc(n_alts=3000, cursor=0, split_offset=1, depth=1)]
+        start.wait(10)
+        for _ in range(20_000):
+            op = rnd.randrange(100)
+            if op < 90:
+                shared.take(rnd.choice(common + mine))
+            elif op < 94:
+                if len(mine) < 40:
+                    mine.append(shared.alloc(n_alts=rnd.randrange(1, 3000),
+                                             cursor=rnd.randrange(0, 5),
+                                             split_offset=rnd.choice((1, 2, 4)), depth=1))
+            else:
+                idx = rnd.choice(mine)
+                with shared.lock(idx):
+                    if op < 97:
+                        if shared.read_locked(idx)[2] < 1 << 20:
+                            shared.hsplit_locked(idx)
+                    else:
+                        shared.kill_locked(idx)
+        out.put(mine)
+
+    procs = [ctx.Process(target=worker, args=(rank,)) for rank in (1, 2, 3)]
+    for p in procs:
+        p.start()
+    start.set()
+    live = list(common)
+    for _ in procs:
+        live.extend(out.get(timeout=60))
+    for p in procs:
+        p.join(timeout=30)
+        assert not p.is_alive() and p.exitcode == 0
+    assert len(set(live)) == len(live)
+    want = sum(count_open(*shared.frame_state(idx)[:3]) for idx in live)
+    assert shared.public_alts() == want
     shared.close()
 
 
