@@ -15,6 +15,10 @@ from __future__ import annotations
 import atexit
 import logging
 import multiprocessing
+# at its first import this registers the atexit hook that joins every live
+# master; atexit runs hooks last-registered first, so importing it before
+# _free_all is registered lets _free_all stop the masters before that join
+import multiprocessing.util
 import os
 import re
 import socket
@@ -273,7 +277,7 @@ def par_create_parallel_engine(name: str, teams: Sequence[Union[TeamSpec, tuple]
     if options.trace:
         handle._trace_queue = ctx.SimpleQueue()
     if transport_kind == "inproc":
-        handle._mesh = QueueMesh(n_teams, ctx, delay=options.delay)
+        handle._mesh = QueueMesh(n_teams, delay=options.delay)
     try:
         _launch_teams(handle, ctx)
     except Exception:
@@ -330,7 +334,7 @@ def _launch_teams(handle: EngineHandle, ctx) -> None:
         for chan in handle._channels:
             chan.put({"portmap": portmap})
         # team 0 reports ready only after accepting the client, so dial first
-        handle._ep = TcpEndpoint(handle.name, CLIENT_ID, n_teams)
+        handle._ep = TcpEndpoint(handle.name, CLIENT_ID, n_teams, delay=opts.delay)
         host, port = portmap["0"]
         handle._ep.dial(0, host, port)
     else:
@@ -434,10 +438,9 @@ def _teardown(handle: EngineHandle, force: bool) -> None:
             proc.join(timeout=1.0)
             if proc.is_alive():
                 proc.kill()
-    for chan in handle._channels:
-        chan.close()
-    if handle._ep is not None:
-        handle._ep.close()
+    for link in handle._channels + [handle._ep, handle._mesh]:
+        if link is not None:
+            link.close()
     handle.state = FREED
     _REGISTRY.pop(handle.name, None)
 

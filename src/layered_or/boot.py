@@ -72,7 +72,7 @@ class MasterBoot:
     options: EngineOptions
     transport_kind: str
     channel: SocketChannel         # ctrl channel back to the parent
-    mesh: object = None            # queue back-end only
+    mesh: object = None            # inproc transport only
     bind_host: str = "127.0.0.1"
     trace_queue: object = None
     parent_pid: int = field(default_factory=os.getpid)
@@ -144,7 +144,7 @@ def master_entry(boot: MasterBoot) -> None:
             ep = boot.mesh.endpoint(boot.engine_id, boot.team_id)
         else:
             ep = TcpEndpoint(boot.engine_id, boot.team_id, boot.n_teams,
-                             latency=boot.options.tcp_latency_s)
+                             delay=boot.options.delay)
             srv, port = ep.listen(boot.bind_host)
             chan.put({"port": port})
             portmap = chan.get(boot.options.ready_timeout_s)["portmap"]
@@ -160,8 +160,6 @@ def master_entry(boot: MasterBoot) -> None:
 
         master = Master(tctx, _worker_state(shared, boot.team_id, 0), ep)
         ep.own_load_fn = master.own_load
-        if boot.options.extra.get("capture_wire") and boot.trace_queue is not None:
-            ep.capture = []
         master.getwork_first_time()
     except EngineShutdown:
         pass

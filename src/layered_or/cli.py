@@ -75,7 +75,8 @@ def cmd_bench(args) -> int:
     goal_text = args.goal
     strategy = args.strategy
     runs = args.runs
-    options = EngineOptions(tcp_latency_s=args.latency_ms / 1000.0)
+    latency = args.latency_ms / 1000.0
+    options = EngineOptions(delay=(0, latency, latency) if latency > 0 else None)
     if args.topology_file:
         entries = parse_topology_file(open(args.topology_file).read())
         topology = [api.TeamSpec(f"{h}:{p}", w) for h, p, w in entries]
@@ -165,7 +166,7 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--transport", choices=["inproc", "tcp"],
                    default=os.environ.get("LAYERED_OR_TRANSPORT", "inproc"))
     b.add_argument("--latency-ms", type=float, default=0.0,
-                   help="added per-message latency on the tcp back-end")
+                   help="added per-message latency, on either transport")
     b.add_argument("--baseline-file", help="json cache of single-worker baselines")
     b.add_argument("--out", help="append a CSV row to this file")
     b.set_defaults(fn=cmd_bench)

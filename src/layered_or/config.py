@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 
@@ -22,9 +22,8 @@ class EngineOptions:
     frame_pool: int = 8192
     ready_timeout_s: float = 30.0
     barrier_timeout_s: float = 30.0
-    # queue back-end: (seed, lo_s, hi_s) randomized per-message delivery delay
+    # (seed, lo_s, hi_s): every endpoint, on either transport, holds each
+    # frame it receives for a delay drawn from [lo_s, hi_s]; (seed, L, L)
+    # adds a fixed latency L per message
     delay: Optional[tuple[int, float, float]] = None
-    # tcp back-end: fixed added latency per message
-    tcp_latency_s: float = 0.0
     trace: bool = False
-    extra: dict = field(default_factory=dict)

@@ -1,17 +1,18 @@
 """Message layer between team masters and the client worker.
 
-Two interchangeable back-ends sit behind one endpoint contract: multiprocess
-queues (default) and TCP sockets. Both transmit the same checksummed wire
-frame, so every message -- whichever back-end carries it -- piggybacks the
-sender's full load array, and the codec is exercised constantly.
+One endpoint type carries every link: a byte stream per pair of teams, and
+one between team 0 and the client. For a tcp engine the streams are TCP
+connections; for an inproc engine they are ``socket.socketpair`` ends,
+built by ``QueueMesh`` before the masters fork. Every frame is the same
+checksummed wire frame, so every message piggybacks the sender's full load
+array, and the codec is exercised constantly.
 
 Delivery is reliable and in order per (sender, receiver) pair, and the
-links are served round-robin. The queue back-end can inject randomized
-per-message delays and the TCP back-end a fixed added latency; both emulate
-slower links without reordering a pair.
+links are served round-robin. An endpoint can hold each frame it reads for
+a randomized delay (``EngineOptions.delay``), on either transport, which
+emulates slower links without reordering a pair.
 
-Each endpoint keeps one ``select.poll`` object over all its inbound file
-descriptors (the queue links' read ends, or the peer sockets), so a poll
+Each endpoint keeps one ``select.poll`` object over its sockets, so a poll
 that finds nothing costs one ``poll(2)`` call, and a wait blocks there
 until a frame arrives. The object holds no kernel resource: an endpoint
 built before a fork stays valid in the child.
@@ -94,7 +95,12 @@ def decode_payload(payload: bytes) -> tuple[dict, bytes]:
     (n,) = struct.unpack_from("<I", payload, 0)
     if len(payload) < 4 + n:
         raise ProtocolViolation("payload meta truncated")
-    meta = json.loads(payload[4:4 + n].decode())
+    try:
+        meta = json.loads(payload[4:4 + n].decode())
+    except (ValueError, RecursionError) as exc:   # UnicodeDecodeError is a ValueError
+        raise ProtocolViolation(f"payload meta is not JSON: {exc}") from None
+    if not isinstance(meta, dict):
+        raise ProtocolViolation("payload meta is not a JSON object")
     return meta, payload[4 + n:]
 
 
@@ -173,7 +179,6 @@ class Endpoint:
         self.loads: list[tuple[int, int]] = [(-1, 0)] * n_teams
         self._ts = 0
         self._pending: deque[TeamMessage] = deque()
-        self.capture = None   # optional list collecting (direction, frame bytes)
 
     # -- back-end hooks --------------------------------------------------------
     def _transmit(self, dest: int, frame: bytes) -> None:
@@ -204,22 +209,15 @@ class Endpoint:
             raise EngineError(f"unknown destination team {dest}")
         if dest == self.team_id:
             raise EngineError("a team does not message itself")
-        frame = encode_frame(kind, self.team_id, self.stamp(),
-                             encode_payload(meta or {}, raw))
-        if self.capture is not None:
-            self.capture.append(("send", dest, frame))
-        self._transmit(dest, frame)
+        self._transmit(dest, encode_frame(kind, self.team_id, self.stamp(),
+                                          encode_payload(meta or {}, raw)))
 
     def poll(self) -> Optional[TeamMessage]:
         """Next in-order message, or None. Never blocks."""
         if self._pending:
             return self._pending.popleft()
         frame = self._receive()
-        if frame is None:
-            return None
-        if self.capture is not None:
-            self.capture.append(("recv", self.team_id, frame))
-        return decode_frame(frame)
+        return None if frame is None else decode_frame(frame)
 
     def poll_wait(self, timeout: float) -> Optional[TeamMessage]:
         """Next in-order message, blocking up to ``timeout`` seconds for one."""
@@ -274,152 +272,24 @@ class Endpoint:
                 self.push_back(msg)
 
 
-def _block(poller, timeout: float) -> None:
-    """Wait in ``poller`` for an inbound fd, at most ``timeout`` seconds.
-
-    ``poll(2)`` counts whole milliseconds and Python rounds its timeout up,
-    so a wait shorter than one millisecond sleeps instead: it must not pass
-    a delay gate's release time.
-    """
-    ms = int(timeout * 1000)
-    if ms > 0:
-        poller.poll(ms)
-    elif timeout > 0:
-        time.sleep(timeout)
-
-
-class _DelayGate:
-    """Receiver-side hold queue emulating link latency per sender."""
-
-    def __init__(self, seed: int, lo: float, hi: float):
-        self._rng = Random(seed)
-        self._lo = lo
-        self._hi = hi
-        self._held: deque[tuple[float, bytes]] = deque()
-
-    def admit(self, frame: bytes) -> None:
-        delay = self._lo + (self._hi - self._lo) * self._rng.random()
-        self._held.append((time.monotonic() + delay, frame))
-
-    def release(self) -> Optional[bytes]:
-        if self._held and self._held[0][0] <= time.monotonic():
-            return self._held.popleft()[1]
-        return None
-
-    def due(self) -> Optional[float]:
-        """When the next held frame is released, or None if none is held."""
-        return self._held[0][0] if self._held else None
-
-
-class QueueMesh:
-    """All queue-pair links of one engine; build before forking the masters."""
-
-    def __init__(self, n_teams: int, ctx, delay: tuple[int, float, float] | None = None):
-        self.n_teams = n_teams
-        self.delay = delay
-        ids = list(range(n_teams)) + [CLIENT_ID]
-        self.links = {}
-        for a in ids:
-            for b in ids:
-                if a != b:
-                    self.links[(a, b)] = ctx.SimpleQueue()
-
-    def endpoint(self, engine_id: str, team_id: int, own_load_fn=None) -> "QueueEndpoint":
-        return QueueEndpoint(self, engine_id, team_id, own_load_fn)
-
-
-class QueueEndpoint(Endpoint):
-    def __init__(self, mesh: QueueMesh, engine_id: str, team_id: int, own_load_fn=None):
-        super().__init__(engine_id, team_id, mesh.n_teams, own_load_fn)
-        self._mesh = mesh
-        ids = [t for t in range(mesh.n_teams) if t != team_id]
-        if team_id == 0:
-            ids.append(CLIENT_ID)
-        elif team_id == CLIENT_ID:
-            ids = [0]
-        self._sources = ids
-        self._inbound = [mesh.links[(src, team_id)] for src in ids]
-        self._rr = 0                       # position of the source served next
-        self._ready: deque[int] = deque()  # readable positions, in turn
-        self._poller = select.poll()
-        self._position = {}                # fd -> position in self._sources
-        for pos, link in enumerate(self._inbound):
-            fd = link._reader.fileno()
-            self._poller.register(fd, select.POLLIN)
-            self._position[fd] = pos
-        if mesh.delay is not None:
-            seed, lo, hi = mesh.delay
-            self._gates = [_DelayGate(seed ^ (team_id << 20) ^ s, lo, hi) for s in ids]
-        else:
-            self._gates = None
-
-    def _transmit(self, dest: int, frame: bytes) -> None:
-        try:
-            link = self._mesh.links[(self.team_id, dest)]
-        except KeyError:
-            raise EngineError(f"no link from {self.team_id:#x} to {dest:#x}") from None
-        link.put(frame)
-
-    def _read(self, pos: int) -> bytes:
-        try:
-            return self._inbound[pos].get()
-        except EOFError:
-            raise EngineError(f"link from {self._sources[pos]:#x} closed") from None
-
-    def _readable(self) -> list[int]:
-        """Positions of the links that hold data, in round-robin order."""
-        events = self._poller.poll(0)
-        if not events:
-            return []
-        n = len(self._sources)
-        turn = sorted((self._position[fd] - self._rr) % n for fd, _ in events)
-        return [(self._rr + i) % n for i in turn]
-
-    def _receive(self) -> Optional[bytes]:
-        if self._gates is not None:
-            return self._receive_gated()
-        if not self._ready:
-            ready = self._readable()
-            if not ready:
-                return None
-            self._ready.extend(ready)
-        pos = self._ready.popleft()
-        self._rr = (pos + 1) % len(self._sources)
-        return self._read(pos)
-
-    def _receive_gated(self) -> Optional[bytes]:
-        # every frame that has arrived enters its gate before any release
-        while ready := self._readable():
-            for pos in ready:
-                self._gates[pos].admit(self._read(pos))
-        n = len(self._sources)
-        for i in range(n):
-            pos = (self._rr + i) % n
-            frame = self._gates[pos].release()
-            if frame is not None:
-                self._rr = (pos + 1) % n
-                return frame
-        return None
-
-    def _wait(self, timeout: float) -> None:
-        if self._gates is not None:
-            due = [t for t in (g.due() for g in self._gates) if t is not None]
-            if due:
-                timeout = min(timeout, min(due) - time.monotonic())
-        _block(self._poller, timeout)
-
-
 class TcpEndpoint(Endpoint):
-    """Socket back-end: one duplex connection per peer, frames on the stream."""
+    """One duplex stream per peer: a TCP connection (``dial``/``accept_peers``)
+    or a ``QueueMesh`` socket pair end. Sockets stay blocking: reads pass
+    ``MSG_DONTWAIT``, and a send blocks until the kernel takes the frame.
+
+    With ``delay=(seed, lo, hi)`` each frame read is held for a delay drawn
+    from ``[lo, hi]`` seconds, and behind the earlier frames of its peer.
+    """
 
     def __init__(self, engine_id: str, team_id: int, n_teams: int,
-                 own_load_fn=None, latency: float = 0.0):
+                 own_load_fn=None, delay: tuple[int, float, float] | None = None):
         super().__init__(engine_id, team_id, n_teams, own_load_fn)
+        self._delay = delay
         self._conns: dict[int, socket.socket] = {}
         self._bufs: dict[int, bytearray] = {}
-        self._order: deque[int] = deque()
-        self._latency = latency
-        self._gates: dict[int, deque[tuple[float, bytes]]] = {}
+        self._held: dict[int, deque[tuple[float, bytes]]] = {}   # peer -> (due, frame)
+        self._rng = Random(delay[0] ^ (team_id << 20)) if delay is not None else None
+        self._order: deque[int] = deque()       # peers, the one served next first
         self._poller = select.poll()
         self._peer_of: dict[int, int] = {}      # fd -> peer
         self._backlog: set[int] = set()         # peers with buffered or held bytes
@@ -431,11 +301,12 @@ class TcpEndpoint(Endpoint):
         return srv, srv.getsockname()[1]
 
     def attach(self, peer: int, conn: socket.socket) -> None:
-        conn.setblocking(False)
-        conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        conn.setblocking(True)
+        if conn.family != socket.AF_UNIX:
+            conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self._conns[peer] = conn
         self._bufs[peer] = bytearray()
-        self._gates[peer] = deque()
+        self._held[peer] = deque()
         self._order.append(peer)
         self._poller.register(conn.fileno(), select.POLLIN)
         self._peer_of[conn.fileno()] = peer
@@ -470,17 +341,17 @@ class TcpEndpoint(Endpoint):
             conn = self._conns[dest]
         except KeyError:
             raise EngineError(f"no connection to {dest:#x}") from None
-        conn.setblocking(True)
-        try:
-            conn.sendall(frame)
-        finally:
-            conn.setblocking(False)
+        conn.sendall(frame)
 
     def _receive(self) -> Optional[bytes]:
+        if self._delay is not None:
+            # every frame that has arrived is held before any is released
+            self._fill()
+            return self._next_frame()
         # a complete frame may already sit in a buffer that poll(2) knows nothing of
-        frame = self._buffered_frame() if self._backlog else None
+        frame = self._next_frame() if self._backlog else None
         if frame is None and self._fill():
-            frame = self._buffered_frame()
+            frame = self._next_frame()
         return frame
 
     def _fill(self) -> bool:
@@ -492,7 +363,7 @@ class TcpEndpoint(Endpoint):
             buf = self._bufs[peer]
             try:
                 while True:
-                    chunk = conn.recv(1 << 16)
+                    chunk = conn.recv(1 << 16, socket.MSG_DONTWAIT)
                     if not chunk:
                         raise EngineError(f"peer {peer:#x} closed the connection")
                     buf.extend(chunk)
@@ -502,35 +373,45 @@ class TcpEndpoint(Endpoint):
                 pass
             except ConnectionError as exc:
                 raise EngineError(f"connection to peer {peer:#x} failed: {exc}") from None
+            if self._delay is not None:
+                _, lo, hi = self._delay
+                while (frame := _cut_frame(buf)) is not None:
+                    self._held[peer].append(
+                        (time.monotonic() + lo + (hi - lo) * self._rng.random(), frame))
             self._backlog.add(peer)
         return bool(events)
 
-    def _buffered_frame(self) -> Optional[bytes]:
-        """The next complete (and, with latency, released) frame, peers in turn."""
+    def _next_frame(self) -> Optional[bytes]:
+        """The next complete (and, with a delay, released) frame, peers in turn."""
         for _ in range(len(self._order)):
             peer = self._order[0]
             self._order.rotate(-1)
             if peer not in self._backlog:
                 continue
             buf = self._bufs[peer]
-            gate = self._gates[peer]
-            frame = _cut_frame(buf)
-            while frame is not None and self._latency > 0:
-                gate.append((time.monotonic() + self._latency, frame))
+            held = self._held[peer]
+            if self._delay is None:
                 frame = _cut_frame(buf)
-            if frame is None and gate and gate[0][0] <= time.monotonic():
-                frame = gate.popleft()[1]
-            if not buf and not gate:
+            elif held and held[0][0] <= time.monotonic():
+                frame = held.popleft()[1]
+            else:
+                frame = None
+            if not buf and not held:
                 self._backlog.discard(peer)
             if frame is not None:
                 return frame
         return None
 
     def _wait(self, timeout: float) -> None:
-        due = [g[0][0] for g in self._gates.values() if g]
+        # poll(2) counts whole milliseconds and Python rounds its timeout up,
+        # so a shorter wait sleeps instead: it must not pass a release time
+        due = [h[0][0] for h in self._held.values() if h]
         if due:
             timeout = min(timeout, min(due) - time.monotonic())
-        _block(self._poller, timeout)
+        if timeout >= 0.001:
+            self._poller.poll(int(timeout * 1000))
+        elif timeout > 0:
+            time.sleep(timeout)
 
     def close(self) -> None:
         for fd in self._peer_of:
@@ -542,6 +423,38 @@ class TcpEndpoint(Endpoint):
             except OSError:
                 pass
         self._conns.clear()
+
+
+class QueueMesh:
+    """The inproc links of one engine: a socket pair between every two teams,
+    and one between team 0 and the client.
+
+    Build it before forking the masters; each process then attaches its own
+    ends with ``endpoint`` and alone reads them, since a second reader would
+    split the stream. ``ctx`` is unused, since a socket pair needs no
+    multiprocessing context; callers written for the queue links this mesh
+    once held still pass one.
+    """
+
+    def __init__(self, n_teams: int, ctx=None, delay: tuple[int, float, float] | None = None):
+        self.n_teams = n_teams
+        self.delay = delay
+        self.ends: dict[tuple[int, int], socket.socket] = {}   # (own, peer) -> own end
+        pairs = [(a, b) for a in range(n_teams) for b in range(a + 1, n_teams)]
+        for a, b in pairs + [(0, CLIENT_ID)]:
+            self.ends[(a, b)], self.ends[(b, a)] = socket.socketpair()
+
+    def close(self) -> None:
+        for end in self.ends.values():
+            end.close()
+
+    def endpoint(self, engine_id: str, team_id: int, own_load_fn=None) -> TcpEndpoint:
+        ep = TcpEndpoint(engine_id, team_id, self.n_teams, own_load_fn, self.delay)
+        ep._mesh = self       # collecting the mesh would close the peers' ends
+        for (own, peer), end in self.ends.items():
+            if own == team_id:
+                ep.attach(peer, end)
+        return ep
 
 
 def _cut_frame(buf: bytearray) -> Optional[bytes]:

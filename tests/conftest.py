@@ -1,9 +1,12 @@
 import multiprocessing
+import os
+import pickle
 
 import pytest
 
 from layered_or import api, programs
 from layered_or.engine import EXPAND_CHOICE
+from layered_or.transport import TcpEndpoint
 
 
 class Faulty:
@@ -42,3 +45,45 @@ def reap_engines():
     for child in multiprocessing.active_children():
         child.terminate()
         child.join(timeout=2.0)
+
+
+@pytest.fixture
+def wire_log(tmp_path, monkeypatch):
+    """Log every frame an endpoint sends or receives, in any process.
+
+    Wraps ``TcpEndpoint._transmit`` and ``_receive`` here, so engine
+    processes forked later inherit the wrappers; each process appends
+    pickled records to its own file. The fixture's value returns every
+    record so far as ``(team, "send" or "recv", frame bytes)``.
+    """
+    transmit, receive = TcpEndpoint._transmit, TcpEndpoint._receive
+
+    def log(team, direction, frame):
+        with open(tmp_path / f"wire-{os.getpid()}.pickle", "ab") as f:
+            pickle.dump((team, direction, frame), f)
+
+    def logged_transmit(self, dest, frame):
+        log(self.team_id, "send", frame)
+        transmit(self, dest, frame)
+
+    def logged_receive(self):
+        frame = receive(self)
+        if frame is not None:
+            log(self.team_id, "recv", frame)
+        return frame
+
+    monkeypatch.setattr(TcpEndpoint, "_transmit", logged_transmit)
+    monkeypatch.setattr(TcpEndpoint, "_receive", logged_receive)
+
+    def records():
+        out = []
+        for path in sorted(tmp_path.glob("wire-*.pickle")):
+            with open(path, "rb") as f:
+                while True:
+                    try:
+                        out.append(pickle.load(f))
+                    except EOFError:
+                        break
+        return out
+
+    return records

@@ -207,16 +207,14 @@ def test_c4a_merge_properties(pair):
         assert mt == max(lt, rt)
 
 
-def test_c4b_every_wire_message_carries_a_load_array():
+def test_c4b_every_wire_message_carries_a_load_array(wire_log):
     t0 = time.monotonic()
     handle = api.par_create_parallel_engine(
-        "acc4", [("local", 1, "b")] * 3, transport="tcp",
-        options=EngineOptions(trace=True, extra={"capture_wire": True}))
+        "acc4", [("local", 1, "b")] * 3, transport="tcp")
     run_goal(handle, "queens(7)")
     run_goal(handle, "spread(3,3)")
-    captures = [e for e in handle.trace_events() if e[2] == "wire_capture"]
     api.par_free_parallel_engine(handle)
-    frames = [f for e in captures for _, _, f in e[3]["frames"]]
+    frames = [f for _, _, f in wire_log()]
     assert len(frames) > 20, "scenario produced too little traffic to judge"
     stamped = 0
     for blob in frames:
@@ -340,7 +338,7 @@ def test_c6_speedup_trends():
     t22 = _measure_topology([2, 2], SPEEDUP_RUNS)
     t1111 = _measure_topology([1, 1, 1, 1], SPEEDUP_RUNS)
     t22_tcp = _measure_topology([2, 2], SPEEDUP_RUNS, transport="tcp",
-                                options=EngineOptions(tcp_latency_s=0.00008))
+                                options=EngineOptions(delay=(0, 0.00008, 0.00008)))
     s4, s22, s1111, s22t = base / t4, base / t22, base / t1111, base / t22_tcp
     detail = (f"{SPEEDUP_GOAL}: [4]={s4:.2f}x [2,2]={s22:.2f}x "
               f"[1,1,1,1]={s1111:.2f}x [2,2]tcp+0.08ms={s22t:.2f}x "

@@ -323,8 +323,8 @@ def test_team_queues_are_read_exactly_as_counted(monkeypatch):
     pipe = ctx.SimpleQueue()
     boxes = [ctx.SimpleQueue() for _ in range(3)]
     tctx = TeamContext("counted", 0, 1, 3, EngineOptions(), shared, boxes, pipe, None)
-    master = Master(tctx, WorkerState(team_id=0, worker_id=0),
-                    transport.QueueMesh(1, ctx).endpoint("counted", 0))
+    mesh = transport.QueueMesh(1, ctx)
+    master = Master(tctx, WorkerState(team_id=0, worker_id=0), mesh.endpoint("counted", 0))
     master._begin_goal({"program": "queens", "args": [4], "goal": 1})
     monkeypatch.setattr(multiprocessing.queues.SimpleQueue, "empty", _must_not_ask)
     try:
@@ -347,6 +347,7 @@ def test_team_queues_are_read_exactly_as_counted(monkeypatch):
         assert master._next_mail() == ("note", {}, None)
         assert master._next_mail() is None
     finally:
+        mesh.close()
         shared.close()
 
 
@@ -423,22 +424,20 @@ def test_remote_answers_arrive_tagged_with_origin_team():
     api.par_free_parallel_engine(h)
 
 
-def test_each_share_request_resolves_to_exactly_one_reply():
+def test_each_share_request_resolves_to_exactly_one_reply(wire_log):
     # request ids are per requesting team; concurrent requests from two
     # teams may collide on the id alone, so replies are matched by pair
     from layered_or import transport as tr
 
-    h = make_engine("uniq", [1, 1, 1, 1],
-                    options=EngineOptions(trace=True, extra={"capture_wire": True}))
+    h = make_engine("uniq", [1, 1, 1, 1])
     for _ in range(3):
         api.par_run_goal(h, "queens(8)")
         assert sum(drain(h).values()) == 92
-    events = [(e[0], d, p, f) for e in h.trace_events() if e[2] == "wire_capture"
-              for d, p, f in e[3]["frames"]]
     api.par_free_parallel_engine(h)
+    events = wire_log()
     sent_requests = Counter()
     received_replies = Counter()
-    for team, direction, peer, blob in events:
+    for team, direction, blob in events:
         msg = tr.decode_frame(blob)
         if direction == "send" and msg.kind == tr.SHARE_REQUEST:
             sent_requests[(team, msg.goal_id, msg.meta.get("req"))] += 1
@@ -652,3 +651,74 @@ def test_masters_die_with_a_killed_client():
                 os.kill(pid, signal.SIGKILL)
             except ProcessLookupError:
                 pass
+
+
+# a client that leaves its [2] engine live; exits once told, by return or raise
+_LEAVING_CLIENT = """
+import sys
+from layered_or import api
+h = api.par_create_parallel_engine("left", [("local", 2, "builtin")])
+api.par_run_goal(h, "queens(6)")
+while api.par_get_answers(h, ("exact", 4)) is not None:
+    pass
+print(h._procs[0].pid, flush=True)
+sys.stdin.readline()
+if sys.argv[1] == "raise":
+    raise RuntimeError("the client fails with its engine live")
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc")
+@pytest.mark.parametrize("how", ["return", "raise"])
+def test_a_client_that_never_frees_its_engine_still_exits(how):
+    src = str(Path(api.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    engine = []
+    with subprocess.Popen([sys.executable, "-c", _LEAVING_CLIENT, how],
+                          stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                          stderr=subprocess.DEVNULL, text=True,
+                          env=dict(os.environ, PYTHONPATH=path)) as client:
+        try:
+            master = int(client.stdout.readline())
+            engine = [master] + _descendants(master)
+            assert len(engine) == 2, "the client's engine has no teammate"
+            t0 = time.monotonic()
+            client.stdin.write("\n")
+            client.stdin.flush()
+            client.wait(timeout=6.0)
+            assert time.monotonic() - t0 < 6.0
+            deadline = time.monotonic() + 1.0
+            while any(_alive(pid) for pid in engine) and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert not any(_alive(pid) for pid in engine), "a team process outlived its client"
+        finally:
+            client.kill()
+            for pid in engine:
+                try:
+                    os.kill(pid, signal.SIGKILL)
+                except ProcessLookupError:
+                    pass
+
+
+def _cpu_seconds(pids):
+    """CPU time the processes ``pids`` have run so far, to the nanosecond."""
+    total = 0
+    for pid in pids:
+        with open(f"/proc/{pid}/schedstat") as f:
+            total += int(f.read().split()[0])
+    return total / 1e9
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc")
+def test_a_parked_engine_sleeps_in_the_kernel():
+    h = make_engine("parked", [4])
+    api.par_run_goal(h, "queens(6)")
+    assert sum(drain(h).values()) == 4
+    engine = [h._procs[0].pid] + _descendants(h._procs[0].pid)
+    assert len(engine) == 4
+    time.sleep(0.2)
+    cpu, t0 = _cpu_seconds(engine), time.monotonic()
+    time.sleep(3.0)
+    rate = (_cpu_seconds(engine) - cpu) / (time.monotonic() - t0)
+    api.par_free_parallel_engine(h)
+    assert rate < 0.015, f"a parked [4] engine used {rate * 1000:.1f} ms of CPU a second"

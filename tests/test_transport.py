@@ -1,16 +1,19 @@
-"""Transport layer: wire frames, queue and tcp back-ends, barrier."""
+"""Transport layer: wire frames, socket-pair mesh and tcp links, barrier."""
 
-import multiprocessing
-import multiprocessing.queues
+import json
 import random
 import socket
+import struct
 import threading
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from layered_or import transport
 from layered_or.errors import EngineCreationError, EngineError, ProtocolViolation
+from layered_or.splitting import CP_RECORD_LEN, AuxArea, deserialize_aux, serialize_aux
 from layered_or.transport import (
     QueueMesh,
     TcpEndpoint,
@@ -20,11 +23,24 @@ from layered_or.transport import (
     parse_topology_file,
 )
 
-CTX = multiprocessing.get_context("fork")
+
+_MESHES = []
+
+
+def new_mesh(n_teams, delay=None):
+    _MESHES.append(QueueMesh(n_teams, delay=delay))
+    return _MESHES[-1]
+
+
+@pytest.fixture(autouse=True)
+def close_meshes():
+    yield
+    while _MESHES:
+        _MESHES.pop().close()
 
 
 def make_pair(n_teams=2, delay=None):
-    mesh = QueueMesh(n_teams, CTX, delay=delay)
+    mesh = new_mesh(n_teams, delay=delay)
     return [mesh.endpoint("t", i, own_load_fn=lambda: 3) for i in range(n_teams)]
 
 
@@ -63,7 +79,73 @@ def test_wireframe_rejects_bad_magic_and_truncation():
         decode_frame(frame[:-3])
 
 
-# -- queue back-end ------------------------------------------------------------------
+def _frame_with_meta(blob: bytes, declared=None, raw: bytes = b"") -> bytes:
+    """A frame with a valid checksum whose payload meta is ``blob``."""
+    n = len(blob) if declared is None else declared
+    return encode_frame(transport.ANSWER, 1, [(0, 1)], struct.pack("<I", n) + blob + raw)
+
+
+@pytest.mark.parametrize("blob", [b"\xff\xfe", b"{not json", b"[1]", b'"goal"', b"null"])
+def test_frame_whose_meta_is_not_a_json_object_is_a_protocol_violation(blob):
+    with pytest.raises(ProtocolViolation):
+        decode_frame(_frame_with_meta(blob))
+
+
+def _mutations(blob: bytes):
+    """``blob`` with up to four bytes overwritten, then cut short or extended."""
+    def apply(edits, cut, tail):
+        out = bytearray(blob)
+        for pos, value in edits:
+            out[pos % len(out)] = value
+        return bytes(out[:cut]) + tail
+    edits = st.lists(st.tuples(st.integers(0, 1 << 16), st.integers(0, 255)), max_size=4)
+    return st.builds(apply, edits, st.integers(0, len(blob)), st.binary(max_size=8))
+
+
+_FRAME = encode_frame(transport.SHARE_ACCEPT, 1, [(3, 7), (-1, 0)],
+                      encode_payload({"goal": 2, "req": 5}, bytes(range(24))))
+_JSON = st.recursive(st.none() | st.booleans() | st.integers() | st.text(max_size=4),
+                     lambda kids: st.lists(kids, max_size=3)
+                     | st.dictionaries(st.text(max_size=4), kids, max_size=3),
+                     max_leaves=6)
+
+
+@given(st.binary(max_size=120) | _mutations(_FRAME))
+@settings(max_examples=400, deadline=None)
+def test_fuzzed_frames_raise_only_protocol_violation(data):
+    try:
+        msg = decode_frame(data)
+    except ProtocolViolation:
+        return
+    assert isinstance(msg.meta, dict)
+
+
+@given(st.binary(max_size=64) | _JSON.map(lambda v: json.dumps(v).encode()),
+       st.none() | st.integers(0, 100), st.binary(max_size=16))
+@settings(max_examples=400, deadline=None)
+def test_fuzzed_meta_of_a_checksummed_frame_raises_only_protocol_violation(blob, declared, raw):
+    try:
+        msg = decode_frame(_frame_with_meta(blob, declared, raw))
+    except ProtocolViolation:
+        return
+    assert isinstance(msg.meta, dict)
+
+
+_AUX = serialize_aux(AuxArea(10, 13, 4, 5, 2, 9, 1, [1, 2, 3],
+                             [list(range(CP_RECORD_LEN))] * 2, [(11, 0)]))
+
+
+@given(st.binary(max_size=200) | _mutations(_AUX))
+@settings(max_examples=400, deadline=None)
+def test_fuzzed_aux_areas_raise_only_protocol_violation(data):
+    try:
+        aux = deserialize_aux(data)
+    except ProtocolViolation:
+        return
+    assert len(aux.store_cells) == aux.store_hi - aux.store_lo
+
+
+# -- socket-pair mesh ------------------------------------------------------------------
 
 def test_send_increments_own_timestamp_per_message():
     a, b = make_pair()
@@ -75,12 +157,11 @@ def test_send_increments_own_timestamp_per_message():
     assert first.loads[0][0] == 3  # stamped through own_load_fn
 
 
-def test_every_frame_carries_a_full_load_array():
+def test_every_frame_carries_a_full_load_array(wire_log):
     a, b, _ = make_pair(n_teams=3)
-    a.capture = []
     for kind in (transport.SHARE_REQUEST, transport.ANSWER, transport.TERMINATE):
         a.send(1, kind, {"goal": 1})
-    for direction, dest, frame in a.capture:
+    for team, direction, frame in wire_log():
         msg = decode_frame(frame)
         assert len(msg.loads) == 3
 
@@ -106,8 +187,6 @@ def test_quiet_poll_reads_no_link_and_no_socket(monkeypatch):
     eps = make_pair(n_teams=3)
     a, b = tcp_pair()
     try:
-        monkeypatch.setattr(multiprocessing.queues.SimpleQueue, "empty", _must_not_read)
-        monkeypatch.setattr(multiprocessing.queues.SimpleQueue, "get", _must_not_read)
         monkeypatch.setattr(socket.socket, "recv", _must_not_read)
         for ep in eps + [a, b]:
             for _ in range(3):
@@ -137,7 +216,7 @@ def test_poll_wait_sleeps_in_the_poller_and_wakes_on_arrival():
 
 
 def test_round_robin_serves_every_busy_link_in_turn():
-    mesh = QueueMesh(3, CTX)
+    mesh = new_mesh(3)
     eps = [mesh.endpoint("t", i) for i in range(3)]
     for i in range(4):
         eps[0].send(2, transport.ANSWER, {"n": i})
@@ -148,7 +227,7 @@ def test_round_robin_serves_every_busy_link_in_turn():
 
 
 def test_per_sender_fifo_with_interleaved_senders():
-    mesh = QueueMesh(3, CTX)
+    mesh = new_mesh(3)
     eps = [mesh.endpoint("t", i) for i in range(3)]
     rng = random.Random(1)
     sent = {0: [], 1: []}
@@ -164,10 +243,7 @@ def test_per_sender_fifo_with_interleaved_senders():
     assert seen[0] == sent[0] and seen[1] == sent[1]
 
 
-def test_fifo_preserved_under_injected_delays():
-    mesh = QueueMesh(2, CTX, delay=(99, 0.0, 0.003))
-    a = mesh.endpoint("t", 0)
-    b = mesh.endpoint("t", 1)
+def _assert_fifo_under_delays(a, b):
     for i in range(50):
         a.send(1, transport.ANSWER, {"n": i})
     got = []
@@ -176,6 +252,31 @@ def test_fifo_preserved_under_injected_delays():
         if msg is not None:
             got.append(msg.meta["n"])
     assert got == list(range(50))
+
+
+def test_fifo_preserved_under_injected_delays():
+    mesh = new_mesh(2, delay=(99, 0.0, 0.003))
+    _assert_fifo_under_delays(mesh.endpoint("t", 0), mesh.endpoint("t", 1))
+
+
+def test_tcp_fifo_preserved_under_injected_delays():
+    a, b = tcp_pair(delay=(99, 0.0, 0.003))
+    try:
+        _assert_fifo_under_delays(a, b)
+    finally:
+        a.close()
+        b.close()
+
+
+def test_an_endpoint_keeps_its_mesh_open():
+    # the peers' ends live in the mesh; were it collected, they would close
+    ep = QueueMesh(2).endpoint("t", 0)
+    try:
+        for _ in range(3):
+            assert ep.poll() is None
+        assert ep.poll_wait(0.02) is None
+    finally:
+        ep._mesh.close()
 
 
 def test_terminate_after_refuse_keeps_order():
@@ -189,13 +290,13 @@ def test_terminate_after_refuse_keeps_order():
 # -- barrier ----------------------------------------------------------------------
 
 def test_barrier_single_team_returns_immediately():
-    mesh = QueueMesh(1, CTX)
+    mesh = new_mesh(1)
     ep = mesh.endpoint("t", 0)
     ep.barrier(timeout=0.1)
 
 
 def test_barrier_releases_after_last_arrival():
-    mesh = QueueMesh(4, CTX)
+    mesh = new_mesh(4)
     eps = [mesh.endpoint("t", i) for i in range(4)]
     released = []
 
@@ -216,17 +317,17 @@ def test_barrier_releases_after_last_arrival():
 
 
 def test_barrier_times_out_when_a_team_never_arrives():
-    mesh = QueueMesh(2, CTX)
+    mesh = new_mesh(2)
     ep = mesh.endpoint("t", 0)
     with pytest.raises(EngineCreationError):
         ep.barrier(timeout=0.2)
 
 
-# -- tcp back-end -----------------------------------------------------------------
+# -- tcp links -----------------------------------------------------------------
 
-def tcp_pair(latency=0.0):
-    a = TcpEndpoint("t", 0, 2, latency=latency)
-    b = TcpEndpoint("t", 1, 2, latency=latency)
+def tcp_pair(delay=None):
+    a = TcpEndpoint("t", 0, 2, delay=delay)
+    b = TcpEndpoint("t", 1, 2, delay=delay)
     srv, port = a.listen()
     t = threading.Thread(target=b.dial, args=(0, "127.0.0.1", port))
     t.start()
@@ -238,7 +339,7 @@ def tcp_pair(latency=0.0):
 
 def test_tcp_roundtrip_byte_identity_on_large_payload():
     a, b = tcp_pair()
-    blob = bytes(random.Random(3).randrange(256) for _ in range(1 << 20))
+    blob = random.Random(3).randbytes(1 << 20)
     a.send(1, transport.SHARE_ACCEPT, {"goal": 1, "req": 0}, blob)
     msg = b.poll_wait(10.0)
     assert msg is not None and msg.raw == blob
@@ -247,7 +348,7 @@ def test_tcp_roundtrip_byte_identity_on_large_payload():
 
 
 def test_tcp_preserves_order_and_latency_holds_delivery():
-    a, b = tcp_pair(latency=0.02)
+    a, b = tcp_pair(delay=(0, 0.02, 0.02))
     t0 = time.monotonic()
     for i in range(5):
         a.send(1, transport.ANSWER, {"n": i})
