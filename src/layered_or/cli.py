@@ -78,7 +78,8 @@ def cmd_bench(args) -> int:
     latency = args.latency_ms / 1000.0
     options = EngineOptions(delay=(0, latency, latency) if latency > 0 else None)
     if args.topology_file:
-        entries = parse_topology_file(open(args.topology_file).read())
+        with open(args.topology_file) as fh:
+            entries = parse_topology_file(fh.read())
         topology = [api.TeamSpec(f"{h}:{p}", w) for h, p, w in entries]
         topo_label = "[" + ",".join(str(w) for _, _, w in entries) + "]"
     else:

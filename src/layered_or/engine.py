@@ -12,6 +12,14 @@ Alternatives are consumed through a cursor that advances by ``split_offset``
 (a power of two). Horizontal splitting doubles the offset on both sides so
 two workers interleave disjoint alternative subsets of the same node.
 
+A determinate node, one whose expansion gives a single alternative, gets no
+choice point in ``run_loop`` (the WAM's rule for a determinate call): it
+would hold no open alternative, so nothing could return to it or share it.
+Its expansion's writes stay on the store and trail, above its parent's
+post-expansion marks, and backtracking into any older node undoes them. Only
+a node expanded on an empty stack is always pushed, so ``cps[0]`` is the
+root whose marks delimit a copied stack.
+
 ``WorkerState.load`` counts the open alternatives of private nodes. Its
 shared copy, the team's load register that ``load_sink`` writes, is updated
 at service ticks and when ``run_loop`` returns, not on every push and
@@ -282,24 +290,26 @@ def run_loop(ws: WorkerState, emit: Callable[[tuple], None], *,
 
     ``emit`` receives one projected answer per answer leaf. ``service`` runs
     every ``service_every`` steps; sharing, message handling and teardown
-    checks happen there (it may raise to unwind the goal). A node pushed in
-    the step before a tick still owes its first alternative; the tick hands
-    it back to the node for the length of ``service``, so ``service`` sees
-    stacks holding exactly the remaining work. Stacks left by a ``service``
-    that raises therefore resume, here or copied elsewhere, to exactly the
-    remaining answers. ``start_tag`` is the root tag of a goal whose stack
-    is still empty; with ``start_tag=None`` the loop opens with a fail,
-    taking the next open alternative: that is how execution resumes after
-    an install.
+    checks happen there (it may raise to unwind the goal). A node expanded
+    in the step before a tick still owes its first alternative; the tick
+    hands it back to the node for the length of ``service``, so ``service``
+    sees stacks holding exactly the remaining work. A determinate node has
+    no choice point to take it back, so the tick first pushes one, with the
+    node's pre-expansion marks and the current store and trail tops as its
+    post-expansion marks. Stacks left by a ``service`` that raises therefore
+    resume, here or copied elsewhere, to exactly the remaining answers.
+    ``start_tag`` is the root tag of a goal whose stack is still empty; with
+    ``start_tag=None`` the loop opens with a fail, taking the next open
+    alternative: that is how execution resumes after an install.
 
     The common step runs inline on local copies of the registers: expand the
-    tag, push a private node, pop dead private nodes, or take the next cached
-    alternative of a private top node. Public nodes (whose or-frame is taken
-    from and left), re-derivation and the final ``EXHAUSTED`` go through
-    ``backtrack``. ``ws.load`` and ``ws.backtracks`` are exact at
-    ``emit``, at ``service``, when ``expand`` raises and on return; the
-    shared load register (``ws.load_sink``) is written at service ticks and
-    on return only.
+    tag, push a private node unless it is determinate, pop dead private
+    nodes, or take the next cached alternative of a private top node.
+    Public nodes (whose or-frame is taken from and left), re-derivation and
+    the final ``EXHAUSTED`` go through ``backtrack``. ``ws.load`` and
+    ``ws.backtracks`` are exact at ``emit``, at ``service``, when ``expand``
+    raises and on return; the shared load register (``ws.load_sink``) is
+    written at service ticks and on return only.
     """
     assert start_tag is None or not ws.cps, "start_tag needs an empty stack"
     expand = ws.program.expand
@@ -313,12 +323,18 @@ def run_loop(ws: WorkerState, emit: Callable[[tuple], None], *,
     backtracks = ws.backtracks
     countdown = service_every if service is not None else -1
     tag = start_tag
+    det = None                 # tag of the node whose only alternative is pending
     while True:
         countdown -= 1
         if countdown == 0:
             countdown = service_every
             held = None
             if tag is not None and cps:
+                if det is not None:
+                    # give the elided determinate node its choice point now,
+                    # so the pending tag has a node to go back to
+                    cps.append(ChoicePoint(det, 1, 1, 1, pre_store, pre_trail, len(cps),
+                                           -1, payload, len(store), len(tcells)))
                 held = cps[-1]
                 held.cursor = 0
                 load += 1
@@ -379,10 +395,14 @@ def run_loop(ws: WorkerState, emit: Callable[[tuple], None], *,
             raise
         if kind == EXPAND_CHOICE:
             n = len(payload)
-            assert n >= 1, "choice point needs at least one alternative"
-            cps.append(ChoicePoint(tag, n, 1, 1, pre_store, pre_trail, len(cps),
-                                   -1, payload, len(store), len(tcells)))
-            load += n - 1
+            if n == 1 and cps:
+                det = tag
+            else:
+                assert n >= 1, "choice point needs at least one alternative"
+                cps.append(ChoicePoint(tag, n, 1, 1, pre_store, pre_trail, len(cps),
+                                       -1, payload, len(store), len(tcells)))
+                load += n - 1
+                det = None
             tag = payload[0]
         else:
             if kind == EXPAND_ANSWER:

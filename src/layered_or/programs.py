@@ -10,15 +10,17 @@ by indexing or slicing the cell list that both ``WorkerState`` and the
 oracle's copy store expose, with no method call per cell, and changes them
 only through the trailed ``write`` so backtracking can undo the change.
 
-``Queens`` keeps no mask in the store: each ``expand`` folds the placed
-queens into one integer, one shift-or per row. ``_SPREAD[d]`` has the three
-bits a queen attacks ``d`` rows below it (its column and both diagonals),
-placed so that shifting it by the queen's cell value (column + 1) lands them
-on the attacked columns, offset by ``_QUEENS_OFF``; this needs no negative
-shift for a diagonal that leaves the board. The free columns of the row are
-the clear bits above that offset, emitted lowest first, so the alternatives
-and their order are those of a scan over the columns. The table has a
-fixed size (one entry per row distance), whatever the board.
+``Queens`` keeps its attack state in the store. Setup pushes three zero
+cells, the column, left-diagonal and right-diagonal masks of row 0, and
+every choice expansion below the root pushes three more, the masks of the
+next row, behind its trailed row write. A child therefore finds its
+parent's masks in the top three store cells: the engine expands a tag on
+the store its parent's expansion left, and restores exactly that store
+when it backtracks into the parent. A failing or answer node pushes
+nothing. The free columns of a row are the clear bits of the three masks,
+emitted lowest first, so the alternatives and their order are those of a
+scan over the columns. New cells are pushed by extending ``store.store``,
+which, like ``push_cell``, needs no trail.
 
 ``REGISTRY`` holds the built-in programs; ``register`` adds one, such as a
 test program, before the engine processes that must see it are forked.
@@ -33,12 +35,8 @@ _ANSWER = (EXPAND_ANSWER, None)
 
 _M64 = (1 << 64) - 1
 
-# queens: a queen in column c (cell value c + 1) attacks columns c - d, c and
-# c + d of the row d rows below it, bits _QUEENS_OFF + c - d, ... of the mask
+# queens: the largest board; its masks stay below 2**24
 _QUEENS_MAX = 24
-_QUEENS_OFF = _QUEENS_MAX + 1
-_SPREAD = (0,) + tuple((1 | 1 << d | 1 << 2 * d) << (_QUEENS_MAX - d)
-                       for d in range(1, _QUEENS_MAX))
 
 
 def _mix64(x: int) -> int:
@@ -63,6 +61,8 @@ class Queens:
         store.push_cell(n)
         for _ in range(n):
             store.push_cell(0)  # row cells hold col+1, 0 = unassigned
+        for _ in range(3):
+            store.push_cell(0)  # columns, left and right diagonals of row 0
 
     def slots(self, args):
         n = int(args[0])
@@ -71,6 +71,8 @@ class Queens:
     def expand(self, store, tag):
         cells = store.store
         n = cells[0]
+        full = (1 << n) - 1
+        cols, ld, rd = cells[-3:]     # the parent's masks of this node's row
         if tag == 0:
             depth = 0
         else:
@@ -79,14 +81,15 @@ class Queens:
             depth = row + 1
             if depth == n:
                 return _ANSWER
-        attacked = 0
-        d = depth
-        for v in cells[1:1 + depth]:
-            attacked |= _SPREAD[d] << v
-            d -= 1
-        free = ~attacked >> _QUEENS_OFF & ((1 << n) - 1)
+            b = 1 << col
+            cols |= b
+            ld = (ld | b) << 1 & full
+            rd = (rd | b) >> 1
+        free = full & ~(cols | ld | rd)
         if not free:
             return _FAIL
+        if depth:
+            cells.extend((cols, ld, rd))
         base = depth * n              # tag of column c is base + c + 1
         alts = []
         while free:

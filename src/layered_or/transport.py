@@ -187,8 +187,9 @@ class Endpoint:
     def _receive(self) -> Optional[bytes]:
         raise NotImplementedError
 
-    def _wait(self, timeout: float) -> None:
-        """Block until a frame may be ready, or for at most ``timeout`` seconds."""
+    def _wait(self, timeout: Optional[float]) -> None:
+        """Block until a frame may be ready, or for at most ``timeout`` seconds
+        (without limit if it is None)."""
         raise NotImplementedError
 
     def close(self) -> None:
@@ -219,15 +220,16 @@ class Endpoint:
         frame = self._receive()
         return None if frame is None else decode_frame(frame)
 
-    def poll_wait(self, timeout: float) -> Optional[TeamMessage]:
-        """Next in-order message, blocking up to ``timeout`` seconds for one."""
-        deadline = time.monotonic() + timeout
+    def poll_wait(self, timeout: Optional[float]) -> Optional[TeamMessage]:
+        """Next in-order message, blocking up to ``timeout`` seconds for one,
+        or until one comes if ``timeout`` is None."""
+        deadline = None if timeout is None else time.monotonic() + timeout
         while True:
             msg = self.poll()
             if msg is not None:
                 return msg
-            left = deadline - time.monotonic()
-            if left <= 0:
+            left = None if deadline is None else deadline - time.monotonic()
+            if left is not None and left <= 0:
                 return None
             self._wait(left)
 
@@ -402,13 +404,16 @@ class TcpEndpoint(Endpoint):
                 return frame
         return None
 
-    def _wait(self, timeout: float) -> None:
+    def _wait(self, timeout: Optional[float]) -> None:
         # poll(2) counts whole milliseconds and Python rounds its timeout up,
         # so a shorter wait sleeps instead: it must not pass a release time
         due = [h[0][0] for h in self._held.values() if h]
         if due:
-            timeout = min(timeout, min(due) - time.monotonic())
-        if timeout >= 0.001:
+            release = min(due) - time.monotonic()
+            timeout = release if timeout is None else min(timeout, release)
+        if timeout is None:
+            self._poller.poll()
+        elif timeout >= 0.001:
             self._poller.poll(int(timeout * 1000))
         elif timeout > 0:
             time.sleep(timeout)

@@ -443,13 +443,15 @@ class Master(Worker):
         ctx.trace(0, "teammates_ready", count=ctx.shared.ready_count())
 
     def _wait_for_goal(self, kind: int) -> dict:
-        """Park between goals until a ``kind`` frame (GOAL or ROOT_INFO) starts one."""
+        """Park between goals until a ``kind`` frame (GOAL or ROOT_INFO) starts one.
+
+        The master blocks in its poller with no timeout. Waking to read the
+        abort flag would find nothing: only the master itself raises it. A
+        local master dies with its parent, and a tcp peer that dies closes
+        its connection, which wakes the poller and raises ``EngineError``.
+        """
         while True:
-            msg = self.ep.poll_wait(0.05)
-            if msg is None:
-                if self.ctx.shared.aborted():
-                    raise EngineShutdown
-                continue
+            msg = self.ep.poll_wait(None)
             self._merge(msg)
             if msg.kind == kind:
                 return msg.meta
@@ -470,6 +472,7 @@ class Master(Worker):
         self._credit = None
         self._recovered = Fraction(0)
         self._forward.clear()
+        self._last_forward = float("-inf")   # a goal's first answers go out at once
         super()._begin_goal(meta)
 
     def _run_goal(self, meta: dict) -> None:

@@ -97,15 +97,15 @@ def agent():
     # the agent imports the sources under test, installed or not
     src = str(Path(layered_or.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "layered_or.cli", "serve-agent", "--port", "0",
-         "--max-teams", "4"],
-        stdout=subprocess.PIPE, text=True, env=dict(os.environ, PYTHONPATH=path))
-    line = proc.stdout.readline()
-    port = int(line.rsplit(" ", 1)[1])
-    yield port
-    proc.terminate()
-    proc.wait(timeout=10)
+    with subprocess.Popen(
+            [sys.executable, "-m", "layered_or.cli", "serve-agent", "--port", "0",
+             "--max-teams", "4"],
+            stdout=subprocess.PIPE, text=True, env=dict(os.environ, PYTHONPATH=path)) as proc:
+        line = proc.stdout.readline()
+        port = int(line.rsplit(" ", 1)[1])
+        yield port
+        proc.terminate()
+        proc.wait(timeout=10)
 
 
 def test_engine_with_agent_hosted_team(agent):

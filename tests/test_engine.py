@@ -302,35 +302,103 @@ class _Stop(Exception):
     pass
 
 
+def tree_size(name, args):
+    """Nodes of the goal's whole tree, by a walk that shares no engine code."""
+    from layered_or.engine import EXPAND_CHOICE
+    from layered_or.oracle import _CopyStore
+
+    prog = get_program(name)
+    root = _CopyStore()
+    prog.setup(root, args)
+    stack = [(root, prog.root_tag)]
+    nodes = 0
+    while stack:
+        store, tag = stack.pop()
+        nodes += 1
+        kind, payload = prog.expand(store, tag)
+        if kind == EXPAND_CHOICE:
+            stack.extend((store.fork(), alt) for alt in payload)
+    return nodes
+
+
 @pytest.mark.parametrize("name,args", [("queens", [7]), ("rand_tree", [7, 8, 5]),
-                                       ("spread", [3, 4])])
+                                       ("spread", [3, 4]),
+                                       # 2,112 of its 11,609 nodes are determinate
+                                       ("map_colouring", [1])])
 def test_stacks_left_by_a_raising_service_resume_to_the_remaining_answers(name, args):
     from layered_or.engine import install_segments
     from layered_or.splitting import snapshot_segments
 
     prog = get_program(name)
     everything = oracle.enumerate_answers(prog, args)
+    # each run takes one step per node it expands, expanding none twice, and
+    # one that finds the stack empty; a tick that lost its pending tag would
+    # loop instead of ending
+    limit = tree_size(name, args) + 1
     ws, _ = fresh_worker(name, args)
     run_loop(ws, lambda a: None, start_tag=prog.root_tag)
-    for stop_at in range(1, ws.backtracks, max(1, ws.backtracks // 25)):
+    total = ws.backtracks
+    # ticks 1, 2 and 3 steps apart fall on every kind of step, also while a
+    # determinate node's only alternative is pending; the last tick sees at
+    # least total - every backtracks
+    for every, stop_at in [(every, stop_at) for every in (1, 2, 3)
+                           for stop_at in range(1, total - every + 1, max(1, total // 25))]:
         ws, _ = fresh_worker(name, args)
         before = Counter()
+        steps = [0]
+
+        def bounded():
+            steps[0] += every
+            assert steps[0] <= limit, "run_loop took more steps than the tree has nodes"
 
         def service():
+            bounded()
             if ws.backtracks >= stop_at:
                 raise _Stop
 
         with pytest.raises(_Stop):
             run_loop(ws, lambda a: before.update([a]), start_tag=prog.root_tag,
-                     service=service, service_every=1)
+                     service=service, service_every=every)
         snap = snapshot_segments(ws)
         peer, _ = fresh_worker(name, args)
         install_segments(peer, snap["store_lo"], snap["store_cells"], snap["cp_records"],
                          snap["trail_lo"], snap["trail_entries"])
         assert peer.load == ws.load == snap["load"]
         rest = Counter()
-        run_loop(peer, lambda a: rest.update([a]))
-        assert before + rest == everything, f"stopped at backtrack {stop_at}"
+        steps[0] = 0
+        run_loop(peer, lambda a: rest.update([a]), service=bounded, service_every=every)
+        assert before + rest == everything, \
+            f"ticks {every} steps apart, stopped at backtrack {stop_at}"
+
+
+class _Watched:
+    """A program whose ``expand`` first checks the stack it is called on."""
+
+    def __init__(self, ws, program, limit):
+        self.ws = ws
+        self.program = program
+        self.limit = limit
+        self.steps = 0
+        self.root_tag = program.root_tag
+
+    def expand(self, store, tag):
+        self.steps += 1
+        assert self.steps <= self.limit, "run_loop expanded more nodes than the tree has"
+        # only the bottom node, pushed on an empty stack, may be determinate
+        assert all(cp.n_alts > 1 for cp in self.ws.cps[1:] if cp.frame < 0), \
+            f"a determinate node holds a choice point below tag {tag}"
+        return self.program.expand(store, tag)
+
+
+@pytest.mark.parametrize("name,args", [("map_colouring", [1]), ("queens", [7]),
+                                       ("spread", [3, 1])])
+def test_a_run_without_ticks_pushes_no_determinate_node(name, args):
+    ws, prog = fresh_worker(name, args)
+    ws.program = watched = _Watched(ws, prog, tree_size(name, args))
+    got = Counter()
+    run_loop(ws, lambda a: got.update([a]), start_tag=prog.root_tag)
+    assert watched.steps == watched.limit
+    assert got == oracle.enumerate_answers(prog, args)
 
 
 class _LeaveCountingFrames(TeamShared):

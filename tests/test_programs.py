@@ -4,6 +4,8 @@ The built-in programs read cells by indexing ``store.store``. The reference
 kernels below are the earlier versions that read one cell per ``read`` call;
 walking whole trees of small goals with both must give the same node kind,
 the same alternatives in the same order and the same store at every node.
+``ref_queens`` computes the attack masks it pushes from the placed rows
+alone, so that comparison also checks the kernel's incremental masks.
 """
 
 import random
@@ -68,7 +70,22 @@ def ref_queens(store, tag):
                 break
         if ok:
             alts.append(1 + depth * n + col)
-    return (EXPAND_CHOICE, alts) if alts else _FAIL
+    if not alts:
+        return _FAIL
+    if depth:
+        # the next row's attack masks, from the placed rows alone
+        cols = ld = rd = 0
+        for r in range(depth):
+            c = store.read(1 + r) - 1
+            d = depth - r
+            cols |= 1 << c
+            if c + d < n:
+                ld |= 1 << c + d
+            if c - d >= 0:
+                rd |= 1 << c - d
+        for mask in (cols, ld, rd):
+            store.push_cell(mask)
+    return (EXPAND_CHOICE, alts)
 
 
 _JUMPS = ((1, 2), (2, 1), (2, -1), (1, -2), (-1, -2), (-2, -1), (-2, 1), (-1, 2))

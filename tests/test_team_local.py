@@ -510,6 +510,27 @@ def test_termination_waits_for_credit_despite_an_all_idle_load_view():
         "TERMINATE went out while team 2 still held credit"
 
 
+def test_a_goals_first_answers_leave_the_master_at_once():
+    # the previous goal's last ANSWER frame went out just now; the next
+    # goal's first answer must not wait ANSWER_FLUSH_S behind it
+    shared = TeamShared(1, n_frames=16)
+    ep = _ScriptedEndpoint(2, [])
+    ctx = TeamContext("scripted", 0, 2, 1, EngineOptions(), shared, [None], None, None)
+    master = Master(ctx, WorkerState(team_id=0, worker_id=0), ep)
+    ep.own_load_fn = master.own_load
+    try:
+        master._begin_goal({"program": "queens", "args": [4], "goal": 1})
+        master._emit((2, 4, 1, 3))
+        master._forward_answers(now=True)
+        master._begin_goal({"program": "queens", "args": [4], "goal": 2})
+        master._emit((3, 1, 4, 2))
+        master._forward_answers()
+    finally:
+        shared.close()
+    answers = [dest for _, dest, kind in ep.sent if kind == transport.ANSWER]
+    assert answers == [transport.CLIENT_ID] * 2, "the second goal's first answer was held"
+
+
 def test_tcp_backend_gives_identical_answer_sets():
     expect = {
         "queens(8)": oracle.enumerate_answers(get_program("queens"), [8]),
@@ -707,6 +728,30 @@ def _cpu_seconds(pids):
         with open(f"/proc/{pid}/schedstat") as f:
             total += int(f.read().split()[0])
     return total / 1e9
+
+
+def _voluntary_switches(pid):
+    with open(f"/proc/{pid}/status") as f:
+        for line in f:
+            if line.startswith("voluntary_ctxt_switches:"):
+                return int(line.split()[1])
+    raise AssertionError(f"no voluntary_ctxt_switches for pid {pid}")
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc")
+def test_a_parked_master_blocks_until_a_frame_comes():
+    h = make_engine("parked_master", [1])
+    api.par_run_goal(h, "queens(6)")
+    assert sum(drain(h).values()) == 4
+    master = h._procs[0].pid
+    time.sleep(0.2)
+    before = _voluntary_switches(master)
+    time.sleep(2.0)
+    woke = _voluntary_switches(master) - before
+    api.par_run_goal(h, "queens(6)")
+    assert sum(drain(h).values()) == 4, "the parked master missed the next goal"
+    api.par_free_parallel_engine(h)
+    assert woke < 10, f"a parked master woke {woke} times in 2 s"
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc")
