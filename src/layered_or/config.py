@@ -8,8 +8,10 @@ from typing import Optional
 
 @dataclass
 class EngineOptions:
-    # busy-scheduler cadence: every k engine steps a worker drains its
-    # mailbox, and the master also polls its transport
+    # busy-scheduler cadence: a worker drains its mailbox, and the master
+    # also polls its transport, k engine steps after a tick that found
+    # something to do; quiet ticks double the spacing up to
+    # worker.TICK_SPACING_CAP * k steps
     k_backtracks: int = 32
     # a delegated worker accepts an inter-team request only with this many
     # open private alternatives (or a live public node of its own)

@@ -25,6 +25,10 @@ shared copy, the team's load register that ``load_sink`` writes, is updated
 at service ticks and when ``run_loop`` returns, not on every push and
 backtrack: teammates read it only to pick whom to ask for work, and a value
 one tick old is as good for that as an exact one.
+
+``run_loop``'s service hook sets its own tick spacing: ``service`` returns
+the number of steps to the next tick, or ``None`` to keep ``service_every``.
+A worker whose ticks find nothing to do can thus tick less often.
 """
 
 from __future__ import annotations
@@ -284,13 +288,16 @@ def allocate_dead_root(ws: WorkerState) -> None:
 
 def run_loop(ws: WorkerState, emit: Callable[[tuple], None], *,
              start_tag: Optional[int] = None,
-             service: Optional[Callable[[], None]] = None,
+             service: Optional[Callable[[], Optional[int]]] = None,
              service_every: int = 64) -> None:
     """Drive the worker depth-first until its open alternatives are exhausted.
 
     ``emit`` receives one projected answer per answer leaf. ``service`` runs
-    every ``service_every`` steps; sharing, message handling and teardown
-    checks happen there (it may raise to unwind the goal). A node expanded
+    at service ticks; sharing, message handling and teardown checks happen
+    there (it may raise to unwind the goal). The first tick falls after
+    ``service_every`` steps. Each later one falls after the number of steps
+    the previous ``service`` call returned (at least 1), or after
+    ``service_every`` steps if it returned ``None``. A node expanded
     in the step before a tick still owes its first alternative; the tick
     hands it back to the node for the length of ``service``, so ``service``
     sees stacks holding exactly the remaining work. A determinate node has
@@ -327,7 +334,6 @@ def run_loop(ws: WorkerState, emit: Callable[[tuple], None], *,
     while True:
         countdown -= 1
         if countdown == 0:
-            countdown = service_every
             held = None
             if tag is not None and cps:
                 if det is not None:
@@ -343,7 +349,10 @@ def run_loop(ws: WorkerState, emit: Callable[[tuple], None], *,
             ws.backtracks = backtracks
             if sink is not None:
                 sink(load)
-            service()
+            countdown = service()
+            if countdown is None:
+                countdown = service_every
+            assert countdown >= 1, "service must leave at least one step to the next tick"
             load = ws.load
             backtracks = ws.backtracks
             cps = ws.cps

@@ -6,9 +6,10 @@ region; ``boot`` starts them. Worker 0 is the team master: an ordinary
 worker that alone owns the transport endpoint and also runs the two
 inter-team scheduler halves (the idle scheduler when the whole team is out
 of work, the busy scheduler woven into its execution loop). It runs and
-waits in its teammates' loops, through two hooks: a pump that serves the
-transport and forwards answers while it waits, and the test that tells it
-the whole team is out of work. The client's goals enter through the master
+waits in its teammates' loops, through three hooks: a pump that serves the
+transport and forwards answers while it waits, a wait for mail that naps
+instead of blocking on the mailbox, and the test that tells it the whole
+team is out of work. The client's goals enter through the master
 team's master, and every worker parks in ``getwork_first_time`` between
 goals.
 
@@ -31,6 +32,15 @@ on its transport. Every put into a team queue (a mailbox or the answer
 pipe) is counted in ``TeamShared`` after it completes, so a reader that
 sees a count move by ``k`` reads exactly ``k`` messages and never asks the
 pipe whether it holds one.
+
+Ticks space themselves out while nobody asks for work. Each run starts
+ticking every ``k_backtracks`` steps. A tick that finds no mail (and, at a
+master, no frame on its transport) doubles the spacing, up to
+``TICK_SPACING_CAP`` × ``k_backtracks`` steps; a tick that finds any brings
+it back to ``k_backtracks``. A request to a busy worker is therefore seen
+within ``TICK_SPACING_CAP`` × ``k_backtracks`` steps, and the requests
+that follow it within ``k_backtracks``. A teammate waiting for a reply
+blocks on its mailbox meanwhile.
 
 A goal ends by credit recovery (Mattern, IPL 30(4), 1989). Team 0 starts
 it holding credit 1. Every SHARE_ACCEPT carries half of the sharer's
@@ -83,6 +93,10 @@ ANSWER_BATCH_CAP = 32 * 1024
 # see whether a failing master aborted the team, which sends no mail. Each
 # wake costs about 0.1 ms of CPU; the master waits 2 s for its teammates.
 PARKED_WAKE_S = 0.25
+# A busy worker's quiet ticks double their spacing up to this many times
+# ``k_backtracks`` steps. Almost every tick of a large goal is quiet, and
+# each costs a few microseconds; the cap bounds how long a request waits.
+TICK_SPACING_CAP = 32
 
 
 class GoalDone(Exception):
@@ -121,8 +135,10 @@ class TeamContext:
 class Worker:
     """A team worker: local scheduling plus delegated inter-team shares.
 
-    The master runs the same loops. It overrides two hooks: ``_pump``, which
-    keeps its transport and answer forwarding going while it waits, and
+    The master runs the same loops. It overrides three hooks: ``_pump``,
+    which keeps its transport and answer forwarding going while it waits,
+    ``_await_mail``, which naps instead of blocking so the pump keeps
+    running, and
     ``_team_out_of_work``, which lets ``_acquire_locally`` give up.
     """
 
@@ -136,6 +152,7 @@ class Worker:
         self._answer_bytes = 0             # their packed size, batch header aside
         self._last_flush = 0.0
         self._mail_seen = 0                # messages read from the mailbox
+        self._spacing = 0                  # steps from the last service tick to the next
 
     def _tell(self, rank: int, kind: str, meta: dict, payload=None) -> None:
         self.ctx.notify(self.rank, rank, kind, meta, payload)
@@ -147,6 +164,10 @@ class Worker:
     def _team_out_of_work(self) -> bool:
         """True once the whole team is out of work; a teammate never decides it."""
         return False
+
+    def _await_mail(self) -> None:
+        """Wait for mail, blocking in poll(2) on the mailbox's read end."""
+        self.ctx.mailboxes[self.rank]._reader.poll(PARKED_WAKE_S)
 
     # -- Alg. getwork: park, run, repeat ------------------------------------
     def getwork_first_time(self) -> None:
@@ -175,8 +196,7 @@ class Worker:
                 raise EngineShutdown
             mail = self._next_mail()
             if mail is None:
-                # sleep in poll(2) on the mailbox's read end until mail comes
-                ctx.mailboxes[self.rank]._reader.poll(PARKED_WAKE_S)
+                self._await_mail()
                 continue
             kind, meta, payload = mail
             if kind == N_HAS_WORK:
@@ -203,9 +223,10 @@ class Worker:
 
     # -- execution --------------------------------------------------------------
     def _run(self, start_tag=None) -> None:
+        self._spacing = k = self.ctx.options.k_backtracks
         try:
             run_loop(self.ws, self._emit, start_tag=start_tag, service=self._service,
-                     service_every=self.ctx.options.k_backtracks)
+                     service_every=k)
         except (GoalDone, EngineShutdown, ProtocolViolation):
             raise
         except Exception:
@@ -236,12 +257,19 @@ class Worker:
             self.ctx.shared.count_answer_batch(self.rank)
             self._last_flush = time.monotonic()
 
-    def _service(self) -> None:
+    def _service(self) -> int:
         if self.ctx.shared.aborted():
             raise EngineShutdown
         if self._answers and time.monotonic() - self._last_flush >= ANSWER_FLUSH_S:
             self._flush_answers()
-        self._drain_mailbox()
+        return self._next_spacing(self._drain_mailbox())
+
+    def _next_spacing(self, served: bool) -> int:
+        """Steps to the next tick: ``k_backtracks`` after a tick that ``served``
+        a message, else twice the last spacing, up to the cap."""
+        k = self.ctx.options.k_backtracks
+        self._spacing = k if served else min(2 * self._spacing, TICK_SPACING_CAP * k)
+        return self._spacing
 
     def _next_mail(self):
         """The next message of this worker's mailbox, or None if none is counted.
@@ -254,9 +282,12 @@ class Worker:
         self._mail_seen += 1
         return self.ctx.mailboxes[self.rank].get()
 
-    def _drain_mailbox(self) -> None:
+    def _drain_mailbox(self) -> bool:
+        """Dispatch every counted message; True if there was any."""
+        seen = self._mail_seen
         while (mail := self._next_mail()) is not None:
             self._dispatch(*mail)
+        return self._mail_seen != seen
 
     def _dispatch(self, kind, meta, payload) -> None:
         if kind == N_DELEGATE_REQUEST:
@@ -348,7 +379,8 @@ class Worker:
             self._pump()
             mail = self._next_mail()
             if mail is None:
-                time.sleep(0.00002)
+                # the reply may wait for the target's next tick, up to the cap
+                self._await_mail()
                 continue
             kind, m, payload = mail
             if kind in (N_DELEGATE_ACCEPT, N_DELEGATE_REFUSE) \
@@ -397,10 +429,15 @@ class Master(Worker):
             return -1
         return self.ctx.shared.team_load()
 
-    # -- the two hooks ------------------------------------------------------------
+    # -- the hooks -----------------------------------------------------------------
     def _pump(self) -> None:
         self._drain_transport(busy=False)
         self._forward_answers()
+
+    def _await_mail(self) -> None:
+        # blocking on the mailbox would leave the transport unserved; nap
+        # and pump again
+        time.sleep(0.00002)
 
     def _team_out_of_work(self) -> bool:
         shared = self.ctx.shared
@@ -514,12 +551,13 @@ class Master(Worker):
                 self._return_credit()
                 self._team_idle_scheduler()
 
-    def _service(self) -> None:
-        if self.ctx.shared.aborted():
-            raise EngineShutdown
-        self._drain_mailbox()
+    def _service(self) -> int:
+        # no abort check: only the master itself raises that flag
+        served = self._drain_mailbox()
+        polled = self._next_poll_count
         self._drain_transport(busy=True)
         self._forward_answers()
+        return self._next_spacing(served or self._next_poll_count != polled)
 
     # -- answers -------------------------------------------------------------------
     def _flush_answers(self) -> None:
@@ -845,15 +883,29 @@ def pack_answers(batch) -> bytes:
 
 
 def unpack_answers(raw: bytes) -> list[tuple]:
-    """Unpack a concatenation of packed batches into one answer list."""
+    """Unpack a concatenation of packed batches into one answer list.
+
+    Every count and length is checked against the bytes left before it is
+    used, so a malformed payload raises ``ProtocolViolation`` and never
+    builds a record format larger than the payload itself.
+    """
     answers = []
     off = 0
     end = len(raw)
     while off < end:
+        if end - off < 4:
+            raise ProtocolViolation("answer payload ends inside a batch count")
         (count,) = _U32.unpack_from(raw, off)
         off += 4
+        if 4 * count > end - off:
+            raise ProtocolViolation(f"answer batch of {count} runs past the payload")
         for _ in range(count):
+            if end - off < 4:
+                raise ProtocolViolation("answer payload ends inside an answer length")
             (n,) = _U32.unpack_from(raw, off)
+            size = 4 + 8 * n
+            if size > end - off:
+                raise ProtocolViolation(f"answer of {n} values runs past the payload")
             answers.append(_answer_record(n).unpack_from(raw, off)[1:])
-            off += 4 + 8 * n
+            off += size
     return answers

@@ -252,54 +252,34 @@ def test_rederive_rebuilds_alternatives_after_cache_drop():
 
 # -- service ticks ----------------------------------------------------------------
 
-def reference_tick_backtracks(name, args, every):
-    """``ws.backtracks`` at each tick of a plain loop over the public steps."""
+def reference_ticks(ws, tag, spacing):
+    """(backtracks, load) at each tick of a plain loop over the public steps
+    that starts at ``tag`` (None: with a fail). Tick ``i`` falls
+    ``spacing(i)`` steps after tick ``i - 1``, the first ``spacing(0)``
+    steps after the start. A node pushed in the step before a tick shows
+    its first alternative open, as ``run_loop`` hands it back for the tick;
+    the root tag of a goal has no node yet."""
     from layered_or.engine import EXPAND_CHOICE
 
-    ws, prog = fresh_worker(name, args)
     seen = []
     steps = 0
-    tag = prog.root_tag
+    next_tick = spacing(0)
     while True:
         steps += 1
-        if steps % every == 0:
-            seen.append(ws.backtracks)
+        if steps == next_tick:
+            seen.append((ws.backtracks, ws.load + (tag is not None and bool(ws.cps))))
+            next_tick += spacing(len(seen))
         if tag is None:
             tag = backtrack(ws)
             if tag is EXHAUSTED:
                 return seen
         ws._guard = pre_store = ws.H
         pre_trail = ws.TR
-        kind, payload = prog.expand(ws, tag)
+        kind, payload = ws.program.expand(ws, tag)
         if kind == EXPAND_CHOICE:
             tag = push_choice_point(ws, tag, payload, pre_store, pre_trail)
         else:
             tag = None
-
-
-@pytest.mark.parametrize("name,args", [("queens", [6]), ("rand_tree", [42, 6, 4])])
-@pytest.mark.parametrize("every", [1, 3, 32])
-def test_registers_are_exact_at_every_service_tick(name, args, every):
-    ws, prog = fresh_worker(name, args)
-    register = []
-    ws.load_sink = register.append
-    ticks = []
-
-    def service():
-        ticks.append(ws.backtracks)
-        assert ws.load == sum(cp.open_count() for cp in ws.cps if cp.frame < 0)
-        assert register and register[-1] == ws.load
-
-    got = Counter()
-    run_loop(ws, lambda a: got.update([a]), start_tag=prog.root_tag,
-             service=service, service_every=every)
-    assert ticks == reference_tick_backtracks(name, args, every)
-    assert register[-1] == ws.load == 0
-    assert got == oracle.enumerate_answers(prog, args)
-
-
-class _Stop(Exception):
-    pass
 
 
 def tree_size(name, args):
@@ -319,6 +299,69 @@ def tree_size(name, args):
         if kind == EXPAND_CHOICE:
             stack.extend((store.fork(), alt) for alt in payload)
     return nodes
+
+
+def exact_ticks(ws, limit, register=None, spacings=()):
+    """A service that records (backtracks, load) and checks the registers at
+    each tick, then returns the next of ``spacings`` (``None`` after them).
+    It fails once a run ticks more than ``limit`` times."""
+    ticks = []
+    spacings = iter(spacings)
+
+    def service():
+        ticks.append((ws.backtracks, ws.load))
+        assert len(ticks) <= limit, "run_loop ticked more often than it takes steps"
+        assert ws.load == sum(cp.open_count() for cp in ws.cps if cp.frame < 0)
+        if register is not None:
+            assert register and register[-1] == ws.load
+        return next(spacings, None)
+
+    return ticks, service
+
+
+@pytest.mark.parametrize("name,args", [("queens", [6]), ("rand_tree", [42, 6, 4])])
+@pytest.mark.parametrize("every", [1, 3, 32])
+def test_registers_are_exact_at_every_service_tick(name, args, every):
+    ws, prog = fresh_worker(name, args)
+    register = []
+    ws.load_sink = register.append
+    ticks, service = exact_ticks(ws, tree_size(name, args) + 1, register)
+    got = Counter()
+    run_loop(ws, lambda a: got.update([a]), start_tag=prog.root_tag,
+             service=service, service_every=every)
+    ref, _ = fresh_worker(name, args)
+    assert ticks == reference_ticks(ref, prog.root_tag, lambda i: every)
+    assert register[-1] == ws.load == 0
+    assert got == oracle.enumerate_answers(prog, args)
+
+
+@pytest.mark.parametrize("name,args", [("queens", [7]), ("rand_tree", [42, 6, 4]),
+                                       ("map_colouring", [1])])
+def test_ticks_fall_at_the_spacing_service_returns(name, args):
+    # a service that sets its own spacing, ``None`` meaning service_every
+    every = 5
+    size = tree_size(name, args)
+    pattern = [1, 7, None, 2, 40, 3, None, 1, 1, 13]
+    spacings = pattern * (size // len(pattern) + 1)
+    ws, prog = fresh_worker(name, args)
+    register = []
+    ws.load_sink = register.append
+    ticks, service = exact_ticks(ws, size + 1, register, spacings)
+    got = Counter()
+    run_loop(ws, lambda a: got.update([a]), start_tag=prog.root_tag,
+             service=service, service_every=every)
+    ref, _ = fresh_worker(name, args)
+    want = reference_ticks(ref, prog.root_tag,
+                           lambda i: every if i == 0 or spacings[i - 1] is None
+                           else spacings[i - 1])
+    assert len(want) > 3 * len(pattern)
+    assert ticks == want
+    assert register[-1] == ws.load == 0
+    assert got == oracle.enumerate_answers(prog, args)
+
+
+class _Stop(Exception):
+    pass
 
 
 @pytest.mark.parametrize("name,args", [("queens", [7]), ("rand_tree", [7, 8, 5]),
@@ -431,46 +474,16 @@ def stacked_dead_nodes(cached):
     return ws, prog
 
 
-def plain_backtrack_ticks(ws, every):
-    """(backtracks, load) at each tick of a loop that fails through ``backtrack``;
-    a node pushed in the step before a tick shows its first alternative open,
-    as ``run_loop`` hands it back for the tick."""
-    from layered_or.engine import EXPAND_CHOICE
-
-    seen = []
-    steps = 0
-    tag = None
-    while True:
-        steps += 1
-        if steps % every == 0:
-            seen.append((ws.backtracks, ws.load + (tag is not None)))
-        if tag is None:
-            tag = backtrack(ws)
-            if tag is EXHAUSTED:
-                return seen
-        ws._guard = pre_store = ws.H
-        pre_trail = ws.TR
-        kind, payload = ws.program.expand(ws, tag)
-        if kind == EXPAND_CHOICE:
-            tag = push_choice_point(ws, tag, payload, pre_store, pre_trail)
-        else:
-            tag = None
-
-
 @pytest.mark.parametrize("cached", [True, False])
 @pytest.mark.parametrize("every", [1, 2, 5])
 def test_inline_dead_node_pops_keep_registers_and_leave_the_frame_once(cached, every):
     ref, _ = stacked_dead_nodes(cached)
-    want = plain_backtrack_ticks(ref, every)
+    want = reference_ticks(ref, None, lambda i: every)
     assert ref.frames.left == [0]
 
     ws, prog = stacked_dead_nodes(cached)
-    ticks = []
-
-    def service():
-        ticks.append((ws.backtracks, ws.load))
-        assert ws.load == sum(cp.open_count() for cp in ws.cps if cp.frame < 0)
-
+    # what is left of spread(6,3) is part of its tree
+    ticks, service = exact_ticks(ws, tree_size("spread", (6, 3)) + 1)
     answers = []
     run_loop(ws, answers.append, service=service, service_every=every)
     assert ticks == want

@@ -4,9 +4,12 @@ import multiprocessing
 import multiprocessing.queues
 import os
 import pickle
+import random
+import resource
 import signal
 import subprocess
 import sys
+import threading
 import time
 from collections import Counter, deque
 from pathlib import Path
@@ -381,6 +384,160 @@ def test_answer_batches_stay_under_the_cap(monkeypatch):
     assert min(sizes[1:-1]) > ANSWER_BATCH_CAP - 64, "the cap cut a batch early"
     got = Counter(unpack_answers(b"".join(raw for _, raw in puts)))
     assert got == oracle.enumerate_answers(get_program("spread"), [6, 5])
+
+
+class _Box:
+    """An in-process mailbox that notes the step at which each message came."""
+
+    def __init__(self, steps):
+        self.steps = steps
+        self.items = deque()
+        self.log = []                     # (step, message kind)
+
+    def put(self, item):
+        self.items.append(item)
+        self.log.append((self.steps.count, item[0]))
+
+    def get(self):
+        return self.items.popleft()
+
+
+class _Counted:
+    """A program that counts its expansions, one per ``run_loop`` step, and
+    calls ``at_step`` before each."""
+
+    def __init__(self, program, at_step=lambda step: None):
+        self.program = program
+        self.root_tag = program.root_tag
+        self.at_step = at_step
+        self.count = 0
+
+    def expand(self, store, tag):
+        self.count += 1
+        self.at_step(self.count)
+        return self.program.expand(store, tag)
+
+
+def no_fork_teammate(goal, args, n_frames=16):
+    """Worker 1 of a two-worker team, driven in this process; worker 0's
+    mailbox only records what it is sent."""
+    shared = TeamShared(2, n_frames=n_frames)
+    steps = _Counted(get_program(goal))
+    boxes = [_Box(steps), _Box(steps)]
+    tctx = TeamContext("ticks", 0, 1, 2, EngineOptions(), shared, boxes, _Box(steps), None)
+    teammate = Worker(tctx, WorkerState(team_id=0, worker_id=1), 1)
+    teammate._begin_goal({"program": goal, "args": args, "goal": 1})
+    teammate.ws.program = steps
+    return teammate, steps
+
+
+def test_quiet_ticks_widen_and_one_message_narrows_them():
+    teammate, steps = no_fork_teammate("queens", [9])
+    shared, box = teammate.ctx.shared, teammate.ctx.mailboxes[1]
+    k = teammate.ctx.options.k_backtracks
+    cap = worker.TICK_SPACING_CAP * k
+    service = teammate._service
+    ticks = []                            # (step at the tick, spacing returned)
+    mail_at = [7]                         # the first run's eighth tick finds mail
+
+    def watched():
+        if mail_at and len(ticks) == mail_at[0]:
+            mail_at.clear()
+            # a stale goal's notice: counted mail that asks for nothing
+            box.put((worker.N_GOAL_DONE, {"goal": 0}, None))
+            shared.count_mail(0, 1)
+        spacing = service()
+        ticks.append((steps.count + 1, spacing))
+        return spacing
+
+    teammate._service = watched
+    try:
+        teammate._run(start_tag=steps.root_tag)
+        first_run = list(ticks)
+        ticks.clear()
+        steps.count = 0
+        teammate.ws.reset_to_base()
+        teammate._run(start_tag=steps.root_tag)
+    finally:
+        shared.close()
+    widening = [min(k << i, cap) for i in range(1, 20)]
+    for run in (first_run, ticks):
+        assert run[0][0] == k, "a run's first tick did not fall after k_backtracks steps"
+        # each tick falls the spacing its predecessor returned after it
+        assert [b[0] - a[0] for a, b in zip(run, run[1:])] == [s for _, s in run[:-1]]
+    assert [s for _, s in first_run] == widening[:7] + [k] + widening[:len(first_run) - 8]
+    assert [s for _, s in ticks] == widening[:len(ticks)]
+    assert len(ticks) > 8 and ticks[-2][1] == cap
+
+
+def test_a_busy_teammate_answers_a_share_request_within_the_widest_spacing():
+    # requests come in at arbitrary steps, after gaps long enough for the
+    # spacing to widen to the cap; every one is answered at the next tick
+    rng = random.Random(7)
+    teammate, steps = no_fork_teammate("queens", [10], n_frames=4096)
+    shared, box = teammate.ctx.shared, teammate.ctx.mailboxes[1]
+    teammate.ws.frames = shared
+    cap = worker.TICK_SPACING_CAP * teammate.ctx.options.k_backtracks
+    asked = []
+    replies = teammate.ctx.mailboxes[0].log
+    next_ask = [rng.randrange(1, 3 * cap)]
+
+    def at_step(step):
+        if step >= next_ask[0] and len(replies) == len(asked):
+            asked.append(step)
+            box.put((worker.N_DELEGATE_REQUEST, {"goal": 1, "local": 0}, None))
+            shared.count_mail(0, 1)
+            next_ask[0] = step + rng.randrange(1, 3 * cap)
+
+    steps.at_step = at_step
+    got = Counter()
+    teammate._emit = lambda a: got.update([a])
+    try:
+        teammate._run(start_tag=steps.root_tag)
+    finally:
+        shared.close()
+    if len(replies) < len(asked):
+        asked.pop()                       # asked after the run's last tick
+    assert len(asked) >= 8
+    assert {kind for _, kind in replies} >= {worker.N_DELEGATE_ACCEPT}
+    waits = [answered - at for at, (answered, _) in zip(asked, replies)]
+    assert max(waits) < cap, f"a request waited {max(waits)} steps"
+    # nobody took the published work, so this worker found every answer
+    assert got == oracle.enumerate_answers(get_program("queens"), [10])
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RUSAGE_THREAD is Linux-only")
+def test_a_teammate_waiting_for_a_reply_blocks_on_its_mailbox():
+    ctx = multiprocessing.get_context("fork")
+    shared = TeamShared(3, n_frames=16)
+    boxes = [ctx.SimpleQueue() for _ in range(3)]
+    tctx = TeamContext("wait", 0, 1, 3, EngineOptions(), shared, boxes, None, None)
+    requester = Worker(tctx, WorkerState(team_id=0, worker_id=1), 1)
+    requester.goal_id = 1
+
+    def busy_target():
+        _, meta, _ = boxes[2].get()
+        time.sleep(0.3)                   # until the target's next tick
+        tctx.notify(2, 1, worker.N_DELEGATE_REFUSE, meta)
+
+    target = threading.Thread(target=busy_target)
+    # a requester that misses the reply shuts down instead of hanging
+    watchdog = threading.Timer(10.0, shared.signal_abort)
+    target.start()
+    watchdog.start()
+    try:
+        before = resource.getrusage(resource.RUSAGE_THREAD).ru_nvcsw
+        t0 = time.monotonic()
+        assert requester._request_from(2) is False
+        waited = time.monotonic() - t0
+        switches = resource.getrusage(resource.RUSAGE_THREAD).ru_nvcsw - before
+    finally:
+        watchdog.cancel()
+        target.join(timeout=5.0)
+        shared.close()
+    assert not target.is_alive()
+    assert waited >= 0.3
+    assert switches < 20, f"a requester woke {switches} times waiting 0.3 s for a reply"
 
 
 def test_frame_recycled_after_last_member_leaves():

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from layered_or import transport
 from layered_or.errors import EngineCreationError, EngineError, ProtocolViolation
 from layered_or.splitting import CP_RECORD_LEN, AuxArea, deserialize_aux, serialize_aux
+from layered_or.worker import pack_answers, unpack_answers
 from layered_or.transport import (
     QueueMesh,
     TcpEndpoint,
@@ -143,6 +144,36 @@ def test_fuzzed_aux_areas_raise_only_protocol_violation(data):
     except ProtocolViolation:
         return
     assert len(aux.store_cells) == aux.store_hi - aux.store_lo
+
+
+# two batches, as an ANSWER payload concatenates them
+_BATCHES = pack_answers([(1, -2, 3), (), (1 << 62,)]) + pack_answers([(7, 8)])
+
+
+@given(st.binary(max_size=120) | _mutations(_BATCHES))
+@settings(max_examples=400, deadline=None)
+def test_fuzzed_answer_payloads_raise_only_protocol_violation(data):
+    try:
+        answers = unpack_answers(data)
+    except ProtocolViolation:
+        return
+    # what unpacks filled the payload exactly: a count per batch, a length
+    # and the values per answer
+    assert all(isinstance(v, int) for answer in answers for v in answer)
+    assert (len(data) - sum(4 + 8 * len(a) for a in answers)) % 4 == 0
+
+
+@pytest.mark.parametrize("raw", [
+    _BATCHES[:2],                                      # ends inside a batch count
+    _BATCHES[:-5],                                     # a record runs past the payload
+    _BATCHES + b"\x01",                               # trailing bytes
+    struct.pack("<I", 5) + struct.pack("<Iq", 1, 9),   # more answers than bytes
+    struct.pack("<II", 1, (1 << 31) - 1) + bytes(16),  # a length far past the payload
+], ids=["cut-count", "cut-record", "trailing", "count-past-end", "huge-length"])
+def test_malformed_answer_payloads_are_protocol_violations(raw):
+    assert unpack_answers(_BATCHES) == [(1, -2, 3), (), (1 << 62,), (7, 8)]
+    with pytest.raises(ProtocolViolation):
+        unpack_answers(raw)
 
 
 # -- socket-pair mesh ------------------------------------------------------------------
