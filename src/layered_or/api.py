@@ -339,6 +339,7 @@ def _launch_teams(handle: EngineHandle, ctx) -> None:
         handle._ep.dial(0, host, port)
     else:
         handle._ep = handle._mesh.endpoint(handle.name, CLIENT_ID)
+        handle._mesh.close_others(CLIENT_ID)    # every master is forked by now
 
     for chan in handle._channels:
         _ctrl_get(chan, opts.ready_timeout_s, expect="ready")

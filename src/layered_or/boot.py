@@ -12,6 +12,15 @@ Every process of a team dies with the process that started it: a master
 with the client or agent that built its boot record, a teammate with its
 master. On Linux the kernel sends the ``PR_SET_PDEATHSIG`` signal, so a
 killed client leaves no process behind.
+
+Start-up cost is paid once in the client, not in every fork. Importing
+this module imports everything a master and its teammates use, the
+multiprocessing lock and queue modules included, and resolves ``prctl``
+through ``ctypes``; forked processes inherit both. Each master then pays
+for its own work only: the team's ``TeamShared`` region and its one
+semaphore, a pipe per mailbox plus the answer pipe, one fork per teammate,
+closing the inproc links it does not own (or setting up its tcp links),
+and one ``prctl`` call. Each teammate pays one ``prctl`` call.
 """
 
 from __future__ import annotations
@@ -20,6 +29,8 @@ from __future__ import annotations
 import ctypes
 import json
 import multiprocessing
+import multiprocessing.queues        # a team's mailboxes and answer pipe
+import multiprocessing.synchronize   # the lock of a team's TeamShared
 import os
 import signal
 import socket
@@ -78,22 +89,29 @@ class MasterBoot:
     parent_pid: int = field(default_factory=os.getpid)
 
 
+def _resolve_prctl():
+    if not sys.platform.startswith("linux"):
+        return None
+    prctl = ctypes.CDLL(None, use_errno=True).prctl
+    prctl.argtypes = [ctypes.c_int, ctypes.c_ulong, ctypes.c_ulong,
+                      ctypes.c_ulong, ctypes.c_ulong]
+    prctl.restype = ctypes.c_int
+    return prctl
+
+
+_PRCTL = _resolve_prctl()      # resolved once; every forked process inherits it
+_PR_SET_PDEATHSIG = 1
+
+
 def _die_with_parent(parent_pid: int) -> None:
     """Have the kernel kill this process when its parent dies (Linux only).
 
     Exits at once if the parent is already gone: the signal is only armed
     for a parent that is still alive.
     """
-    if sys.platform.startswith("linux"):
-        libc = ctypes.CDLL(None, use_errno=True)
-        prctl = libc.prctl
-        prctl.argtypes = [ctypes.c_int, ctypes.c_ulong, ctypes.c_ulong,
-                          ctypes.c_ulong, ctypes.c_ulong]
-        prctl.restype = ctypes.c_int
-        pr_set_pdeathsig = 1
-        if prctl(pr_set_pdeathsig, signal.SIGKILL, 0, 0, 0) != 0:
-            err = ctypes.get_errno()
-            raise OSError(err, f"prctl(PR_SET_PDEATHSIG): {os.strerror(err)}")
+    if _PRCTL is not None and _PRCTL(_PR_SET_PDEATHSIG, signal.SIGKILL, 0, 0, 0) != 0:
+        err = ctypes.get_errno()
+        raise OSError(err, f"prctl(PR_SET_PDEATHSIG): {os.strerror(err)}")
     if os.getppid() != parent_pid:
         os._exit(0)
 
@@ -134,15 +152,17 @@ def master_entry(boot: MasterBoot) -> None:
         tctx = TeamContext(boot.engine_id, boot.team_id, boot.n_teams,
                            boot.n_workers, boot.options, shared, mailboxes,
                            ctx.SimpleQueue(), boot.trace_queue)
+        if boot.transport_kind == "inproc":
+            # once only its owner holds an end, a dead owner reads as EOF
+            ep = boot.mesh.endpoint(boot.engine_id, boot.team_id)
+            boot.mesh.close_others(boot.team_id)
         for rank in range(1, boot.n_workers):
             p = ctx.Process(target=worker_process_main, args=(tctx, rank),
                             daemon=True, name=f"{boot.engine_id}-t{boot.team_id}w{rank}")
             p.start()
             workers.append(p)
 
-        if boot.transport_kind == "inproc":
-            ep = boot.mesh.endpoint(boot.engine_id, boot.team_id)
-        else:
+        if boot.transport_kind == "tcp":
             ep = TcpEndpoint(boot.engine_id, boot.team_id, boot.n_teams,
                              delay=boot.options.delay)
             srv, port = ep.listen(boot.bind_host)

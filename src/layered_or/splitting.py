@@ -162,8 +162,9 @@ def horizontal_split(ws: WorkerState, aux: AuxArea) -> None:
     """Split the open alternatives inside every live node between both sides.
 
     Each side's offset doubles; the sharer keeps its cursor, the copy starts
-    one pre-split step later. Applied to the or-frame (under lock) for public
-    nodes and to the serialized record for the copy's side.
+    one pre-split step later (or at ``n_alts`` when that step passes it, so
+    no record's cursor lies past its node). Applied to the or-frame (under
+    lock) for public nodes and to the serialized record for the copy's side.
     """
     frames = ws.frames
     for cp, rec in zip(ws.cps, aux.cp_records):
@@ -173,14 +174,14 @@ def horizontal_split(ws: WorkerState, aux: AuxArea) -> None:
                 if c >= n:
                     continue
                 frames.hsplit_locked(cp.frame)
-                rec[2] = c + s
+                rec[2] = min(c + s, n)
                 rec[3] = 2 * s
         else:
             if cp.is_dead():
                 continue
             c, s = cp.cursor, cp.split_offset
             cp.split_offset = 2 * s
-            rec[2] = c + s
+            rec[2] = min(c + s, cp.n_alts)
             rec[3] = 2 * s
     _recount_private(ws)
     aux.recount_load()
@@ -304,12 +305,44 @@ def deserialize_aux(data: bytes) -> AuxArea:
                    root_depth, cells, records, entries)
 
 
+def check_aux(aux: AuxArea) -> None:
+    """Reject an aux area whose records no sender could have written.
+
+    Each record's cursor lies within its node, its offset is a power of two,
+    and its store and trail marks never fall below its parent's, nor below
+    the segment starts, nor past the segment ends. Every trailed cell lies
+    in the store segment.
+    """
+    store_lo, trail_lo = aux.store_lo, aux.trail_lo
+    if store_lo < 0 or not aux.cp_records:
+        raise ProtocolViolation("aux area starts below cell 0 or holds no choice point")
+    cells = [cell for cell, _ in aux.trail_entries]
+    if cells and not (store_lo <= min(cells) and max(cells) < aux.store_hi):
+        raise ProtocolViolation("a trailed cell lies outside the store segment")
+    for rec in aux.cp_records:
+        _, n_alts, cursor, offset, store_mark, trail_mark, _ = rec
+        if not 0 <= cursor <= n_alts:
+            raise ProtocolViolation(f"cursor {cursor} outside a node of {n_alts} alternatives")
+        if offset <= 0 or offset & (offset - 1):
+            raise ProtocolViolation(f"split offset {offset} is not a power of two")
+        if store_mark < store_lo or trail_mark < trail_lo:
+            raise ProtocolViolation("choice point marks fall below its parent's or the segment starts")
+        store_lo, trail_lo = store_mark, trail_mark
+    if store_lo > aux.store_hi or trail_lo > aux.trail_hi:
+        raise ProtocolViolation("choice point marks pass the segment ends")
+
+
 def install_aux(ws: WorkerState, aux: AuxArea) -> None:
     """Unpack an aux area into this worker's stacks; every node arrives private."""
     from .engine import install_segments
 
     if aux.load <= 0:
         raise ProtocolViolation("refusing to install a zero-load payload")
+    check_aux(aux)
+    if aux.store_lo > len(ws.store):
+        # a receiver installs at its goal's initial store, which the root's reaches
+        raise ProtocolViolation(f"store segment starts at {aux.store_lo}, "
+                                f"past the local store top {len(ws.store)}")
     install_segments(ws, aux.store_lo, aux.store_cells,
                      [tuple(r) for r in aux.cp_records],
                      aux.trail_lo, aux.trail_entries)

@@ -18,13 +18,19 @@ into one queue are serialized by its write lock and each completes before
 its bump, so the first ``k`` messages in the pipe are whole and a read
 never waits on a message that is still being written.
 
-Frame cursor/offset fields are read and written only under the frame's
-stripe lock. ``public_alts`` counts open alternatives currently owned by
-live frames; the team is out of work exactly when every worker is idle and
-this count is zero. It is the sum of one single-writer counter per worker:
-a worker adds what its own ``alloc``, ``take``, ``kill_locked`` and
+One team lock guards the whole pool, the free list and every frame's
+fields, and is the region's only POSIX semaphore. ``lock(idx)`` returns it,
+so callers still name the frame they lock. A team makes a few hundred frame
+operations per goal and no caller holds two frame locks, so finer locks
+would buy nothing, and each would cost a semaphore to build at every team
+start. Frame cursor/offset fields are read and written only under the lock.
+
+``public_alts`` counts open alternatives currently owned by live frames;
+the team is out of work exactly when every worker is idle and this count
+is zero. It is the sum of one single-writer counter per worker: a worker
+adds what its own ``alloc``, ``take``, ``kill_locked`` and
 ``hsplit_locked`` calls move into or out of frames to its own slot, so a
-``take`` holds one lock, its frame's. A single slot may go negative (one
+``take`` takes the lock once. A single slot may go negative (one
 worker allocates a frame, another takes from it); only the sum has a
 meaning. The sum is exact whenever no worker is busy, which is when the
 idle test reads it. Each process binds its rank into its own (forked) copy
@@ -48,8 +54,6 @@ _BANKS = 5                 # ready, idle, load, public nodes, public alts
 _FRAME_SLOTS = 6           # n_alts, cursor, split_offset, members, depth, next_free
 _F_NALTS, _F_CURSOR, _F_OFFSET, _F_MEMBERS, _F_DEPTH, _F_NEXT = range(_FRAME_SLOTS)
 
-_N_STRIPES = 64
-
 
 class FramePoolExhausted(RuntimeError):
     """No free or-frame slot; the sharing attempt must be refused."""
@@ -69,9 +73,8 @@ class TeamShared:
         self._mm = mmap.mmap(-1, size)
         self._mv = memoryview(self._mm).cast("q")
         self._mv[_SLOT_FREE_HEAD] = -1
-        self._pool_lock = ctx.Lock()
+        self._lock = ctx.Lock()
         self._alts_slot = self._warr(4, 0)
-        self._stripes = [ctx.Lock() for _ in range(_N_STRIPES)]
 
     def bind(self, rank: int) -> None:
         """Make this process's frame calls count in worker ``rank``'s slot."""
@@ -145,13 +148,13 @@ class TeamShared:
         return self._frames_off + idx * _FRAME_SLOTS
 
     def lock(self, idx: int):
-        """The stripe lock of frame ``idx``, for a ``with`` statement."""
-        return self._stripes[idx % _N_STRIPES]
+        """The lock of frame ``idx``, for a ``with`` statement."""
+        return self._lock
 
     def alloc(self, n_alts: int, cursor: int, split_offset: int, depth: int) -> int:
         """Create a frame for a freshly published node; counts its open load."""
         mv = self._mv
-        with self._pool_lock:
+        with self._lock:
             idx = mv[_SLOT_FREE_HEAD]
             if idx >= 0:
                 mv[_SLOT_FREE_HEAD] = mv[self._base(idx) + _F_NEXT]
@@ -199,11 +202,9 @@ class TeamShared:
         mv = self._mv
         with self.lock(idx):
             mv[base + _F_MEMBERS] -= 1
-            recycle = mv[base + _F_MEMBERS] == 0 and mv[base + _F_CURSOR] >= mv[base + _F_NALTS]
-            if recycle:
-                with self._pool_lock:
-                    mv[base + _F_NEXT] = mv[_SLOT_FREE_HEAD]
-                    mv[_SLOT_FREE_HEAD] = idx
+            if mv[base + _F_MEMBERS] == 0 and mv[base + _F_CURSOR] >= mv[base + _F_NALTS]:
+                mv[base + _F_NEXT] = mv[_SLOT_FREE_HEAD]
+                mv[_SLOT_FREE_HEAD] = idx
 
     def kill_locked(self, idx: int) -> int:
         """Move all remaining alternatives out of the frame (caller holds lock).

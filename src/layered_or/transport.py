@@ -343,7 +343,10 @@ class TcpEndpoint(Endpoint):
             conn = self._conns[dest]
         except KeyError:
             raise EngineError(f"no connection to {dest:#x}") from None
-        conn.sendall(frame)
+        try:
+            conn.sendall(frame)
+        except OSError as exc:
+            raise EngineError(f"connection to peer {dest:#x} failed: {exc}") from None
 
     def _receive(self) -> Optional[bytes]:
         if self._delay is not None:
@@ -436,9 +439,9 @@ class QueueMesh:
 
     Build it before forking the masters; each process then attaches its own
     ends with ``endpoint`` and alone reads them, since a second reader would
-    split the stream. ``ctx`` is unused, since a socket pair needs no
-    multiprocessing context; callers written for the queue links this mesh
-    once held still pass one.
+    split the stream, and closes the rest with ``close_others``. ``ctx`` is
+    unused, since a socket pair needs no multiprocessing context; callers
+    written for the queue links this mesh once held still pass one.
     """
 
     def __init__(self, n_teams: int, ctx=None, delay: tuple[int, float, float] | None = None):
@@ -452,6 +455,17 @@ class QueueMesh:
     def close(self) -> None:
         for end in self.ends.values():
             end.close()
+
+    def close_others(self, owner: int) -> None:
+        """Close every end that ``owner`` does not own.
+
+        The client calls this once it has forked every master, and each
+        master before it forks its teammates. Then each end is held only by
+        its owner's processes, and when the owner dies its peers read EOF.
+        """
+        for (own, _), end in self.ends.items():
+            if own != owner:
+                end.close()
 
     def endpoint(self, engine_id: str, team_id: int, own_load_fn=None) -> TcpEndpoint:
         ep = TcpEndpoint(engine_id, team_id, self.n_teams, own_load_fn, self.delay)

@@ -1,6 +1,7 @@
 import multiprocessing
 import os
 import pickle
+import sys
 
 import pytest
 
@@ -35,6 +36,42 @@ class Faulty:
 
 # engine processes are forked from the test process, so they see it too
 programs.register(Faulty())
+
+
+def children_of(pid):
+    """Pids of the live (not yet exited) child processes of ``pid`` (Linux)."""
+    kids = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat") as f:
+                fields = f.read().rsplit(")", 1)[1].split()
+        except OSError:
+            continue
+        if int(fields[1]) == pid and fields[0] not in ("Z", "X"):
+            kids.append(int(entry))
+    return kids
+
+
+def _describe(pid):
+    try:
+        with open(f"/proc/{pid}/cmdline", "rb") as f:
+            argv = f.read().split(b"\0")
+    except OSError:
+        return str(pid)
+    return f"{pid} ({b' '.join(argv).decode(errors='replace').strip()})"
+
+
+@pytest.fixture(scope="session", autouse=True)
+def no_process_outlives_the_session():
+    """Fail the session if a child process of the test process is still alive
+    once every engine is freed."""
+    yield
+    api._free_all()
+    if sys.platform.startswith("linux"):
+        left = children_of(os.getpid())
+        assert not left, "processes outlived the tests: " + ", ".join(map(_describe, left))
 
 
 @pytest.fixture(autouse=True)

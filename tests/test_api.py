@@ -190,6 +190,7 @@ def test_max_returns_available_without_blocking():
     wait_finished(h)
     got, n = api.par_get_answers(h, ("max", 10))
     assert n == 4 and len(got) == 4
+    api.par_free_parallel_engine(h)
 
 
 def test_exact_blocks_until_finish_returns_remainder():

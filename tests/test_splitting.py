@@ -1,9 +1,13 @@
 """Splitting strategies and the packed transfer area."""
 
 import random
+import struct
 from collections import Counter
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from layered_or import engine, splitting
 from layered_or.engine import ChoicePoint, WorkerState, count_open, run_loop, setup_goal
@@ -37,12 +41,13 @@ def stack_of(ws, open_counts, n_alts=4):
     ws.set_load(sum(cp.open_count() for cp in ws.cps))
 
 
-def paused_worker(args=(42, 7, 4), backtracks=25, shared=None):
-    """Run rand_tree for a while and pause at a scheduler-safe point."""
+def paused_worker(args=(42, 7, 4), backtracks=25, shared=None, program="rand_tree"):
+    """Run a program (rand_tree unless told) for a while and pause at a
+    scheduler-safe point."""
     ws = WorkerState()
     if shared is not None:
         ws.frames = shared
-    prog = get_program("rand_tree")
+    prog = get_program(program)
     setup_goal(ws, prog, list(args), None)
     seen = Counter()
 
@@ -408,3 +413,123 @@ def test_install_rejects_zero_load_payload():
     aux = snapshot_to_aux(ws)
     with pytest.raises(ProtocolViolation):
         install_aux(WorkerState(), aux)
+
+
+# -- what install_aux accepts ------------------------------------------------------
+
+# (program, args, backtracks before the split, strategy); queens trails its row writes
+_SENDERS = [("queens", (8,), 40, "hs"), ("queens", (8,), 90, "vs"),
+            ("rand_tree", (42, 7, 4), 25, "hs"), ("map_colouring", (1,), 200, "vs")]
+
+
+@lru_cache(maxsize=None)
+def sent_aux(which: int) -> bytes:
+    """The serialized aux area a sender ships after a real split."""
+    program, args, backtracks, strategy = _SENDERS[which]
+    ws, _, _ = paused_worker(args, backtracks, program=program)
+    aux = splitting.split_for_transfer(ws, goal_id=1, strategy=strategy)
+    assert aux.load > 0 and aux.cp_count > 1
+    return serialize_aux(aux)
+
+
+def receiver(which: int) -> WorkerState:
+    program, args, _, _ = _SENDERS[which]
+    ws = WorkerState()
+    setup_goal(ws, get_program(program), list(args), None)
+    return ws
+
+
+def _cursor_past_its_node(aux):
+    aux.cp_records[-1][2] = aux.cp_records[-1][1] + 1
+
+
+def _offset_not_a_power_of_two(aux):
+    aux.cp_records[-1][3] = 3
+
+
+def _offset_zero(aux):
+    aux.cp_records[-1][3] = 0
+
+
+def _store_marks_decrease(aux):
+    aux.cp_records[-1][4] = aux.cp_records[-2][4] - 1
+
+
+def _trail_marks_decrease(aux):
+    aux.cp_records[-1][5] = aux.cp_records[-2][5] - 1
+
+
+def _store_lo_above_the_root(aux):
+    aux.store_lo = aux.cp_records[0][4] + 1
+    aux.store_hi = aux.store_lo + len(aux.store_cells)
+
+
+def _marks_past_the_segment_end(aux):
+    aux.cp_records[-1][4] = aux.store_hi + 1
+
+
+def _trailed_cell_outside_the_store(aux):
+    aux.trail_entries[-1] = (aux.store_hi, 0)
+
+
+def _store_far_past_the_local_top(aux):
+    aux.store_lo += 1 << 40
+    aux.store_hi += 1 << 40
+    for rec in aux.cp_records:
+        rec[4] += 1 << 40
+    aux.trail_entries = [(cell + (1 << 40), prev) for cell, prev in aux.trail_entries]
+
+
+@pytest.mark.parametrize("mutate", [
+    _cursor_past_its_node, _offset_not_a_power_of_two, _offset_zero, _store_marks_decrease,
+    _trail_marks_decrease, _store_lo_above_the_root, _marks_past_the_segment_end,
+    _trailed_cell_outside_the_store, _store_far_past_the_local_top,
+], ids=lambda f: f.__name__.strip("_"))
+def test_install_rejects_an_aux_area_no_sender_writes(mutate):
+    install_aux(receiver(0), deserialize_aux(sent_aux(0)))     # as sent, it installs
+    aux = deserialize_aux(sent_aux(0))
+    assert aux.trail_entries, "the sample trails no write"
+    mutate(aux)
+    with pytest.raises(ProtocolViolation):
+        install_aux(receiver(0), aux)
+
+
+@pytest.mark.parametrize("which", range(len(_SENDERS)))
+def test_every_record_a_split_ships_passes_the_install_checks(which):
+    aux = deserialize_aux(sent_aux(which))
+    ws = receiver(which)
+    install_aux(ws, aux)
+    assert ws.load == aux.load
+
+
+def test_a_horizontal_split_ships_no_cursor_past_its_node():
+    # a 6-way node's last open alternative, 3, after narrowing gave it offset 4:
+    # one pre-split step later is 7, which the record clamps to 6
+    ws = WorkerState()
+    ws.cps.append(ChoicePoint(0, 6, 3, 4, 0, 0, 0, alts=list(range(6)),
+                              post_store=0, post_trail=0))
+    ws.set_load(1)
+    aux = snapshot_to_aux(ws)
+    horizontal_split(ws, aux)
+    assert aux.cp_records[0][2:4] == [6, 8]
+    assert open_set(6, ws.cps[0].cursor, ws.cps[0].split_offset) == {3}
+    splitting.check_aux(aux)
+
+
+_WORD = st.integers(-3, 70) | st.integers(-(1 << 63), (1 << 63) - 1)
+
+
+@given(st.integers(0, len(_SENDERS) - 1),
+       st.lists(st.tuples(st.integers(0, 1 << 16), _WORD), min_size=1, max_size=4),
+       st.integers(0, 16), st.binary(max_size=16))
+@settings(max_examples=400, deadline=None)
+def test_fuzzed_aux_payloads_install_or_raise_only_protocol_violation(which, edits, cut, tail):
+    data = bytearray(sent_aux(which))
+    n_words = len(data) // 8
+    for pos, value in edits:
+        struct.pack_into("<q", data, 8 * (pos % n_words), value)
+    data = bytes(data[:len(data) - cut]) + tail
+    try:
+        install_aux(receiver(which), deserialize_aux(data))
+    except ProtocolViolation:
+        pass

@@ -1,7 +1,9 @@
 """Team runtime: spawning, intra-team sharing, or-frame arbitration, answers."""
 
+import json
 import multiprocessing
 import multiprocessing.queues
+import multiprocessing.synchronize
 import os
 import pickle
 import random
@@ -15,11 +17,12 @@ from collections import Counter, deque
 from pathlib import Path
 
 import pytest
+from conftest import children_of
 
 from layered_or import api, oracle, transport, worker
 from layered_or.config import EngineOptions
 from layered_or.engine import ChoicePoint, WorkerState, count_open, run_loop, setup_goal
-from layered_or.errors import EngineCreationError
+from layered_or.errors import EngineCreationError, EngineError
 from layered_or.programs import get_program
 from layered_or.team import TeamShared, publish_private_nodes
 from layered_or.worker import (
@@ -72,6 +75,64 @@ def test_ready_bitmap_counts_teammates_before_master_passes():
 def test_zero_worker_team_rejected_at_creation():
     with pytest.raises(EngineCreationError):
         make_engine("zero", [0])
+
+
+# a fresh client that creates a [2] engine and prints the names its master
+# imported between its fork and its ready reply, as one json list
+_IMPORTING_CLIENT = """
+import json, sys
+from layered_or import api, boot
+at_fork, replies = {}, []
+entry, put, ctrl_get = boot.master_entry, boot.SocketChannel.put, api._ctrl_get
+
+def snapshot_entry(b):
+    at_fork["modules"] = set(sys.modules)
+    entry(b)
+
+def put_with_imports(self, obj):
+    if "ready" in obj:
+        obj = dict(obj, imported=sorted(set(sys.modules) - at_fork["modules"]))
+    put(self, obj)
+
+def recording_get(chan, timeout, expect=None):
+    replies.append(ctrl_get(chan, timeout, expect))
+    return replies[-1]
+
+api.master_entry, boot.SocketChannel.put, api._ctrl_get = (
+    snapshot_entry, put_with_imports, recording_get)
+h = api.par_create_parallel_engine("imports", [("local", 2, "builtin")],
+                                   transport=sys.argv[1])
+api.par_free_parallel_engine(h)
+print(json.dumps([r["imported"] for r in replies if "ready" in r]))
+"""
+
+
+@pytest.mark.parametrize("kind", ["inproc", "tcp"])
+def test_a_master_imports_no_module_between_its_fork_and_ready(kind):
+    # in a fresh client: this test process has long imported everything
+    src = str(Path(api.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", _IMPORTING_CLIENT, kind],
+                         capture_output=True, text=True, timeout=60,
+                         env=dict(os.environ, PYTHONPATH=path))
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout) == [[]], "a master imported modules after its fork"
+
+
+def test_a_team_region_builds_one_semaphore(monkeypatch):
+    made = []
+    init = multiprocessing.synchronize.SemLock.__init__
+
+    def counting_init(self, *args, **kwargs):
+        made.append(type(self).__name__)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(multiprocessing.synchronize.SemLock, "__init__", counting_init)
+    shared = TeamShared(4)
+    try:
+        assert len(made) <= 1, f"TeamShared(4) built {len(made)} semaphores: {made}"
+    finally:
+        shared.close()
 
 
 def test_workers_only_start_program_work_after_the_barrier():
@@ -745,21 +806,6 @@ def test_large_answer_stream_arrives_in_bounded_time(teams, transport):
     api.par_free_parallel_engine(h)
 
 
-def _children_of(pid):
-    kids = []
-    for entry in os.listdir("/proc"):
-        if not entry.isdigit():
-            continue
-        try:
-            with open(f"/proc/{entry}/stat") as f:
-                fields = f.read().rsplit(")", 1)[1].split()
-        except OSError:
-            continue
-        if int(fields[1]) == pid:
-            kids.append(int(entry))
-    return kids
-
-
 def _alive(pid):
     try:
         with open(f"/proc/{pid}/stat") as f:
@@ -775,13 +821,27 @@ def test_teammates_die_with_a_killed_master():
     api.par_run_goal(h, "queens(6)")
     assert sum(drain(h).values()) == 4
     master = h._procs[0].pid
-    teammates = _children_of(master)
+    teammates = children_of(master)
     assert teammates, "the master forked no teammate"
     os.kill(master, signal.SIGKILL)
     deadline = time.monotonic() + 2.0
     while any(_alive(pid) for pid in teammates) and time.monotonic() < deadline:
         time.sleep(0.01)
     assert not any(_alive(pid) for pid in teammates), "teammate outlived its master"
+    api.par_free_parallel_engine(h)
+
+
+def test_a_killed_inproc_master_becomes_an_engine_error():
+    h = make_engine("killed_master", [1])
+    api.par_run_goal(h, "queens(12)")
+    while not api.par_probe_answers(h):
+        time.sleep(0.001)
+    os.kill(h._procs[0].pid, signal.SIGKILL)
+    deadline = time.monotonic() + 2.0
+    with pytest.raises(EngineError):
+        while time.monotonic() < deadline:
+            api.par_get_answers(h, ("max", 64))
+            time.sleep(0.005)
     api.par_free_parallel_engine(h)
 
 
@@ -798,7 +858,7 @@ time.sleep(60)
 def _descendants(pid):
     found, stack = [], [pid]
     while stack:
-        kids = _children_of(stack.pop())
+        kids = children_of(stack.pop())
         found += kids
         stack += kids
     return found
