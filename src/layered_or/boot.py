@@ -18,9 +18,10 @@ this module imports everything a master and its teammates use, the
 multiprocessing lock and queue modules included, and resolves ``prctl``
 through ``ctypes``; forked processes inherit both. Each master then pays
 for its own work only: the team's ``TeamShared`` region and its one
-semaphore, a pipe per mailbox plus the answer pipe, one fork per teammate,
-closing the inproc links it does not own (or setting up its tcp links),
-and one ``prctl`` call. Each teammate pays one ``prctl`` call.
+semaphore, one mailbox per worker (a pipe, the team's only queue), one
+fork per teammate, closing the inproc links it does not own (or setting up
+its tcp links), and one ``prctl`` call. Each teammate pays one ``prctl``
+call.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from __future__ import annotations
 import ctypes
 import json
 import multiprocessing
-import multiprocessing.queues        # a team's mailboxes and answer pipe
+import multiprocessing.queues        # a team's mailboxes
 import multiprocessing.synchronize   # the lock of a team's TeamShared
 import os
 import signal
@@ -147,11 +148,11 @@ def master_entry(boot: MasterBoot) -> None:
     ep = None
     try:
         ctx = multiprocessing.get_context("fork")
-        shared = TeamShared(boot.n_workers, boot.options.frame_pool, ctx=ctx)
+        shared = TeamShared(boot.n_workers, ctx=ctx)
         mailboxes = [ctx.SimpleQueue() for _ in range(boot.n_workers)]
         tctx = TeamContext(boot.engine_id, boot.team_id, boot.n_teams,
                            boot.n_workers, boot.options, shared, mailboxes,
-                           ctx.SimpleQueue(), boot.trace_queue)
+                           boot.trace_queue)
         if boot.transport_kind == "inproc":
             # once only its owner holds an end, a dead owner reads as EOF
             ep = boot.mesh.endpoint(boot.engine_id, boot.team_id)

@@ -35,6 +35,8 @@ from __future__ import annotations
 
 from typing import Callable, Optional, Sequence
 
+from .errors import ProtocolViolation
+
 EXPAND_FAIL = 0
 EXPAND_ANSWER = 1
 EXPAND_CHOICE = 2
@@ -79,11 +81,6 @@ class ChoicePoint:
 
     def open_count(self) -> int:
         return count_open(self.n_alts, self.cursor, self.split_offset)
-
-    def record(self) -> tuple:
-        """Positional 7-tuple used by snapshots and the wire format."""
-        return (self.node_tag, self.n_alts, self.cursor, self.split_offset,
-                self.store_mark, self.trail_mark, self.depth)
 
     def __repr__(self):
         return (f"ChoicePoint(tag={self.node_tag}, n={self.n_alts}, c={self.cursor}, "
@@ -432,8 +429,6 @@ def install_segments(ws: WorkerState, store_lo: int, store_cells: Sequence[int],
     ids for intra-team copies (membership was pre-counted by the sharer);
     inter-team installs leave every node private.
     """
-    from .errors import ProtocolViolation
-
     if trail_lo != len(ws.trail_cells):
         raise ProtocolViolation(
             f"trail layout mismatch: segment starts at {trail_lo}, "

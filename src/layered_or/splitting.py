@@ -11,16 +11,21 @@ copy to the requesting team:
   node's split offset and the outgoing side starts one original step later,
   so the two cursors enumerate complementary alternative sets.
 
+A teammate's copy is the same area plus a frames column, a frame id (or
+-1) per record: its sharer publishes every live node first, so all its
+records arrive parked dead and its work lives in the frames they name.
+
 The serialized layout is little-endian 8-byte integers with no padding:
 header fields in declaration order, store cells, choice points as 7-tuples,
-trail entries as (cell index, previous value) pairs.
+trail entries as (cell index, previous value) pairs, and, in a teammate's
+copy only, the frames column.
 """
 
 from __future__ import annotations
 
 import struct
 
-from .engine import WorkerState, count_open
+from .engine import WorkerState, count_open, install_segments
 from .errors import ProtocolViolation
 
 HEADER_FIELDS = ("store_lo", "store_hi", "cp_count", "trail_lo", "trail_hi",
@@ -34,10 +39,10 @@ class AuxArea:
 
     __slots__ = ("store_lo", "store_hi", "cp_count", "trail_lo", "trail_hi",
                  "load", "goal_id", "root_depth",
-                 "store_cells", "cp_records", "trail_entries")
+                 "store_cells", "cp_records", "trail_entries", "frames")
 
     def __init__(self, store_lo, store_hi, trail_lo, trail_hi, load, goal_id,
-                 root_depth, store_cells, cp_records, trail_entries):
+                 root_depth, store_cells, cp_records, trail_entries, frames=None):
         self.store_lo = store_lo
         self.store_hi = store_hi
         self.cp_count = len(cp_records)
@@ -49,6 +54,7 @@ class AuxArea:
         self.store_cells = store_cells
         self.cp_records = cp_records
         self.trail_entries = trail_entries
+        self.frames = frames            # intra-team copies only: a frame id per record
 
     def recount_load(self) -> int:
         self.load = sum(count_open(r[1], r[2], r[3]) for r in self.cp_records)
@@ -60,7 +66,7 @@ class AuxArea:
         return all(getattr(self, f) == getattr(other, f) for f in HEADER_FIELDS) and \
             self.store_cells == other.store_cells and \
             [tuple(r) for r in self.cp_records] == [tuple(r) for r in other.cp_records] and \
-            self.trail_entries == other.trail_entries
+            self.trail_entries == other.trail_entries and self.frames == other.frames
 
 
 def _segment_bounds(ws: WorkerState) -> tuple[int, int]:
@@ -81,12 +87,14 @@ def _segment_bounds(ws: WorkerState) -> tuple[int, int]:
 
 
 def snapshot_segments(ws: WorkerState):
-    """Copy the worker's live segments, keeping frame ids (intra-team transfer)."""
+    """Copy the worker's live segments and frame ids into a dict, for stack
+    captures outside the engine."""
     store_lo, trail_lo = _segment_bounds(ws)
     return {
         "store_lo": store_lo,
         "store_cells": list(ws.store[store_lo:]),
-        "cp_records": [cp.record() for cp in ws.cps],
+        "cp_records": [(cp.node_tag, cp.n_alts, cp.cursor, cp.split_offset,
+                        cp.store_mark, cp.trail_mark, cp.depth) for cp in ws.cps],
         "frames": [cp.frame for cp in ws.cps],
         "trail_lo": trail_lo,
         "trail_entries": list(zip(ws.trail_cells[trail_lo:], ws.trail_prevs[trail_lo:])),
@@ -259,24 +267,29 @@ def split_for_transfer(ws: WorkerState, goal_id: int, strategy: str) -> AuxArea:
 
 def serialize_aux(aux: AuxArea) -> bytes:
     """Pack header and segments back to back with no padding."""
-    n_cells = len(aux.store_cells)
-    n_trail = len(aux.trail_entries)
-    if aux.store_hi - aux.store_lo != n_cells:
+    if aux.store_hi - aux.store_lo != len(aux.store_cells):
         raise ProtocolViolation("store segment bounds disagree with cell count")
-    if aux.trail_hi - aux.trail_lo != n_trail:
+    if aux.trail_hi - aux.trail_lo != len(aux.trail_entries):
         raise ProtocolViolation("trail segment bounds disagree with entry count")
-    out = [_HEADER.pack(aux.store_lo, aux.store_hi, aux.cp_count, aux.trail_lo,
-                        aux.trail_hi, aux.load, aux.goal_id, aux.root_depth)]
-    out.append(struct.pack(f"<{n_cells}q", *aux.store_cells))
-    flat = [v for rec in aux.cp_records for v in rec]
-    out.append(struct.pack(f"<{len(flat)}q", *flat))
-    flat_trail = [v for entry in aux.trail_entries for v in entry]
-    out.append(struct.pack(f"<{len(flat_trail)}q", *flat_trail))
-    return b"".join(out)
+    words = [aux.store_lo, aux.store_hi, aux.cp_count, aux.trail_lo, aux.trail_hi,
+             aux.load, aux.goal_id, aux.root_depth, *aux.store_cells]
+    for rec in aux.cp_records:
+        words.extend(rec)
+    for entry in aux.trail_entries:
+        words.extend(entry)
+    if aux.frames is not None:
+        if len(aux.frames) != aux.cp_count:
+            raise ProtocolViolation("frames column disagrees with the choice point count")
+        words.extend(aux.frames)
+    return struct.pack(f"<{len(words)}q", *words)
 
 
-def deserialize_aux(data: bytes) -> AuxArea:
-    """Inverse of ``serialize_aux``; validates the advertised segment sizes."""
+def deserialize_aux(data: bytes, frames: bool = False) -> AuxArea:
+    """Inverse of ``serialize_aux``; validates the advertised segment sizes.
+
+    ``frames`` says whether the payload ends in a frames column, which only
+    an intra-team copy carries.
+    """
     if len(data) < _HEADER.size:
         raise ProtocolViolation("aux payload shorter than its header")
     (store_lo, store_hi, cp_count, trail_lo, trail_hi,
@@ -285,37 +298,40 @@ def deserialize_aux(data: bytes) -> AuxArea:
     n_trail = trail_hi - trail_lo
     if n_cells < 0 or n_trail < 0 or cp_count < 0:
         raise ProtocolViolation("negative segment size in aux header")
-    expect = _HEADER.size + 8 * (n_cells + cp_count * CP_RECORD_LEN + 2 * n_trail)
+    expect = _HEADER.size + 8 * (n_cells + cp_count * (CP_RECORD_LEN + frames) + 2 * n_trail)
     if len(data) != expect:
         raise ProtocolViolation(
             f"aux payload is {len(data)} bytes, header implies {expect}")
-    off = _HEADER.size
-    cells = list(struct.unpack_from(f"<{n_cells}q", data, off))
-    off += 8 * n_cells
-    records = []
-    for _ in range(cp_count):
-        records.append(list(struct.unpack_from(f"<{CP_RECORD_LEN}q", data, off)))
-        off += 8 * CP_RECORD_LEN
-    entries = []
-    for _ in range(n_trail):
-        a, b = struct.unpack_from("<2q", data, off)
-        entries.append((a, b))
-        off += 16
+    words = struct.unpack_from(f"<{(expect - _HEADER.size) // 8}q", data, _HEADER.size)
+    off = n_cells + cp_count * CP_RECORD_LEN
+    records = [list(words[i:i + CP_RECORD_LEN]) for i in range(n_cells, off, CP_RECORD_LEN)]
+    end = off + 2 * n_trail
+    entries = list(zip(words[off:end:2], words[off + 1:end:2]))
+    column = list(words[end:]) if frames else None
     return AuxArea(store_lo, store_hi, trail_lo, trail_hi, load, goal_id,
-                   root_depth, cells, records, entries)
+                   root_depth, list(words[:n_cells]), records, entries, column)
 
 
-def check_aux(aux: AuxArea) -> None:
+def check_aux(aux: AuxArea, n_frames: int | None = None) -> None:
     """Reject an aux area whose records no sender could have written.
 
     Each record's cursor lies within its node, its offset is a power of two,
     and its store and trail marks never fall below its parent's, nor below
     the segment starts, nor past the segment ends. Every trailed cell lies
-    in the store segment.
+    in the store segment. An inter-team copy (``n_frames`` None) carries
+    no frames column; an intra-team copy names, per record, -1 or a frame
+    of its team's pool of ``n_frames``.
     """
     store_lo, trail_lo = aux.store_lo, aux.trail_lo
     if store_lo < 0 or not aux.cp_records:
         raise ProtocolViolation("aux area starts below cell 0 or holds no choice point")
+    if n_frames is None:
+        if aux.frames is not None:
+            raise ProtocolViolation("an inter-team copy carries a frames column")
+    elif aux.frames is None or len(aux.frames) != aux.cp_count \
+            or not all(-1 <= f < n_frames for f in aux.frames):
+        raise ProtocolViolation(f"an intra-team copy needs a frame id below {n_frames}, "
+                                "or -1, per record")
     cells = [cell for cell, _ in aux.trail_entries]
     if cells and not (store_lo <= min(cells) and max(cells) < aux.store_hi):
         raise ProtocolViolation("a trailed cell lies outside the store segment")
@@ -332,20 +348,21 @@ def check_aux(aux: AuxArea) -> None:
         raise ProtocolViolation("choice point marks pass the segment ends")
 
 
-def install_aux(ws: WorkerState, aux: AuxArea) -> None:
-    """Unpack an aux area into this worker's stacks; every node arrives private."""
-    from .engine import install_segments
+def install_aux(ws: WorkerState, aux: AuxArea, local: bool = False) -> None:
+    """Unpack an aux area into this worker's stacks.
 
-    if aux.load <= 0:
+    Another team's copy arrives private and must hold work. A teammate's
+    (``local``) joins the or-frames it names and holds no private work.
+    """
+    if aux.load <= 0 and not local:
         raise ProtocolViolation("refusing to install a zero-load payload")
-    check_aux(aux)
+    check_aux(aux, ws.frames.n_frames if local else None)
     if aux.store_lo > len(ws.store):
         # a receiver installs at its goal's initial store, which the root's reaches
         raise ProtocolViolation(f"store segment starts at {aux.store_lo}, "
                                 f"past the local store top {len(ws.store)}")
-    install_segments(ws, aux.store_lo, aux.store_cells,
-                     [tuple(r) for r in aux.cp_records],
-                     aux.trail_lo, aux.trail_entries)
+    install_segments(ws, aux.store_lo, aux.store_cells, aux.cp_records,
+                     aux.trail_lo, aux.trail_entries, frames=aux.frames)
     if ws.load != aux.load:
         raise ProtocolViolation(
             f"installed load {ws.load} disagrees with header load {aux.load}")

@@ -4,19 +4,16 @@ One ``TeamShared`` region backs a team. It is an anonymous shared ``mmap``
 created before the team's worker processes fork, so every worker addresses
 the same physical pages. It holds the or-frame pool (the only hot shared
 mutable state), per-worker load registers / flags, and a few counters.
-Everything bulky (stack segments, answers, notifications) travels through
-per-worker message queues instead.
+Everything bulky (stack copies, answers, notifications) travels through
+each worker's mailbox instead.
 
-Signal counters tell a reader how many messages a queue holds for it, so a
-quiet service tick costs a few mmap reads and no syscall. Each counter has
-a single writer and so needs no lock: ``mail[receiver][sender]`` is bumped
-by the sender after each put into the receiver's mailbox, and
-``batches[rank]`` by a worker after each answer batch it puts into the
-team's answer pipe. A reader keeps the number of messages it has read;
-when the sum has moved by ``k`` it reads exactly ``k`` messages. The puts
-into one queue are serialized by its write lock and each completes before
-its bump, so the first ``k`` messages in the pipe are whole and a read
-never waits on a message that is still being written.
+Signal counters tell a reader how many messages its mailbox holds or is
+about to hold, so a quiet service tick costs a few mmap reads and no
+syscall. Each counter has a single writer and so needs no lock:
+``mail[receiver][sender]`` is bumped by the sender just before each put
+into the receiver's mailbox. A reader keeps the number of messages it has
+read; when the sum has moved by ``k`` it reads exactly ``k`` messages, and
+a read of a message still being written waits in the pipe for the rest.
 
 One team lock guards the whole pool, the free list and every frame's
 fields, and is the region's only POSIX semaphore. ``lock(idx)`` returns it,
@@ -51,6 +48,9 @@ _SLOT_FREE_HEAD = 1
 _SLOT_HIGH_WATER = 2
 _BANKS = 5                 # ready, idle, load, public nodes, public alts
 
+# or-frames per team; a share that finds the pool full is refused
+FRAME_POOL = 8192
+
 _FRAME_SLOTS = 6           # n_alts, cursor, split_offset, members, depth, next_free
 _F_NALTS, _F_CURSOR, _F_OFFSET, _F_MEMBERS, _F_DEPTH, _F_NEXT = range(_FRAME_SLOTS)
 
@@ -62,13 +62,12 @@ class FramePoolExhausted(RuntimeError):
 class TeamShared:
     """Team-wide shared state. Fork the workers after constructing this."""
 
-    def __init__(self, n_workers: int, n_frames: int = 8192, ctx=None):
+    def __init__(self, n_workers: int, n_frames: int = FRAME_POOL, ctx=None):
         ctx = ctx or mp.get_context("fork")
         self.n_workers = n_workers
         self.n_frames = n_frames
         self._mail_off = _HDR + _BANKS * n_workers
-        self._batch_off = self._mail_off + n_workers * n_workers
-        self._frames_off = self._batch_off + n_workers
+        self._frames_off = self._mail_off + n_workers * n_workers
         size = 8 * (self._frames_off + n_frames * _FRAME_SLOTS)
         self._mm = mmap.mmap(-1, size)
         self._mv = memoryview(self._mm).cast("q")
@@ -125,12 +124,6 @@ class TeamShared:
     def mail_count(self, receiver: int) -> int:
         base = self._mail_off + receiver * self.n_workers
         return sum(self._mv[base:base + self.n_workers])
-
-    def count_answer_batch(self, rank: int) -> None:
-        self._mv[self._batch_off + rank] += 1
-
-    def answer_batches(self) -> int:
-        return sum(self._mv[self._batch_off:self._batch_off + self.n_workers])
 
     # -- counters / flags -------------------------------------------------------
     def public_alts(self) -> int:

@@ -13,29 +13,36 @@ team is out of work. The client's goals enter through the master
 team's master, and every worker parks in ``getwork_first_time`` between
 goals.
 
-Answers travel packed. A teammate buffers the answers it finds and puts
-them into the team's answer pipe as one packed batch: a little-endian
-``u32`` answer count, then per answer a ``u32`` length and that many
-``i64`` values. It puts a batch at most every ``ANSWER_FLUSH_S``, and at
-once for a goal's first answer, before the batch would pass
-``ANSWER_BATCH_CAP`` bytes, and before it raises its idle flag. A master
-never writes into that pipe: it drains the pipe on every tick and packs its
-own answers straight into its forward buffer, next to its teammates'
-batches and the ANSWER payloads of other teams. It sends the lot as one
-ANSWER frame, at most every ``ANSWER_FLUSH_S`` while its team works and at
-once when the team goes idle or the goal ends. An ANSWER payload is
-therefore a concatenation of packed batches; nothing between the worker
-and the client unpacks it.
+A worker's one intra-team channel is its mailbox: every mail is a
+``(kind, meta, payload)`` triple whose payload is checked bytes. A stack
+copy is a ``splitting`` aux area with a frames column, checked and
+unpacked by ``install_aux`` as a copy from another team is.
+
+Answers travel packed. A teammate mails the answers it found to its master
+as one batch: a little-endian ``u32`` answer count, then per answer a
+``u32`` length and that many ``i64`` values. It mails a batch at most
+every ``ANSWER_FLUSH_S``, at once for a goal's first answer, and before it
+raises its idle flag. A master packs its own answers straight into its
+forward buffer, next to its teammates' batches of the goal and the ANSWER
+payloads of other teams. It sends the lot as one ANSWER frame, at most
+every ``ANSWER_FLUSH_S`` while its team works and at once when the team
+goes idle or the goal ends. Nothing between worker and client unpacks it.
 
 A quiet service tick makes no syscall besides the master's one ``poll(2)``
-on its transport. Every put into a team queue (a mailbox or the answer
-pipe) is counted in ``TeamShared`` after it completes, so a reader that
-sees a count move by ``k`` reads exactly ``k`` messages and never asks the
-pipe whether it holds one.
+on its transport. A sender bumps the receiver's signal counter in
+``TeamShared`` before it puts a mail, so a reader that sees the count move
+by ``k`` reads exactly ``k`` mails without asking the pipe, and blocks in
+``get`` until a mail larger than the pipe is whole. This cannot deadlock:
+a writer blocks only on a full pipe, and its reader is then reading. Only
+a stack copy or answer batches fill a pipe. A copy's reader asked for it
+and waits on its mailbox, mailing nothing until the reply is in; batches
+go to the master, which reads mail on every tick and every turn of its
+waits, and whose own puts go to a waiting requester or to busy teammates,
+whose pipes hold only short mail.
 
 Ticks space themselves out while nobody asks for work. Each run starts
-ticking every ``k_backtracks`` steps. A tick that finds no mail (and, at a
-master, no frame on its transport) doubles the spacing, up to
+ticking every ``k_backtracks`` steps. A tick that finds no mail but answers
+(and, at a master, no frame on its transport) doubles the spacing, up to
 ``TICK_SPACING_CAP`` × ``k_backtracks`` steps; a tick that finds any brings
 it back to ``k_backtracks``. A request to a busy worker is therefore seen
 within ``TICK_SPACING_CAP`` × ``k_backtracks`` steps, and the requests
@@ -48,9 +55,10 @@ credit, kept as an exponent ``k`` meaning ``2**-k``, so a team that works
 always holds some and a team that is idle holds none. A team going idle
 hands its credit back to team 0 on an ANSWER frame behind its last answers;
 on the FIFO link to team 0 that frame also ends the team's answer stream.
-Team 0 sums what comes back exactly and broadcasts TERMINATE once it holds
-credit 1 again: then no team works, no stacks are in flight, and every
-answer has arrived. Load arrays only pick whom to ask for work.
+Team 0 sums what comes back exactly, as an integer over ``2**k`` for the
+largest ``k`` yet, and broadcasts TERMINATE once it holds credit 1 again:
+then no team works, no stacks are in flight, and every answer has arrived.
+Load arrays only pick whom to ask for work.
 """
 
 from __future__ import annotations
@@ -59,12 +67,11 @@ import os
 import struct
 import time
 import traceback
-from fractions import Fraction
 from functools import lru_cache
 
 from . import scheduler, splitting, transport
 from .config import EngineOptions
-from .engine import WorkerState, allocate_dead_root, install_segments, run_loop, setup_goal
+from .engine import WorkerState, allocate_dead_root, run_loop, setup_goal
 from .errors import EngineShutdown, ProtocolViolation
 from .programs import get_program
 from .team import FramePoolExhausted, TeamShared, publish_private_nodes
@@ -77,18 +84,14 @@ N_DELEGATE_ACCEPT = "delegate_accept"
 N_DELEGATE_REFUSE = "delegate_refuse"
 N_GOAL_DONE = "goal_done"
 N_FAULT = "fault"
+N_ANSWERS = "answers"
 
 # A busy master sends its buffered answers on at most this often, and a busy
-# teammate puts them into the answer pipe at most this often; a team going
-# idle and a goal ending send them at once. Each ANSWER frame or batch costs
+# teammate mails them to its master at most this often; a team going idle
+# and a goal ending send them at once. Each ANSWER frame or batch costs
 # every process on its path tens of microseconds, far more than the answers
 # in it; at one per tick, sparse answers (queens) paid it per answer.
 ANSWER_FLUSH_S = 0.01
-# A teammate puts its buffered answers at once when one more would take the
-# packed batch past this many bytes. Every put then fits an empty answer pipe
-# (64 KiB), so a put never blocks on a batch its master has not been told
-# of: the master reads exactly the batches that are counted.
-ANSWER_BATCH_CAP = 32 * 1024
 # A parked teammate blocks on its mailbox and wakes at least this often to
 # see whether a failing master aborted the team, which sends no mail. Each
 # wake costs about 0.1 ms of CPU; the master waits 2 s for its teammates.
@@ -97,6 +100,15 @@ PARKED_WAKE_S = 0.25
 # ``k_backtracks`` steps. Almost every tick of a large goal is quiet, and
 # each costs a few microseconds; the cap bounds how long a request waits.
 TICK_SPACING_CAP = 32
+# A delegated worker accepts an inter-team request only with this many open
+# private alternatives (or a live public node of its own).
+L_MIN = 2
+# A worker that finds no teammate to ask for work polls their loads again
+# after a backoff that doubles from the first bound up to the second.
+BACKOFF_MIN_S = 0.000001
+BACKOFF_MAX_S = 0.001
+# An idle team waits this long after a refusal before it asks again.
+RETRY_DELAY_S = 0.001
 
 
 class GoalDone(Exception):
@@ -107,7 +119,7 @@ class TeamContext:
     """Per-team plumbing inherited by every worker at fork time."""
 
     def __init__(self, engine_id, team_id, n_teams, n_workers, options,
-                 shared, mailboxes, answers, trace_queue):
+                 shared, mailboxes, trace_queue):
         self.master_pid = os.getpid()      # built by the master, before it forks
         self.engine_id = engine_id
         self.team_id = team_id
@@ -116,12 +128,12 @@ class TeamContext:
         self.options: EngineOptions = options
         self.shared: TeamShared = shared
         self.mailboxes = mailboxes
-        self.answers = answers
         self.trace_queue = trace_queue
 
     def notify(self, sender: int, rank: int, kind: str, meta: dict, payload=None) -> None:
-        self.mailboxes[rank].put((kind, meta, payload))
+        # counted first: the reader then waits in get() for a mail of any size
         self.shared.count_mail(sender, rank)
+        self.mailboxes[rank].put((kind, meta, payload))
 
     def trace(self, rank: int, kind: str, **data) -> None:
         if self.trace_queue is not None:
@@ -149,7 +161,6 @@ class Worker:
         self.goal_id = -1
         self.goal_meta = None
         self._answers: list[tuple] = []    # found since the last flush
-        self._answer_bytes = 0             # their packed size, batch header aside
         self._last_flush = 0.0
         self._mail_seen = 0                # messages read from the mailbox
         self._spacing = 0                  # steps from the last service tick to the next
@@ -211,7 +222,6 @@ class Worker:
         self.goal_id = meta["goal"]
         self.goal_meta = meta
         self._answers.clear()
-        self._answer_bytes = 0
         self._last_flush = float("-inf")   # a goal's first answer goes out at once
         setup_goal(self.ws, get_program(meta["program"]), list(meta["args"]),
                    meta.get("template"))
@@ -238,23 +248,17 @@ class Worker:
         raise GoalDone
 
     def _emit(self, answer: tuple) -> None:
-        size = 4 + 8 * len(answer)
-        if self._answer_bytes + size > ANSWER_BATCH_CAP - 4:
-            self._flush_answers()
         self._answers.append(answer)
-        self._answer_bytes += size
 
     def _take_batch(self) -> bytes:
         """Pack the buffered answers into one batch and empty the buffer."""
         raw = pack_answers(self._answers)
         self._answers.clear()
-        self._answer_bytes = 0
         return raw
 
     def _flush_answers(self) -> None:
         if self._answers:
-            self.ctx.answers.put((self.goal_id, self._take_batch()))
-            self.ctx.shared.count_answer_batch(self.rank)
+            self._tell(0, N_ANSWERS, {"goal": self.goal_id}, self._take_batch())
             self._last_flush = time.monotonic()
 
     def _service(self) -> int:
@@ -274,8 +278,9 @@ class Worker:
     def _next_mail(self):
         """The next message of this worker's mailbox, or None if none is counted.
 
-        Every put into a mailbox is counted after it completes, so a counted
-        message can be read without asking the pipe whether it holds one.
+        Every put into a mailbox is counted before it starts, so a counted
+        message is read without asking the pipe whether it holds one, and
+        ``get`` waits for the rest of a message still being written.
         """
         if self._mail_seen == self.ctx.shared.mail_count(self.rank):
             return None
@@ -283,11 +288,12 @@ class Worker:
         return self.ctx.mailboxes[self.rank].get()
 
     def _drain_mailbox(self) -> bool:
-        """Dispatch every counted message; True if there was any."""
-        seen = self._mail_seen
+        """Dispatch every counted message; True if any was not answers."""
+        served = False
         while (mail := self._next_mail()) is not None:
             self._dispatch(*mail)
-        return self._mail_seen != seen
+            served |= mail[0] != N_ANSWERS
+        return served
 
     def _dispatch(self, kind, meta, payload) -> None:
         if kind == N_DELEGATE_REQUEST:
@@ -319,32 +325,31 @@ class Worker:
         except FramePoolExhausted:
             self._tell(requester, N_DELEGATE_REFUSE, meta)
             return
-        segments = splitting.snapshot_segments(ws)
-        self._tell(requester, N_DELEGATE_ACCEPT, meta, segments)
+        aux = splitting.snapshot_to_aux(ws, self.goal_id)
+        aux.frames = [cp.frame for cp in ws.cps]
+        self._tell(requester, N_DELEGATE_ACCEPT, meta, splitting.serialize_aux(aux))
         self.ctx.trace(self.rank, "shared_locally", requester=requester,
-                       frames=[f for f in segments["frames"] if f >= 0])
-
-    def _has_live_public_node(self) -> bool:
-        for cp in self.ws.cps:
-            if cp.frame >= 0:
-                n, c, _, _ = self.ctx.shared.frame_state(cp.frame)
-                if c < n:
-                    return True
-        return False
+                       frames=[f for f in aux.frames if f >= 0])
 
     def _serve_remote(self, meta: dict) -> None:
+        raw = self._split_remote(meta)
+        if raw is None:
+            self._tell(0, N_DELEGATE_REFUSE, meta)
+            return
+        self._tell(0, N_DELEGATE_ACCEPT, meta, raw)
+        self.ctx.trace(self.rank, "shared_remotely", req=meta["req"], load=meta["load"])
+
+    def _split_remote(self, meta: dict):
+        """Split off work for the team a delegated request came from: the
+        packed copy, its load set in ``meta``, or None if there is none."""
         ws = self.ws
-        opts = self.ctx.options
-        if ws.load < opts.l_min and not self._has_live_public_node():
-            self._tell(0, N_DELEGATE_REFUSE, meta)
-            return
-        aux = splitting.split_for_transfer(ws, meta["goal"], meta.get("strategy", "vs"))
+        if ws.load < L_MIN and not ws.public_node_count():
+            return None
+        aux = splitting.split_for_transfer(ws, self.goal_id, meta["strategy"])
         if aux.load <= 0:
-            self._tell(0, N_DELEGATE_REFUSE, meta)
-            return
+            return None
         meta["load"] = aux.load
-        self._tell(0, N_DELEGATE_ACCEPT, meta, splitting.serialize_aux(aux))
-        self.ctx.trace(self.rank, "shared_remotely", req=meta["req"], load=aux.load)
+        return splitting.serialize_aux(aux)
 
     # -- this worker is the requester -------------------------------------------
     def _acquire_locally(self) -> bool:
@@ -365,17 +370,18 @@ class Worker:
                 continue
             if self._team_out_of_work():
                 return False
-            time.sleep(min(ctx.options.backoff_min_s * (1 << min(tries, 10)),
-                           ctx.options.backoff_max_s))
+            time.sleep(min(BACKOFF_MIN_S * (1 << min(tries, 10)), BACKOFF_MAX_S))
             tries += 1
 
     def _request_from(self, target: int) -> bool:
+        """Ask teammate ``target`` for work; True once its copy is installed.
+        Requests that come meanwhile are served after the reply."""
         ctx = self.ctx
         self._tell(target, N_DELEGATE_REQUEST, {"goal": self.goal_id, "local": self.rank})
+        deferred = []
         while True:
             if ctx.shared.aborted():
                 raise EngineShutdown
-            # a teammate may be blocked putting answers into a full pipe
             self._pump()
             mail = self._next_mail()
             if mail is None:
@@ -385,18 +391,25 @@ class Worker:
             kind, m, payload = mail
             if kind in (N_DELEGATE_ACCEPT, N_DELEGATE_REFUSE) \
                     and m.get("local") == self.rank and m.get("goal") == self.goal_id:
-                if kind == N_DELEGATE_REFUSE:
-                    return False
-                self._install_local(payload)
-                return True
-            self._dispatch(kind, m, payload)
+                break
+            if kind == N_DELEGATE_REQUEST:
+                deferred.append(m)
+            else:
+                self._dispatch(kind, m, payload)
+        if kind == N_DELEGATE_ACCEPT:
+            self._install(payload, local=True)
+            ctx.trace(self.rank, "installed_locally", load=self.ws.load)
+        for m in deferred:
+            self._dispatch(N_DELEGATE_REQUEST, m, None)
+        return kind == N_DELEGATE_ACCEPT
 
-    def _install_local(self, seg: dict) -> None:
-        ws = self.ws
-        ws.reset_to_base()
-        install_segments(ws, seg["store_lo"], seg["store_cells"], seg["cp_records"],
-                         seg["trail_lo"], seg["trail_entries"], frames=seg["frames"])
-        self.ctx.trace(self.rank, "installed_locally", load=ws.load)
+    def _install(self, raw: bytes, local: bool) -> None:
+        """Install a teammate's (``local``) or another team's stack copy."""
+        aux = splitting.deserialize_aux(raw, frames=local)
+        if aux.goal_id != self.goal_id:
+            raise ProtocolViolation("installed stacks belong to another goal")
+        self.ws.reset_to_base()
+        splitting.install_aux(self.ws, aux, local)
 
 
 # ---------------------------------------------------------------------------
@@ -418,9 +431,9 @@ class Master(Worker):
         self._client_done_sent = False
         self._install_pending = None
         self._credit = None               # exponent k of the held 2**-k, or None
-        self._recovered = Fraction(0)     # team 0: credit handed back so far
+        self._recovered = 0               # team 0: credit handed back so far,
+        self._scale = 0                   # ... as _recovered / 2**_scale
         self._forward: list[tuple[int, bytes]] = []   # (origin team, packed batches)
-        self._batches_seen = 0            # answer batch count at the last drain
         self._last_forward = 0.0          # when the last ANSWER frame went out
 
     # -- load array stamping -----------------------------------------------------
@@ -445,15 +458,15 @@ class Master(Worker):
                 or self._delegations:
             # a pending delegation may still ship stacks, under this team's credit
             return False
-        # workers flush their answers before they raise their idle flags
-        self._collect_batches()
-        return shared.answer_batches() == self._batches_seen
+        # workers mail their last answers before they raise their idle flags
+        self._drain_mailbox()
+        return True
 
     # -- Alg. getwork, master branches ---------------------------------------------
     def getwork_first_time(self) -> None:
         ctx = self.ctx
         self._wait_for_teammates()
-        self.ep.barrier(ctx.options.barrier_timeout_s)
+        self.ep.barrier(ctx.options.ready_timeout_s)
         ctx.trace(0, "barrier_passed")
         while True:
             goal = self._wait_for_goal(transport.GOAL if ctx.team_id == 0
@@ -507,7 +520,7 @@ class Master(Worker):
         self._delegations.clear()
         self._install_pending = None
         self._credit = None
-        self._recovered = Fraction(0)
+        self._recovered = self._scale = 0
         self._forward.clear()
         self._last_forward = float("-inf")   # a goal's first answers go out at once
         super()._begin_goal(meta)
@@ -565,27 +578,14 @@ class Master(Worker):
         if self._answers:
             self._forward.append((self.ctx.team_id, self._take_batch()))
 
-    def _collect_batches(self) -> None:
-        """Move teammates' counted batches from the answer pipe to the forward buffer."""
-        ctx = self.ctx
-        sent = ctx.shared.answer_batches()
-        for _ in range(sent - self._batches_seen):
-            goal_id, raw = ctx.answers.get()
-            if goal_id == self.goal_id:
-                self._forward.append((ctx.team_id, raw))
-        self._batches_seen = sent
-
     def _forward_answers(self, now: bool = False, credit: int | None = None) -> None:
         """Send everything buffered as one ANSWER frame: to the client from
         the master team, to the master team from the others.
 
-        The answer pipe is drained on every call, so no teammate stays
-        blocked on it. The frame itself goes out at most every
-        ``ANSWER_FLUSH_S`` unless ``now`` is set. A ``credit`` goes out at
-        once on the frame, answers or not.
+        The frame goes out at most every ``ANSWER_FLUSH_S`` unless ``now``
+        is set. A ``credit`` goes out at once on the frame, answers or not.
         """
         ctx = self.ctx
-        self._collect_batches()
         self._flush_answers()
         if not self._forward and credit is None:
             return
@@ -615,10 +615,18 @@ class Master(Worker):
         if k is None:
             raise ProtocolViolation(f"team {self.ctx.team_id} went idle holding no credit")
         if self.ctx.team_id == 0:
-            self._recovered += Fraction(1, 1 << k)
+            self._recover(k)
             self._forward_answers(now=True)
         else:
             self._forward_answers(now=True, credit=k)
+
+    def _recover(self, k: int) -> None:
+        """Team 0 adds a returned 2**-k to the credit it recovered, rescaling
+        the numerator when ``k`` passes the scale."""
+        if k > self._scale:
+            self._recovered <<= k - self._scale
+            self._scale = k
+        self._recovered += 1 << (self._scale - k)
 
     def _halve_credit(self) -> int:
         """Split off the half of the held credit that travels with a share."""
@@ -629,7 +637,11 @@ class Master(Worker):
 
     # -- intra-team servicing ----------------------------------------------------
     def _dispatch(self, kind, meta, payload) -> None:
-        if kind in (N_DELEGATE_ACCEPT, N_DELEGATE_REFUSE) and "req" in meta:
+        if kind == N_ANSWERS:
+            # a batch of a goal that has ended is dropped
+            if meta.get("goal") == self.goal_id:
+                self._forward.append((self.ctx.team_id, payload))
+        elif kind in (N_DELEGATE_ACCEPT, N_DELEGATE_REFUSE) and "req" in meta:
             self._delegate_reply(meta, payload)
         elif kind == N_FAULT:
             self._propagate_fault(meta)
@@ -699,7 +711,7 @@ class Master(Worker):
                     self._forward.append((msg.sender, msg.raw))
                 credit = msg.meta.get("credit")
                 if credit is not None:
-                    self._recovered += Fraction(1, 1 << credit)
+                    self._recover(credit)
         elif kind == transport.TERMINATE:
             if msg.goal_id == self.goal_id:
                 if busy:
@@ -743,14 +755,7 @@ class Master(Worker):
         meta = {"goal": self.goal_id, "req": req, "team": msg.sender,
                 "strategy": self.goal_meta.get("strategy", "vs")}
         if target == 0:
-            aux = None
-            if self.ws.load >= ctx.options.l_min or self.ws.public_node_count():
-                got = splitting.split_for_transfer(self.ws, self.goal_id,
-                                                   meta["strategy"])
-                if got.load > 0:
-                    aux = splitting.serialize_aux(got)
-                    meta["load"] = got.load
-            self._delegate_reply(meta, aux)
+            self._delegate_reply(meta, self._split_remote(meta))
         else:
             self._tell(target, N_DELEGATE_REQUEST, meta)
         ctx.trace(0, "delegated", req=req, worker=target, team=msg.sender)
@@ -772,7 +777,6 @@ class Master(Worker):
     def _team_idle_scheduler(self) -> None:
         """All workers idle: hunt other teams for work, or end the goal."""
         ctx = self.ctx
-        opts = ctx.options
         self.team_idle = True
         retry_at = 0.0
         # back off while nothing arrives: idle masters must not starve the
@@ -790,7 +794,7 @@ class Master(Worker):
                 self._install_stacks(self._install_pending)
                 self._install_pending = None
                 return
-            if self._recovered == 1:
+            if self._recovered == 1 << self._scale:
                 self._terminate_peers()
                 raise GoalDone
             if self._outstanding is None and time.monotonic() >= retry_at:
@@ -802,7 +806,7 @@ class Master(Worker):
                     self.ep.send(target, transport.SHARE_REQUEST,
                                  {"goal": self.goal_id, "req": req})
                     ctx.trace(0, "share_requested", team=target, req=req)
-                retry_at = time.monotonic() + opts.retry_delay_s
+                retry_at = time.monotonic() + RETRY_DELAY_S
             time.sleep(nap)
             nap = min(nap * 2, 0.0005)
 
@@ -815,17 +819,12 @@ class Master(Worker):
     def _install_stacks(self, aux_bytes: bytes) -> None:
         """Unpack received stacks, wake the team, resume with a fail."""
         ctx = self.ctx
-        aux = splitting.deserialize_aux(aux_bytes)
-        if aux.goal_id != self.goal_id:
-            raise ProtocolViolation("installed stacks belong to another goal")
-        ws = self.ws
-        ws.reset_to_base()
-        splitting.install_aux(ws, aux)
+        self._install(aux_bytes, local=False)
         self.team_idle = False
         ctx.shared.set_idle(0, False)
         for rank in range(1, ctx.n_workers):
             self._tell(rank, N_HAS_WORK, self.goal_meta)
-        ctx.trace(0, "installed", load=ws.load, goal=self.goal_id)
+        ctx.trace(0, "installed", load=self.ws.load, goal=self.goal_id)
 
     # -- goal wind-down ---------------------------------------------------------
     def _finish_goal(self) -> None:

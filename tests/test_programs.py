@@ -273,11 +273,25 @@ def ref_faulty(store, tag):
     return (EXPAND_CHOICE, [2 * tag + 1, 2 * tag + 2])
 
 
+def ref_wide(store, tag):
+    depth = store.read(0)
+    level = 0
+    if tag != 0:
+        level, pick = divmod(tag - 1, 2)
+        store.write(2 + level, pick)
+        level += 1
+        if level == depth:
+            return _ANSWER
+    for _ in range(store.read(1)):
+        store.push_cell(level)
+    return (EXPAND_CHOICE, [1 + 2 * level, 2 + 2 * level])
+
+
 REFERENCE = {
     "queens": ref_queens, "knight_move": ref_knight_move,
     "map_colouring": ref_map_colouring, "magic_square": ref_magic_square,
     "send_more": ref_send_more, "nsort": ref_nsort, "spread": ref_spread,
-    "rand_tree": ref_rand_tree, "faulty": ref_faulty,
+    "rand_tree": ref_rand_tree, "faulty": ref_faulty, "wide": ref_wide,
 }
 
 
@@ -319,6 +333,7 @@ def walk_both(name, args):
     ("rand_tree", [42, 6, 4]), ("rand_tree", [7, 8, 5]),
     ("faulty", [40]),
     ("queens", [9]),
+    ("wide", [4, 3]),
 ])
 def test_kernel_matches_reference_at_every_node(name, args):
     assert walk_both(name, args) > 1

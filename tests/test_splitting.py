@@ -1,5 +1,6 @@
 """Splitting strategies and the packed transfer area."""
 
+import hashlib
 import random
 import struct
 from collections import Counter
@@ -533,3 +534,84 @@ def test_fuzzed_aux_payloads_install_or_raise_only_protocol_violation(which, edi
         install_aux(receiver(which), deserialize_aux(data))
     except ProtocolViolation:
         pass
+
+
+# -- the wire form is pinned -------------------------------------------------------
+
+# sha256 prefixes of serialize_aux(split_for_transfer(...)) for (seed, strategy):
+# inter-team payloads keep their bytes while teammates' copies gain a column
+_GOLDEN = {(11, "vs"): "b4d5eb50e7da645d", (11, "hs"): "276f4ddd95d9f65d",
+           (12, "vs"): "75e038e81dffd1c9", (12, "hs"): "620b14bbabe399ba",
+           (13, "vs"): "b491a2ee78af03e2", (13, "hs"): "747d857ac99fe353"}
+
+
+@pytest.mark.parametrize("seed,program,args", [
+    (11, "queens", (8,)), (12, "rand_tree", (42, 7, 4)), (13, "map_colouring", (1,))])
+def test_inter_team_payload_bytes_are_unchanged(seed, program, args):
+    backtracks = random.Random(seed).randrange(20, 200)
+    for strategy in ("vs", "hs"):
+        ws, _, _ = paused_worker(args, backtracks, program=program)
+        blob = serialize_aux(splitting.split_for_transfer(ws, 7, strategy))
+        assert hashlib.sha256(blob).hexdigest()[:16] == _GOLDEN[seed, strategy]
+
+
+# -- a teammate's copy: the same area plus a frames column --------------------------
+
+def local_copy(shared):
+    """A paused worker and the copy it mails a teammate: its live nodes
+    published, then packed with their frame ids."""
+    ws, _, _ = paused_worker(shared=shared)
+    remainder = drain(clone_worker(ws))
+    publish_private_nodes(ws, shared)
+    aux = snapshot_to_aux(ws, goal_id=1)
+    aux.frames = [cp.frame for cp in ws.cps]
+    return ws, aux, remainder
+
+
+def test_a_teammates_copy_installs_into_the_frames_it_names():
+    shared = TeamShared(2, n_frames=64)
+    try:
+        ws, aux, remainder = local_copy(shared)
+        blob = serialize_aux(aux)
+        assert len(blob) == len(serialize_aux(snapshot_to_aux(ws, 1))) + 8 * aux.cp_count
+        peer = fresh_like(ws)
+        peer.frames = shared
+        install_aux(peer, deserialize_aux(blob, frames=True), local=True)
+        assert [cp.frame for cp in peer.cps] == aux.frames and peer.load == 0
+        assert any(f >= 0 for f in aux.frames)
+        # the two workers draw the remaining alternatives from the same frames
+        assert drain(ws) + drain(peer) == remainder
+        assert shared.public_alts() == 0
+    finally:
+        shared.close()
+
+
+def test_an_inter_team_copy_carries_no_frames_column():
+    aux = deserialize_aux(sent_aux(0))
+    aux.frames = [-1] * aux.cp_count
+    with pytest.raises(ProtocolViolation):
+        splitting.check_aux(aux)
+    with pytest.raises(ProtocolViolation):
+        install_aux(receiver(0), aux)
+    with pytest.raises(ProtocolViolation):
+        deserialize_aux(serialize_aux(aux))
+
+
+@pytest.mark.parametrize("bad", [-2, 64, None])
+def test_a_teammates_copy_names_only_frames_of_its_pool(bad):
+    shared = TeamShared(2, n_frames=64)
+    try:
+        ws, aux, _ = local_copy(shared)
+        splitting.check_aux(aux, shared.n_frames)
+        if bad is None:
+            aux.frames = None
+        else:
+            aux.frames[-1] = bad
+        with pytest.raises(ProtocolViolation):
+            splitting.check_aux(aux, shared.n_frames)
+        peer = fresh_like(ws)
+        peer.frames = shared
+        with pytest.raises(ProtocolViolation):
+            install_aux(peer, aux, local=True)
+    finally:
+        shared.close()

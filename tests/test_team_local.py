@@ -5,7 +5,6 @@ import multiprocessing
 import multiprocessing.queues
 import multiprocessing.synchronize
 import os
-import pickle
 import random
 import resource
 import signal
@@ -26,12 +25,10 @@ from layered_or.errors import EngineCreationError, EngineError
 from layered_or.programs import get_program
 from layered_or.team import TeamShared, publish_private_nodes
 from layered_or.worker import (
-    ANSWER_BATCH_CAP,
     GoalDone,
     Master,
     TeamContext,
     Worker,
-    pack_answers,
     unpack_answers,
 )
 
@@ -384,27 +381,13 @@ def _must_not_ask(*_args, **_kwargs):
 def test_team_queues_are_read_exactly_as_counted(monkeypatch):
     ctx = multiprocessing.get_context("fork")
     shared = TeamShared(3, n_frames=16)
-    pipe = ctx.SimpleQueue()
     boxes = [ctx.SimpleQueue() for _ in range(3)]
-    tctx = TeamContext("counted", 0, 1, 3, EngineOptions(), shared, boxes, pipe, None)
+    tctx = TeamContext("counted", 0, 1, 3, EngineOptions(), shared, boxes, None)
     mesh = transport.QueueMesh(1, ctx)
     master = Master(tctx, WorkerState(team_id=0, worker_id=0), mesh.endpoint("counted", 0))
     master._begin_goal({"program": "queens", "args": [4], "goal": 1})
     monkeypatch.setattr(multiprocessing.queues.SimpleQueue, "empty", _must_not_ask)
     try:
-        batches = [pack_answers([(i, i)]) for i in range(3)]
-        for raw in batches:
-            pipe.put((1, raw))
-        shared.count_answer_batch(1)
-        shared.count_answer_batch(2)
-        master._collect_batches()
-        assert [raw for _, raw in master._forward] == batches[:2]
-        master._collect_batches()
-        assert len(master._forward) == 2, "an uncounted batch was read"
-        shared.count_answer_batch(1)
-        master._collect_batches()
-        assert [raw for _, raw in master._forward] == batches
-
         boxes[0].put(("note", {}, None))
         assert master._next_mail() is None, "an uncounted message was read"
         shared.count_mail(2, 0)
@@ -415,35 +398,32 @@ def test_team_queues_are_read_exactly_as_counted(monkeypatch):
         shared.close()
 
 
-def test_answer_batches_stay_under_the_cap(monkeypatch):
-    # every answer of spread(6,5) projects all six slots; with the flush
-    # interval out of reach only the cap and the goal's first answer cut
-    # batches, and no put may outgrow an empty 64 KiB pipe
+def test_answer_batches_mail_a_goals_first_answer_at_once(monkeypatch):
+    # with the flush interval out of reach, a teammate mails its master a
+    # batch at the goal's first answer and the rest when its run ends, each
+    # counted in the master's mailbox; together they are the oracle's answers
     monkeypatch.setattr(worker, "ANSWER_FLUSH_S", 3600.0)
     puts = []
 
-    class _Pipe:
+    class _Mailbox:
         def put(self, item):
             puts.append(item)
 
     shared = TeamShared(2, n_frames=16)
     opts = EngineOptions()
-    tctx = TeamContext("cap", 0, 1, 2, opts, shared, [None, None], _Pipe(), None)
+    tctx = TeamContext("batches", 0, 1, 2, opts, shared, [_Mailbox(), None], None)
     teammate = Worker(tctx, WorkerState(team_id=0, worker_id=1), 1)
     teammate._begin_goal({"program": "spread", "args": [6, 5], "goal": 1})
     try:
         teammate._run(start_tag=teammate.ws.program.root_tag)
         teammate._flush_answers()
-        assert shared.answer_batches() == len(puts)
+        assert shared.mail_count(0) == len(puts) == 2
     finally:
         shared.close()
-    sizes = [len(raw) for _, raw in puts]
-    assert max(sizes) <= ANSWER_BATCH_CAP
-    assert max(len(pickle.dumps(item)) for item in puts) < 1 << 16
-    assert len(unpack_answers(puts[0][1])) <= opts.k_backtracks, \
-        "the goal's first answer waited for the cap"
-    assert min(sizes[1:-1]) > ANSWER_BATCH_CAP - 64, "the cap cut a batch early"
-    got = Counter(unpack_answers(b"".join(raw for _, raw in puts)))
+    assert {(kind, meta["goal"]) for kind, meta, _ in puts} == {(worker.N_ANSWERS, 1)}
+    assert len(unpack_answers(puts[0][2])) <= opts.k_backtracks, \
+        "the goal's first answer waited for the flush interval"
+    got = Counter(unpack_answers(b"".join(raw for _, _, raw in puts)))
     assert got == oracle.enumerate_answers(get_program("spread"), [6, 5])
 
 
@@ -485,7 +465,7 @@ def no_fork_teammate(goal, args, n_frames=16):
     shared = TeamShared(2, n_frames=n_frames)
     steps = _Counted(get_program(goal))
     boxes = [_Box(steps), _Box(steps)]
-    tctx = TeamContext("ticks", 0, 1, 2, EngineOptions(), shared, boxes, _Box(steps), None)
+    tctx = TeamContext("ticks", 0, 1, 2, EngineOptions(), shared, boxes, None)
     teammate = Worker(tctx, WorkerState(team_id=0, worker_id=1), 1)
     teammate._begin_goal({"program": goal, "args": args, "goal": 1})
     teammate.ws.program = steps
@@ -572,7 +552,7 @@ def test_a_teammate_waiting_for_a_reply_blocks_on_its_mailbox():
     ctx = multiprocessing.get_context("fork")
     shared = TeamShared(3, n_frames=16)
     boxes = [ctx.SimpleQueue() for _ in range(3)]
-    tctx = TeamContext("wait", 0, 1, 3, EngineOptions(), shared, boxes, None, None)
+    tctx = TeamContext("wait", 0, 1, 3, EngineOptions(), shared, boxes, None)
     requester = Worker(tctx, WorkerState(team_id=0, worker_id=1), 1)
     requester.goal_id = 1
 
@@ -609,6 +589,38 @@ def test_frame_recycled_after_last_member_leaves():
     again = shared.alloc(3, 0, 1, 0)
     assert again == idx
     shared.close()
+
+
+def drain_within(handle, seconds):
+    """The running goal's answers, and whether it finished within ``seconds``."""
+    got = Counter()
+    deadline = time.monotonic() + seconds
+    while time.monotonic() < deadline:
+        batch = api.par_get_answers(handle, ("max", 4096))
+        if batch is None:
+            return got, True
+        got.update(batch[0])
+        if not batch[1]:
+            time.sleep(0.001)
+    return got, False
+
+
+@pytest.mark.parametrize("workers,transport_kind", [([2], "inproc"), ([4], "inproc"),
+                                                    ([2, 2], "tcp")])
+@pytest.mark.parametrize("strategy", ["vs", "hs"])
+def test_stack_copies_larger_than_a_pipe_reach_their_teammates(workers, transport_kind,
+                                                              strategy):
+    want = oracle.enumerate_answers(get_program("wide"), [6, 10000])
+    h = make_engine(f"wide-{len(workers)}-{transport_kind}-{strategy}", workers,
+                    strategy=strategy, transport=transport_kind,
+                    options=EngineOptions(trace=True))
+    api.par_run_goal(h, "wide(6,10000)")
+    got, finished = drain_within(h, 10.0)
+    shares = [e for e in h.trace_events() if e[2] == "shared_locally"]
+    api.par_free_parallel_engine(h)
+    assert finished, f"{sum(got.values())} of 64 answers within 10 s"
+    assert got == want
+    assert shares, "no teammate copied a stack"
 
 
 def test_local_share_conserves_alternatives_end_to_end():
@@ -706,7 +718,7 @@ def test_termination_waits_for_credit_despite_an_all_idle_load_view():
     # both teams have handed their credit back.
     shared = TeamShared(1, n_frames=16)
     ep = _ScriptedEndpoint(3, [(50, _credit_return(1, 1)), (100, _credit_return(2, 2))])
-    ctx = TeamContext("scripted", 0, 3, 1, EngineOptions(), shared, [None], None, None)
+    ctx = TeamContext("scripted", 0, 3, 1, EngineOptions(), shared, [None], None)
     master = Master(ctx, WorkerState(team_id=0, worker_id=0), ep)
     ep.own_load_fn = master.own_load
     master._begin_goal({"program": "queens", "args": [4], "goal": 1})
@@ -733,7 +745,7 @@ def test_a_goals_first_answers_leave_the_master_at_once():
     # goal's first answer must not wait ANSWER_FLUSH_S behind it
     shared = TeamShared(1, n_frames=16)
     ep = _ScriptedEndpoint(2, [])
-    ctx = TeamContext("scripted", 0, 2, 1, EngineOptions(), shared, [None], None, None)
+    ctx = TeamContext("scripted", 0, 2, 1, EngineOptions(), shared, [None], None)
     master = Master(ctx, WorkerState(team_id=0, worker_id=0), ep)
     ep.own_load_fn = master.own_load
     try:
@@ -884,6 +896,7 @@ def test_masters_die_with_a_killed_client():
     finally:
         client.kill()
         client.wait()
+        client.stdout.close()
         for pid in engine:
             try:
                 os.kill(pid, signal.SIGKILL)
