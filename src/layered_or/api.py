@@ -3,7 +3,9 @@
 The client process creates engines (spawning one master process per team,
 which in turn forks its teammates), submits goals, and drains answers. All
 calls are non-blocking except ``par_get_answers`` in ``exact`` mode, which
-waits until enough answers exist or the goal finishes.
+waits until enough answers exist or the goal finishes. It blocks in the
+client endpoint's poller, which also watches the trace pipe and every
+local master's sentinel: a dead master raises ``EngineError`` at the next read.
 
 Worker processes are forked, so engines must be created from a process
 without running threads (the POSIX fork constraint). Remote teams are hosted
@@ -50,10 +52,6 @@ READY = "ready"
 RUNNING = "running"
 FINISHED = "finished"
 FREED = "freed"
-
-# an exact-mode wait blocks in the client endpoint's poller for at most this
-# long at a time, then drains the trace pipe and checks the masters are alive
-EXACT_WAIT_SLICE_S = 0.01
 
 _REGISTRY: dict[str, "EngineHandle"] = {}
 _LOCAL_HOSTS = ("local", "localhost", "127.0.0.1")
@@ -191,13 +189,12 @@ class EngineHandle:
         self._error: Optional[str] = None
 
     # -- client-side message pump ---------------------------------------------
-    def _pump(self, wait: float = 0.0) -> None:
-        """Handle every message that has arrived, first blocking up to
-        ``wait`` seconds in the endpoint's poller for one if none has."""
+    def _pump(self) -> None:
+        """Handle every message that has arrived."""
         if self._ep is None:
             return
         self._drain_trace()
-        msg = self._ep.poll_wait(wait) if wait > 0 else self._ep.poll()
+        msg = self._ep.poll()
         while msg is not None:
             if msg.kind == ANSWER and msg.goal_id == self.goal_seq:
                 self.answers.extend(unpack_answers(msg.raw))
@@ -219,16 +216,6 @@ class EngineHandle:
         if self._error is not None:
             err, self._error = self._error, None
             raise GoalError(f"goal aborted by an engine fault:\n{err}")
-
-    def _check_masters(self) -> None:
-        for team_id, proc in enumerate(self._procs):
-            if proc is not None and not proc.is_alive() and self.state == RUNNING:
-                detail = ""
-                try:
-                    detail = f": {self._channels[team_id].get(0.1)}"
-                except Exception:
-                    pass
-                raise EngineError(f"master of team {team_id} died{detail}")
 
     def trace_events(self) -> list:
         self._drain_trace()
@@ -340,6 +327,11 @@ def _launch_teams(handle: EngineHandle, ctx) -> None:
     else:
         handle._ep = handle._mesh.endpoint(handle.name, CLIENT_ID)
         handle._mesh.close_others(CLIENT_ID)    # every master is forked by now
+    for team_id, proc in enumerate(handle._procs):
+        if proc is not None:
+            handle._ep.watch(proc.sentinel, f"master of team {team_id} died")
+    if handle._trace_queue is not None:
+        handle._ep.watch(handle._trace_queue._reader.fileno())
 
     for chan in handle._channels:
         _ctrl_get(chan, opts.ready_timeout_s, expect="ready")
@@ -400,9 +392,9 @@ def par_get_answers(engine: EngineHandle, mode: tuple[str, int]):
     engine._raise_if_faulted()
     if kind == "exact":
         while len(engine.answers) < n and engine.state != FINISHED:
-            engine._pump(wait=EXACT_WAIT_SLICE_S)
+            engine._ep.wait(None)     # until a frame, a trace event or a death
+            engine._pump()
             engine._raise_if_faulted()
-            engine._check_masters()
     take = min(n, len(engine.answers))
     if take == 0:
         if engine.state == FINISHED:

@@ -11,7 +11,8 @@ why it failed. The master then forks its teammates.
 Every process of a team dies with the process that started it: a master
 with the client or agent that built its boot record, a teammate with its
 master. On Linux the kernel sends the ``PR_SET_PDEATHSIG`` signal, so a
-killed client leaves no process behind.
+killed client leaves no process behind. A dead teammate raises
+``EngineError`` in its master, and a master that fails terminates its team.
 
 Start-up cost is paid once in the client, not in every fork. Importing
 this module imports everything a master and its teammates use, the
@@ -143,7 +144,6 @@ def master_entry(boot: MasterBoot) -> None:
     """Entry point of a team-master process."""
     _die_with_parent(boot.parent_pid)
     chan = boot.channel
-    shared = None
     workers = []
     ep = None
     try:
@@ -177,14 +177,21 @@ def master_entry(boot: MasterBoot) -> None:
                 expected.add(CLIENT_ID)
             ep.accept_peers(srv, expected, boot.options.ready_timeout_s)
             srv.close()
+        # one poll(2) wakes the master for frames, mail and teammate deaths
+        os.set_blocking(mailboxes[0]._reader.fileno(), False)    # see Master._next_mail
+        ep.watch(mailboxes[0]._reader.fileno())
+        for rank, p in enumerate(workers, 1):
+            ep.watch(p.sentinel, f"worker {rank} of team {boot.team_id} died")
         chan.put({"ready": True})
 
         master = Master(tctx, _worker_state(shared, boot.team_id, 0), ep)
         ep.own_load_fn = master.own_load
         master.getwork_first_time()
     except EngineShutdown:
-        pass
+        pass                          # each teammate was mailed the shutdown
     except Exception:
+        for p in workers:             # no mail will stop them
+            p.terminate()
         if boot.trace_queue is not None:
             boot.trace_queue.put((boot.team_id, 0, "master_crash",
                                   {"error": traceback.format_exc()}))
@@ -193,8 +200,6 @@ def master_entry(boot: MasterBoot) -> None:
         except Exception:
             pass
     finally:
-        if shared is not None:
-            shared.signal_abort()
         for p in workers:
             p.join(timeout=2.0)
         for p in workers:

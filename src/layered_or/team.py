@@ -12,8 +12,8 @@ about to hold, so a quiet service tick costs a few mmap reads and no
 syscall. Each counter has a single writer and so needs no lock:
 ``mail[receiver][sender]`` is bumped by the sender just before each put
 into the receiver's mailbox. A reader keeps the number of messages it has
-read; when the sum has moved by ``k`` it reads exactly ``k`` messages, and
-a read of a message still being written waits in the pipe for the rest.
+read; when the sum has moved by ``k`` it reads exactly ``k`` messages as
+their bytes come, so a message still being written is read when whole.
 
 One team lock guards the whole pool, the free list and every frame's
 fields, and is the region's only POSIX semaphore. ``lock(idx)`` returns it,
@@ -42,10 +42,9 @@ import multiprocessing as mp
 
 from .engine import count_open
 
-_HDR = 4                   # header slots before the per-worker arrays
-_SLOT_ABORT = 0
-_SLOT_FREE_HEAD = 1
-_SLOT_HIGH_WATER = 2
+_HDR = 2                   # header slots before the per-worker arrays
+_SLOT_FREE_HEAD = 0
+_SLOT_HIGH_WATER = 1
 _BANKS = 5                 # ready, idle, load, public nodes, public alts
 
 # or-frames per team; a share that finds the pool full is refused
@@ -125,16 +124,10 @@ class TeamShared:
         base = self._mail_off + receiver * self.n_workers
         return sum(self._mv[base:base + self.n_workers])
 
-    # -- counters / flags -------------------------------------------------------
+    # -- counters ---------------------------------------------------------------
     def public_alts(self) -> int:
         base = self._warr(4, 0)
         return sum(self._mv[base:base + self.n_workers])
-
-    def signal_abort(self) -> None:
-        self._mv[_SLOT_ABORT] = 1
-
-    def aborted(self) -> bool:
-        return bool(self._mv[_SLOT_ABORT])
 
     # -- or-frame pool ----------------------------------------------------------
     def _base(self, idx: int) -> int:

@@ -15,7 +15,8 @@ emulates slower links without reordering a pair.
 Each endpoint keeps one ``select.poll`` object over its sockets, so a poll
 that finds nothing costs one ``poll(2)`` call, and a wait blocks there
 until a frame arrives. The object holds no kernel resource: an endpoint
-built before a fork stays valid in the child.
+built before a fork stays valid in the child. ``watch`` adds the owner's
+other fds to it (a mailbox, a trace pipe, a process sentinel).
 """
 
 from __future__ import annotations
@@ -187,9 +188,9 @@ class Endpoint:
     def _receive(self) -> Optional[bytes]:
         raise NotImplementedError
 
-    def _wait(self, timeout: Optional[float]) -> None:
-        """Block until a frame may be ready, or for at most ``timeout`` seconds
-        (without limit if it is None)."""
+    def wait(self, timeout: Optional[float]) -> None:
+        """Block until a frame or a watched fd may be ready, or for at most
+        ``timeout`` seconds (without limit if it is None)."""
         raise NotImplementedError
 
     def close(self) -> None:
@@ -231,7 +232,7 @@ class Endpoint:
             left = None if deadline is None else deadline - time.monotonic()
             if left is not None and left <= 0:
                 return None
-            self._wait(left)
+            self.wait(left)
 
     def push_back(self, msg: TeamMessage) -> None:
         self._pending.appendleft(msg)
@@ -246,12 +247,10 @@ class Endpoint:
             if self.team_id == 0:
                 waiting = set(range(1, self.n_teams))
                 while waiting:
-                    msg = self.poll_wait(min(0.05, timeout))
+                    msg = self.poll_wait(deadline - time.monotonic())
                     if msg is None:
-                        if time.monotonic() >= deadline:
-                            raise EngineCreationError(
-                                f"barrier timed out waiting for teams {sorted(waiting)}")
-                        continue
+                        raise EngineCreationError(
+                            f"barrier timed out waiting for teams {sorted(waiting)}")
                     if msg.kind == _BARRIER_ENTER:
                         waiting.discard(msg.sender)
                     else:
@@ -261,11 +260,9 @@ class Endpoint:
             else:
                 self.send(0, _BARRIER_ENTER)
                 while True:
-                    msg = self.poll_wait(min(0.05, timeout))
+                    msg = self.poll_wait(deadline - time.monotonic())
                     if msg is None:
-                        if time.monotonic() >= deadline:
-                            raise EngineCreationError("barrier timed out waiting for release")
-                        continue
+                        raise EngineCreationError("barrier timed out waiting for release")
                     if msg.kind == _BARRIER_GO:
                         break
                     parked.append(msg)
@@ -295,6 +292,7 @@ class TcpEndpoint(Endpoint):
         self._poller = select.poll()
         self._peer_of: dict[int, int] = {}      # fd -> peer
         self._backlog: set[int] = set()         # peers with buffered or held bytes
+        self._watched: dict[int, Optional[str]] = {}   # fd -> death text, or None
 
     # -- connection setup ---------------------------------------------------------
     def listen(self, host: str = "127.0.0.1") -> tuple[socket.socket, int]:
@@ -312,6 +310,13 @@ class TcpEndpoint(Endpoint):
         self._order.append(peer)
         self._poller.register(conn.fileno(), select.POLLIN)
         self._peer_of[conn.fileno()] = peer
+
+    def watch(self, fd: int, death: Optional[str] = None) -> None:
+        """Have ``wait`` return once ``fd`` is readable. With a ``death`` text
+        (for a ``Process.sentinel``), a readable ``fd`` raises
+        ``EngineError(death)`` at the next poll instead."""
+        self._poller.register(fd, select.POLLIN)
+        self._watched[fd] = death
 
     def dial(self, peer: int, host: str, port: int, timeout: float = 10.0) -> None:
         conn = socket.create_connection((host, port), timeout=timeout)
@@ -360,9 +365,15 @@ class TcpEndpoint(Endpoint):
         return frame
 
     def _fill(self) -> bool:
-        """Read every socket that holds data into its buffer; False if none did."""
+        """Read every socket that holds data into its buffer; False if no fd
+        was readable. A readable watched fd is skipped, or raises if it has a
+        death text."""
         events = self._poller.poll(0)
         for fd, _ in events:
+            if fd in self._watched:
+                if self._watched[fd] is not None:
+                    raise EngineError(self._watched[fd])
+                continue
             peer = self._peer_of[fd]
             conn = self._conns[peer]
             buf = self._bufs[peer]
@@ -407,7 +418,7 @@ class TcpEndpoint(Endpoint):
                 return frame
         return None
 
-    def _wait(self, timeout: Optional[float]) -> None:
+    def wait(self, timeout: Optional[float]) -> None:
         # poll(2) counts whole milliseconds and Python rounds its timeout up,
         # so a shorter wait sleeps instead: it must not pass a release time
         due = [h[0][0] for h in self._held.values() if h]
@@ -422,9 +433,10 @@ class TcpEndpoint(Endpoint):
             time.sleep(timeout)
 
     def close(self) -> None:
-        for fd in self._peer_of:
+        for fd in [*self._peer_of, *self._watched]:
             self._poller.unregister(fd)
         self._peer_of.clear()
+        self._watched.clear()
         for conn in self._conns.values():
             try:
                 conn.close()

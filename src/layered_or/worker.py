@@ -7,11 +7,10 @@ worker that alone owns the transport endpoint and also runs the two
 inter-team scheduler halves (the idle scheduler when the whole team is out
 of work, the busy scheduler woven into its execution loop). It runs and
 waits in its teammates' loops, through three hooks: a pump that serves the
-transport and forwards answers while it waits, a wait for mail that naps
-instead of blocking on the mailbox, and the test that tells it the whole
-team is out of work. The client's goals enter through the master
-team's master, and every worker parks in ``getwork_first_time`` between
-goals.
+transport and forwards answers while it waits, a wait for mail that blocks
+in the endpoint's poller, and the test that tells it the whole team is out
+of work. The client's goals enter through the master of team 0, and every
+worker parks in ``getwork_first_time`` between goals.
 
 A worker's one intra-team channel is its mailbox: every mail is a
 ``(kind, meta, payload)`` triple whose payload is checked bytes. A stack
@@ -28,17 +27,20 @@ payloads of other teams. It sends the lot as one ANSWER frame, at most
 every ``ANSWER_FLUSH_S`` while its team works and at once when the team
 goes idle or the goal ends. Nothing between worker and client unpacks it.
 
-A quiet service tick makes no syscall besides the master's one ``poll(2)``
-on its transport. A sender bumps the receiver's signal counter in
-``TeamShared`` before it puts a mail, so a reader that sees the count move
-by ``k`` reads exactly ``k`` mails without asking the pipe, and blocks in
-``get`` until a mail larger than the pipe is whole. This cannot deadlock:
-a writer blocks only on a full pipe, and its reader is then reading. Only
-a stack copy or answer batches fill a pipe. A copy's reader asked for it
-and waits on its mailbox, mailing nothing until the reply is in; batches
-go to the master, which reads mail on every tick and every turn of its
-waits, and whose own puts go to a waiting requester or to busy teammates,
-whose pipes hold only short mail.
+Every wait is one blocking ``poll(2)``: a teammate's on its mailbox pipe,
+a master's in its endpoint's poller, which also watches its mailbox pipe
+and its teammates' sentinels. Only the shutdown mail stops a worker. Only
+``_acquire_locally`` and ``_wait_for_teammates`` sleep: they poll shared
+registers that no fd signals. A sender bumps the receiver's signal counter
+in ``TeamShared`` before it puts a mail, so a quiet tick reads no pipe. A
+teammate reads a counted mail in ``get``, which waits for the rest of a
+mail larger than the pipe; the master reads without blocking, so a
+teammate that dies mid-put cannot hang it. This cannot deadlock: a writer
+blocks only on a full pipe, and its reader is then reading. A copy's
+reader asked for it and mails nothing until the reply is in; batches go to
+the master, which reads mail on every tick and every turn of its waits,
+and whose own puts go to a waiting requester or to busy teammates, whose
+pipes hold only short mail.
 
 Ticks space themselves out while nobody asks for work. Each run starts
 ticking every ``k_backtracks`` steps. A tick that finds no mail but answers
@@ -64,6 +66,7 @@ Load arrays only pick whom to ask for work.
 from __future__ import annotations
 
 import os
+import pickle
 import struct
 import time
 import traceback
@@ -72,7 +75,7 @@ from functools import lru_cache
 from . import scheduler, splitting, transport
 from .config import EngineOptions
 from .engine import WorkerState, allocate_dead_root, run_loop, setup_goal
-from .errors import EngineShutdown, ProtocolViolation
+from .errors import EngineError, EngineShutdown, ProtocolViolation
 from .programs import get_program
 from .team import FramePoolExhausted, TeamShared, publish_private_nodes
 from .transport import CLIENT_ID, TeamMessage
@@ -92,10 +95,6 @@ N_ANSWERS = "answers"
 # every process on its path tens of microseconds, far more than the answers
 # in it; at one per tick, sparse answers (queens) paid it per answer.
 ANSWER_FLUSH_S = 0.01
-# A parked teammate blocks on its mailbox and wakes at least this often to
-# see whether a failing master aborted the team, which sends no mail. Each
-# wake costs about 0.1 ms of CPU; the master waits 2 s for its teammates.
-PARKED_WAKE_S = 0.25
 # A busy worker's quiet ticks double their spacing up to this many times
 # ``k_backtracks`` steps. Almost every tick of a large goal is quiet, and
 # each costs a few microseconds; the cap bounds how long a request waits.
@@ -131,7 +130,7 @@ class TeamContext:
         self.trace_queue = trace_queue
 
     def notify(self, sender: int, rank: int, kind: str, meta: dict, payload=None) -> None:
-        # counted first: the reader then waits in get() for a mail of any size
+        # counted first: the reader then waits for the rest of a mail of any size
         self.shared.count_mail(sender, rank)
         self.mailboxes[rank].put((kind, meta, payload))
 
@@ -149,9 +148,9 @@ class Worker:
 
     The master runs the same loops. It overrides three hooks: ``_pump``,
     which keeps its transport and answer forwarding going while it waits,
-    ``_await_mail``, which naps instead of blocking so the pump keeps
-    running, and
-    ``_team_out_of_work``, which lets ``_acquire_locally`` give up.
+    ``_await_mail``, which blocks in its endpoint's poller so that frames
+    wake it too, and ``_team_out_of_work``, which lets ``_acquire_locally``
+    give up.
     """
 
     def __init__(self, ctx: TeamContext, ws: WorkerState, rank: int):
@@ -178,7 +177,7 @@ class Worker:
 
     def _await_mail(self) -> None:
         """Wait for mail, blocking in poll(2) on the mailbox's read end."""
-        self.ctx.mailboxes[self.rank]._reader.poll(PARKED_WAKE_S)
+        self.ctx.mailboxes[self.rank]._reader.poll(None)
 
     # -- Alg. getwork: park, run, repeat ------------------------------------
     def getwork_first_time(self) -> None:
@@ -201,10 +200,7 @@ class Worker:
             ctx.shared.set_idle(self.rank, False)
 
     def _wait_for_work_in_team(self) -> dict:
-        ctx = self.ctx
         while True:
-            if ctx.shared.aborted():
-                raise EngineShutdown
             mail = self._next_mail()
             if mail is None:
                 self._await_mail()
@@ -237,7 +233,8 @@ class Worker:
         try:
             run_loop(self.ws, self._emit, start_tag=start_tag, service=self._service,
                      service_every=k)
-        except (GoalDone, EngineShutdown, ProtocolViolation):
+        except (GoalDone, EngineShutdown, EngineError):
+            # a dead teammate or link breaks the team, not just this goal
             raise
         except Exception:
             # a program fault aborts the goal engine-wide, not this worker
@@ -262,8 +259,6 @@ class Worker:
             self._last_flush = time.monotonic()
 
     def _service(self) -> int:
-        if self.ctx.shared.aborted():
-            raise EngineShutdown
         if self._answers and time.monotonic() - self._last_flush >= ANSWER_FLUSH_S:
             self._flush_answers()
         return self._next_spacing(self._drain_mailbox())
@@ -276,12 +271,7 @@ class Worker:
         return self._spacing
 
     def _next_mail(self):
-        """The next message of this worker's mailbox, or None if none is counted.
-
-        Every put into a mailbox is counted before it starts, so a counted
-        message is read without asking the pipe whether it holds one, and
-        ``get`` waits for the rest of a message still being written.
-        """
+        """The next counted message of this worker's mailbox, or None."""
         if self._mail_seen == self.ctx.shared.mail_count(self.rank):
             return None
         self._mail_seen += 1
@@ -358,8 +348,6 @@ class Worker:
         shared = ctx.shared
         tries = 0
         while True:
-            if shared.aborted():
-                raise EngineShutdown
             self._drain_mailbox()
             self._pump()
             target = scheduler.select_local_target(shared.loads(), self.rank)
@@ -380,8 +368,6 @@ class Worker:
         self._tell(target, N_DELEGATE_REQUEST, {"goal": self.goal_id, "local": self.rank})
         deferred = []
         while True:
-            if ctx.shared.aborted():
-                raise EngineShutdown
             self._pump()
             mail = self._next_mail()
             if mail is None:
@@ -426,7 +412,6 @@ class Master(Worker):
         self._next_req = 0
         self._outstanding = None          # (req_id, target team)
         self._delegations = set()         # (requesting team, req_id) being served
-        self._next_poll_count = 0
         self._goal_finished = False
         self._client_done_sent = False
         self._install_pending = None
@@ -435,6 +420,7 @@ class Master(Worker):
         self._scale = 0                   # ... as _recovered / 2**_scale
         self._forward: list[tuple[int, bytes]] = []   # (origin team, packed batches)
         self._last_forward = 0.0          # when the last ANSWER frame went out
+        self._inbox = bytearray()         # mailbox bytes read ahead of a whole mail
 
     # -- load array stamping -----------------------------------------------------
     def own_load(self) -> int:
@@ -447,10 +433,28 @@ class Master(Worker):
         self._drain_transport(busy=False)
         self._forward_answers()
 
-    def _await_mail(self) -> None:
-        # blocking on the mailbox would leave the transport unserved; nap
-        # and pump again
-        time.sleep(0.00002)
+    def _await_mail(self, timeout: float | None = None) -> None:
+        # the poller watches the mailbox too; held answers bound the wait
+        if self._forward:
+            flush = max(0.0, self._last_forward + ANSWER_FLUSH_S - time.monotonic())
+            timeout = flush if timeout is None else min(timeout, flush)
+        self.ep.wait(timeout)
+
+    def _next_mail(self):
+        """The next whole counted mail, or None; never blocks. A ``SimpleQueue``
+        frames each mail as a big-endian ``i32`` length and a pickle."""
+        if self._mail_seen == self.ctx.shared.mail_count(0):
+            return None
+        buf = self._inbox
+        while len(buf) < 4 or len(buf) < (end := 4 + int.from_bytes(buf[:4], "big")):
+            try:
+                buf += os.read(self.ctx.mailboxes[0]._reader.fileno(), 1 << 16)
+            except BlockingIOError:
+                return None
+        self._mail_seen += 1
+        mail = pickle.loads(buf[4:end])
+        del buf[:end]
+        return mail
 
     def _team_out_of_work(self) -> bool:
         shared = self.ctx.shared
@@ -487,21 +491,23 @@ class Master(Worker):
             if time.monotonic() >= deadline:
                 raise ProtocolViolation(f"only {ctx.shared.ready_count()} of "
                                         f"{want} teammates became ready")
-            if ctx.shared.aborted():
-                raise EngineShutdown
             time.sleep(0.0005)
         ctx.trace(0, "teammates_ready", count=ctx.shared.ready_count())
 
     def _wait_for_goal(self, kind: int) -> dict:
         """Park between goals until a ``kind`` frame (GOAL or ROOT_INFO) starts one.
 
-        The master blocks in its poller with no timeout. Waking to read the
-        abort flag would find nothing: only the master itself raises it. A
-        local master dies with its parent, and a tcp peer that dies closes
-        its connection, which wakes the poller and raises ``EngineError``.
+        The master blocks in its poller with no timeout. Mail here belongs to
+        the goal that ended and is dropped; unread, it would keep the poll
+        readable. A dead teammate or peer raises ``EngineError`` at the poll.
         """
         while True:
-            msg = self.ep.poll_wait(None)
+            while self._next_mail() is not None:
+                pass
+            msg = self.ep.poll()
+            if msg is None:
+                self.ep.wait(None)
+                continue
             self._merge(msg)
             if msg.kind == kind:
                 return msg.meta
@@ -565,12 +571,10 @@ class Master(Worker):
                 self._team_idle_scheduler()
 
     def _service(self) -> int:
-        # no abort check: only the master itself raises that flag
         served = self._drain_mailbox()
-        polled = self._next_poll_count
-        self._drain_transport(busy=True)
+        polled = self._drain_transport(busy=True)
         self._forward_answers()
-        return self._next_spacing(served or self._next_poll_count != polled)
+        return self._next_spacing(served or polled)
 
     # -- answers -------------------------------------------------------------------
     def _flush_answers(self) -> None:
@@ -683,15 +687,15 @@ class Master(Worker):
             self._client_done_sent = True
 
     # -- transport servicing -------------------------------------------------------
-    def _drain_transport(self, busy: bool) -> None:
-        while self._install_pending is None:
-            # a pending install flips this team to busy; traffic behind it in
-            # the inbox must be answered from the post-install state
-            msg = self.ep.poll()
-            if msg is None:
-                return
-            self._next_poll_count += 1
+    def _drain_transport(self, busy: bool) -> bool:
+        """Handle every frame that has arrived; True if there was any."""
+        handled = False
+        # a pending install flips this team to busy; traffic behind it in
+        # the inbox must be answered from the post-install state
+        while self._install_pending is None and (msg := self.ep.poll()) is not None:
             self._handle_message(msg, busy)
+            handled = True
+        return handled
 
     def _merge(self, msg: TeamMessage) -> None:
         if msg.sender != CLIENT_ID and len(msg.loads) == self.ep.n_teams:
@@ -779,17 +783,9 @@ class Master(Worker):
         ctx = self.ctx
         self.team_idle = True
         retry_at = 0.0
-        # back off while nothing arrives: idle masters must not starve the
-        # busy teams' workers of cpu
-        nap = 0.00001
         while True:
-            if ctx.shared.aborted():
-                raise EngineShutdown
             self._drain_mailbox()
-            before = self._next_poll_count
             self._pump()
-            if self._next_poll_count != before:
-                nap = 0.00001
             if self._install_pending is not None:
                 self._install_stacks(self._install_pending)
                 self._install_pending = None
@@ -807,8 +803,9 @@ class Master(Worker):
                                  {"goal": self.goal_id, "req": req})
                     ctx.trace(0, "share_requested", team=target, req=req)
                 retry_at = time.monotonic() + RETRY_DELAY_S
-            time.sleep(nap)
-            nap = min(nap * 2, 0.0005)
+            # a reply is a frame, which wakes the wait; after a refusal, retry
+            self._await_mail(None if self._outstanding
+                             else max(0.0, retry_at - time.monotonic()))
 
     def _terminate_peers(self) -> None:
         """Team 0 holds all credit again: the goal is over everywhere."""
@@ -853,7 +850,6 @@ class Master(Worker):
         if rebroadcast:
             for team in self.ep.peers():
                 self.ep.send(team, transport.ENGINE_FREE, {})
-        ctx.shared.signal_abort()
         for rank in range(1, ctx.n_workers):
             self._tell(rank, N_GOAL_DONE, {"shutdown": True})
         raise EngineShutdown

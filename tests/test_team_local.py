@@ -5,6 +5,7 @@ import multiprocessing
 import multiprocessing.queues
 import multiprocessing.synchronize
 import os
+import pickle
 import random
 import resource
 import signal
@@ -398,6 +399,34 @@ def test_team_queues_are_read_exactly_as_counted(monkeypatch):
         shared.close()
 
 
+def test_a_master_reads_a_mail_cut_short_without_blocking():
+    # a teammate killed inside a put leaves a counted mail cut short: the
+    # master must go on serving, not wait for bytes that never come
+    ctx = multiprocessing.get_context("fork")
+    shared = TeamShared(2, n_frames=16)
+    boxes = [ctx.SimpleQueue() for _ in range(2)]
+    tctx = TeamContext("cut", 0, 1, 2, EngineOptions(), shared, boxes, None)
+    master = Master(tctx, WorkerState(team_id=0, worker_id=0), None)
+    os.set_blocking(boxes[0]._reader.fileno(), False)
+    whole = (worker.N_ANSWERS, {"goal": 1}, b"x")
+    cut = (worker.N_ANSWERS, {"goal": 1}, bytes(range(256)) * 32)
+    blob = pickle.dumps(cut)
+    raw = len(blob).to_bytes(4, "big") + blob     # a SimpleQueue's framing
+    try:
+        shared.count_mail(1, 0)
+        boxes[0].put(whole)
+        shared.count_mail(1, 0)
+        os.write(boxes[0]._writer.fileno(), raw[:len(raw) // 2])
+        assert master._next_mail() == whole
+        assert master._next_mail() is None, "a mail cut short was returned"
+        os.write(boxes[0]._writer.fileno(), raw[len(raw) // 2:])
+        assert master._next_mail() == cut
+        shared.count_mail(1, 0)
+        assert master._next_mail() is None, "a counted mail with no bytes was returned"
+    finally:
+        shared.close()
+
+
 def test_answer_batches_mail_a_goals_first_answer_at_once(monkeypatch):
     # with the flush interval out of reach, a teammate mails its master a
     # batch at the goal's first answer and the rest when its run ends, each
@@ -563,7 +592,8 @@ def test_a_teammate_waiting_for_a_reply_blocks_on_its_mailbox():
 
     target = threading.Thread(target=busy_target)
     # a requester that misses the reply shuts down instead of hanging
-    watchdog = threading.Timer(10.0, shared.signal_abort)
+    watchdog = threading.Timer(10.0, tctx.notify, (0, 1, worker.N_GOAL_DONE,
+                                                   {"shutdown": True}))
     target.start()
     watchdog.start()
     try:
@@ -702,6 +732,9 @@ class _ScriptedEndpoint(transport.Endpoint):
         if self.script and self.polls >= self.script[0][0]:
             return self.script.popleft()[1]
         return None
+
+    def wait(self, timeout):
+        pass                              # the script is polled, never waited on
 
 
 def _credit_return(sender, k, n_teams=3):
@@ -857,6 +890,50 @@ def test_a_killed_inproc_master_becomes_an_engine_error():
     api.par_free_parallel_engine(h)
 
 
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc")
+def test_a_killed_teammate_becomes_an_engine_error():
+    # the master watches its teammates' sentinels; a dead teammate's share
+    # of the goal must not vanish into a short answer set
+    h = make_engine("killed_teammate", [2])
+    (teammate,) = children_of(h._procs[0].pid)
+    api.par_run_goal(h, "queens(12)")
+    time.sleep(0.3)
+    os.kill(teammate, signal.SIGKILL)
+    deadline = time.monotonic() + 2.0
+    try:
+        with pytest.raises(EngineError):
+            while time.monotonic() < deadline:
+                api.par_get_answers(h, ("max", 4096))
+                time.sleep(0.005)
+    finally:
+        api.par_free_parallel_engine(h)
+
+
+def test_a_killed_master_ends_an_exact_wait():
+    h = make_engine("killed_exact", [1, 1])
+    api.par_run_goal(h, "queens(12)")
+    while not api.par_probe_answers(h):
+        time.sleep(0.001)
+    masters = [p.pid for p in h._procs]
+    killer = threading.Timer(0.05, os.kill, (masters[1], signal.SIGKILL))
+    # a wait that misses the death still ends, once team 0 is killed too
+    watchdog = threading.Timer(10.0, os.kill, (masters[0], signal.SIGKILL))
+    killer.start()
+    watchdog.start()
+    t0 = time.monotonic()
+    try:
+        with pytest.raises(EngineError):
+            api.par_get_answers(h, ("exact", 10 ** 6))
+        waited = time.monotonic() - t0
+        with pytest.raises(EngineError):
+            api.par_probe_answers(h)
+    finally:
+        watchdog.cancel()
+        killer.join()
+        api.par_free_parallel_engine(h)
+    assert waited < 2.0, f"the exact wait raised {waited:.2f} s after the kill"
+
+
 # a client holding a two-team engine; prints its masters' pids, then waits
 _HOLDING_CLIENT = """
 import time
@@ -982,6 +1059,23 @@ def test_a_parked_master_blocks_until_a_frame_comes():
     assert sum(drain(h).values()) == 4, "the parked master missed the next goal"
     api.par_free_parallel_engine(h)
     assert woke < 10, f"a parked master woke {woke} times in 2 s"
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc")
+def test_parked_teammates_block_until_mail_comes():
+    h = make_engine("parked_teammates", [4])
+    api.par_run_goal(h, "queens(6)")
+    assert sum(drain(h).values()) == 4
+    teammates = _descendants(h._procs[0].pid)
+    assert len(teammates) == 3
+    time.sleep(0.2)
+    before = [_voluntary_switches(pid) for pid in teammates]
+    time.sleep(2.0)
+    woke = [_voluntary_switches(pid) - n for pid, n in zip(teammates, before)]
+    api.par_run_goal(h, "queens(6)")
+    assert sum(drain(h).values()) == 4, "a parked teammate missed the next goal"
+    api.par_free_parallel_engine(h)
+    assert max(woke) < 3, f"parked teammates woke {woke} times in 2 s"
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc")
