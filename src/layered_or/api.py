@@ -5,7 +5,8 @@ which in turn forks its teammates), submits goals, and drains answers. All
 calls are non-blocking except ``par_get_answers`` in ``exact`` mode, which
 waits until enough answers exist or the goal finishes. It blocks in the
 client endpoint's poller, which also watches the trace pipe and every
-local master's sentinel: a dead master raises ``EngineError`` at the next read.
+local master's sentinel: a dead master raises ``EngineError`` at the next
+read, with what failed masters reported on their ctrl channels.
 
 Worker processes are forked, so engines must be created from a process
 without running threads (the POSIX fork constraint). Remote teams are hosted
@@ -44,7 +45,7 @@ from .transport import (
     QueueMesh,
     TcpEndpoint,
 )
-from .worker import unpack_answers
+from .worker import Mailbox, unpack_answers
 
 log = logging.getLogger("layered_or")
 
@@ -194,23 +195,31 @@ class EngineHandle:
         if self._ep is None:
             return
         self._drain_trace()
-        msg = self._ep.poll()
-        while msg is not None:
-            if msg.kind == ANSWER and msg.goal_id == self.goal_seq:
-                self.answers.extend(unpack_answers(msg.raw))
-            elif msg.kind == TERMINATE and msg.goal_id == self.goal_seq:
-                self.state = FINISHED
-            elif msg.kind == FAULT and msg.goal_id == self.goal_seq:
-                self.state = FINISHED
-                self._error = msg.meta.get("error", "engine fault")
-            msg = self._ep.poll()
+        try:
+            while (msg := self._ep.poll()) is not None:
+                if msg.kind == ANSWER and msg.goal_id == self.goal_seq:
+                    self.answers.extend(unpack_answers(msg.raw))
+                elif msg.kind == TERMINATE and msg.goal_id == self.goal_seq:
+                    self.state = FINISHED
+                elif msg.kind == FAULT and msg.goal_id == self.goal_seq:
+                    self.state = FINISHED
+                    self._error = msg.meta.get("error", "engine fault")
+        except EngineError as exc:
+            # a failed master reports why on its ctrl channel before its links close
+            why = [] if self._error is None else [f"goal fault:\n{self._error}"]
+            for team_id, chan in enumerate(self._channels):
+                try:
+                    why.append(f"team {team_id} reported:\n{chan.get(0)['error']}")
+                except Exception:
+                    pass              # no report: the master is alive or was killed
+            raise EngineError("\n".join([str(exc), *why])) from None
 
     def _drain_trace(self) -> None:
         # tracing processes block once the trace pipe fills, so the client
         # moves events into this buffer on every pump
         if self._trace_queue is not None:
-            while not self._trace_queue.empty():
-                self._trace_buffer.append(self._trace_queue.get())
+            while (event := self._trace_queue.get()) is not None:
+                self._trace_buffer.append(event)
 
     def _raise_if_faulted(self) -> None:
         if self._error is not None:
@@ -262,7 +271,7 @@ def par_create_parallel_engine(name: str, teams: Sequence[Union[TeamSpec, tuple]
     n_teams = len(specs)
     ctx = multiprocessing.get_context("fork")
     if options.trace:
-        handle._trace_queue = ctx.SimpleQueue()
+        handle._trace_queue = Mailbox(ctx)
     if transport_kind == "inproc":
         handle._mesh = QueueMesh(n_teams, delay=options.delay)
     try:
@@ -331,7 +340,7 @@ def _launch_teams(handle: EngineHandle, ctx) -> None:
         if proc is not None:
             handle._ep.watch(proc.sentinel, f"master of team {team_id} died")
     if handle._trace_queue is not None:
-        handle._ep.watch(handle._trace_queue._reader.fileno())
+        handle._ep.watch(handle._trace_queue.fd)
 
     for chan in handle._channels:
         _ctrl_get(chan, opts.ready_timeout_s, expect="ready")
@@ -431,9 +440,11 @@ def _teardown(handle: EngineHandle, force: bool) -> None:
             proc.join(timeout=1.0)
             if proc.is_alive():
                 proc.kill()
-    for link in handle._channels + [handle._ep, handle._mesh]:
+    handle._drain_trace()         # the trace pipe closes with the links
+    for link in handle._channels + [handle._ep, handle._mesh, handle._trace_queue]:
         if link is not None:
             link.close()
+    handle._trace_queue = None
     handle.state = FREED
     _REGISTRY.pop(handle.name, None)
 

@@ -16,10 +16,10 @@ killed client leaves no process behind. A dead teammate raises
 
 Start-up cost is paid once in the client, not in every fork. Importing
 this module imports everything a master and its teammates use, the
-multiprocessing lock and queue modules included, and resolves ``prctl``
+multiprocessing lock module included, and resolves ``prctl``
 through ``ctypes``; forked processes inherit both. Each master then pays
 for its own work only: the team's ``TeamShared`` region and its one
-semaphore, one mailbox per worker (a pipe, the team's only queue), one
+semaphore, one mailbox per worker (a pipe and its write lock), one
 fork per teammate, closing the inproc links it does not own (or setting up
 its tcp links), and one ``prctl`` call. Each teammate pays one ``prctl``
 call.
@@ -31,8 +31,7 @@ from __future__ import annotations
 import ctypes
 import json
 import multiprocessing
-import multiprocessing.queues        # a team's mailboxes
-import multiprocessing.synchronize   # the lock of a team's TeamShared
+import multiprocessing.synchronize   # the locks of a team's TeamShared and mailboxes
 import os
 import signal
 import socket
@@ -45,7 +44,7 @@ from .engine import WorkerState
 from .errors import EngineShutdown
 from .team import TeamShared
 from .transport import CLIENT_ID, TcpEndpoint
-from .worker import N_FAULT, Master, TeamContext, Worker
+from .worker import N_FAULT, Mailbox, Master, TeamContext, Worker
 
 
 class SocketChannel:
@@ -149,7 +148,7 @@ def master_entry(boot: MasterBoot) -> None:
     try:
         ctx = multiprocessing.get_context("fork")
         shared = TeamShared(boot.n_workers, ctx=ctx)
-        mailboxes = [ctx.SimpleQueue() for _ in range(boot.n_workers)]
+        mailboxes = [Mailbox(ctx) for _ in range(boot.n_workers)]
         tctx = TeamContext(boot.engine_id, boot.team_id, boot.n_teams,
                            boot.n_workers, boot.options, shared, mailboxes,
                            boot.trace_queue)
@@ -178,8 +177,7 @@ def master_entry(boot: MasterBoot) -> None:
             ep.accept_peers(srv, expected, boot.options.ready_timeout_s)
             srv.close()
         # one poll(2) wakes the master for frames, mail and teammate deaths
-        os.set_blocking(mailboxes[0]._reader.fileno(), False)    # see Master._next_mail
-        ep.watch(mailboxes[0]._reader.fileno())
+        ep.watch(mailboxes[0].fd)
         for rank, p in enumerate(workers, 1):
             ep.watch(p.sentinel, f"worker {rank} of team {boot.team_id} died")
         chan.put({"ready": True})

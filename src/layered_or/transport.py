@@ -293,6 +293,7 @@ class TcpEndpoint(Endpoint):
         self._peer_of: dict[int, int] = {}      # fd -> peer
         self._backlog: set[int] = set()         # peers with buffered or held bytes
         self._watched: dict[int, Optional[str]] = {}   # fd -> death text, or None
+        self._death: Optional[str] = None       # raised once no frame is left
 
     # -- connection setup ---------------------------------------------------------
     def listen(self, host: str = "127.0.0.1") -> tuple[socket.socket, int]:
@@ -313,8 +314,8 @@ class TcpEndpoint(Endpoint):
 
     def watch(self, fd: int, death: Optional[str] = None) -> None:
         """Have ``wait`` return once ``fd`` is readable. With a ``death`` text
-        (for a ``Process.sentinel``), a readable ``fd`` raises
-        ``EngineError(death)`` at the next poll instead."""
+        (for a ``Process.sentinel``), a readable ``fd`` makes ``poll`` raise
+        ``EngineError(death)`` once the frames that came before it are read."""
         self._poller.register(fd, select.POLLIN)
         self._watched[fd] = death
 
@@ -357,22 +358,24 @@ class TcpEndpoint(Endpoint):
         if self._delay is not None:
             # every frame that has arrived is held before any is released
             self._fill()
-            return self._next_frame()
-        # a complete frame may already sit in a buffer that poll(2) knows nothing of
-        frame = self._next_frame() if self._backlog else None
-        if frame is None and self._fill():
             frame = self._next_frame()
+        else:
+            # a complete frame may already sit in a buffer that poll(2) knows nothing of
+            frame = self._next_frame() if self._backlog else None
+            if frame is None and self._fill():
+                frame = self._next_frame()
+        if frame is None and self._death is not None and not any(self._held.values()):
+            raise EngineError(self._death)
         return frame
 
     def _fill(self) -> bool:
         """Read every socket that holds data into its buffer; False if no fd
-        was readable. A readable watched fd is skipped, or raises if it has a
-        death text."""
+        was readable. A readable watched fd is skipped; a death (a watched
+        fd's death text, or a peer's end of file) is noted for ``_receive``."""
         events = self._poller.poll(0)
         for fd, _ in events:
             if fd in self._watched:
-                if self._watched[fd] is not None:
-                    raise EngineError(self._watched[fd])
+                self._death = self._death or self._watched[fd]
                 continue
             peer = self._peer_of[fd]
             conn = self._conns[peer]
@@ -381,7 +384,8 @@ class TcpEndpoint(Endpoint):
                 while True:
                     chunk = conn.recv(1 << 16, socket.MSG_DONTWAIT)
                     if not chunk:
-                        raise EngineError(f"peer {peer:#x} closed the connection")
+                        self._death = self._death or f"peer {peer:#x} closed the connection"
+                        break
                     buf.extend(chunk)
                     if len(chunk) < (1 << 16):
                         break

@@ -33,14 +33,14 @@ and its teammates' sentinels. Only the shutdown mail stops a worker. Only
 ``_acquire_locally`` and ``_wait_for_teammates`` sleep: they poll shared
 registers that no fd signals. A sender bumps the receiver's signal counter
 in ``TeamShared`` before it puts a mail, so a quiet tick reads no pipe. A
-teammate reads a counted mail in ``get``, which waits for the rest of a
-mail larger than the pipe; the master reads without blocking, so a
-teammate that dies mid-put cannot hang it. This cannot deadlock: a writer
-blocks only on a full pipe, and its reader is then reading. A copy's
-reader asked for it and mails nothing until the reply is in; batches go to
-the master, which reads mail on every tick and every turn of its waits,
-and whose own puts go to a waiting requester or to busy teammates, whose
-pipes hold only short mail.
+reader reads its ``Mailbox`` without blocking and takes a counted mail
+once all its bytes have come, so a teammate that dies mid-put hangs
+nobody. This cannot deadlock: a writer blocks only on a full pipe, which
+its reader empties at its next tick or wake. A copy's reader asked for it
+and mails nothing until the reply is in; batches go to the master, which
+reads mail on every tick and every turn of its waits, and whose own puts
+go to a waiting requester or to busy teammates, whose pipes hold only
+short mail.
 
 Ticks space themselves out while nobody asks for work. Each run starts
 ticking every ``k_backtracks`` steps. A tick that finds no mail but answers
@@ -67,6 +67,7 @@ from __future__ import annotations
 
 import os
 import pickle
+import select
 import struct
 import time
 import traceback
@@ -112,6 +113,42 @@ RETRY_DELAY_S = 0.001
 
 class GoalDone(Exception):
     """The current goal ended (termination, fault, or a newer goal appeared)."""
+
+
+class Mailbox:
+    """A pipe that many processes put mail into and one reads. A mail is a
+    little-endian ``u64`` length and a pickle, kept whole in the pipe by a
+    lock. ``get`` never blocks: it keeps the bytes of a mail that has not
+    all come, so a writer killed inside a put hangs no reader."""
+
+    def __init__(self, ctx):
+        self.fd, self._wfd = os.pipe()
+        os.set_blocking(self.fd, False)
+        self._wlock = ctx.Lock()
+        self._inbox = bytearray()          # the reader's bytes of a mail not yet whole
+
+    def put(self, mail) -> None:
+        raw = pickle.dumps(mail)
+        view = memoryview(len(raw).to_bytes(8, "little") + raw)
+        with self._wlock:
+            while view:
+                view = view[os.write(self._wfd, view):]
+
+    def get(self):
+        """The next whole mail, or None if its bytes have not all come."""
+        buf = self._inbox
+        while len(buf) < 8 or len(buf) < (end := 8 + int.from_bytes(buf[:8], "little")):
+            try:
+                buf += os.read(self.fd, 1 << 16)
+            except BlockingIOError:
+                return None
+        mail = pickle.loads(buf[8:end])
+        del buf[:end]
+        return mail
+
+    def close(self) -> None:
+        os.close(self.fd)
+        os.close(self._wfd)
 
 
 class TeamContext:
@@ -177,7 +214,9 @@ class Worker:
 
     def _await_mail(self) -> None:
         """Wait for mail, blocking in poll(2) on the mailbox's read end."""
-        self.ctx.mailboxes[self.rank]._reader.poll(None)
+        poller = select.poll()
+        poller.register(self.ctx.mailboxes[self.rank].fd, select.POLLIN)
+        poller.poll()
 
     # -- Alg. getwork: park, run, repeat ------------------------------------
     def getwork_first_time(self) -> None:
@@ -271,11 +310,14 @@ class Worker:
         return self._spacing
 
     def _next_mail(self):
-        """The next counted message of this worker's mailbox, or None."""
+        """The next counted message of this worker's mailbox, or None if
+        none is counted or its bytes have not all come."""
         if self._mail_seen == self.ctx.shared.mail_count(self.rank):
             return None
-        self._mail_seen += 1
-        return self.ctx.mailboxes[self.rank].get()
+        mail = self.ctx.mailboxes[self.rank].get()
+        if mail is not None:
+            self._mail_seen += 1
+        return mail
 
     def _drain_mailbox(self) -> bool:
         """Dispatch every counted message; True if any was not answers."""
@@ -420,7 +462,6 @@ class Master(Worker):
         self._scale = 0                   # ... as _recovered / 2**_scale
         self._forward: list[tuple[int, bytes]] = []   # (origin team, packed batches)
         self._last_forward = 0.0          # when the last ANSWER frame went out
-        self._inbox = bytearray()         # mailbox bytes read ahead of a whole mail
 
     # -- load array stamping -----------------------------------------------------
     def own_load(self) -> int:
@@ -439,22 +480,6 @@ class Master(Worker):
             flush = max(0.0, self._last_forward + ANSWER_FLUSH_S - time.monotonic())
             timeout = flush if timeout is None else min(timeout, flush)
         self.ep.wait(timeout)
-
-    def _next_mail(self):
-        """The next whole counted mail, or None; never blocks. A ``SimpleQueue``
-        frames each mail as a big-endian ``i32`` length and a pickle."""
-        if self._mail_seen == self.ctx.shared.mail_count(0):
-            return None
-        buf = self._inbox
-        while len(buf) < 4 or len(buf) < (end := 4 + int.from_bytes(buf[:4], "big")):
-            try:
-                buf += os.read(self.ctx.mailboxes[0]._reader.fileno(), 1 << 16)
-            except BlockingIOError:
-                return None
-        self._mail_seen += 1
-        mail = pickle.loads(buf[4:end])
-        del buf[:end]
-        return mail
 
     def _team_out_of_work(self) -> bool:
         shared = self.ctx.shared
@@ -552,6 +577,12 @@ class Master(Worker):
             self._master_cycle(start_tag)
         except GoalDone:
             pass
+        except EngineError as exc:
+            # a teammate that faulted mailed why before it died
+            faults = [m[1]["error"] for m in iter(self._next_mail, None) if m[0] == N_FAULT]
+            if faults:
+                raise EngineError("\n".join([str(exc), *faults])) from exc
+            raise
         self._finish_goal()
 
     def _master_cycle(self, start_tag) -> None:

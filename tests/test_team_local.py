@@ -2,12 +2,12 @@
 
 import json
 import multiprocessing
-import multiprocessing.queues
 import multiprocessing.synchronize
 import os
 import pickle
 import random
 import resource
+import select
 import signal
 import subprocess
 import sys
@@ -22,11 +22,12 @@ from conftest import children_of
 from layered_or import api, oracle, transport, worker
 from layered_or.config import EngineOptions
 from layered_or.engine import ChoicePoint, WorkerState, count_open, run_loop, setup_goal
-from layered_or.errors import EngineCreationError, EngineError
+from layered_or.errors import EngineCreationError, EngineError, GoalError
 from layered_or.programs import get_program
 from layered_or.team import TeamShared, publish_private_nodes
 from layered_or.worker import (
     GoalDone,
+    Mailbox,
     Master,
     TeamContext,
     Worker,
@@ -376,55 +377,62 @@ def test_signal_counters_announce_every_message_across_processes():
 
 
 def _must_not_ask(*_args, **_kwargs):
-    raise AssertionError("a counted read asked the pipe whether it holds data")
+    raise AssertionError("a read with no counted mail touched the pipe")
 
 
 def test_team_queues_are_read_exactly_as_counted(monkeypatch):
     ctx = multiprocessing.get_context("fork")
     shared = TeamShared(3, n_frames=16)
-    boxes = [ctx.SimpleQueue() for _ in range(3)]
+    boxes = [Mailbox(ctx) for _ in range(3)]
     tctx = TeamContext("counted", 0, 1, 3, EngineOptions(), shared, boxes, None)
     mesh = transport.QueueMesh(1, ctx)
     master = Master(tctx, WorkerState(team_id=0, worker_id=0), mesh.endpoint("counted", 0))
     master._begin_goal({"program": "queens", "args": [4], "goal": 1})
-    monkeypatch.setattr(multiprocessing.queues.SimpleQueue, "empty", _must_not_ask)
     try:
         boxes[0].put(("note", {}, None))
-        assert master._next_mail() is None, "an uncounted message was read"
+        with monkeypatch.context() as patched:
+            patched.setattr(Mailbox, "get", _must_not_ask)
+            assert master._next_mail() is None, "an uncounted message was read"
         shared.count_mail(2, 0)
         assert master._next_mail() == ("note", {}, None)
         assert master._next_mail() is None
     finally:
         mesh.close()
         shared.close()
+        for box in boxes:
+            box.close()
 
 
-def test_a_master_reads_a_mail_cut_short_without_blocking():
-    # a teammate killed inside a put leaves a counted mail cut short: the
-    # master must go on serving, not wait for bytes that never come
+def test_a_mail_cut_short_is_read_once_whole_without_blocking():
+    # a teammate killed inside a put leaves a counted mail cut short: its
+    # reader must go on serving, not wait for bytes that never come
     ctx = multiprocessing.get_context("fork")
     shared = TeamShared(2, n_frames=16)
-    boxes = [ctx.SimpleQueue() for _ in range(2)]
+    boxes = [Mailbox(ctx) for _ in range(2)]
     tctx = TeamContext("cut", 0, 1, 2, EngineOptions(), shared, boxes, None)
-    master = Master(tctx, WorkerState(team_id=0, worker_id=0), None)
-    os.set_blocking(boxes[0]._reader.fileno(), False)
+    teammate = Worker(tctx, WorkerState(team_id=0, worker_id=1), 1)
     whole = (worker.N_ANSWERS, {"goal": 1}, b"x")
-    cut = (worker.N_ANSWERS, {"goal": 1}, bytes(range(256)) * 32)
+    cut = (worker.N_ANSWERS, {"goal": 1}, bytes(range(256)) * 512)   # twice a pipe
     blob = pickle.dumps(cut)
-    raw = len(blob).to_bytes(4, "big") + blob     # a SimpleQueue's framing
+    raw = len(blob).to_bytes(8, "little") + blob
+    writer = threading.Thread(target=os.write, args=(boxes[1]._wfd, raw[4096:]))
     try:
-        shared.count_mail(1, 0)
-        boxes[0].put(whole)
-        shared.count_mail(1, 0)
-        os.write(boxes[0]._writer.fileno(), raw[:len(raw) // 2])
-        assert master._next_mail() == whole
-        assert master._next_mail() is None, "a mail cut short was returned"
-        os.write(boxes[0]._writer.fileno(), raw[len(raw) // 2:])
-        assert master._next_mail() == cut
-        shared.count_mail(1, 0)
-        assert master._next_mail() is None, "a counted mail with no bytes was returned"
+        tctx.notify(0, 1, *whole)
+        shared.count_mail(0, 1)
+        os.write(boxes[1]._wfd, raw[:4096])
+        assert teammate._next_mail() == whole
+        assert teammate._next_mail() is None, "a mail cut short was returned"
+        writer.start()                    # blocks on the full pipe until it is read
+        while (got := teammate._next_mail()) is None:
+            teammate._await_mail()
+        writer.join()
+        assert got == cut
+        shared.count_mail(0, 1)
+        assert teammate._next_mail() is None, "a counted mail with no bytes was returned"
     finally:
         shared.close()
+        for box in boxes:
+            box.close()
 
 
 def test_answer_batches_mail_a_goals_first_answer_at_once(monkeypatch):
@@ -576,17 +584,49 @@ def test_a_busy_teammate_answers_a_share_request_within_the_widest_spacing():
     assert got == oracle.enumerate_answers(get_program("queens"), [10])
 
 
+def _await(box):
+    """The next mail of ``box``, blocking in poll(2) until it is whole."""
+    poller = select.poll()
+    poller.register(box.fd, select.POLLIN)
+    while (mail := box.get()) is None:
+        poller.poll()
+    return mail
+
+
+def test_mails_larger_than_a_pipe_from_several_writers_arrive_whole():
+    ctx = multiprocessing.get_context("fork")
+    box = Mailbox(ctx)
+    per_writer = 8
+
+    def writer(rank):
+        for i in range(per_writer):
+            box.put((rank, i, bytes([rank * per_writer + i]) * 100_000))
+
+    procs = [ctx.Process(target=writer, args=(r,)) for r in (1, 2, 3)]
+    for p in procs:
+        p.start()
+    got = [_await(box) for _ in range(3 * per_writer)]
+    for p in procs:
+        p.join(timeout=5.0)
+        assert not p.is_alive()
+    assert sorted((r, i) for r, i, _ in got) == \
+        [(r, i) for r in (1, 2, 3) for i in range(per_writer)]
+    assert all(blob == bytes([r * per_writer + i]) * 100_000 for r, i, blob in got)
+    assert box.get() is None
+    box.close()
+
+
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RUSAGE_THREAD is Linux-only")
 def test_a_teammate_waiting_for_a_reply_blocks_on_its_mailbox():
     ctx = multiprocessing.get_context("fork")
     shared = TeamShared(3, n_frames=16)
-    boxes = [ctx.SimpleQueue() for _ in range(3)]
+    boxes = [Mailbox(ctx) for _ in range(3)]
     tctx = TeamContext("wait", 0, 1, 3, EngineOptions(), shared, boxes, None)
     requester = Worker(tctx, WorkerState(team_id=0, worker_id=1), 1)
     requester.goal_id = 1
 
     def busy_target():
-        _, meta, _ = boxes[2].get()
+        _, meta, _ = _await(boxes[2])
         time.sleep(0.3)                   # until the target's next tick
         tctx.notify(2, 1, worker.N_DELEGATE_REFUSE, meta)
 
@@ -606,6 +646,8 @@ def test_a_teammate_waiting_for_a_reply_blocks_on_its_mailbox():
         watchdog.cancel()
         target.join(timeout=5.0)
         shared.close()
+        for box in boxes:
+            box.close()
     assert not target.is_alive()
     assert waited >= 0.3
     assert switches < 20, f"a requester woke {switches} times waiting 0.3 s for a reply"
@@ -907,6 +949,30 @@ def test_a_killed_teammate_becomes_an_engine_error():
                 time.sleep(0.005)
     finally:
         api.par_free_parallel_engine(h)
+
+
+def test_a_teammate_that_faults_and_dies_tells_the_client_why(monkeypatch):
+    # the teammate mails its traceback to its master and exits: whichever of
+    # the mail and the death the master sees first, the client learns why
+    begin = Worker._begin_goal
+
+    def failing_begin(self, meta):
+        begin(self, meta)
+        if self.rank:
+            raise RuntimeError("synthetic teammate fault")
+
+    monkeypatch.setattr(Worker, "_begin_goal", failing_begin)   # forked masters inherit it
+    h = make_engine("teammate_fault", [2])
+    api.par_run_goal(h, "queens(8)")
+    deadline = time.monotonic() + 5.0
+    try:
+        with pytest.raises((EngineError, GoalError)) as failure:
+            while time.monotonic() < deadline:
+                api.par_get_answers(h, ("max", 4096))
+                time.sleep(0.005)
+    finally:
+        api.par_free_parallel_engine(h)
+    assert "synthetic teammate fault" in str(failure.value)
 
 
 def test_a_killed_master_ends_an_exact_wait():
