@@ -271,7 +271,7 @@ def par_create_parallel_engine(name: str, teams: Sequence[Union[TeamSpec, tuple]
     n_teams = len(specs)
     ctx = multiprocessing.get_context("fork")
     if options.trace:
-        handle._trace_queue = Mailbox(ctx)
+        handle._trace_queue = Mailbox()
     if transport_kind == "inproc":
         handle._mesh = QueueMesh(n_teams, delay=options.delay)
     try:
@@ -440,6 +440,8 @@ def _teardown(handle: EngineHandle, force: bool) -> None:
             proc.join(timeout=1.0)
             if proc.is_alive():
                 proc.kill()
+                proc.join(timeout=1.0)
+    handle._procs.clear()         # a collected Process closes its sentinel pipe
     handle._drain_trace()         # the trace pipe closes with the links
     for link in handle._channels + [handle._ep, handle._mesh, handle._trace_queue]:
         if link is not None:

@@ -15,14 +15,14 @@ killed client leaves no process behind. A dead teammate raises
 ``EngineError`` in its master, and a master that fails terminates its team.
 
 Start-up cost is paid once in the client, not in every fork. Importing
-this module imports everything a master and its teammates use, the
-multiprocessing lock module included, and resolves ``prctl``
-through ``ctypes``; forked processes inherit both. Each master then pays
-for its own work only: the team's ``TeamShared`` region and its one
-semaphore, one mailbox per worker (a pipe and its write lock), one
-fork per teammate, closing the inproc links it does not own (or setting up
-its tcp links), and one ``prctl`` call. Each teammate pays one ``prctl``
-call.
+this module imports everything a master and its teammates use and resolves
+``prctl`` through ``ctypes``; forked processes inherit both. Each master
+then pays for its own work only: the team's ``TeamShared`` region (an
+anonymous map and one memfd for its team lock), one mailbox per worker (a
+pipe and a memfd for its write lock), one fork per teammate, closing the
+inproc links it does not own (or setting up its tcp links), and one
+``prctl`` call. It builds no semaphore: every team lock is a kernel record
+lock (``team.RecordLock``). Each teammate pays one ``prctl`` call.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from __future__ import annotations
 import ctypes
 import json
 import multiprocessing
-import multiprocessing.synchronize   # the locks of a team's TeamShared and mailboxes
 import os
 import signal
 import socket
@@ -147,8 +146,8 @@ def master_entry(boot: MasterBoot) -> None:
     ep = None
     try:
         ctx = multiprocessing.get_context("fork")
-        shared = TeamShared(boot.n_workers, ctx=ctx)
-        mailboxes = [Mailbox(ctx) for _ in range(boot.n_workers)]
+        shared = TeamShared(boot.n_workers)
+        mailboxes = [Mailbox() for _ in range(boot.n_workers)]
         tctx = TeamContext(boot.engine_id, boot.team_id, boot.n_teams,
                            boot.n_workers, boot.options, shared, mailboxes,
                            boot.trace_queue)

@@ -16,11 +16,20 @@ read; when the sum has moved by ``k`` it reads exactly ``k`` messages as
 their bytes come, so a message still being written is read when whole.
 
 One team lock guards the whole pool, the free list and every frame's
-fields, and is the region's only POSIX semaphore. ``lock(idx)`` returns it,
-so callers still name the frame they lock. A team makes a few hundred frame
-operations per goal and no caller holds two frame locks, so finer locks
-would buy nothing, and each would cost a semaphore to build at every team
-start. Frame cursor/offset fields are read and written only under the lock.
+fields. ``lock(idx)`` returns it, so callers still name the frame they
+lock. A team makes a few hundred frame operations per goal and no caller
+holds two frame locks, so finer locks would buy nothing. Frame
+cursor/offset fields are read and written only under the lock.
+
+Every lock of a team (the team lock, each mailbox's write lock and the
+client's trace pipe) is a ``RecordLock``: an exclusive ``fcntl`` record
+lock on a memfd of its own, which costs one fd to build, not a named POSIX
+semaphore. The kernel drops the lock of a holder that dies, so a process
+killed inside a ``take`` or a ``put`` blocks nobody. A record lock belongs
+to a process, not a thread: it excludes the processes of a team, and every
+engine process is single-threaded. No code holds two of these locks at
+once; a process blocked on a second one could get ``EDEADLK`` from the
+kernel's deadlock check.
 
 ``public_alts`` counts open alternatives currently owned by live frames;
 the team is out of work exactly when every worker is idle and this count
@@ -37,8 +46,9 @@ counts in slot 0.
 
 from __future__ import annotations
 
+import fcntl
 import mmap
-import multiprocessing as mp
+import os
 
 from .engine import count_open
 
@@ -58,11 +68,38 @@ class FramePoolExhausted(RuntimeError):
     """No free or-frame slot; the sharing attempt must be refused."""
 
 
+class RecordLock:
+    """An exclusive lock between processes, for a ``with`` statement: an
+    ``fcntl`` record lock on a memfd, which ``/proc/<pid>/fd`` lists as
+    ``memfd:<name>-lock``. Build it before forking the processes that share
+    it. ``close`` (or collecting the lock) closes the memfd: ``__del__``
+    does it, since a ``weakref.finalize`` per lock would add about 0.2 ms
+    to the start-up of a freshly forked master with two workers."""
+
+    def __init__(self, name: str):
+        self._fd = os.memfd_create(f"{name}-lock")
+
+    def __enter__(self):
+        fcntl.lockf(self._fd, fcntl.LOCK_EX)
+        return self
+
+    def __exit__(self, *exc):
+        fcntl.lockf(self._fd, fcntl.LOCK_UN)
+
+    def close(self, _close=os.close) -> None:
+        # os.close is bound here, since module globals may be gone when a
+        # lock is collected at interpreter exit
+        if self._fd >= 0:
+            _close(self._fd)
+            self._fd = -1
+
+    __del__ = close
+
+
 class TeamShared:
     """Team-wide shared state. Fork the workers after constructing this."""
 
-    def __init__(self, n_workers: int, n_frames: int = FRAME_POOL, ctx=None):
-        ctx = ctx or mp.get_context("fork")
+    def __init__(self, n_workers: int, n_frames: int = FRAME_POOL):
         self.n_workers = n_workers
         self.n_frames = n_frames
         self._mail_off = _HDR + _BANKS * n_workers
@@ -71,7 +108,7 @@ class TeamShared:
         self._mm = mmap.mmap(-1, size)
         self._mv = memoryview(self._mm).cast("q")
         self._mv[_SLOT_FREE_HEAD] = -1
-        self._lock = ctx.Lock()
+        self._lock = RecordLock("team")
         self._alts_slot = self._warr(4, 0)
 
     def bind(self, rank: int) -> None:
@@ -235,6 +272,7 @@ class TeamShared:
     def close(self) -> None:
         self._mv.release()
         self._mm.close()
+        self._lock.close()
 
 
 def publish_private_nodes(ws, shared: TeamShared) -> int:

@@ -423,18 +423,20 @@ class TcpEndpoint(Endpoint):
         return None
 
     def wait(self, timeout: Optional[float]) -> None:
-        # poll(2) counts whole milliseconds and Python rounds its timeout up,
-        # so a shorter wait sleeps instead: it must not pass a release time
+        # poll(2) counts whole milliseconds, so a shorter wait polls for 1 ms:
+        # a frame, mail or death ends it at once. Only a held frame due in
+        # less than 1 ms is slept to, since a poll would pass its release.
         due = [h[0][0] for h in self._held.values() if h]
-        if due:
-            release = min(due) - time.monotonic()
-            timeout = release if timeout is None else min(timeout, release)
+        release = min(due) - time.monotonic() if due else None
+        if release is not None and (timeout is None or release < timeout):
+            timeout = release
         if timeout is None:
             self._poller.poll()
-        elif timeout >= 0.001:
-            self._poller.poll(int(timeout * 1000))
+        elif release is not None and release < 0.001:
+            if timeout > 0:
+                time.sleep(timeout)
         elif timeout > 0:
-            time.sleep(timeout)
+            self._poller.poll(max(1, int(timeout * 1000)))
 
     def close(self) -> None:
         for fd in [*self._peer_of, *self._watched]:

@@ -44,7 +44,7 @@ short mail.
 
 Ticks space themselves out while nobody asks for work. Each run starts
 ticking every ``k_backtracks`` steps. A tick that finds no mail but answers
-(and, at a master, no frame on its transport) doubles the spacing, up to
+(and, at a master, no frame but ANSWER frames) doubles the spacing, up to
 ``TICK_SPACING_CAP`` × ``k_backtracks`` steps; a tick that finds any brings
 it back to ``k_backtracks``. A request to a busy worker is therefore seen
 within ``TICK_SPACING_CAP`` × ``k_backtracks`` steps, and the requests
@@ -78,7 +78,7 @@ from .config import EngineOptions
 from .engine import WorkerState, allocate_dead_root, run_loop, setup_goal
 from .errors import EngineError, EngineShutdown, ProtocolViolation
 from .programs import get_program
-from .team import FramePoolExhausted, TeamShared, publish_private_nodes
+from .team import FramePoolExhausted, RecordLock, TeamShared, publish_private_nodes
 from .transport import CLIENT_ID, TeamMessage
 
 # intra-team notification kinds
@@ -118,13 +118,15 @@ class GoalDone(Exception):
 class Mailbox:
     """A pipe that many processes put mail into and one reads. A mail is a
     little-endian ``u64`` length and a pickle, kept whole in the pipe by a
-    lock. ``get`` never blocks: it keeps the bytes of a mail that has not
-    all come, so a writer killed inside a put hangs no reader."""
+    ``RecordLock``, which the kernel drops when its holder dies, so a writer
+    killed inside a put blocks no other writer. ``get`` never blocks: it
+    keeps the bytes of a mail that has not all come, so such a writer hangs
+    no reader either. Build it before forking the processes that use it."""
 
-    def __init__(self, ctx):
+    def __init__(self):
         self.fd, self._wfd = os.pipe()
         os.set_blocking(self.fd, False)
-        self._wlock = ctx.Lock()
+        self._wlock = RecordLock("mailbox")
         self._inbox = bytearray()          # the reader's bytes of a mail not yet whole
 
     def put(self, mail) -> None:
@@ -149,6 +151,7 @@ class Mailbox:
     def close(self) -> None:
         os.close(self.fd)
         os.close(self._wfd)
+        self._wlock.close()
 
 
 class TeamContext:
@@ -719,14 +722,15 @@ class Master(Worker):
 
     # -- transport servicing -------------------------------------------------------
     def _drain_transport(self, busy: bool) -> bool:
-        """Handle every frame that has arrived; True if there was any."""
-        handled = False
+        """Handle every frame that has arrived; True if any was not ANSWER,
+        as ``_drain_mailbox`` counts answer mail."""
+        served = False
         # a pending install flips this team to busy; traffic behind it in
         # the inbox must be answered from the post-install state
         while self._install_pending is None and (msg := self.ep.poll()) is not None:
             self._handle_message(msg, busy)
-            handled = True
-        return handled
+            served |= msg.kind != transport.ANSWER
+        return served
 
     def _merge(self, msg: TeamMessage) -> None:
         if msg.sender != CLIENT_ID and len(msg.loads) == self.ep.n_teams:

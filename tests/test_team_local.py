@@ -134,6 +134,98 @@ def test_a_team_region_builds_one_semaphore(monkeypatch):
         shared.close()
 
 
+def test_a_team_builds_no_semaphore(monkeypatch):
+    # the team lock and every mailbox's write lock are record locks on memfds
+    made = []
+    init = multiprocessing.synchronize.SemLock.__init__
+
+    def counting_init(self, *args, **kwargs):
+        made.append(type(self).__name__)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(multiprocessing.synchronize.SemLock, "__init__", counting_init)
+    shared = TeamShared(4)
+    boxes = [Mailbox() for _ in range(4)]
+    try:
+        assert made == [], f"a team built semaphores: {made}"
+    finally:
+        shared.close()
+        for box in boxes:
+            box.close()
+
+
+def _hold_until_killed(lock, ready_fd):
+    with lock:
+        os.write(ready_fd, b"x")
+        time.sleep(60)
+
+
+def _killed_inside(lock):
+    """Fork a process that takes ``lock`` and is SIGKILLed while it holds it."""
+    r, w = os.pipe()
+    holder = multiprocessing.get_context("fork").Process(
+        target=_hold_until_killed, args=(lock, w))
+    holder.start()
+    os.close(w)
+    try:
+        assert os.read(r, 1) == b"x", "the holder died before it took the lock"
+    finally:
+        os.close(r)
+        holder.kill()
+        holder.join(timeout=5.0)
+    assert holder.exitcode == -signal.SIGKILL
+
+
+def _finishes_within(seconds, call, *args):
+    """Run ``call(*args)`` in a forked process; True if it returned within
+    ``seconds``. A process still blocked then is killed, so a lock that
+    outlives its holder fails the caller instead of hanging it."""
+    proc = multiprocessing.get_context("fork").Process(target=call, args=args)
+    proc.start()
+    proc.join(timeout=seconds)
+    if proc.is_alive():
+        proc.kill()
+        proc.join(timeout=5.0)
+        return False
+    return proc.exitcode == 0
+
+
+def test_a_holder_killed_inside_the_team_lock_blocks_no_take():
+    shared = TeamShared(2, n_frames=16)
+    try:
+        idx = shared.alloc(n_alts=3, cursor=0, split_offset=1, depth=0)
+        _killed_inside(shared.lock(idx))
+        assert _finishes_within(2.0, shared.take, idx), "a take hung on a dead holder's lock"
+        assert shared.frame_state(idx)[1] == 1, "the take handed out no alternative"
+    finally:
+        shared.close()
+
+
+def test_a_writer_killed_inside_a_mailbox_lock_blocks_no_put():
+    box = Mailbox()
+    try:
+        _killed_inside(box._wlock)
+        assert _finishes_within(2.0, box.put, ("note", {}, b"after")), \
+            "a put hung on a dead writer's lock"
+        assert _await(box) == ("note", {}, b"after")
+    finally:
+        box.close()
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/fd")
+def test_a_freed_engine_leaves_no_file_descriptor_open():
+    # memfds and raw pipes raise no ResourceWarning when they leak
+    before = len(os.listdir("/proc/self/fd"))
+    for i in range(3):
+        for teams, kw in (([2], {"options": EngineOptions(trace=True)}),
+                          ([1, 1], {"transport": "tcp"})):
+            h = make_engine(f"fds{i}-{len(teams)}", teams, **kw)
+            api.par_run_goal(h, "queens(6)")
+            assert sum(drain(h).values()) == 4
+            api.par_free_parallel_engine(h)
+    assert len(os.listdir("/proc/self/fd")) == before
+
+
 def test_workers_only_start_program_work_after_the_barrier():
     h = make_engine("order", [2, 2], options=EngineOptions(trace=True))
     api.par_run_goal(h, "queens(6)")
@@ -383,7 +475,7 @@ def _must_not_ask(*_args, **_kwargs):
 def test_team_queues_are_read_exactly_as_counted(monkeypatch):
     ctx = multiprocessing.get_context("fork")
     shared = TeamShared(3, n_frames=16)
-    boxes = [Mailbox(ctx) for _ in range(3)]
+    boxes = [Mailbox() for _ in range(3)]
     tctx = TeamContext("counted", 0, 1, 3, EngineOptions(), shared, boxes, None)
     mesh = transport.QueueMesh(1, ctx)
     master = Master(tctx, WorkerState(team_id=0, worker_id=0), mesh.endpoint("counted", 0))
@@ -406,9 +498,8 @@ def test_team_queues_are_read_exactly_as_counted(monkeypatch):
 def test_a_mail_cut_short_is_read_once_whole_without_blocking():
     # a teammate killed inside a put leaves a counted mail cut short: its
     # reader must go on serving, not wait for bytes that never come
-    ctx = multiprocessing.get_context("fork")
     shared = TeamShared(2, n_frames=16)
-    boxes = [Mailbox(ctx) for _ in range(2)]
+    boxes = [Mailbox() for _ in range(2)]
     tctx = TeamContext("cut", 0, 1, 2, EngineOptions(), shared, boxes, None)
     teammate = Worker(tctx, WorkerState(team_id=0, worker_id=1), 1)
     whole = (worker.N_ANSWERS, {"goal": 1}, b"x")
@@ -595,7 +686,7 @@ def _await(box):
 
 def test_mails_larger_than_a_pipe_from_several_writers_arrive_whole():
     ctx = multiprocessing.get_context("fork")
-    box = Mailbox(ctx)
+    box = Mailbox()
     per_writer = 8
 
     def writer(rank):
@@ -618,9 +709,8 @@ def test_mails_larger_than_a_pipe_from_several_writers_arrive_whole():
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RUSAGE_THREAD is Linux-only")
 def test_a_teammate_waiting_for_a_reply_blocks_on_its_mailbox():
-    ctx = multiprocessing.get_context("fork")
     shared = TeamShared(3, n_frames=16)
-    boxes = [Mailbox(ctx) for _ in range(3)]
+    boxes = [Mailbox() for _ in range(3)]
     tctx = TeamContext("wait", 0, 1, 3, EngineOptions(), shared, boxes, None)
     requester = Worker(tctx, WorkerState(team_id=0, worker_id=1), 1)
     requester.goal_id = 1
@@ -834,6 +924,58 @@ def test_a_goals_first_answers_leave_the_master_at_once():
         shared.close()
     answers = [dest for _, dest, kind in ep.sent if kind == transport.ANSWER]
     assert answers == [transport.CLIENT_ID] * 2, "the second goal's first answer was held"
+
+
+def test_answer_frames_leave_a_masters_quiet_ticks_widening():
+    # another team's ANSWER frames ask nothing of this team: like answer
+    # mail, they leave the spacing doubling to the cap, while any other
+    # frame (here a SHARE_REQUEST) brings it back to k_backtracks
+    answers = transport.encode_frame(
+        transport.ANSWER, 1, [(3, 9)] * 2,
+        transport.encode_payload({"goal": 1}, worker.pack_answers([(1, 3, 0, 2)])))
+    request = transport.encode_frame(
+        transport.SHARE_REQUEST, 1, [(0, 9), (-1, 10)],
+        transport.encode_payload({"goal": 1, "req": 0}, b""))
+    script = [(polls, answers) for polls in range(3, 30, 3)]
+    script += [(30, request)] + [(polls, answers) for polls in range(33, 45, 3)]
+    shared = TeamShared(1, n_frames=4096)
+    ep = _ScriptedEndpoint(2, script)
+    ctx = TeamContext("scripted", 0, 2, 1, EngineOptions(), shared, [None], None)
+    master = Master(ctx, WorkerState(team_id=0, worker_id=0), ep)
+    ep.own_load_fn = master.own_load
+    master.ws.frames = shared
+    master._begin_goal({"program": "queens", "args": [10], "goal": 1})
+    master._credit = 0
+    k = ctx.options.k_backtracks
+    cap = worker.TICK_SPACING_CAP * k
+    ticks = []                            # (frame kinds handled, spacing returned)
+    handle, service = master._handle_message, master._service
+    kinds = []
+
+    def logged_handle(msg, busy):
+        kinds.append(msg.kind)
+        handle(msg, busy)
+
+    def watched():
+        kinds.clear()
+        spacing = service()
+        ticks.append((list(kinds), spacing))
+        return spacing
+
+    master._handle_message, master._service = logged_handle, watched
+    try:
+        master._run(start_tag=master.ws.program.root_tag)
+    finally:
+        shared.close()
+    (at,) = [i for i, (got, _) in enumerate(ticks) if transport.SHARE_REQUEST in got]
+    assert not ep.script, "the run ended before every scripted frame came"
+    assert sum(got == [transport.ANSWER] for got, _ in ticks[:at]) >= 6
+    widening = [min(k << i, cap) for i in range(1, len(ticks) + 1)]
+    assert [s for _, s in ticks[:at]] == widening[:at], "an ANSWER frame narrowed a tick"
+    assert ticks[at][1] == k, "a SHARE_REQUEST did not narrow the next tick"
+    after = [s for _, s in ticks[at + 1:]]
+    assert after == widening[:len(after)] and after[-1] == cap
+    assert transport.ANSWER in {kind for _, _, kind in ep.sent}, "answers were not forwarded"
 
 
 def test_tcp_backend_gives_identical_answer_sets():

@@ -2,7 +2,9 @@
 
 import json
 import random
+import select
 import socket
+import statistics
 import struct
 import threading
 import time
@@ -244,6 +246,34 @@ def test_poll_wait_sleeps_in_the_poller_and_wakes_on_arrival():
     timer.join()
     assert msg is not None and msg.meta == {"goal": 3}
     assert time.monotonic() - t0 < 1.0
+
+
+def test_a_wait_shorter_than_a_millisecond_ends_at_a_readable_frame():
+    # poll(2) counts whole milliseconds; a shorter wait must still return
+    # at once for a frame that is there, not sleep its timeout out
+    a, b = make_pair()
+    a.send(1, transport.ANSWER, {"goal": 4})
+    assert select.select([b._conns[0]], [], [], 1.0)[0], "the frame never came"
+    took = []
+    for _ in range(20):
+        t0 = time.perf_counter()
+        b.wait(0.0005)
+        took.append(time.perf_counter() - t0)
+    assert statistics.median(took) < 0.00025, f"median wait {statistics.median(took):.6f} s"
+    assert b.poll().meta == {"goal": 4}
+
+
+def test_a_short_wait_still_ends_at_a_held_frames_release():
+    # with a delay, a frame due in under a millisecond is released on time
+    a, b = make_pair(delay=(5, 0.0003, 0.0003))
+    a.send(1, transport.ANSWER, {"goal": 5})
+    assert select.select([b._conns[0]], [], [], 1.0)[0], "the frame never came"
+    assert b.poll() is None                   # read, and held for 0.3 ms
+    t0 = time.perf_counter()
+    while (msg := b.poll()) is None:
+        b.wait(0.1)
+    assert msg.meta == {"goal": 5}
+    assert time.perf_counter() - t0 < 0.02, "the wait passed the release time"
 
 
 def test_round_robin_serves_every_busy_link_in_turn():
