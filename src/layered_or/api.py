@@ -30,7 +30,7 @@ from collections import deque
 from dataclasses import asdict, dataclass, field
 from typing import Optional, Sequence, Union
 
-from .boot import MasterBoot, SocketChannel, master_entry
+from .boot import READY_TIMEOUT_S, MasterBoot, SocketChannel, master_entry
 from .config import EngineOptions
 from .engine import WorkerState
 from .errors import EngineCreationError, EngineError, GoalError
@@ -323,7 +323,7 @@ def _launch_teams(handle: EngineHandle, ctx) -> None:
     if handle.transport_kind == "tcp":
         portmap = {}
         for team_id, (spec, chan) in enumerate(zip(handle.topology, handle._channels)):
-            reply = _ctrl_get(chan, opts.ready_timeout_s)
+            reply = _ctrl_get(chan, team_id)
             host = spec.host.partition(":")[0] if spec.host not in _LOCAL_HOSTS \
                 else "127.0.0.1"
             portmap[str(team_id)] = (host, reply["port"])
@@ -342,14 +342,17 @@ def _launch_teams(handle: EngineHandle, ctx) -> None:
     if handle._trace_queue is not None:
         handle._ep.watch(handle._trace_queue.fd)
 
-    for chan in handle._channels:
-        _ctrl_get(chan, opts.ready_timeout_s, expect="ready")
+    for team_id, chan in enumerate(handle._channels):
+        _ctrl_get(chan, team_id, expect="ready")
 
 
-def _ctrl_get(chan, timeout: float, expect: Optional[str] = None):
-    reply = chan.get(timeout)
+def _ctrl_get(chan, team_id: int, expect: Optional[str] = None):
+    try:
+        reply = chan.get(READY_TIMEOUT_S)
+    except OSError as exc:          # end of file or timeout: the master is gone or stuck
+        raise EngineCreationError(f"team {team_id} failed to start: {exc}") from None
     if "error" in reply:
-        raise EngineCreationError(f"team failed to start:\n{reply['error']}")
+        raise EngineCreationError(f"team {team_id} failed to start:\n{reply['error']}")
     if expect is not None and expect not in reply:
         raise EngineCreationError(f"unexpected ctrl reply {reply!r}")
     return reply

@@ -23,6 +23,10 @@ pipe and a memfd for its write lock), one fork per teammate, closing the
 inproc links it does not own (or setting up its tcp links), and one
 ``prctl`` call. It builds no semaphore: every team lock is a kernel record
 lock (``team.RecordLock``). Each teammate pays one ``prctl`` call.
+
+A master reports ready once it has forked its teammates and built its
+links. Nothing waits for them to run: what is sent early waits in a socket
+or pipe, and a death is an fd that the master's poller watches.
 """
 
 from __future__ import annotations
@@ -44,6 +48,9 @@ from .errors import EngineShutdown
 from .team import TeamShared
 from .transport import CLIENT_ID, TcpEndpoint
 from .worker import N_FAULT, Mailbox, Master, TeamContext, Worker
+
+# how long start-up waits for a ctrl reply and for its tcp peers to connect
+READY_TIMEOUT_S = 30.0
 
 
 class SocketChannel:
@@ -128,6 +135,7 @@ def _worker_state(shared: TeamShared, team_id: int, rank: int) -> WorkerState:
 def worker_process_main(ctx: TeamContext, rank: int) -> None:
     """Entry point of a teammate (worker ``rank`` > 0), forked by its master."""
     _die_with_parent(ctx.master_pid)
+    ctx.close_others(rank)
     w = Worker(ctx, _worker_state(ctx.shared, ctx.team_id, rank), rank)
     try:
         w.getwork_first_time()
@@ -135,7 +143,7 @@ def worker_process_main(ctx: TeamContext, rank: int) -> None:
         pass
     except Exception:
         ctx.trace(rank, "worker_crash", error=traceback.format_exc())
-        ctx.notify(rank, 0, N_FAULT, {"goal": w.goal_id, "error": traceback.format_exc()})
+        ctx.notify(0, N_FAULT, {"goal": w.goal_id, "error": traceback.format_exc()})
 
 
 def master_entry(boot: MasterBoot) -> None:
@@ -160,20 +168,21 @@ def master_entry(boot: MasterBoot) -> None:
                             daemon=True, name=f"{boot.engine_id}-t{boot.team_id}w{rank}")
             p.start()
             workers.append(p)
+        tctx.close_others(0)
 
         if boot.transport_kind == "tcp":
             ep = TcpEndpoint(boot.engine_id, boot.team_id, boot.n_teams,
                              delay=boot.options.delay)
             srv, port = ep.listen(boot.bind_host)
             chan.put({"port": port})
-            portmap = chan.get(boot.options.ready_timeout_s)["portmap"]
+            portmap = chan.get(READY_TIMEOUT_S)["portmap"]
             for peer in range(boot.team_id):
                 host, pport = portmap[str(peer)]
                 ep.dial(peer, host, pport)
             expected = set(range(boot.team_id + 1, boot.n_teams))
             if boot.team_id == 0:
                 expected.add(CLIENT_ID)
-            ep.accept_peers(srv, expected, boot.options.ready_timeout_s)
+            ep.accept_peers(srv, expected, READY_TIMEOUT_S)
             srv.close()
         # one poll(2) wakes the master for frames, mail and teammate deaths
         ep.watch(mailboxes[0].fd)

@@ -13,8 +13,6 @@ class EngineOptions:
     # something to do; quiet ticks double the spacing up to
     # worker.TICK_SPACING_CAP * k steps
     k_backtracks: int = 32
-    # how long start-up waits for teammates, peers and the barrier
-    ready_timeout_s: float = 30.0
     # (seed, lo_s, hi_s): every endpoint, on either transport, holds each
     # frame it receives for a delay drawn from [lo_s, hi_s]; (seed, L, L)
     # adds a fixed latency L per message

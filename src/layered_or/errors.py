@@ -6,7 +6,7 @@ class EngineError(Exception):
 
 
 class EngineCreationError(EngineError):
-    """Engine could not be created (bad topology, spawn failure, barrier timeout)."""
+    """Engine could not be created (bad topology, spawn failure, a team that never got ready)."""
 
 
 class GoalError(EngineError):

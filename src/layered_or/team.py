@@ -7,14 +7,6 @@ mutable state), per-worker load registers / flags, and a few counters.
 Everything bulky (stack copies, answers, notifications) travels through
 each worker's mailbox instead.
 
-Signal counters tell a reader how many messages its mailbox holds or is
-about to hold, so a quiet service tick costs a few mmap reads and no
-syscall. Each counter has a single writer and so needs no lock:
-``mail[receiver][sender]`` is bumped by the sender just before each put
-into the receiver's mailbox. A reader keeps the number of messages it has
-read; when the sum has moved by ``k`` it reads exactly ``k`` messages as
-their bytes come, so a message still being written is read when whole.
-
 One team lock guards the whole pool, the free list and every frame's
 fields. ``lock(idx)`` returns it, so callers still name the frame they
 lock. A team makes a few hundred frame operations per goal and no caller
@@ -55,7 +47,7 @@ from .engine import count_open
 _HDR = 2                   # header slots before the per-worker arrays
 _SLOT_FREE_HEAD = 0
 _SLOT_HIGH_WATER = 1
-_BANKS = 5                 # ready, idle, load, public nodes, public alts
+_BANKS = 4                 # idle, load, public nodes, public alts
 
 # or-frames per team; a share that finds the pool full is refused
 FRAME_POOL = 8192
@@ -102,68 +94,50 @@ class TeamShared:
     def __init__(self, n_workers: int, n_frames: int = FRAME_POOL):
         self.n_workers = n_workers
         self.n_frames = n_frames
-        self._mail_off = _HDR + _BANKS * n_workers
-        self._frames_off = self._mail_off + n_workers * n_workers
+        self._frames_off = _HDR + _BANKS * n_workers
         size = 8 * (self._frames_off + n_frames * _FRAME_SLOTS)
         self._mm = mmap.mmap(-1, size)
         self._mv = memoryview(self._mm).cast("q")
         self._mv[_SLOT_FREE_HEAD] = -1
         self._lock = RecordLock("team")
-        self._alts_slot = self._warr(4, 0)
+        self._alts_slot = self._warr(3, 0)
 
     def bind(self, rank: int) -> None:
         """Make this process's frame calls count in worker ``rank``'s slot."""
-        self._alts_slot = self._warr(4, rank)
+        self._alts_slot = self._warr(3, rank)
 
     # -- per-worker registers -------------------------------------------------
     def _warr(self, bank: int, rank: int) -> int:
         return _HDR + bank * self.n_workers + rank
 
-    def set_ready(self, rank: int) -> None:
-        self._mv[self._warr(0, rank)] = 1
-
-    def ready_count(self) -> int:
-        base = _HDR
-        return sum(1 for r in range(self.n_workers) if self._mv[base + r])
-
     def set_idle(self, rank: int, idle: bool) -> None:
-        self._mv[self._warr(1, rank)] = 1 if idle else 0
+        self._mv[self._warr(0, rank)] = 1 if idle else 0
 
     def idle_count(self) -> int:
-        base = _HDR + self.n_workers
-        return sum(1 for r in range(self.n_workers) if self._mv[base + r])
+        return sum(self.idle_flags())
 
     def idle_flags(self) -> list[bool]:
-        base = _HDR + self.n_workers
-        return [bool(self._mv[base + r]) for r in range(self.n_workers)]
+        return [bool(self._mv[_HDR + r]) for r in range(self.n_workers)]
 
     def set_load(self, rank: int, load: int) -> None:
-        self._mv[self._warr(2, rank)] = load
+        self._mv[self._warr(1, rank)] = load
 
     def loads(self) -> list[int]:
-        base = _HDR + 2 * self.n_workers
+        base = _HDR + self.n_workers
         return [self._mv[base + r] for r in range(self.n_workers)]
 
     def team_load(self) -> int:
         return sum(self.loads())
 
     def set_public_nodes(self, rank: int, n: int) -> None:
-        self._mv[self._warr(3, rank)] = n
+        self._mv[self._warr(2, rank)] = n
 
     def public_nodes_of(self, rank: int) -> int:
-        return self._mv[self._warr(3, rank)]
-
-    # -- signal counters --------------------------------------------------------
-    def count_mail(self, sender: int, receiver: int) -> None:
-        self._mv[self._mail_off + receiver * self.n_workers + sender] += 1
-
-    def mail_count(self, receiver: int) -> int:
-        base = self._mail_off + receiver * self.n_workers
-        return sum(self._mv[base:base + self.n_workers])
+        return self._mv[self._warr(2, rank)]
 
     # -- counters ---------------------------------------------------------------
     def public_alts(self) -> int:
-        base = self._warr(4, 0)
+        base = self._warr(3, 0)
         return sum(self._mv[base:base + self.n_workers])
 
     # -- or-frame pool ----------------------------------------------------------

@@ -45,15 +45,11 @@ ANSWER = 6
 TERMINATE = 7
 ENGINE_FREE = 8
 FAULT = 9
-# transport-internal kinds, consumed by barrier() and never surfaced
-_BARRIER_ENTER = 200
-_BARRIER_GO = 201
 
 KIND_NAMES = {
     GOAL: "GOAL", ROOT_INFO: "ROOT_INFO", SHARE_REQUEST: "SHARE_REQUEST",
     SHARE_ACCEPT: "SHARE_ACCEPT", SHARE_REFUSE: "SHARE_REFUSE", ANSWER: "ANSWER",
     TERMINATE: "TERMINATE", ENGINE_FREE: "ENGINE_FREE", FAULT: "FAULT",
-    _BARRIER_ENTER: "BARRIER_ENTER", _BARRIER_GO: "BARRIER_GO",
 }
 
 MAGIC = b"YTOR"
@@ -221,54 +217,8 @@ class Endpoint:
         frame = self._receive()
         return None if frame is None else decode_frame(frame)
 
-    def poll_wait(self, timeout: Optional[float]) -> Optional[TeamMessage]:
-        """Next in-order message, blocking up to ``timeout`` seconds for one,
-        or until one comes if ``timeout`` is None."""
-        deadline = None if timeout is None else time.monotonic() + timeout
-        while True:
-            msg = self.poll()
-            if msg is not None:
-                return msg
-            left = None if deadline is None else deadline - time.monotonic()
-            if left is not None and left <= 0:
-                return None
-            self.wait(left)
-
     def push_back(self, msg: TeamMessage) -> None:
         self._pending.appendleft(msg)
-
-    def barrier(self, timeout: float = 30.0) -> None:
-        """Block until every team master has entered; team 0 aggregates."""
-        if self.n_teams <= 1:
-            return
-        deadline = time.monotonic() + timeout
-        parked: list[TeamMessage] = []
-        try:
-            if self.team_id == 0:
-                waiting = set(range(1, self.n_teams))
-                while waiting:
-                    msg = self.poll_wait(deadline - time.monotonic())
-                    if msg is None:
-                        raise EngineCreationError(
-                            f"barrier timed out waiting for teams {sorted(waiting)}")
-                    if msg.kind == _BARRIER_ENTER:
-                        waiting.discard(msg.sender)
-                    else:
-                        parked.append(msg)
-                for t in range(1, self.n_teams):
-                    self.send(t, _BARRIER_GO)
-            else:
-                self.send(0, _BARRIER_ENTER)
-                while True:
-                    msg = self.poll_wait(deadline - time.monotonic())
-                    if msg is None:
-                        raise EngineCreationError("barrier timed out waiting for release")
-                    if msg.kind == _BARRIER_GO:
-                        break
-                    parked.append(msg)
-        finally:
-            for msg in reversed(parked):
-                self.push_back(msg)
 
 
 class TcpEndpoint(Endpoint):

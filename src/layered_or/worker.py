@@ -30,17 +30,16 @@ goes idle or the goal ends. Nothing between worker and client unpacks it.
 Every wait is one blocking ``poll(2)``: a teammate's on its mailbox pipe,
 a master's in its endpoint's poller, which also watches its mailbox pipe
 and its teammates' sentinels. Only the shutdown mail stops a worker. Only
-``_acquire_locally`` and ``_wait_for_teammates`` sleep: they poll shared
-registers that no fd signals. A sender bumps the receiver's signal counter
-in ``TeamShared`` before it puts a mail, so a quiet tick reads no pipe. A
-reader reads its ``Mailbox`` without blocking and takes a counted mail
-once all its bytes have come, so a teammate that dies mid-put hangs
-nobody. This cannot deadlock: a writer blocks only on a full pipe, which
-its reader empties at its next tick or wake. A copy's reader asked for it
-and mails nothing until the reply is in; batches go to the master, which
-reads mail on every tick and every turn of its waits, and whose own puts
-go to a waiting requester or to busy teammates, whose pipes hold only
-short mail.
+``_acquire_locally`` sleeps: it polls shared registers that no fd signals.
+A reader reads its ``Mailbox`` without blocking and takes a mail once all
+its bytes have come, so a teammate that dies mid-put hangs nobody. Only a
+mailbox's reader holds its read end, so a put to a dead reader raises
+``EngineError`` instead of blocking. This cannot deadlock: a writer blocks
+only on a full pipe, which its reader empties at its next tick or wake. A
+copy's reader asked for it and mails nothing until the reply is in;
+batches go to the master, which reads mail on every tick and every turn of
+its waits, and whose own puts go to a waiting requester or to busy
+teammates, whose pipes hold only short mail.
 
 Ticks space themselves out while nobody asks for work. Each run starts
 ticking every ``k_backtracks`` steps. A tick that finds no mail but answers
@@ -121,7 +120,8 @@ class Mailbox:
     ``RecordLock``, which the kernel drops when its holder dies, so a writer
     killed inside a put blocks no other writer. ``get`` never blocks: it
     keeps the bytes of a mail that has not all come, so such a writer hangs
-    no reader either. Build it before forking the processes that use it."""
+    no reader either. Build it before forking the processes that use it; once
+    only the reader holds the read end, a put to a dead reader raises."""
 
     def __init__(self):
         self.fd, self._wfd = os.pipe()
@@ -132,9 +132,12 @@ class Mailbox:
     def put(self, mail) -> None:
         raw = pickle.dumps(mail)
         view = memoryview(len(raw).to_bytes(8, "little") + raw)
-        with self._wlock:
-            while view:
-                view = view[os.write(self._wfd, view):]
+        try:
+            with self._wlock:
+                while view:
+                    view = view[os.write(self._wfd, view):]
+        except BrokenPipeError:
+            raise EngineError("a mailbox's reader died") from None
 
     def get(self):
         """The next whole mail, or None if its bytes have not all come."""
@@ -148,8 +151,14 @@ class Mailbox:
         del buf[:end]
         return mail
 
-    def close(self) -> None:
+    def close_reader(self) -> None:
+        """Close this process's copy of the read end."""
         os.close(self.fd)
+        self.fd = -1
+
+    def close(self) -> None:
+        if self.fd >= 0:
+            os.close(self.fd)
         os.close(self._wfd)
         self._wlock.close()
 
@@ -169,10 +178,14 @@ class TeamContext:
         self.mailboxes = mailboxes
         self.trace_queue = trace_queue
 
-    def notify(self, sender: int, rank: int, kind: str, meta: dict, payload=None) -> None:
-        # counted first: the reader then waits for the rest of a mail of any size
-        self.shared.count_mail(sender, rank)
+    def notify(self, rank: int, kind: str, meta: dict, payload=None) -> None:
         self.mailboxes[rank].put((kind, meta, payload))
+
+    def close_others(self, rank: int) -> None:
+        """Close the read end of every mailbox but worker ``rank``'s own."""
+        for r, box in enumerate(self.mailboxes):
+            if r != rank:
+                box.close_reader()
 
     def trace(self, rank: int, kind: str, **data) -> None:
         if self.trace_queue is not None:
@@ -201,11 +214,10 @@ class Worker:
         self.goal_meta = None
         self._answers: list[tuple] = []    # found since the last flush
         self._last_flush = 0.0
-        self._mail_seen = 0                # messages read from the mailbox
         self._spacing = 0                  # steps from the last service tick to the next
 
     def _tell(self, rank: int, kind: str, meta: dict, payload=None) -> None:
-        self.ctx.notify(self.rank, rank, kind, meta, payload)
+        self.ctx.notify(rank, kind, meta, payload)
 
     # -- hooks ------------------------------------------------------------------
     def _pump(self) -> None:
@@ -224,7 +236,6 @@ class Worker:
     # -- Alg. getwork: park, run, repeat ------------------------------------
     def getwork_first_time(self) -> None:
         ctx = self.ctx
-        ctx.shared.set_ready(self.rank)
         while True:
             self._begin_goal(self._wait_for_work_in_team())
             self._park_on_dead_root()
@@ -313,17 +324,11 @@ class Worker:
         return self._spacing
 
     def _next_mail(self):
-        """The next counted message of this worker's mailbox, or None if
-        none is counted or its bytes have not all come."""
-        if self._mail_seen == self.ctx.shared.mail_count(self.rank):
-            return None
-        mail = self.ctx.mailboxes[self.rank].get()
-        if mail is not None:
-            self._mail_seen += 1
-        return mail
+        """The next whole mail of this worker's mailbox, or None."""
+        return self.ctx.mailboxes[self.rank].get()
 
     def _drain_mailbox(self) -> bool:
-        """Dispatch every counted message; True if any was not answers."""
+        """Dispatch every whole mail; True if any was not answers."""
         served = False
         while (mail := self._next_mail()) is not None:
             self._dispatch(*mail)
@@ -497,9 +502,6 @@ class Master(Worker):
     # -- Alg. getwork, master branches ---------------------------------------------
     def getwork_first_time(self) -> None:
         ctx = self.ctx
-        self._wait_for_teammates()
-        self.ep.barrier(ctx.options.ready_timeout_s)
-        ctx.trace(0, "barrier_passed")
         while True:
             goal = self._wait_for_goal(transport.GOAL if ctx.team_id == 0
                                        else transport.ROOT_INFO)
@@ -510,17 +512,6 @@ class Master(Worker):
                 self.goal_id = goal.get("goal", -1)
                 self._client_done_sent = False
                 self._client_fault(f"goal rejected: {exc}")
-
-    def _wait_for_teammates(self) -> None:
-        ctx = self.ctx
-        deadline = time.monotonic() + ctx.options.ready_timeout_s
-        want = ctx.n_workers - 1
-        while ctx.shared.ready_count() < want:
-            if time.monotonic() >= deadline:
-                raise ProtocolViolation(f"only {ctx.shared.ready_count()} of "
-                                        f"{want} teammates became ready")
-            time.sleep(0.0005)
-        ctx.trace(0, "teammates_ready", count=ctx.shared.ready_count())
 
     def _wait_for_goal(self, kind: int) -> dict:
         """Park between goals until a ``kind`` frame (GOAL or ROOT_INFO) starts one.

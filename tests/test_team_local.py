@@ -19,7 +19,7 @@ from pathlib import Path
 import pytest
 from conftest import children_of
 
-from layered_or import api, oracle, transport, worker
+from layered_or import api, boot, oracle, transport, worker
 from layered_or.config import EngineOptions
 from layered_or.engine import ChoicePoint, WorkerState, count_open, run_loop, setup_goal
 from layered_or.errors import EngineCreationError, EngineError, GoalError
@@ -59,21 +59,20 @@ def test_single_worker_team_runs_a_goal_alone():
     api.par_free_parallel_engine(h)
 
 
-def test_ready_bitmap_counts_teammates_before_master_passes():
-    h = make_engine("bitmap", [4], options=EngineOptions(trace=True))
-    api.par_run_goal(h, "queens(6)")
-    drain(h)
-    events = h.trace_events()
-    ready = [e for e in events if e[2] == "teammates_ready"]
-    assert ready and ready[0][3]["count"] == 3
-    barrier = [e for e in events if e[2] == "barrier_passed"]
-    assert barrier, "master must pass the engine barrier"
-    api.par_free_parallel_engine(h)
-
-
 def test_zero_worker_team_rejected_at_creation():
     with pytest.raises(EngineCreationError):
         make_engine("zero", [0])
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc")
+@pytest.mark.parametrize("kind", ["inproc", "tcp"])
+def test_a_master_that_dies_before_ready_fails_the_create(monkeypatch, kind):
+    monkeypatch.setattr(api, "master_entry", lambda _boot: os._exit(1))
+    before = set(children_of(os.getpid()))
+    with pytest.raises(EngineCreationError, match="team 0 failed to start"):
+        make_engine(f"stillborn-{kind}", [1, 1], transport=kind)
+    assert f"stillborn-{kind}" not in api._REGISTRY
+    assert set(children_of(os.getpid())) <= before, "a dead create left a process behind"
 
 
 # a fresh client that creates a [2] engine and prints the names its master
@@ -93,8 +92,8 @@ def put_with_imports(self, obj):
         obj = dict(obj, imported=sorted(set(sys.modules) - at_fork["modules"]))
     put(self, obj)
 
-def recording_get(chan, timeout, expect=None):
-    replies.append(ctrl_get(chan, timeout, expect))
+def recording_get(chan, team_id, expect=None):
+    replies.append(ctrl_get(chan, team_id, expect))
     return replies[-1]
 
 api.master_entry, boot.SocketChannel.put, api._ctrl_get = (
@@ -152,6 +151,15 @@ def test_a_team_builds_no_semaphore(monkeypatch):
         shared.close()
         for box in boxes:
             box.close()
+
+
+def _stop_reading(_self):
+    time.sleep(60)                        # a teammate busy in a long run
+
+
+def _put_raises_engine_error(box, mail):
+    with pytest.raises(EngineError):
+        box.put(mail)
 
 
 def _hold_until_killed(lock, ready_fd):
@@ -212,6 +220,40 @@ def test_a_writer_killed_inside_a_mailbox_lock_blocks_no_put():
         box.close()
 
 
+def test_a_put_into_a_dead_teammates_full_pipe_raises(monkeypatch):
+    # teammate 1 stops reading and its pipe fills; once it dies, a put
+    # blocked on that pipe must fail, which it does only if neither the
+    # master nor teammate 2 still holds the pipe's read end
+    shared = TeamShared(3, n_frames=16)
+    boxes = [Mailbox() for _ in range(3)]
+    tctx = TeamContext("epipe", 0, 1, 3, EngineOptions(), shared, boxes, None)
+    monkeypatch.setattr(Worker, "getwork_first_time", _stop_reading)
+    fork = multiprocessing.get_context("fork")
+    procs = [fork.Process(target=boot.worker_process_main, args=(tctx, rank))
+             for rank in (1, 2)]
+    for proc in procs:
+        proc.start()
+    try:
+        tctx.close_others(0)              # as a master does after its forks
+        putter = fork.Process(target=_put_raises_engine_error,
+                              args=(boxes[1], ("copy", {}, bytes(1 << 20))))
+        procs.append(putter)
+        putter.start()
+        time.sleep(0.2)                   # until the pipe is full
+        assert putter.is_alive(), "the put did not block on the full pipe"
+        procs[0].kill()
+        putter.join(timeout=2.0)
+        assert not putter.is_alive(), "a put to a dead teammate's full pipe hung"
+        assert putter.exitcode == 0, "the put did not raise EngineError"
+    finally:
+        for proc in procs:
+            proc.kill()
+            proc.join(timeout=5.0)
+        shared.close()
+        for box in boxes:
+            box.close()
+
+
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/fd")
 def test_a_freed_engine_leaves_no_file_descriptor_open():
     # memfds and raw pipes raise no ResourceWarning when they leak
@@ -224,20 +266,6 @@ def test_a_freed_engine_leaves_no_file_descriptor_open():
             assert sum(drain(h).values()) == 4
             api.par_free_parallel_engine(h)
     assert len(os.listdir("/proc/self/fd")) == before
-
-
-def test_workers_only_start_program_work_after_the_barrier():
-    h = make_engine("order", [2, 2], options=EngineOptions(trace=True))
-    api.par_run_goal(h, "queens(6)")
-    drain(h)
-    events = h.trace_events()
-    by_team = {}
-    for team, rank, kind, data in events:
-        by_team.setdefault(team, []).append(kind)
-    for team, kinds in by_team.items():
-        if "barrier_passed" in kinds and "goal_started" in kinds:
-            assert kinds.index("barrier_passed") < kinds.index("goal_started")
-    api.par_free_parallel_engine(h)
 
 
 def test_workers_without_work_never_allocate_a_root():
@@ -431,73 +459,9 @@ def test_per_worker_alt_counters_sum_to_the_open_alternatives_of_live_frames():
     shared.close()
 
 
-def test_signal_counters_announce_every_message_across_processes():
-    # three senders, more than the cores here, each bumping only its own
-    # counter; a reader that drains only when the sum moved must still see
-    # every message, and no bump may be lost
-    import multiprocessing
-
-    ctx = multiprocessing.get_context("fork")
-    shared = TeamShared(4)
-    box = ctx.SimpleQueue()
-    per_sender = 300
-
-    def sender(rank):
-        for i in range(per_sender):
-            box.put((rank, i))
-            shared.count_mail(rank, 0)
-
-    procs = [ctx.Process(target=sender, args=(r,)) for r in (1, 2, 3)]
-    for p in procs:
-        p.start()
-    got = []
-    seen = 0
-    deadline = time.monotonic() + 20.0
-    while len(got) < 3 * per_sender and time.monotonic() < deadline:
-        sent = shared.mail_count(0)
-        if sent != seen:
-            while not box.empty():
-                got.append(box.get())
-            seen = sent
-    for p in procs:
-        p.join(timeout=5.0)
-        assert not p.is_alive()
-    assert sorted(got) == [(r, i) for r in (1, 2, 3) for i in range(per_sender)]
-    assert shared.mail_count(0) == 3 * per_sender
-    assert shared.mail_count(1) == 0
-    shared.close()
-
-
-def _must_not_ask(*_args, **_kwargs):
-    raise AssertionError("a read with no counted mail touched the pipe")
-
-
-def test_team_queues_are_read_exactly_as_counted(monkeypatch):
-    ctx = multiprocessing.get_context("fork")
-    shared = TeamShared(3, n_frames=16)
-    boxes = [Mailbox() for _ in range(3)]
-    tctx = TeamContext("counted", 0, 1, 3, EngineOptions(), shared, boxes, None)
-    mesh = transport.QueueMesh(1, ctx)
-    master = Master(tctx, WorkerState(team_id=0, worker_id=0), mesh.endpoint("counted", 0))
-    master._begin_goal({"program": "queens", "args": [4], "goal": 1})
-    try:
-        boxes[0].put(("note", {}, None))
-        with monkeypatch.context() as patched:
-            patched.setattr(Mailbox, "get", _must_not_ask)
-            assert master._next_mail() is None, "an uncounted message was read"
-        shared.count_mail(2, 0)
-        assert master._next_mail() == ("note", {}, None)
-        assert master._next_mail() is None
-    finally:
-        mesh.close()
-        shared.close()
-        for box in boxes:
-            box.close()
-
-
 def test_a_mail_cut_short_is_read_once_whole_without_blocking():
-    # a teammate killed inside a put leaves a counted mail cut short: its
-    # reader must go on serving, not wait for bytes that never come
+    # a teammate killed inside a put leaves a mail cut short: its reader
+    # must go on serving, not wait for bytes that never come
     shared = TeamShared(2, n_frames=16)
     boxes = [Mailbox() for _ in range(2)]
     tctx = TeamContext("cut", 0, 1, 2, EngineOptions(), shared, boxes, None)
@@ -508,8 +472,7 @@ def test_a_mail_cut_short_is_read_once_whole_without_blocking():
     raw = len(blob).to_bytes(8, "little") + blob
     writer = threading.Thread(target=os.write, args=(boxes[1]._wfd, raw[4096:]))
     try:
-        tctx.notify(0, 1, *whole)
-        shared.count_mail(0, 1)
+        tctx.notify(1, *whole)
         os.write(boxes[1]._wfd, raw[:4096])
         assert teammate._next_mail() == whole
         assert teammate._next_mail() is None, "a mail cut short was returned"
@@ -518,8 +481,7 @@ def test_a_mail_cut_short_is_read_once_whole_without_blocking():
             teammate._await_mail()
         writer.join()
         assert got == cut
-        shared.count_mail(0, 1)
-        assert teammate._next_mail() is None, "a counted mail with no bytes was returned"
+        assert teammate._next_mail() is None
     finally:
         shared.close()
         for box in boxes:
@@ -528,26 +490,22 @@ def test_a_mail_cut_short_is_read_once_whole_without_blocking():
 
 def test_answer_batches_mail_a_goals_first_answer_at_once(monkeypatch):
     # with the flush interval out of reach, a teammate mails its master a
-    # batch at the goal's first answer and the rest when its run ends, each
-    # counted in the master's mailbox; together they are the oracle's answers
+    # batch at the goal's first answer and the rest when its run ends;
+    # together they are the oracle's answers
     monkeypatch.setattr(worker, "ANSWER_FLUSH_S", 3600.0)
-    puts = []
-
-    class _Mailbox:
-        def put(self, item):
-            puts.append(item)
-
+    boxes = [_Box(), _Box()]
     shared = TeamShared(2, n_frames=16)
     opts = EngineOptions()
-    tctx = TeamContext("batches", 0, 1, 2, opts, shared, [_Mailbox(), None], None)
+    tctx = TeamContext("batches", 0, 1, 2, opts, shared, boxes, None)
     teammate = Worker(tctx, WorkerState(team_id=0, worker_id=1), 1)
     teammate._begin_goal({"program": "spread", "args": [6, 5], "goal": 1})
     try:
         teammate._run(start_tag=teammate.ws.program.root_tag)
         teammate._flush_answers()
-        assert shared.mail_count(0) == len(puts) == 2
     finally:
         shared.close()
+    puts = boxes[0].items
+    assert len(puts) == 2
     assert {(kind, meta["goal"]) for kind, meta, _ in puts} == {(worker.N_ANSWERS, 1)}
     assert len(unpack_answers(puts[0][2])) <= opts.k_backtracks, \
         "the goal's first answer waited for the flush interval"
@@ -556,19 +514,20 @@ def test_answer_batches_mail_a_goals_first_answer_at_once(monkeypatch):
 
 
 class _Box:
-    """An in-process mailbox that notes the step at which each message came."""
+    """An in-process mailbox that notes the step of ``steps`` (if given) at
+    which each message came."""
 
-    def __init__(self, steps):
+    def __init__(self, steps=None):
         self.steps = steps
         self.items = deque()
         self.log = []                     # (step, message kind)
 
     def put(self, item):
         self.items.append(item)
-        self.log.append((self.steps.count, item[0]))
+        self.log.append((self.steps and self.steps.count, item[0]))
 
     def get(self):
-        return self.items.popleft()
+        return self.items.popleft() if self.items else None
 
 
 class _Counted:
@@ -612,9 +571,8 @@ def test_quiet_ticks_widen_and_one_message_narrows_them():
     def watched():
         if mail_at and len(ticks) == mail_at[0]:
             mail_at.clear()
-            # a stale goal's notice: counted mail that asks for nothing
+            # a stale goal's notice: mail that asks for nothing
             box.put((worker.N_GOAL_DONE, {"goal": 0}, None))
-            shared.count_mail(0, 1)
         spacing = service()
         ticks.append((steps.count + 1, spacing))
         return spacing
@@ -655,7 +613,6 @@ def test_a_busy_teammate_answers_a_share_request_within_the_widest_spacing():
         if step >= next_ask[0] and len(replies) == len(asked):
             asked.append(step)
             box.put((worker.N_DELEGATE_REQUEST, {"goal": 1, "local": 0}, None))
-            shared.count_mail(0, 1)
             next_ask[0] = step + rng.randrange(1, 3 * cap)
 
     steps.at_step = at_step
@@ -718,11 +675,11 @@ def test_a_teammate_waiting_for_a_reply_blocks_on_its_mailbox():
     def busy_target():
         _, meta, _ = _await(boxes[2])
         time.sleep(0.3)                   # until the target's next tick
-        tctx.notify(2, 1, worker.N_DELEGATE_REFUSE, meta)
+        tctx.notify(1, worker.N_DELEGATE_REFUSE, meta)
 
     target = threading.Thread(target=busy_target)
     # a requester that misses the reply shuts down instead of hanging
-    watchdog = threading.Timer(10.0, tctx.notify, (0, 1, worker.N_GOAL_DONE,
+    watchdog = threading.Timer(10.0, tctx.notify, (1, worker.N_GOAL_DONE,
                                                    {"shutdown": True}))
     target.start()
     watchdog.start()
@@ -772,17 +729,25 @@ def drain_within(handle, seconds):
 @pytest.mark.parametrize("strategy", ["vs", "hs"])
 def test_stack_copies_larger_than_a_pipe_reach_their_teammates(workers, transport_kind,
                                                               strategy):
+    # the goal runs for a few milliseconds and can end before a teammate is
+    # scheduled, so it runs until a teammate copies a stack, up to 5 times
     want = oracle.enumerate_answers(get_program("wide"), [6, 10000])
     h = make_engine(f"wide-{len(workers)}-{transport_kind}-{strategy}", workers,
                     strategy=strategy, transport=transport_kind,
                     options=EngineOptions(trace=True))
-    api.par_run_goal(h, "wide(6,10000)")
-    got, finished = drain_within(h, 10.0)
-    shares = [e for e in h.trace_events() if e[2] == "shared_locally"]
-    api.par_free_parallel_engine(h)
-    assert finished, f"{sum(got.values())} of 64 answers within 10 s"
-    assert got == want
-    assert shares, "no teammate copied a stack"
+    shares = []
+    try:
+        for _ in range(5):
+            api.par_run_goal(h, "wide(6,10000)")
+            got, finished = drain_within(h, 10.0)
+            assert finished, f"{sum(got.values())} of 64 answers within 10 s"
+            assert got == want
+            shares = [e for e in h.trace_events() if e[2] == "shared_locally"]
+            if shares:
+                break
+    finally:
+        api.par_free_parallel_engine(h)
+    assert shares, "no teammate copied a stack in 5 goals"
 
 
 def test_local_share_conserves_alternatives_end_to_end():
@@ -883,7 +848,7 @@ def test_termination_waits_for_credit_despite_an_all_idle_load_view():
     # both teams have handed their credit back.
     shared = TeamShared(1, n_frames=16)
     ep = _ScriptedEndpoint(3, [(50, _credit_return(1, 1)), (100, _credit_return(2, 2))])
-    ctx = TeamContext("scripted", 0, 3, 1, EngineOptions(), shared, [None], None)
+    ctx = TeamContext("scripted", 0, 3, 1, EngineOptions(), shared, [_Box()], None)
     master = Master(ctx, WorkerState(team_id=0, worker_id=0), ep)
     ep.own_load_fn = master.own_load
     master._begin_goal({"program": "queens", "args": [4], "goal": 1})
@@ -910,7 +875,7 @@ def test_a_goals_first_answers_leave_the_master_at_once():
     # goal's first answer must not wait ANSWER_FLUSH_S behind it
     shared = TeamShared(1, n_frames=16)
     ep = _ScriptedEndpoint(2, [])
-    ctx = TeamContext("scripted", 0, 2, 1, EngineOptions(), shared, [None], None)
+    ctx = TeamContext("scripted", 0, 2, 1, EngineOptions(), shared, [_Box()], None)
     master = Master(ctx, WorkerState(team_id=0, worker_id=0), ep)
     ep.own_load_fn = master.own_load
     try:
@@ -940,7 +905,7 @@ def test_answer_frames_leave_a_masters_quiet_ticks_widening():
     script += [(30, request)] + [(polls, answers) for polls in range(33, 45, 3)]
     shared = TeamShared(1, n_frames=4096)
     ep = _ScriptedEndpoint(2, script)
-    ctx = TeamContext("scripted", 0, 2, 1, EngineOptions(), shared, [None], None)
+    ctx = TeamContext("scripted", 0, 2, 1, EngineOptions(), shared, [_Box()], None)
     master = Master(ctx, WorkerState(team_id=0, worker_id=0), ep)
     ep.own_load_fn = master.own_load
     master.ws.frames = shared
@@ -1088,6 +1053,22 @@ def test_a_killed_teammate_becomes_an_engine_error():
         with pytest.raises(EngineError):
             while time.monotonic() < deadline:
                 api.par_get_answers(h, ("max", 4096))
+                time.sleep(0.005)
+    finally:
+        api.par_free_parallel_engine(h)
+
+
+def test_a_teammate_that_dies_before_it_runs_becomes_an_engine_error(monkeypatch):
+    # the master watches the teammate's sentinel from its fork on; no
+    # start-up wait may stand between the death and the client
+    monkeypatch.setattr(boot, "worker_process_main", lambda ctx, rank: os._exit(1))
+    h = make_engine("stillborn_teammate", [2])
+    deadline = time.monotonic() + 2.0
+    try:
+        with pytest.raises(EngineError):
+            api.par_run_goal(h, "queens(6)")
+            while time.monotonic() < deadline:
+                api.par_get_answers(h, ("max", 64))
                 time.sleep(0.005)
     finally:
         api.par_free_parallel_engine(h)

@@ -1,4 +1,4 @@
-"""Transport layer: wire frames, socket-pair mesh and tcp links, barrier."""
+"""Transport layer: wire frames, socket-pair mesh and tcp links."""
 
 import json
 import random
@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from layered_or import transport
-from layered_or.errors import EngineCreationError, EngineError, ProtocolViolation
+from layered_or.errors import EngineError, ProtocolViolation
 from layered_or.splitting import CP_RECORD_LEN, AuxArea, deserialize_aux, serialize_aux
 from layered_or.worker import pack_answers, unpack_answers
 from layered_or.transport import (
@@ -45,6 +45,17 @@ def close_meshes():
 def make_pair(n_teams=2, delay=None):
     mesh = new_mesh(n_teams, delay=delay)
     return [mesh.endpoint("t", i, own_load_fn=lambda: 3) for i in range(n_teams)]
+
+
+def next_msg(ep, timeout):
+    """The next message of ``ep``, waiting up to ``timeout`` seconds; None if none came."""
+    deadline = time.monotonic() + timeout
+    while (msg := ep.poll()) is None:
+        left = deadline - time.monotonic()
+        if left <= 0:
+            return None
+        ep.wait(left)
+    return msg
 
 
 # -- wire frames ------------------------------------------------------------------
@@ -184,8 +195,8 @@ def test_send_increments_own_timestamp_per_message():
     a, b = make_pair()
     a.send(1, transport.SHARE_REQUEST, {"goal": 1})
     a.send(1, transport.SHARE_REQUEST, {"goal": 1})
-    first = b.poll_wait(1.0)
-    second = b.poll_wait(1.0)
+    first = next_msg(b, 1.0)
+    second = next_msg(b, 1.0)
     assert second.loads[0][1] == first.loads[0][1] + 1
     assert first.loads[0][0] == 3  # stamped through own_load_fn
 
@@ -227,25 +238,28 @@ def test_quiet_poll_reads_no_link_and_no_socket(monkeypatch):
         monkeypatch.undo()
         eps[1].send(0, transport.ANSWER, {"goal": 1})
         a.send(1, transport.ANSWER, {"goal": 2})
-        assert eps[0].poll_wait(1.0).meta == {"goal": 1}
-        assert b.poll_wait(1.0).meta == {"goal": 2}
+        assert next_msg(eps[0], 1.0).meta == {"goal": 1}
+        assert next_msg(b, 1.0).meta == {"goal": 2}
     finally:
         a.close()
         b.close()
 
 
-def test_poll_wait_sleeps_in_the_poller_and_wakes_on_arrival():
+def test_wait_sleeps_in_the_poller_and_wakes_on_arrival():
     a, b = make_pair()
-    cpu = time.process_time()
-    assert b.poll_wait(0.3) is None
-    assert time.process_time() - cpu < 0.02, "poll_wait spun while nothing arrived"
+    cpu, t0 = time.process_time(), time.monotonic()
+    b.wait(0.3)
+    assert time.monotonic() - t0 >= 0.29, "wait returned with nothing to read"
+    assert time.process_time() - cpu < 0.02, "wait spun while nothing arrived"
+    assert b.poll() is None
     timer = threading.Timer(0.1, a.send, args=(1, transport.ANSWER, {"goal": 3}))
     t0 = time.monotonic()
     timer.start()
-    msg = b.poll_wait(5.0)
+    b.wait(5.0)
+    assert time.monotonic() - t0 < 1.0, "wait slept past the frame's arrival"
     timer.join()
+    msg = b.poll()
     assert msg is not None and msg.meta == {"goal": 3}
-    assert time.monotonic() - t0 < 1.0
 
 
 def test_a_wait_shorter_than_a_millisecond_ends_at_a_readable_frame():
@@ -283,7 +297,7 @@ def test_round_robin_serves_every_busy_link_in_turn():
         eps[0].send(2, transport.ANSWER, {"n": i})
         eps[1].send(2, transport.ANSWER, {"n": i})
     time.sleep(0.05)
-    senders = [eps[2].poll_wait(1.0).sender for _ in range(8)]
+    senders = [next_msg(eps[2], 1.0).sender for _ in range(8)]
     assert all(senders[i] != senders[i + 1] for i in range(7)), senders
 
 
@@ -298,7 +312,7 @@ def test_per_sender_fifo_with_interleaved_senders():
         sent[sender].append(len(sent[sender]))
     seen = {0: [], 1: []}
     while len(seen[0]) + len(seen[1]) < 200:
-        msg = eps[2].poll_wait(1.0)
+        msg = next_msg(eps[2], 1.0)
         assert msg is not None
         seen[msg.sender].append(msg.meta["n"])
     assert seen[0] == sent[0] and seen[1] == sent[1]
@@ -335,7 +349,7 @@ def test_an_endpoint_keeps_its_mesh_open():
     try:
         for _ in range(3):
             assert ep.poll() is None
-        assert ep.poll_wait(0.02) is None
+        assert next_msg(ep, 0.02) is None
     finally:
         ep._mesh.close()
 
@@ -344,44 +358,8 @@ def test_terminate_after_refuse_keeps_order():
     a, b = make_pair()
     a.send(1, transport.SHARE_REFUSE, {"goal": 1})
     a.send(1, transport.TERMINATE, {"goal": 1})
-    assert b.poll_wait(1.0).kind == transport.SHARE_REFUSE
-    assert b.poll_wait(1.0).kind == transport.TERMINATE
-
-
-# -- barrier ----------------------------------------------------------------------
-
-def test_barrier_single_team_returns_immediately():
-    mesh = new_mesh(1)
-    ep = mesh.endpoint("t", 0)
-    ep.barrier(timeout=0.1)
-
-
-def test_barrier_releases_after_last_arrival():
-    mesh = new_mesh(4)
-    eps = [mesh.endpoint("t", i) for i in range(4)]
-    released = []
-
-    def enter(i, delay):
-        time.sleep(delay)
-        eps[i].barrier(timeout=5.0)
-        released.append((i, time.monotonic()))
-
-    threads = [threading.Thread(target=enter, args=(i, 0.05 * i)) for i in range(4)]
-    t0 = time.monotonic()
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    assert len(released) == 4
-    # nobody passes before the last (slowest) team has entered
-    assert min(ts for _, ts in released) >= t0 + 0.15 - 0.01
-
-
-def test_barrier_times_out_when_a_team_never_arrives():
-    mesh = new_mesh(2)
-    ep = mesh.endpoint("t", 0)
-    with pytest.raises(EngineCreationError):
-        ep.barrier(timeout=0.2)
+    assert next_msg(b, 1.0).kind == transport.SHARE_REFUSE
+    assert next_msg(b, 1.0).kind == transport.TERMINATE
 
 
 # -- tcp links -----------------------------------------------------------------
@@ -402,7 +380,7 @@ def test_tcp_roundtrip_byte_identity_on_large_payload():
     a, b = tcp_pair()
     blob = random.Random(3).randbytes(1 << 20)
     a.send(1, transport.SHARE_ACCEPT, {"goal": 1, "req": 0}, blob)
-    msg = b.poll_wait(10.0)
+    msg = next_msg(b, 10.0)
     assert msg is not None and msg.raw == blob
     a.close()
     b.close()
@@ -413,7 +391,7 @@ def test_tcp_preserves_order_and_latency_holds_delivery():
     t0 = time.monotonic()
     for i in range(5):
         a.send(1, transport.ANSWER, {"n": i})
-    got = [b.poll_wait(5.0).meta["n"] for _ in range(5)]
+    got = [next_msg(b, 5.0).meta["n"] for _ in range(5)]
     assert got == list(range(5))
     assert time.monotonic() - t0 >= 0.02
     a.close()
@@ -437,7 +415,7 @@ def test_tcp_delivers_every_frame_of_one_chunk_in_order():
     while arrived() < sum(map(len, frames)):
         assert time.monotonic() < deadline, "the chunk never arrived whole"
         time.sleep(0.001)
-    assert b.poll_wait(1.0).meta == {"n": 0}
+    assert next_msg(b, 1.0).meta == {"n": 0}
     # the second frame sits in the endpoint's buffer; the socket is empty
     assert b.poll().meta == {"n": 1}
     assert b.poll() is None
@@ -449,11 +427,11 @@ def test_tcp_peer_that_closes_raises_engine_error():
     a, b = tcp_pair()
     a.close()
     with pytest.raises(EngineError):
-        b.poll_wait(2.0)
+        next_msg(b, 2.0)
     b.close()
 
 
-def test_tcp_barrier_and_client_link():
+def test_tcp_mesh_carries_a_frame_over_every_link():
     mesh_n = 3
     eps = [TcpEndpoint("t", i, mesh_n) for i in range(mesh_n)]
     srvs = {}
@@ -471,18 +449,19 @@ def test_tcp_barrier_and_client_link():
         t.start()
     for t in threads:
         t.join()
-    outcome = []
-    threads = [threading.Thread(target=lambda ep=ep: outcome.append(ep.barrier(2.0)))
-               for ep in eps]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    assert len(outcome) == mesh_n
-    for ep in eps:
-        ep.close()
-    for s in srvs.values():
-        s.close()
+    try:
+        for ep in eps:
+            for peer in ep.peers():
+                ep.send(peer, transport.ANSWER, {"goal": ep.team_id})
+        for ep in eps:
+            got = [next_msg(ep, 2.0) for _ in ep.peers()]
+            assert sorted((m.sender, m.goal_id) for m in got) == \
+                [(peer, peer) for peer in ep.peers()]
+    finally:
+        for ep in eps:
+            ep.close()
+        for s in srvs.values():
+            s.close()
 
 
 # -- topology file ------------------------------------------------------------------
