@@ -128,7 +128,6 @@ def _worker_state(shared: TeamShared, team_id: int, rank: int) -> WorkerState:
     ws = WorkerState(team_id=team_id, worker_id=rank)
     ws.frames = shared
     ws.load_sink = lambda load: shared.set_load(rank, load)
-    ws.public_sink = lambda n: shared.set_public_nodes(rank, n)
     return ws
 
 

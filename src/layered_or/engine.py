@@ -118,7 +118,6 @@ class WorkerState:
         self.template_cells: tuple[int, ...] = ()
         self.frames = None                 # or-frame pool (team-provided); None when standalone
         self.load_sink: Optional[Callable[[int], None]] = None
-        self.public_sink: Optional[Callable[[int], None]] = None
         self.backtracks = 0
         self.base_store = 0                # post-setup marks; idle workers rest here
         self.base_trail = 0
@@ -150,20 +149,12 @@ class WorkerState:
         if self.load_sink is not None:
             self.load_sink(value)
 
-    def public_node_count(self) -> int:
-        return sum(1 for cp in self.cps if cp.frame >= 0)
-
-    def sync_public_nodes(self) -> None:
-        if self.public_sink is not None:
-            self.public_sink(self.public_node_count())
-
     def reset_to_base(self) -> None:
         """Drop everything above the post-setup marks (idle/teardown state)."""
         restore_trail(self, self.base_trail)
         del self.store[self.base_store:]
         self.cps.clear()
         self.set_load(0)
-        self.sync_public_nodes()
         self._guard = self.base_store
 
 
@@ -238,7 +229,6 @@ def backtrack(ws: WorkerState):
             cps.pop()
             if cp.frame >= 0:
                 ws.frames.leave(cp.frame)
-                ws.sync_public_nodes()
             continue
         if cp.alts is None:
             _rederive(ws, cp)
@@ -455,5 +445,4 @@ def install_segments(ws: WorkerState, store_lo: int, store_cells: Sequence[int],
         if frame < 0:
             load += cp.open_count()
     ws.set_load(load)
-    ws.sync_public_nodes()
     ws._guard = len(store)

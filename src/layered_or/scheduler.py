@@ -1,4 +1,4 @@
-"""Inter-team scheduling kernels: load arrays, target selection, delegation.
+"""Scheduling kernels: load arrays and the choice of whom to ask for work.
 
 A load array holds one ``(load, timestamp)`` entry per team: load -1 means
 the team is out of work, load >= 0 is the sum of its workers' open private
@@ -14,6 +14,9 @@ Load arrays only choose request targets. They can go stale in both
 directions (an idle team's newer refusal can shadow a record that it just
 received work), so they do not decide termination; credit recovery does,
 in ``worker``.
+
+Both levels ask by one rule: the busiest team, or busy worker, load 0
+included, ties to the lowest index.
 """
 
 from __future__ import annotations
@@ -57,44 +60,20 @@ def select_request_target(loads: Sequence[Entry], self_id: int) -> Optional[int]
     """Busiest team to ask for work; load-0 teams count (they may hold
     frame-held work). Ties go to the lowest team id; None when every other
     team looks idle."""
+    return select_sharer([load for load, _ in loads], [load < 0 for load, _ in loads], self_id)
+
+
+def select_sharer(worker_loads: Sequence[int], idle_flags: Sequence[bool],
+                  exclude: int = -1) -> Optional[int]:
+    """Busy worker to ask for work for a teammate or another team: the
+    highest load register, even 0 (it counts only private alternatives, and
+    frame-held work grows more), ties to the lowest rank; never ``exclude``
+    (the asking worker). None when no other worker is busy."""
     best = None
     best_load = -1
-    for team, (load, _) in enumerate(loads):
-        if team == self_id or load < 0:
-            continue
-        if load > best_load:
-            best, best_load = team, load
-    return best
-
-
-def select_local_target(worker_loads: Sequence[int], self_rank: int) -> Optional[int]:
-    """Teammate with the highest load register; ties to the lowest rank."""
-    best = None
-    best_load = 0
     for rank, load in enumerate(worker_loads):
-        if rank == self_rank:
+        if rank == exclude or idle_flags[rank]:
             continue
         if load > best_load:
             best, best_load = rank, load
     return best
-
-
-def select_delegate(worker_loads: Sequence[int], public_nodes: Sequence[int],
-                    idle_flags: Sequence[bool]) -> Optional[int]:
-    """Worker best placed to serve an inter-team request.
-
-    Highest load register first, then most live public nodes, then lowest
-    rank. Idle workers own nothing to split, so they are not candidates.
-    """
-    best = None
-    best_key = (0, 0)
-    for rank, load in enumerate(worker_loads):
-        if idle_flags[rank]:
-            continue
-        key = (load, public_nodes[rank])
-        if key <= (0, 0):
-            continue
-        if best is None or key > best_key:
-            best, best_key = rank, key
-    return best
-

@@ -3,9 +3,12 @@
 One ``TeamShared`` region backs a team. It is an anonymous shared ``mmap``
 created before the team's worker processes fork, so every worker addresses
 the same physical pages. It holds the or-frame pool (the only hot shared
-mutable state), per-worker load registers / flags, and a few counters.
-Everything bulky (stack copies, answers, notifications) travels through
-each worker's mailbox instead.
+mutable state) and three banks of one register per worker: its idle flag,
+its load register (open private alternatives) and its public-alternative
+counter. A worker writes its own registers, except that a worker sharing
+work flags its requester busy before it mails the copy. Everything bulky
+(stack copies, answers, notifications) travels through each worker's
+mailbox instead.
 
 One team lock guards the whole pool, the free list and every frame's
 fields. ``lock(idx)`` returns it, so callers still name the frame they
@@ -47,7 +50,7 @@ from .engine import count_open
 _HDR = 2                   # header slots before the per-worker arrays
 _SLOT_FREE_HEAD = 0
 _SLOT_HIGH_WATER = 1
-_BANKS = 4                 # idle, load, public nodes, public alts
+_BANKS = 3                 # idle, load, public alts
 
 # or-frames per team; a share that finds the pool full is refused
 FRAME_POOL = 8192
@@ -100,11 +103,11 @@ class TeamShared:
         self._mv = memoryview(self._mm).cast("q")
         self._mv[_SLOT_FREE_HEAD] = -1
         self._lock = RecordLock("team")
-        self._alts_slot = self._warr(3, 0)
+        self._alts_slot = self._warr(2, 0)
 
     def bind(self, rank: int) -> None:
         """Make this process's frame calls count in worker ``rank``'s slot."""
-        self._alts_slot = self._warr(3, rank)
+        self._alts_slot = self._warr(2, rank)
 
     # -- per-worker registers -------------------------------------------------
     def _warr(self, bank: int, rank: int) -> int:
@@ -129,15 +132,9 @@ class TeamShared:
     def team_load(self) -> int:
         return sum(self.loads())
 
-    def set_public_nodes(self, rank: int, n: int) -> None:
-        self._mv[self._warr(2, rank)] = n
-
-    def public_nodes_of(self, rank: int) -> int:
-        return self._mv[self._warr(2, rank)]
-
     # -- counters ---------------------------------------------------------------
     def public_alts(self) -> int:
-        base = self._warr(3, 0)
+        base = self._warr(2, 0)
         return sum(self._mv[base:base + self.n_workers])
 
     # -- or-frame pool ----------------------------------------------------------
@@ -268,5 +265,4 @@ def publish_private_nodes(ws, shared: TeamShared) -> int:
         moved += open_here
     if moved:
         ws.set_load(ws.load - moved)
-    ws.sync_public_nodes()
     return moved

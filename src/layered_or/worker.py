@@ -27,11 +27,20 @@ payloads of other teams. It sends the lot as one ANSWER frame, at most
 every ``ANSWER_FLUSH_S`` while its team works and at once when the team
 goes idle or the goal ends. Nothing between worker and client unpacks it.
 
+Work is pulled, and nothing waits on a timer. An idle worker asks the busy
+teammate with the highest load register and blocks until the reply, which
+comes at that teammate's first tick with private load, or as a refusal when
+it goes idle. A sharer flags its requester busy before it mails the copy,
+so open work always has a worker flagged busy: an idle worker that sees
+none waits for mail. A busy team's master likewise holds a SHARE_REQUEST
+until a teammate with positive load, or its own stack, can split, and
+refuses it only for another goal or when its team goes idle; a refused
+idle team asks the next busiest team at once, or waits for a frame.
+
 Every wait is one blocking ``poll(2)``: a teammate's on its mailbox pipe,
 a master's in its endpoint's poller, which also watches its mailbox pipe
-and its teammates' sentinels. Only the shutdown mail stops a worker. Only
-``_acquire_locally`` sleeps: it polls shared registers that no fd signals.
-A reader reads its ``Mailbox`` without blocking and takes a mail once all
+and its teammates' sentinels. Only the shutdown mail stops a worker. A
+reader reads its ``Mailbox`` without blocking and takes a mail once all
 its bytes have come, so a teammate that dies mid-put hangs nobody. Only a
 mailbox's reader holds its read end, so a put to a dead reader raises
 ``EngineError`` instead of blocking. This cannot deadlock: a writer blocks
@@ -43,12 +52,11 @@ teammates, whose pipes hold only short mail.
 
 Ticks space themselves out while nobody asks for work. Each run starts
 ticking every ``k_backtracks`` steps. A tick that finds no mail but answers
-(and, at a master, no frame but ANSWER frames) doubles the spacing, up to
-``TICK_SPACING_CAP`` × ``k_backtracks`` steps; a tick that finds any brings
-it back to ``k_backtracks``. A request to a busy worker is therefore seen
-within ``TICK_SPACING_CAP`` × ``k_backtracks`` steps, and the requests
-that follow it within ``k_backtracks``. A teammate waiting for a reply
-blocks on its mailbox meanwhile.
+(and, at a master, no frame but ANSWER frames) and holds no request doubles
+the spacing, up to ``TICK_SPACING_CAP`` × ``k_backtracks`` steps; any other
+tick brings it back to ``k_backtracks``. A request to a busy worker is
+therefore seen within ``TICK_SPACING_CAP`` × ``k_backtracks`` steps, and a
+held one is looked at again every ``k_backtracks`` steps.
 
 A goal ends by credit recovery (Mattern, IPL 30(4), 1989). Team 0 starts
 it holding credit 1. Every SHARE_ACCEPT carries half of the sharer's
@@ -99,15 +107,6 @@ ANSWER_FLUSH_S = 0.01
 # ``k_backtracks`` steps. Almost every tick of a large goal is quiet, and
 # each costs a few microseconds; the cap bounds how long a request waits.
 TICK_SPACING_CAP = 32
-# A delegated worker accepts an inter-team request only with this many open
-# private alternatives (or a live public node of its own).
-L_MIN = 2
-# A worker that finds no teammate to ask for work polls their loads again
-# after a backoff that doubles from the first bound up to the second.
-BACKOFF_MIN_S = 0.000001
-BACKOFF_MAX_S = 0.001
-# An idle team waits this long after a refusal before it asks again.
-RETRY_DELAY_S = 0.001
 
 
 class GoalDone(Exception):
@@ -215,6 +214,7 @@ class Worker:
         self._answers: list[tuple] = []    # found since the last flush
         self._last_flush = 0.0
         self._spacing = 0                  # steps from the last service tick to the next
+        self._held: list[dict] = []        # requests of this goal not answered yet
 
     def _tell(self, rank: int, kind: str, meta: dict, payload=None) -> None:
         self.ctx.notify(rank, kind, meta, payload)
@@ -241,8 +241,7 @@ class Worker:
             self._park_on_dead_root()
             try:
                 while True:
-                    self._acquire_locally()
-                    ctx.shared.set_idle(self.rank, False)
+                    self._acquire_locally()       # its sharer flagged this worker busy
                     self._run()
                     self._flush_answers()
                     self.ws.reset_to_base()
@@ -271,6 +270,7 @@ class Worker:
         self.goal_id = meta["goal"]
         self.goal_meta = meta
         self._answers.clear()
+        self._held.clear()
         self._last_flush = float("-inf")   # a goal's first answer goes out at once
         setup_goal(self.ws, get_program(meta["program"]), list(meta["args"]),
                    meta.get("template"))
@@ -314,11 +314,15 @@ class Worker:
     def _service(self) -> int:
         if self._answers and time.monotonic() - self._last_flush >= ANSWER_FLUSH_S:
             self._flush_answers()
-        return self._next_spacing(self._drain_mailbox())
+        served = self._drain_mailbox()
+        self._serve_held()
+        return self._next_spacing(served)
 
     def _next_spacing(self, served: bool) -> int:
         """Steps to the next tick: ``k_backtracks`` after a tick that ``served``
-        a message, else twice the last spacing, up to the cap."""
+        a message or still holds a request, else twice the last spacing, up
+        to the cap."""
+        served = served or bool(self._held)
         k = self.ctx.options.k_backtracks
         self._spacing = k if served else min(2 * self._spacing, TICK_SPACING_CAP * k)
         return self._spacing
@@ -337,12 +341,11 @@ class Worker:
 
     def _dispatch(self, kind, meta, payload) -> None:
         if kind == N_DELEGATE_REQUEST:
-            if meta.get("goal") != self.goal_id:
-                self._refuse(meta)
-            elif "req" in meta:
-                self._serve_remote(meta)
+            # held until a busy tick serves it or this worker goes idle
+            if meta.get("goal") == self.goal_id:
+                self._held.append(meta)
             else:
-                self._serve_local(meta)
+                self._refuse(meta)
         elif kind == N_GOAL_DONE:
             if meta.get("shutdown"):
                 raise EngineShutdown
@@ -353,13 +356,29 @@ class Worker:
     def _refuse(self, meta: dict) -> None:
         self._tell(0 if "req" in meta else meta["local"], N_DELEGATE_REFUSE, meta)
 
+    def _refuse_held(self) -> None:
+        """This worker is idle: refuse every request it holds."""
+        held, self._held = self._held, []
+        for meta in held:
+            self._refuse(meta)
+
     # -- sharing: this worker is the sharer ------------------------------------
+    def _serve_held(self) -> None:
+        """At a busy tick: answer a delegated request now, with a split or a
+        refusal (its master holds it then), and a teammate's once this
+        worker has private load to share; keep holding the rest."""
+        held, self._held = self._held, []
+        for meta in held:
+            if "req" in meta:
+                self._serve_remote(meta)
+            elif self.ws.load > 0:
+                self._serve_local(meta)
+            else:
+                self._held.append(meta)
+
     def _serve_local(self, meta: dict) -> None:
         requester = meta["local"]
         ws = self.ws
-        if ws.load <= 0:
-            self._tell(requester, N_DELEGATE_REFUSE, meta)
-            return
         try:
             publish_private_nodes(ws, self.ctx.shared)
         except FramePoolExhausted:
@@ -367,6 +386,8 @@ class Worker:
             return
         aux = splitting.snapshot_to_aux(ws, self.goal_id)
         aux.frames = [cp.frame for cp in ws.cps]
+        # open work always has a worker flagged busy, also while its copy travels
+        self.ctx.shared.set_idle(requester, False)
         self._tell(requester, N_DELEGATE_ACCEPT, meta, splitting.serialize_aux(aux))
         self.ctx.trace(self.rank, "shared_locally", requester=requester,
                        frames=[f for f in aux.frames if f >= 0])
@@ -382,10 +403,7 @@ class Worker:
     def _split_remote(self, meta: dict):
         """Split off work for the team a delegated request came from: the
         packed copy, its load set in ``meta``, or None if there is none."""
-        ws = self.ws
-        if ws.load < L_MIN and not ws.public_node_count():
-            return None
-        aux = splitting.split_for_transfer(ws, self.goal_id, meta["strategy"])
+        aux = splitting.split_for_transfer(self.ws, self.goal_id, meta["strategy"])
         if aux.load <= 0:
             return None
         meta["load"] = aux.load
@@ -393,50 +411,43 @@ class Worker:
 
     # -- this worker is the requester -------------------------------------------
     def _acquire_locally(self) -> bool:
-        """Pull work from a teammate; False once the team is out of work."""
-        ctx = self.ctx
-        shared = ctx.shared
-        tries = 0
+        """Pull work from a busy teammate; False once the team is out of work."""
+        shared = self.ctx.shared
         while True:
             self._drain_mailbox()
+            self._refuse_held()
             self._pump()
-            target = scheduler.select_local_target(shared.loads(), self.rank)
+            target = scheduler.select_sharer(shared.loads(), shared.idle_flags(), self.rank)
             if target is not None:
                 if self._request_from(target):
                     return True
-                tries = 0
-                continue
-            if self._team_out_of_work():
+            elif self._team_out_of_work():
                 return False
-            time.sleep(min(BACKOFF_MIN_S * (1 << min(tries, 10)), BACKOFF_MAX_S))
-            tries += 1
+            else:
+                # open work always has a busy worker, so only mail (N_HAS_WORK
+                # or the goal's end) can bring some
+                self._await_mail()
 
     def _request_from(self, target: int) -> bool:
         """Ask teammate ``target`` for work; True once its copy is installed.
-        Requests that come meanwhile are served after the reply."""
-        ctx = self.ctx
+        Requests that come meanwhile are held: this worker mails nothing
+        until the reply is in."""
         self._tell(target, N_DELEGATE_REQUEST, {"goal": self.goal_id, "local": self.rank})
-        deferred = []
         while True:
             self._pump()
             mail = self._next_mail()
             if mail is None:
-                # the reply may wait for the target's next tick, up to the cap
+                # the target answers at its first tick with private load, or when it goes idle
                 self._await_mail()
                 continue
             kind, m, payload = mail
             if kind in (N_DELEGATE_ACCEPT, N_DELEGATE_REFUSE) \
                     and m.get("local") == self.rank and m.get("goal") == self.goal_id:
                 break
-            if kind == N_DELEGATE_REQUEST:
-                deferred.append(m)
-            else:
-                self._dispatch(kind, m, payload)
+            self._dispatch(kind, m, payload)
         if kind == N_DELEGATE_ACCEPT:
             self._install(payload, local=True)
-            ctx.trace(self.rank, "installed_locally", load=self.ws.load)
-        for m in deferred:
-            self._dispatch(N_DELEGATE_REQUEST, m, None)
+            self.ctx.trace(self.rank, "installed_locally", load=self.ws.load)
         return kind == N_DELEGATE_ACCEPT
 
     def _install(self, raw: bytes, local: bool) -> None:
@@ -461,8 +472,8 @@ class Master(Worker):
         self.team_idle = False
         self._next_req = 0
         self._outstanding = None          # (req_id, target team)
-        self._delegations = set()         # (requesting team, req_id) being served
-        self._goal_finished = False
+        self._asked: list[tuple[int, int]] = []   # (requesting team, req_id) held
+        self._delegations = set()         # (requesting team, req_id) a teammate serves
         self._client_done_sent = False
         self._install_pending = None
         self._credit = None               # exponent k of the held 2**-k, or None
@@ -480,13 +491,14 @@ class Master(Worker):
     # -- the hooks -----------------------------------------------------------------
     def _pump(self) -> None:
         self._drain_transport(busy=False)
+        self._offer_asked()
         self._forward_answers()
 
-    def _await_mail(self, timeout: float | None = None) -> None:
+    def _await_mail(self) -> None:
         # the poller watches the mailbox too; held answers bound the wait
+        timeout = None
         if self._forward:
-            flush = max(0.0, self._last_forward + ANSWER_FLUSH_S - time.monotonic())
-            timeout = flush if timeout is None else min(timeout, flush)
+            timeout = max(0.0, self._last_forward + ANSWER_FLUSH_S - time.monotonic())
         self.ep.wait(timeout)
 
     def _team_out_of_work(self) -> bool:
@@ -539,9 +551,9 @@ class Master(Worker):
 
     # -- goal execution ---------------------------------------------------------
     def _begin_goal(self, meta: dict) -> None:
-        self._goal_finished = False
         self._client_done_sent = False
         self._outstanding = None
+        self._asked.clear()
         self._delegations.clear()
         self._install_pending = None
         self._credit = None
@@ -558,6 +570,7 @@ class Master(Worker):
             if ctx.team_id == 0:
                 self.team_idle = False
                 self._credit = 0
+                ctx.shared.set_idle(0, False)    # before any teammate looks for work
                 for team in range(1, ctx.n_teams):
                     self.ep.send(team, transport.ROOT_INFO, meta)
                 for rank in range(1, ctx.n_workers):
@@ -581,9 +594,9 @@ class Master(Worker):
 
     def _master_cycle(self, start_tag) -> None:
         """Run own work, then keep the team fed until the goal ends."""
+        # flagged busy at the goal's start, by its install or by its sharer
         shared = self.ctx.shared
         while True:
-            shared.set_idle(0, False)
             self._run(start_tag)
             start_tag = None
             self.ws.reset_to_base()
@@ -592,14 +605,17 @@ class Master(Worker):
                 # team out of work: enter the inter-team idle scheduler
                 self.team_idle = True
                 self.ctx.trace(0, "team_idle", goal=self.goal_id)
+                self._refuse_asked()
                 self._return_credit()
                 self._team_idle_scheduler()
 
     def _service(self) -> int:
         served = self._drain_mailbox()
         polled = self._drain_transport(busy=True)
+        self._serve_held()
+        self._offer_asked()
         self._forward_answers()
-        return self._next_spacing(served or polled)
+        return self._next_spacing(served or polled or bool(self._asked))
 
     # -- answers -------------------------------------------------------------------
     def _flush_answers(self) -> None:
@@ -678,7 +694,8 @@ class Master(Worker):
             super()._dispatch(kind, meta, payload)
 
     def _delegate_reply(self, meta: dict, aux_bytes) -> None:
-        """A teammate served (or refused) a delegated request: reply to its team."""
+        """A teammate served a delegated request, or refused it: then the
+        request is held again."""
         # request ids are per requesting team; the pair is the unique key
         team, req = meta.get("team"), meta["req"]
         if (team, req) not in self._delegations:
@@ -687,13 +704,17 @@ class Master(Worker):
         if meta.get("goal") != self.goal_id:
             return
         if aux_bytes is None:
-            self.ep.send(team, transport.SHARE_REFUSE, {"goal": self.goal_id, "req": req})
+            self._asked.append((team, req))
         else:
-            self.ep.send(team, transport.SHARE_ACCEPT,
-                         {"goal": self.goal_id, "req": req, "credit": self._halve_credit()},
-                         aux_bytes)
-            scheduler.record_receiver_busy(self.ep.loads, team, meta["load"])
-            self.ctx.trace(0, "share_accepted", to=team, load=meta["load"])
+            self._share(team, req, aux_bytes, meta["load"])
+
+    def _share(self, team: int, req: int, aux_bytes: bytes, load: int) -> None:
+        """Accept ``team``'s request ``req`` with a copy and half the credit."""
+        self.ep.send(team, transport.SHARE_ACCEPT,
+                     {"goal": self.goal_id, "req": req, "credit": self._halve_credit()},
+                     aux_bytes)
+        scheduler.record_receiver_busy(self.ep.loads, team, load)
+        self.ctx.trace(0, "share_accepted", to=team, load=load)
 
     def _propagate_fault(self, meta: dict) -> None:
         if meta.get("goal") != self.goal_id:
@@ -732,7 +753,12 @@ class Master(Worker):
         self._merge(msg)
         kind = msg.kind
         if kind == transport.SHARE_REQUEST:
-            self._delegate_request(msg)
+            # held until it can be served (``_offer_asked``)
+            if msg.goal_id != self.goal_id or self.team_idle:
+                self.ep.send(msg.sender, transport.SHARE_REFUSE,
+                             {"goal": msg.goal_id, "req": msg.meta.get("req", -1)})
+            else:
+                self._asked.append((msg.sender, msg.meta.get("req", -1)))
         elif kind == transport.ANSWER:
             if self.ctx.team_id != 0:
                 raise ProtocolViolation("answers routed to a non-master team")
@@ -765,30 +791,36 @@ class Master(Worker):
                 raise GoalDone
             raise ProtocolViolation("ROOT_INFO during a running goal")
 
-    def _delegate_request(self, msg: TeamMessage) -> None:
-        """Pick the best-placed worker for an inbound request, or refuse now."""
-        ctx = self.ctx
-        req = msg.meta.get("req", -1)
-        if msg.goal_id != self.goal_id or self.team_idle:
-            self.ep.send(msg.sender, transport.SHARE_REFUSE,
-                         {"goal": msg.goal_id, "req": req})
-            return
-        shared = ctx.shared
-        target = scheduler.select_delegate(
-            shared.loads(), [shared.public_nodes_of(r) for r in range(ctx.n_workers)],
-            shared.idle_flags())
-        if target is None:
-            self.ep.send(msg.sender, transport.SHARE_REFUSE,
-                         {"goal": msg.goal_id, "req": req})
-            return
-        self._delegations.add((msg.sender, req))
-        meta = {"goal": self.goal_id, "req": req, "team": msg.sender,
-                "strategy": self.goal_meta.get("strategy", "vs")}
-        if target == 0:
-            self._delegate_reply(meta, self._split_remote(meta))
-        else:
-            self._tell(target, N_DELEGATE_REQUEST, meta)
-        ctx.trace(0, "delegated", req=req, worker=target, team=msg.sender)
+    def _offer_asked(self) -> None:
+        """Offer each held request to the busy worker with the highest load
+        register while that load is positive, else to this master's own
+        stack while it can yield; hold what neither can serve yet. A
+        teammate that cannot split refuses, and the request is held again."""
+        shared = self.ctx.shared
+        while self._asked:
+            loads = shared.loads()
+            target = scheduler.select_sharer(loads, shared.idle_flags())
+            if target is None:
+                return
+            team, req = self._asked[0]
+            meta = {"goal": self.goal_id, "req": req, "team": team,
+                    "strategy": self.goal_meta.get("strategy", "vs")}
+            if target != 0 and loads[target] > 0:
+                self._delegations.add((team, req))
+                self._tell(target, N_DELEGATE_REQUEST, meta)
+            elif (raw := self._split_remote(meta)) is not None:
+                self._share(team, req, raw, meta["load"])
+                target = 0
+            else:
+                return
+            del self._asked[0]
+            self.ctx.trace(0, "delegated", req=req, worker=target, team=team)
+
+    def _refuse_asked(self) -> None:
+        """The team went idle: refuse every request it holds."""
+        for team, req in self._asked:
+            self.ep.send(team, transport.SHARE_REFUSE, {"goal": self.goal_id, "req": req})
+        self._asked.clear()
 
     def _share_reply(self, msg: TeamMessage, busy: bool) -> None:
         if self._outstanding is None or msg.goal_id != self.goal_id:
@@ -808,9 +840,9 @@ class Master(Worker):
         """All workers idle: hunt other teams for work, or end the goal."""
         ctx = self.ctx
         self.team_idle = True
-        retry_at = 0.0
         while True:
             self._drain_mailbox()
+            self._refuse_held()
             self._pump()
             if self._install_pending is not None:
                 self._install_stacks(self._install_pending)
@@ -819,7 +851,7 @@ class Master(Worker):
             if self._recovered == 1 << self._scale:
                 self._terminate_peers()
                 raise GoalDone
-            if self._outstanding is None and time.monotonic() >= retry_at:
+            if self._outstanding is None:
                 target = scheduler.select_request_target(self.ep.loads, ctx.team_id)
                 if target is not None:
                     req = self._next_req
@@ -828,10 +860,9 @@ class Master(Worker):
                     self.ep.send(target, transport.SHARE_REQUEST,
                                  {"goal": self.goal_id, "req": req})
                     ctx.trace(0, "share_requested", team=target, req=req)
-                retry_at = time.monotonic() + RETRY_DELAY_S
-            # a reply is a frame, which wakes the wait; after a refusal, retry
-            self._await_mail(None if self._outstanding
-                             else max(0.0, retry_at - time.monotonic()))
+            # a busy team holds a request until it can share, and a refusal
+            # retargets at once; load arrays change only on frames, which wake this
+            self._await_mail()
 
     def _terminate_peers(self) -> None:
         """Team 0 holds all credit again: the goal is over everywhere."""
@@ -852,9 +883,6 @@ class Master(Worker):
     # -- goal wind-down ---------------------------------------------------------
     def _finish_goal(self) -> None:
         ctx = self.ctx
-        if self._goal_finished:
-            return
-        self._goal_finished = True
         # answers already queued locally must reach the client; the other
         # teams' answers all arrived ahead of their credit
         self._forward_answers(now=True)

@@ -6,9 +6,8 @@ from hypothesis import strategies as st
 from layered_or.scheduler import (
     merge_load_arrays,
     record_receiver_busy,
-    select_delegate,
-    select_local_target,
     select_request_target,
+    select_sharer,
 )
 
 entries = st.tuples(st.integers(-1, 60), st.integers(0, 40))
@@ -110,16 +109,20 @@ def test_refusal_with_newer_info_redirects_the_next_request():
 
 
 def test_local_target_argmax_and_tie_break():
-    assert select_local_target([0, 5, 2], 0) == 1
-    assert select_local_target([0, 3, 3], 0) == 1
-    assert select_local_target([0, 0, 0], 0) is None
-    assert select_local_target([9, 1], 0) == 1  # never itself
+    busy = [False, False, False]
+    assert select_sharer([0, 5, 2], busy, 0) == 1
+    assert select_sharer([0, 3, 3], busy, 0) == 1
+    assert select_sharer([9, 1], [False, False], 0) == 1  # never itself
+    # a busy teammate is asked even with load 0: its work may sit in frames
+    assert select_sharer([0, 0, 0], busy, 0) == 1
+    assert select_sharer([0, 0, 0], [False, True, False], 0) == 2
+    assert select_sharer([0, 7, 7], [True, True, True], 0) is None
 
 
-def test_delegate_prefers_load_then_public_nodes_then_rank():
-    assert select_delegate([0, 6, 2], [0, 0, 0], [True, False, False]) == 1
-    assert select_delegate([0, 0, 0], [0, 2, 5], [True, False, False]) == 2
-    assert select_delegate([0, 4, 4], [0, 1, 1], [False, False, False]) == 1
-    assert select_delegate([0, 0, 0], [0, 0, 0], [False, False, False]) is None
+def test_delegate_prefers_load_then_rank():
+    assert select_sharer([0, 6, 2], [True, False, False]) == 1
+    assert select_sharer([0, 4, 4], [False, False, False]) == 1
+    assert select_sharer([3, 3, 1], [False, False, False]) == 0
+    assert select_sharer([0, 0, 0], [False, False, False]) == 0
     # idle workers hold nothing to split
-    assert select_delegate([0, 9, 0], [0, 3, 0], [True, True, True]) is None
+    assert select_sharer([0, 9, 0], [True, True, True]) is None
