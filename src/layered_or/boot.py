@@ -47,7 +47,8 @@ from .engine import WorkerState
 from .errors import EngineShutdown
 from .team import TeamShared
 from .transport import CLIENT_ID, TcpEndpoint
-from .worker import N_FAULT, Mailbox, Master, TeamContext, Worker
+from .protocol import N_FAULT
+from .worker import Mailbox, Master, TeamContext, Worker
 
 # how long start-up waits for a ctrl reply and for its tcp peers to connect
 READY_TIMEOUT_S = 30.0
@@ -189,9 +190,7 @@ def master_entry(boot: MasterBoot) -> None:
             ep.watch(p.sentinel, f"worker {rank} of team {boot.team_id} died")
         chan.put({"ready": True})
 
-        master = Master(tctx, _worker_state(shared, boot.team_id, 0), ep)
-        ep.own_load_fn = master.own_load
-        master.getwork_first_time()
+        Master(tctx, _worker_state(shared, boot.team_id, 0), ep).getwork_first_time()
     except EngineShutdown:
         pass                          # each teammate was mailed the shutdown
     except Exception:

@@ -1,0 +1,359 @@
+"""The team protocol as two pure state machines.
+
+A ``WorkerCore`` holds one worker's rules for sharing inside its team; a
+``TeamCore`` holds a team master's rules for sharing between teams and for
+ending a goal. Each is fed events (a mail, a frame, a service tick, an idle
+turn, the result of a copy) and returns the actions that follow, as tuples
+``(name, *args)`` that the drivers in ``worker`` carry out in order, each by
+its method ``_a_<name>``: ``mail`` and ``send`` put a mail into a teammate's
+box or a frame on a link; ``flag`` writes an idle register; ``copy`` makes
+a stack copy for a request and feeds it, or None, to the callback it names;
+``install`` installs one; ``forward`` buffers packed answers and ``answers``
+sends all that is buffered, with any credit; ``begin``, ``end``,
+``shutdown`` and ``push_back`` run a goal, end it, stop the process, and
+read the frame just fed again.
+
+A core does no I/O, reads no clock and never touches a team's shared
+region: the drivers read the idle and load registers and pass them in. The
+same cores run in the engine's processes and, all in one process, in the
+tier-1 checker that feeds them every delivery order up to a depth bound.
+
+Work is pulled. An idle worker asks the busy teammate with the highest load
+register; that teammate answers at its first tick with private load, or
+refuses when it goes idle. A sharer flags its requester busy before it mails
+the copy, so open work always has a worker flagged busy, and a parked worker
+counts as busy until it joins the next goal. A busy team's master holds
+another team's SHARE_REQUEST until a busy teammate with positive load, or
+its own stack, can split, and refuses it only for another goal or when its
+team goes idle; an idle team asks the busiest other team, one request at a
+time.
+
+A goal ends by credit recovery (Mattern, IPL 30(4), 1989). Team 0 starts it
+holding credit 1. Every SHARE_ACCEPT carries half of the sharer's credit,
+kept as an exponent ``k`` meaning ``2**-k``, so a team that works always
+holds some and a team that is idle holds none. A team going idle hands its
+credit back to team 0 on an ANSWER frame behind its last answers; on the
+FIFO link to team 0 that frame also ends the team's answer stream. Team 0
+sums what comes back exactly, as an integer over ``2**k`` for the largest
+``k`` yet, and broadcasts TERMINATE once it holds credit 1 again: then no
+team works, no stacks are in flight, and every answer has arrived. Load
+arrays only pick whom to ask for work.
+"""
+
+from __future__ import annotations
+
+from .errors import ProtocolViolation
+from .scheduler import (merge_load_arrays, record_receiver_busy, select_request_target,
+                        select_sharer)
+
+CLIENT_ID = 0xFFFF
+
+# inter-team message kinds (the client link uses GOAL/ANSWER/TERMINATE/FAULT)
+GOAL = 1
+ROOT_INFO = 2
+SHARE_REQUEST = 3
+SHARE_ACCEPT = 4
+SHARE_REFUSE = 5
+ANSWER = 6
+TERMINATE = 7
+ENGINE_FREE = 8
+FAULT = 9
+
+# intra-team mail kinds
+N_HAS_WORK = "team_has_work"
+N_DELEGATE_REQUEST = "delegate_request"
+N_DELEGATE_ACCEPT = "delegate_accept"
+N_DELEGATE_REFUSE = "delegate_refuse"
+N_GOAL_DONE = "goal_done"
+N_FAULT = "fault"
+N_ANSWERS = "answers"
+
+
+def _refusal(meta: dict) -> tuple:
+    """Refuse a teammate's request, or one its master delegated."""
+    return ("mail", 0 if "req" in meta else meta["local"], N_DELEGATE_REFUSE, meta, None)
+
+
+class WorkerCore:
+    """One worker's share protocol inside its team (the master's too).
+
+    Requests of the running goal are held: a busy tick serves a delegated
+    one at once, with a split or a refusal, and a teammate's once this
+    worker has private load; an idle turn refuses them. An idle worker asks
+    one busy teammate at a time and, while it waits for the reply, mails
+    nothing else.
+    """
+
+    def __init__(self, rank: int):
+        self.rank = rank
+        self.start(None)
+
+    def start(self, goal) -> None:
+        """Join ``goal``, or park if it is None."""
+        self.goal = goal              # the goal this worker is in, None while parked
+        self.held: list[dict] = []    # requests of this goal not answered yet
+        self.asking = None            # the teammate whose reply this worker waits for
+
+    def mail(self, kind: str, meta: dict, raw=None) -> list:
+        if kind == N_DELEGATE_REQUEST:
+            if self.goal is None or meta.get("goal") != self.goal:
+                return [_refusal(meta)]
+            self.held.append(meta)
+        elif kind in (N_DELEGATE_ACCEPT, N_DELEGATE_REFUSE):
+            # a reply to a request abandoned when its goal ended is dropped
+            if self.asking is not None and meta.get("local") == self.rank \
+                    and meta.get("goal") == self.goal:
+                self.asking = None
+                if kind == N_DELEGATE_ACCEPT:
+                    return [("install", raw, True)]
+        elif kind == N_GOAL_DONE:
+            if meta.get("shutdown"):
+                return [("shutdown",)]
+            if self.goal is not None and meta.get("goal") == self.goal:
+                # a parked worker counts as busy until it joins the next goal
+                return [("flag", self.rank, False), ("end",)]
+        elif kind == N_HAS_WORK and self.goal is None:
+            return [("begin", meta)]
+        return []
+
+    def tick(self, load: int) -> list:
+        """A busy tick with ``load`` private alternatives: serve what can be served."""
+        held, self.held = self.held, []
+        acts = []
+        for meta in held:
+            if "req" in meta or load > 0:
+                acts.append(("copy", meta, self.copied))
+                if "req" not in meta:
+                    load = 0                 # the copy publishes every private node
+            else:
+                self.held.append(meta)
+        return acts
+
+    def copied(self, meta: dict, raw) -> list:
+        if "req" in meta:
+            return [("mail", 0, N_DELEGATE_ACCEPT, meta, raw)] if raw else [_refusal(meta)]
+        if raw is None:
+            return [_refusal(meta)]
+        # open work always has a worker flagged busy, also while its copy travels
+        requester = meta["local"]
+        return [("flag", requester, False), ("mail", requester, N_DELEGATE_ACCEPT, meta, raw)]
+
+    def idle(self) -> list:
+        """This worker is out of work and has mailed the answers it found."""
+        return [("flag", self.rank, True)]
+
+    def seek(self, loads, idle_flags) -> list:
+        """An idle turn: refuse every held request, then ask the busy
+        teammate with the highest load register, if there is one. The
+        registers are read after ``idle``'s flag is written, so two idle
+        workers never pick each other."""
+        acts = [_refusal(meta) for meta in self.held]
+        self.held = []
+        target = select_sharer(loads, idle_flags, self.rank)
+        if target is not None:
+            self.asking = target
+            acts.append(("mail", target, N_DELEGATE_REQUEST,
+                         {"goal": self.goal, "local": self.rank}, None))
+        return acts
+
+
+class TeamCore:
+    """A team master's protocol between teams: requests, credit and goal end."""
+
+    def __init__(self, team: int, n_teams: int, n_workers: int):
+        self.team = team
+        self.peers = [t for t in range(n_teams) if t != team]
+        self.mates = range(1, n_workers)
+        self.loads = [(-1, 0)] * n_teams     # the endpoint stamps its own entry
+        self.goal = None                     # the running goal, None while parked
+        self.meta: dict = {}
+        self.idle = True
+        self.credit = None                   # exponent k of the held 2**-k, or None
+        self.recovered = self.scale = 0      # team 0: credit back, as recovered / 2**scale
+        self.asked: list[tuple[int, int]] = []   # (requesting team, req) held
+        self.delegations: set = set()        # (requesting team, req) a teammate serves
+        self.outstanding = None              # (req, target team) asked and not answered
+        self.next_req = 0
+        self.client_done = False
+
+    def start(self, meta: dict) -> list:
+        """Team 0 starts the goal at its root; the others start idle and ask."""
+        self.goal, self.meta = meta["goal"], meta
+        self.asked, self.delegations, self.outstanding = [], set(), None
+        self.recovered = self.scale = 0
+        self.client_done = False
+        if self.team != 0:
+            self.idle, self.credit = True, None
+            return self._seek()
+        self.idle, self.credit = False, 0
+        return [("flag", 0, False)] \
+            + [("send", t, ROOT_INFO, meta, b"") for t in self.peers] \
+            + [("mail", r, N_HAS_WORK, meta, None) for r in self.mates]
+
+    # -- events -------------------------------------------------------------------
+    def frame(self, kind: int, sender: int, meta: dict, loads, raw: bytes = b"") -> list:
+        if sender != CLIENT_ID and len(loads) == len(self.loads):
+            self.loads[:] = merge_load_arrays(self.loads, loads, keep=self.team)
+        acts = self._frame(kind, sender, meta, raw)
+        if self.idle and self.goal is not None:
+            # load arrays change only on frames: an idle team looks again
+            acts += self._seek()
+        return acts
+
+    def _frame(self, kind: int, sender: int, meta: dict, raw: bytes) -> list:
+        goal = meta.get("goal", -1)
+        if kind == ENGINE_FREE:
+            return [("send", t, ENGINE_FREE, {}, b"") for t in self.peers if self.team == 0] \
+                + [("mail", r, N_GOAL_DONE, {"shutdown": True}, None) for r in self.mates] \
+                + [("shutdown",)]
+        req = meta.get("req", -1)
+        if kind == SHARE_REQUEST and (goal != self.goal or self.idle):
+            return [("send", sender, SHARE_REFUSE, {"goal": goal, "req": req}, b"")]
+        if self.goal is None:
+            # parked: a GOAL or ROOT_INFO starts one; other frames of an ended goal are dropped
+            return [("begin", meta)] if kind == (ROOT_INFO if self.team else GOAL) else []
+        if kind == SHARE_REQUEST:
+            self.asked.append((sender, req))     # held until it can be served
+            return []
+        if kind == GOAL or (kind == ROOT_INFO and not (goal > self.goal and self.idle)):
+            raise ProtocolViolation(f"a frame of kind {kind} reached a running team")
+        if kind == ROOT_INFO:
+            # the previous goal ended by a FAULT still on its way here
+            return [("push_back",)] + self._end()
+        if goal != self.goal:
+            return []
+        if kind == ANSWER:
+            if self.team != 0:
+                raise ProtocolViolation("answers routed to a non-master team")
+            acts = [("forward", sender, raw)] if raw else []
+            if meta.get("credit") is not None:
+                self._recover(meta["credit"])
+            return acts
+        if kind == TERMINATE:
+            if not self.idle:
+                raise ProtocolViolation(f"TERMINATE for goal {goal} reached a busy team")
+            return self._end()
+        if kind == FAULT:
+            return self._client_fault(meta.get("error", "")) + self._end()
+        if self.outstanding != (req, sender):
+            return []
+        self.outstanding = None              # SHARE_ACCEPT or SHARE_REFUSE
+        if kind == SHARE_REFUSE:
+            return []
+        self.idle, self.credit = False, meta.get("credit")
+        return [("install", raw, False), ("flag", 0, False)] \
+            + [("mail", r, N_HAS_WORK, self.meta, None) for r in self.mates]
+
+    def mail(self, kind: str, meta: dict, raw=None) -> list:
+        """Teammates' answer batches and faults, and delegates' replies."""
+        if meta.get("goal") != self.goal:
+            # a delegation of an ended goal is forgotten with its goal
+            return []
+        if kind == N_ANSWERS:
+            return [("forward", self.team, raw)]
+        if kind == N_FAULT:
+            return self.fault(meta.get("error", ""))
+        if (key := (meta.get("team"), meta["req"])) not in self.delegations:
+            return []
+        self.delegations.remove(key)
+        if kind == N_DELEGATE_REFUSE:
+            self.asked.append(key)           # held again
+            return []
+        return self._share(key, raw, meta["load"])
+
+    def offer(self, loads, idle_flags) -> list:
+        """Offer each held request to the busy worker with the highest load
+        register while that load is positive, else to this master's own
+        stack; hold what neither can serve yet."""
+        acts = []
+        while self.asked and (target := select_sharer(loads, idle_flags)) is not None:
+            team, req = self.asked.pop(0)
+            meta = {"goal": self.goal, "req": req, "team": team,
+                    "strategy": self.meta.get("strategy", "vs")}
+            if target != 0 and loads[target] > 0:
+                self.delegations.add((team, req))
+                acts.append(("mail", target, N_DELEGATE_REQUEST, meta, None))
+            else:
+                return acts + [("copy", meta, self.copied)]
+        return acts
+
+    def copied(self, meta: dict, raw) -> list:
+        key = (meta["team"], meta["req"])
+        if raw is None:
+            self.asked.insert(0, key)
+            return []
+        return self._share(key, raw, meta["load"])
+
+    def out_of_work(self, idle_flags, public_alts: int) -> bool:
+        """Whether the busy team just ran out of work: every worker flagged
+        idle, no open alternative in a frame, and no delegation that may
+        still ship stacks under this team's credit."""
+        return not self.idle and all(idle_flags) and not public_alts and not self.delegations
+
+    def go_idle(self) -> list:
+        """Refuse what the team holds, hand its credit back behind its last
+        answers, then ask another team for work."""
+        self.idle = True
+        acts = [("send", team, SHARE_REFUSE, {"goal": self.goal, "req": req}, b"")
+                for team, req in self.asked]
+        self.asked = []
+        k, self.credit = self.credit, None
+        if k is None:
+            raise ProtocolViolation(f"team {self.team} went idle holding no credit")
+        if self.team == 0:
+            self._recover(k)
+            k = None
+        return acts + [("answers", k)] + self._seek()
+
+    def fault(self, error: str) -> list:
+        """A worker of this team faulted: the goal ends engine-wide."""
+        return [("send", t, FAULT, {"goal": self.goal, "error": error}, b"") for t in self.peers] \
+            + self._client_fault(error) + self._end()
+
+    # -- rules ------------------------------------------------------------------------
+    def _share(self, key, raw: bytes, load: int) -> list:
+        """Accept request ``key`` with a copy and half the held credit."""
+        if self.credit is None:
+            raise ProtocolViolation(f"team {self.team} shared work holding no credit")
+        self.credit += 1
+        record_receiver_busy(self.loads, key[0], load)
+        return [("send", key[0], SHARE_ACCEPT,
+                 {"goal": self.goal, "req": key[1], "credit": self.credit}, raw)]
+
+    def _recover(self, k: int) -> None:
+        """Team 0 adds a returned 2**-k, rescaling when ``k`` passes the scale."""
+        if not isinstance(k, int) or k < 0:
+            raise ProtocolViolation(f"credit exponent {k!r} is not a natural number")
+        if k > self.scale:
+            self.recovered <<= k - self.scale
+            self.scale = k
+        self.recovered += 1 << (self.scale - k)
+
+    def _seek(self) -> list:
+        """An idle team: end the goal once team 0 holds all credit again,
+        else ask the busiest other team unless a request is out."""
+        if self.team == 0 and self.recovered == 1 << self.scale:
+            return [("send", t, TERMINATE, {"goal": self.goal}, b"") for t in self.peers] \
+                + self._end()
+        target = select_request_target(self.loads, self.team)
+        if self.outstanding is not None or target is None:
+            return []
+        self.outstanding = (req := self.next_req, target)
+        self.next_req += 1
+        return [("send", target, SHARE_REQUEST, {"goal": self.goal, "req": req}, b"")]
+
+    def _client_fault(self, error: str) -> list:
+        if self.team != 0 or self.client_done:
+            return []
+        self.client_done = True
+        return [("send", CLIENT_ID, FAULT, {"goal": self.goal, "error": error}, b"")]
+
+    def _end(self) -> list:
+        """The goal is over here: send the last answers on, tell the client
+        (team 0) and the teammates, and park flagged busy."""
+        acts = [("answers", None)]
+        if self.team == 0 and not self.client_done:
+            acts.append(("send", CLIENT_ID, TERMINATE, {"goal": self.goal}, b""))
+        acts += [("mail", r, N_GOAL_DONE, {"goal": self.goal}, None) for r in self.mates]
+        self.goal, self.idle = None, True
+        return acts + [("flag", 0, False), ("end",)]

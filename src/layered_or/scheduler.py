@@ -13,7 +13,7 @@ equally-stamped idle entry.
 Load arrays only choose request targets. They can go stale in both
 directions (an idle team's newer refusal can shadow a record that it just
 received work), so they do not decide termination; credit recovery does,
-in ``worker``.
+in ``protocol``.
 
 Both levels ask by one rule: the busiest team, or busy worker, load 0
 included, ties to the lowest index.

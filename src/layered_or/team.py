@@ -116,9 +116,6 @@ class TeamShared:
     def set_idle(self, rank: int, idle: bool) -> None:
         self._mv[self._warr(0, rank)] = 1 if idle else 0
 
-    def idle_count(self) -> int:
-        return sum(self.idle_flags())
-
     def idle_flags(self) -> list[bool]:
         return [bool(self._mv[_HDR + r]) for r in range(self.n_workers)]
 

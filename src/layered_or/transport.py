@@ -17,6 +17,14 @@ that finds nothing costs one ``poll(2)`` call, and a wait blocks there
 until a frame arrives. The object holds no kernel resource: an endpoint
 built before a fork stays valid in the child. ``watch`` adds the owner's
 other fds to it (a mailbox, a trace pipe, a process sentinel).
+
+Sends block, and yet no cycle of blocked sends can form: each would need
+a large frame (a full link) on every hop. Large frames flow only toward
+team 0 or the client (ANSWER), or toward an idle team that asked for them
+(SHARE_ACCEPT). A team sends its credit-return ANSWER before its first
+SHARE_REQUEST, and while it waits for the reply it sends only small
+frames and reads on every turn. A test with 4 KiB socket buffers guards
+this argument.
 """
 
 from __future__ import annotations
@@ -32,19 +40,18 @@ from random import Random
 from typing import Optional
 
 from .errors import EngineCreationError, EngineError, ProtocolViolation
-
-CLIENT_ID = 0xFFFF
-
-# inter-team message kinds (the client link uses GOAL/ANSWER/TERMINATE/FAULT)
-GOAL = 1
-ROOT_INFO = 2
-SHARE_REQUEST = 3
-SHARE_ACCEPT = 4
-SHARE_REFUSE = 5
-ANSWER = 6
-TERMINATE = 7
-ENGINE_FREE = 8
-FAULT = 9
+from .protocol import (
+    ANSWER,
+    CLIENT_ID,
+    ENGINE_FREE,
+    FAULT,
+    GOAL,
+    ROOT_INFO,
+    SHARE_ACCEPT,
+    SHARE_REFUSE,
+    SHARE_REQUEST,
+    TERMINATE,
+)
 
 KIND_NAMES = {
     GOAL: "GOAL", ROOT_INFO: "ROOT_INFO", SHARE_REQUEST: "SHARE_REQUEST",
@@ -193,9 +200,6 @@ class Endpoint:
         pass
 
     # -- contract ----------------------------------------------------------------
-    def peers(self):
-        return [t for t in range(self.n_teams) if t != self.team_id]
-
     def stamp(self) -> list[tuple[int, int]]:
         self._ts += 1
         if self.own_load_fn is not None and self.team_id < self.n_teams:

@@ -1,13 +1,17 @@
 import multiprocessing
 import os
 import pickle
+import socket
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import layered_or
 from layered_or import api, programs
 from layered_or.engine import EXPAND_ANSWER, EXPAND_CHOICE
-from layered_or.transport import TcpEndpoint
+from layered_or.transport import QueueMesh, TcpEndpoint
 
 
 class Faulty:
@@ -172,3 +176,41 @@ def wire_log(tmp_path, monkeypatch):
         return out
 
     return records
+
+
+@pytest.fixture
+def agent_process():
+    """A ``serve-agent`` process that hosts up to four teams; its stdout
+    carries the port line."""
+    # the agent imports the sources under test, installed or not
+    src = str(Path(layered_or.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    with subprocess.Popen(
+            [sys.executable, "-m", "layered_or.cli", "serve-agent", "--port", "0",
+             "--max-teams", "4"],
+            stdout=subprocess.PIPE, text=True, env=dict(os.environ, PYTHONPATH=path)) as proc:
+        yield proc
+        proc.terminate()
+        proc.wait(timeout=10)
+
+
+@pytest.fixture
+def agent(agent_process):
+    """The port of a running ``serve-agent``."""
+    line = agent_process.stdout.readline()
+    return int(line.rsplit(" ", 1)[1])
+
+
+@pytest.fixture
+def tiny_socket_buffers(monkeypatch):
+    """Give every inproc link 4 KiB socket buffers each way, so that a
+    large frame fills its link and its send blocks until the peer reads."""
+    build = QueueMesh.__init__
+
+    def tiny(self, *args, **kw):
+        build(self, *args, **kw)
+        for end in self.ends.values():
+            end.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
+            end.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+
+    monkeypatch.setattr(QueueMesh, "__init__", tiny)

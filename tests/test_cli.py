@@ -1,15 +1,8 @@
 """Command-line front end and the remote-team agent."""
 
-import os
-import subprocess
-import sys
 import time
 from collections import Counter
-from pathlib import Path
 
-import pytest
-
-import layered_or
 from layered_or import api, cli, oracle
 from layered_or.programs import get_program
 
@@ -91,22 +84,6 @@ def test_bench_bad_topology_is_goal_error(capsys):
 
 
 # -- serve-agent ---------------------------------------------------------------------
-
-@pytest.fixture
-def agent():
-    # the agent imports the sources under test, installed or not
-    src = str(Path(layered_or.__file__).resolve().parent.parent)
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    with subprocess.Popen(
-            [sys.executable, "-m", "layered_or.cli", "serve-agent", "--port", "0",
-             "--max-teams", "4"],
-            stdout=subprocess.PIPE, text=True, env=dict(os.environ, PYTHONPATH=path)) as proc:
-        line = proc.stdout.readline()
-        port = int(line.rsplit(" ", 1)[1])
-        yield port
-        proc.terminate()
-        proc.wait(timeout=10)
-
 
 def test_engine_with_agent_hosted_team(agent):
     port = agent

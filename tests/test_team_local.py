@@ -19,7 +19,7 @@ from pathlib import Path
 import pytest
 from conftest import children_of
 
-from layered_or import api, boot, oracle, splitting, transport, worker
+from layered_or import api, boot, oracle, protocol, splitting, transport, worker
 from layered_or.config import EngineOptions
 from layered_or.engine import (
     EXPAND_ANSWER,
@@ -33,6 +33,7 @@ from layered_or.engine import (
 from layered_or.errors import EngineCreationError, EngineError, GoalError
 from layered_or.programs import get_program
 from layered_or.team import TeamShared, publish_private_nodes
+from layered_or.protocol import TeamCore
 from layered_or.worker import (
     GoalDone,
     Mailbox,
@@ -474,8 +475,8 @@ def test_a_mail_cut_short_is_read_once_whole_without_blocking():
     boxes = [Mailbox() for _ in range(2)]
     tctx = TeamContext("cut", 0, 1, 2, EngineOptions(), shared, boxes, None)
     teammate = Worker(tctx, WorkerState(team_id=0, worker_id=1), 1)
-    whole = (worker.N_ANSWERS, {"goal": 1}, b"x")
-    cut = (worker.N_ANSWERS, {"goal": 1}, bytes(range(256)) * 512)   # twice a pipe
+    whole = (protocol.N_ANSWERS, {"goal": 1}, b"x")
+    cut = (protocol.N_ANSWERS, {"goal": 1}, bytes(range(256)) * 512)   # twice a pipe
     blob = pickle.dumps(cut)
     raw = len(blob).to_bytes(8, "little") + blob
     writer = threading.Thread(target=os.write, args=(boxes[1]._wfd, raw[4096:]))
@@ -514,7 +515,7 @@ def test_answer_batches_mail_a_goals_first_answer_at_once(monkeypatch):
         shared.close()
     puts = boxes[0].items
     assert len(puts) == 2
-    assert {(kind, meta["goal"]) for kind, meta, _ in puts} == {(worker.N_ANSWERS, 1)}
+    assert {(kind, meta["goal"]) for kind, meta, _ in puts} == {(protocol.N_ANSWERS, 1)}
     assert len(unpack_answers(puts[0][2])) <= opts.k_backtracks, \
         "the goal's first answer waited for the flush interval"
     got = Counter(unpack_answers(b"".join(raw for _, _, raw in puts)))
@@ -580,7 +581,7 @@ def test_quiet_ticks_widen_and_one_message_narrows_them():
         if mail_at and len(ticks) == mail_at[0]:
             mail_at.clear()
             # a stale goal's notice: mail that asks for nothing
-            box.put((worker.N_GOAL_DONE, {"goal": 0}, None))
+            box.put((protocol.N_GOAL_DONE, {"goal": 0}, None))
         spacing = service()
         ticks.append((steps.count + 1, spacing))
         return spacing
@@ -620,7 +621,7 @@ def test_a_busy_teammate_answers_a_share_request_within_the_widest_spacing():
     def at_step(step):
         if step >= next_ask[0] and len(replies) == len(asked):
             asked.append(step)
-            box.put((worker.N_DELEGATE_REQUEST, {"goal": 1, "local": 0}, None))
+            box.put((protocol.N_DELEGATE_REQUEST, {"goal": 1, "local": 0}, None))
             next_ask[0] = step + rng.randrange(1, 3 * cap)
 
     steps.at_step = at_step
@@ -633,7 +634,7 @@ def test_a_busy_teammate_answers_a_share_request_within_the_widest_spacing():
     if len(replies) < len(asked):
         asked.pop()                       # asked after the run's last tick
     assert len(asked) >= 8
-    assert {kind for _, kind in replies} >= {worker.N_DELEGATE_ACCEPT}
+    assert {kind for _, kind in replies} >= {protocol.N_DELEGATE_ACCEPT}
     waits = [answered - at for at, (answered, _) in zip(asked, replies)]
     assert max(waits) < cap, f"a request waited {max(waits)} steps"
     # nobody took the published work, so this worker found every answer
@@ -689,9 +690,9 @@ def test_an_idle_teammate_gets_its_copy_from_a_busy_teammate_with_load_0():
         flags = shared.idle_flags()
     finally:
         shared.close()
-    requests = [kind for _, kind in boxes[0].log if kind == worker.N_DELEGATE_REQUEST]
+    requests = [kind for _, kind in boxes[0].log if kind == protocol.N_DELEGATE_REQUEST]
     assert len(requests) == 1
-    assert [kind for _, kind in boxes[1].log] == [worker.N_DELEGATE_ACCEPT]
+    assert [kind for _, kind in boxes[1].log] == [protocol.N_DELEGATE_ACCEPT]
     assert flags == [False, False], "the sharer did not flag its requester busy"
     assert requester.ws.cps
 
@@ -730,27 +731,35 @@ def test_mails_larger_than_a_pipe_from_several_writers_arrive_whole():
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RUSAGE_THREAD is Linux-only")
 def test_a_teammate_waiting_for_a_reply_blocks_on_its_mailbox():
+    # worker 1 asks busy worker 2, which refuses at its next tick, 0.3 s
+    # later, and goes idle; then nobody is busy and the goal ends
     shared = TeamShared(3, n_frames=16)
     boxes = [Mailbox() for _ in range(3)]
     tctx = TeamContext("wait", 0, 1, 3, EngineOptions(), shared, boxes, None)
     requester = Worker(tctx, WorkerState(team_id=0, worker_id=1), 1)
     requester.goal_id = 1
+    requester.core.start(1)
+    for rank, idle in enumerate((True, True, False)):
+        shared.set_idle(rank, idle)
 
     def busy_target():
         _, meta, _ = _await(boxes[2])
         time.sleep(0.3)                   # until the target's next tick
-        tctx.notify(1, worker.N_DELEGATE_REFUSE, meta)
+        shared.set_idle(2, True)
+        tctx.notify(1, protocol.N_DELEGATE_REFUSE, meta)
+        tctx.notify(1, protocol.N_GOAL_DONE, {"goal": 1})
 
     target = threading.Thread(target=busy_target)
     # a requester that misses the reply shuts down instead of hanging
-    watchdog = threading.Timer(10.0, tctx.notify, (1, worker.N_GOAL_DONE,
+    watchdog = threading.Timer(10.0, tctx.notify, (1, protocol.N_GOAL_DONE,
                                                    {"shutdown": True}))
     target.start()
     watchdog.start()
     try:
         before = resource.getrusage(resource.RUSAGE_THREAD).ru_nvcsw
         t0 = time.monotonic()
-        assert requester._request_from(2) is False
+        with pytest.raises(GoalDone):
+            requester._acquire_locally()
         waited = time.monotonic() - t0
         switches = resource.getrusage(resource.RUSAGE_THREAD).ru_nvcsw - before
     finally:
@@ -884,36 +893,37 @@ def test_each_share_request_resolves_to_exactly_one_reply(wire_log):
         f"only {resolved} of {len(sent_requests)} requests resolved"
 
 
-class _ScriptedEndpoint(transport.Endpoint):
-    """Team 0's endpoint fed from a script of (due at poll number, frame)."""
-
-    def __init__(self, n_teams, script):
-        super().__init__("scripted", 0, n_teams)
-        self.script = deque(script)
-        self.polls = 0
-        self.sent = []                    # (polls so far, dest, kind)
-        self.messages = []                # (dest, decoded frame)
-
-    def _transmit(self, dest, frame):
-        msg = transport.decode_frame(frame)
-        self.sent.append((self.polls, dest, msg.kind))
-        self.messages.append((dest, msg))
-
-    def _receive(self):
-        self.polls += 1
-        if self.script and self.polls >= self.script[0][0]:
-            return self.script.popleft()[1]
-        return None
-
-    def wait(self, timeout):
-        pass                              # the script is polled, never waited on
-
-
 def _credit_return(sender, k, n_teams=3):
     # sent by an idle team, so its whole view reads idle
-    return transport.encode_frame(
-        transport.ANSWER, sender, [(-1, 9)] * n_teams,
-        transport.encode_payload({"goal": 1, "credit": k}, b""))
+    return (transport.ANSWER, sender, {"goal": 1, "credit": k}, [(-1, 9)] * n_teams)
+
+
+def _feed(team, events, ws=None):
+    """Feed ``team`` (a TeamCore) its ``events``, frames as (kind, sender,
+    meta, loads), and carry out what it returns: a copy is a split of
+    ``ws``, or stands for a copy of load 3 without one; the rest is only
+    recorded, as (action, dest, kind, meta)."""
+    done = []
+
+    def do(actions):
+        for act in actions:
+            if act[0] == "copy":
+                meta, then = act[1:]
+                aux = splitting.split_for_transfer(ws, team.goal, meta["strategy"]) \
+                    if ws else splitting.AuxArea(0, 0, 0, 0, 3, team.goal, 0, [], [], [])
+                meta["load"] = aux.load
+                do(then(meta, splitting.serialize_aux(aux) if aux.load > 0 else None))
+            else:
+                done.append(act[:2] + tuple(act[2:4]) if act[0] in ("send", "mail") else act)
+
+    for event in events:
+        do(team.frame(*event) if isinstance(event, tuple) else event())
+    return done
+
+
+def _replies(done, dest):
+    return [(kind, meta.get("req")) for act, to, kind, meta in
+            (d for d in done if d[0] == "send") if to == dest]
 
 
 def test_termination_waits_for_credit_despite_an_all_idle_load_view():
@@ -921,28 +931,25 @@ def test_termination_waits_for_credit_despite_an_all_idle_load_view():
     # load array reads -1: a newer refusal from an idle team can shadow the
     # record that the team just received work. The goal may end only once
     # both teams have handed their credit back.
-    shared = TeamShared(1, n_frames=16)
-    ep = _ScriptedEndpoint(3, [(50, _credit_return(1, 1)), (100, _credit_return(2, 2))])
-    ctx = TeamContext("scripted", 0, 3, 1, EngineOptions(), shared, [_Box()], None)
-    master = Master(ctx, WorkerState(team_id=0, worker_id=0), ep)
-    ep.own_load_fn = master.own_load
-    master._begin_goal({"program": "queens", "args": [4], "goal": 1})
-    master._credit = 0
-    assert master._halve_credit() == 1        # to team 1
-    assert master._halve_credit() == 2        # to team 2
-    master.team_idle = True
-    master._return_credit()
-    ep.loads = [(-1, 5)] * 3
-    try:
-        with pytest.raises(GoalDone):
-            master._team_idle_scheduler()
-    finally:
-        shared.close()
-    terminates = [(polls, dest) for polls, dest, kind in ep.sent
-                  if kind == transport.TERMINATE]
-    assert sorted(dest for _, dest in terminates) == [1, 2]
-    assert min(polls for polls, _ in terminates) >= 100, \
+    team = TeamCore(0, 3, 1)
+    team.start({"program": "queens", "args": [4], "goal": 1})
+    offer = lambda: team.offer([1], [False])          # noqa: E731
+    shares = _feed(team, [
+        (transport.SHARE_REQUEST, 1, {"goal": 1, "req": 0}, [(-1, 9)] * 3), offer,
+        (transport.SHARE_REQUEST, 2, {"goal": 1, "req": 0}, [(-1, 9)] * 3), offer])
+    assert [meta["credit"] for act, to, kind, meta in shares if kind == transport.SHARE_ACCEPT] \
+        == [1, 2]
+    assert team.out_of_work([True], 0)
+    idle = _feed(team, [team.go_idle,
+                        (transport.SHARE_REFUSE, 1, {"goal": 1, "req": 7}, [(-1, 12)] * 3)])
+    assert team.loads[1][0] == team.loads[2][0] == -1
+    first = _feed(team, [_credit_return(1, 1)])
+    last = _feed(team, [_credit_return(2, 2)])
+    assert not [d for d in idle + first if d[:1] == ("end",) or transport.TERMINATE in d], \
         "TERMINATE went out while team 2 still held credit"
+    assert sorted(to for act, to, kind, _ in (d for d in last if d[0] == "send")
+                  if kind == transport.TERMINATE) == [1, 2, transport.CLIENT_ID]
+    assert last[-1] == ("end",)
 
 
 class _LateFork:
@@ -976,136 +983,132 @@ class _LateFork:
 
 
 def _share_request(req):
-    return transport.encode_frame(
-        transport.SHARE_REQUEST, 1, [(0, 1), (-1, 9)],
-        transport.encode_payload({"goal": 1, "req": req}, b""))
+    return (transport.SHARE_REQUEST, 1, {"goal": 1, "req": req}, [(0, 1), (-1, 9)])
 
 
 def test_a_busy_master_holds_a_share_request_until_its_stack_can_yield():
     # Team 1 asks while team 0's stack cannot yield: team 0 holds the request
     # and accepts it at its first tick that can split. A second request,
     # made once the stack can no longer yield, is refused only when the
-    # team goes idle.
-    shared = TeamShared(1, n_frames=16)
-    ep = _ScriptedEndpoint(2, [])
-    ctx = TeamContext("scripted", 0, 2, 1, EngineOptions(), shared, [_Box()], None)
-    master = Master(ctx, WorkerState(team_id=0, worker_id=0), ep)
-    ep.own_load_fn = master.own_load
-    master.ws.load_sink = lambda load: shared.set_load(0, load)
-    ticks = []                            # (stack could yield, kinds sent to team 1)
+    # team goes idle. Each tick feeds the team core what a master's does.
+    team = TeamCore(0, 2, 1)
+    ws = WorkerState()
+    setup_goal(ws, _LateFork(), [], None)
+    _feed(team, [lambda: team.start({"goal": 1, "strategy": "hs"})])
+    ticks = []                            # (stack could yield, replies to team 1)
     asked = []
-    service = master._service
 
-    def watched():
-        could = splitting.can_yield_work(master.ws, "hs")
+    def tick():
+        could = splitting.can_yield_work(ws, "hs")
+        events = []
         if not asked:
             asked.append(0)
-            ep.script.append((0, _share_request(0)))
-        elif len(asked) == 1 and not could and \
-                any(kind == transport.SHARE_ACCEPT for _, _, kind in ep.sent):
+            events.append(_share_request(0))
+        elif len(asked) == 1 and not could and any(sent for _, sent in ticks):
             # team 1 hands back the credit it was given, then asks again
             asked.append(1)
-            ep.script.append((0, _credit_return(1, 1, n_teams=2)))
-            ep.script.append((0, _share_request(1)))
-        before = len(ep.messages)
-        spacing = service()
-        ticks.append((could, [msg.kind for dest, msg in ep.messages[before:] if dest == 1]))
-        return spacing
+            events += [_credit_return(1, 1, n_teams=2), _share_request(1)]
+        events.append(lambda: team.offer([ws.load], [False]))
+        ticks.append((could, _replies(_feed(team, events, ws), 1)))
+        return None
 
-    master._service = watched
-    try:
-        master._begin_goal({"program": "queens", "args": [4], "goal": 1, "strategy": "hs"})
-        setup_goal(master.ws, _LateFork(), [], None)     # the goal's program, unregistered
-        master._credit = 0
-        master.team_idle = False
-        shared.set_idle(0, False)
-        with pytest.raises(GoalDone):
-            master._master_cycle(_LateFork.root_tag)
-    finally:
-        shared.close()
+    run_loop(ws, lambda a: None, start_tag=_LateFork.root_tag, service=tick, service_every=32)
+    assert team.out_of_work([True], 0)
+    end = _replies(_feed(team, [team.go_idle]), 1)
     first = next(i for i, (could, _) in enumerate(ticks) if could)
     assert first > 1, "the request did not arrive while the stack could not yield"
     assert not any(sent for _, sent in ticks[:first]), "a held request was answered early"
-    assert ticks[first][1] == [transport.SHARE_ACCEPT]
+    assert ticks[first][1] == [(transport.SHARE_ACCEPT, 0)]
     assert asked == [0, 1]
-    assert all(transport.SHARE_REFUSE not in sent for _, sent in ticks), \
+    assert not any(kind == transport.SHARE_REFUSE for _, sent in ticks for kind, _ in sent), \
         "a busy team refused a request"
-    replies = [(msg.kind, msg.meta.get("req")) for dest, msg in ep.messages if dest == 1]
-    assert replies == [(transport.SHARE_ACCEPT, 0), (transport.SHARE_REFUSE, 1),
-                       (transport.TERMINATE, None)]
+    assert [r for _, sent in ticks for r in sent] + end == \
+        [(transport.SHARE_ACCEPT, 0), (transport.SHARE_REFUSE, 1), (transport.TERMINATE, None)]
+
+
+def _master_on_a_mesh(name, meta):
+    """Team 0's master of a two-team inproc mesh, driven in this process,
+    with the client's and team 1's endpoints."""
+    mesh = transport.QueueMesh(2)
+    shared = TeamShared(1, n_frames=4096)
+    ctx = TeamContext(name, 0, 2, 1, EngineOptions(), shared, [_Box()], None)
+    ws = WorkerState(team_id=0, worker_id=0)
+    ws.frames = shared
+    ep = mesh.endpoint(name, 0)
+    master = Master(ctx, ws, ep)
+    master._begin_goal(meta)
+    ends = mesh.endpoint(name, transport.CLIENT_ID), mesh.endpoint(name, 1)
+    return master, ends, lambda: (shared.close(), mesh.close())
+
+
+def _frames(ep):
+    return list(iter(ep.poll, None))
 
 
 def test_a_goals_first_answers_leave_the_master_at_once():
     # the previous goal's last ANSWER frame went out just now; the next
     # goal's first answer must not wait ANSWER_FLUSH_S behind it
-    shared = TeamShared(1, n_frames=16)
-    ep = _ScriptedEndpoint(2, [])
-    ctx = TeamContext("scripted", 0, 2, 1, EngineOptions(), shared, [_Box()], None)
-    master = Master(ctx, WorkerState(team_id=0, worker_id=0), ep)
-    ep.own_load_fn = master.own_load
+    master, (client, _), close = _master_on_a_mesh(
+        "first", {"program": "queens", "args": [4], "goal": 1})
     try:
-        master._begin_goal({"program": "queens", "args": [4], "goal": 1})
         master._emit((2, 4, 1, 3))
         master._forward_answers(now=True)
         master._begin_goal({"program": "queens", "args": [4], "goal": 2})
         master._emit((3, 1, 4, 2))
         master._forward_answers()
+        got = [(msg.kind, msg.goal_id) for msg in _frames(client)]
     finally:
-        shared.close()
-    answers = [dest for _, dest, kind in ep.sent if kind == transport.ANSWER]
-    assert answers == [transport.CLIENT_ID] * 2, "the second goal's first answer was held"
+        close()
+    assert got == [(transport.ANSWER, 1), (transport.ANSWER, 2)], \
+        "the second goal's first answer was held"
 
 
 def test_answer_frames_leave_a_masters_quiet_ticks_widening():
     # another team's ANSWER frames ask nothing of this team: like answer
     # mail, they leave the spacing doubling to the cap, while any other
     # frame (here a SHARE_REQUEST) brings it back to k_backtracks
-    answers = transport.encode_frame(
-        transport.ANSWER, 1, [(3, 9)] * 2,
-        transport.encode_payload({"goal": 1}, worker.pack_answers([(1, 3, 0, 2)])))
-    request = transport.encode_frame(
-        transport.SHARE_REQUEST, 1, [(0, 9), (-1, 10)],
-        transport.encode_payload({"goal": 1, "req": 0}, b""))
-    script = [(polls, answers) for polls in range(3, 30, 3)]
-    script += [(30, request)] + [(polls, answers) for polls in range(33, 45, 3)]
-    shared = TeamShared(1, n_frames=4096)
-    ep = _ScriptedEndpoint(2, script)
-    ctx = TeamContext("scripted", 0, 2, 1, EngineOptions(), shared, [_Box()], None)
-    master = Master(ctx, WorkerState(team_id=0, worker_id=0), ep)
-    ep.own_load_fn = master.own_load
-    master.ws.frames = shared
-    master._begin_goal({"program": "queens", "args": [10], "goal": 1})
-    master._credit = 0
-    k = ctx.options.k_backtracks
+    meta = {"program": "queens", "args": [10], "goal": 1}
+    master, (client, peer), close = _master_on_a_mesh("quiet", meta)
+    answers = worker.pack_answers([(1, 3, 0, 2)])
+    script = {tick: (transport.ANSWER, {"goal": 1}, answers) for tick in range(1, 10)}
+    script[10] = (transport.SHARE_REQUEST, {"goal": 1, "req": 0}, b"")
+    script.update({tick: script[1] for tick in range(11, 15)})
+    k = EngineOptions.k_backtracks
     cap = worker.TICK_SPACING_CAP * k
     ticks = []                            # (frame kinds handled, spacing returned)
-    handle, service = master._handle_message, master._service
+    handle, service = master.team.frame, master._service
     kinds = []
 
-    def logged_handle(msg, busy):
-        kinds.append(msg.kind)
-        handle(msg, busy)
+    def logged_frame(kind, *rest):
+        kinds.append(kind)
+        return handle(kind, *rest)
 
     def watched():
+        if len(ticks) in script:
+            peer.send(0, *script[len(ticks)])
         kinds.clear()
         spacing = service()
         ticks.append((list(kinds), spacing))
         return spacing
 
-    master._handle_message, master._service = logged_handle, watched
+    master.team.frame, master._service = logged_frame, watched
     try:
+        master._do(master.team.start(meta))
         master._run(start_tag=master.ws.program.root_tag)
+        master._forward_answers(now=True)
+        sent = {msg.kind for msg in _frames(peer) + _frames(client)}
     finally:
-        shared.close()
+        close()
     (at,) = [i for i, (got, _) in enumerate(ticks) if transport.SHARE_REQUEST in got]
-    assert not ep.script, "the run ended before every scripted frame came"
+    assert len(ticks) > max(script), "the run ended before every scripted frame came"
     assert sum(got == [transport.ANSWER] for got, _ in ticks[:at]) >= 6
     widening = [min(k << i, cap) for i in range(1, len(ticks) + 1)]
     assert [s for _, s in ticks[:at]] == widening[:at], "an ANSWER frame narrowed a tick"
     assert ticks[at][1] == k, "a SHARE_REQUEST did not narrow the next tick"
     after = [s for _, s in ticks[at + 1:]]
     assert after == widening[:len(after)] and after[-1] == cap
-    assert transport.ANSWER in {kind for _, _, kind in ep.sent}, "answers were not forwarded"
+    assert transport.ANSWER in sent and transport.SHARE_ACCEPT in sent, \
+        "answers were not forwarded or the request was not served"
 
 
 def test_tcp_backend_gives_identical_answer_sets():
@@ -1286,6 +1289,78 @@ def test_a_killed_master_ends_an_exact_wait():
         killer.join()
         api.par_free_parallel_engine(h)
     assert waited < 2.0, f"the exact wait raised {waited:.2f} s after the kill"
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc")
+@pytest.mark.parametrize("agent_team", [1, 0])
+def test_a_killed_agent_hosted_master_becomes_an_engine_error(agent, agent_process, agent_team):
+    # the client watches no agent: the link's end of file ends the goal
+    teams = [("local", 1, "b")] * 2
+    teams[agent_team] = (f"127.0.0.1:{agent}", 2, "b")
+    h = api.par_create_parallel_engine(f"agent_kill{agent_team}", teams, transport="tcp")
+    (master,) = children_of(agent_process.pid)
+    engine = [master, *_descendants(master)] + \
+        [pid for p in h._procs if p is not None for pid in (p.pid, *_descendants(p.pid))]
+    try:
+        api.par_run_goal(h, "queens(12)")
+        time.sleep(0.3)
+        os.kill(master, signal.SIGKILL)
+        t0 = time.monotonic()
+        with pytest.raises(EngineError):
+            while time.monotonic() - t0 < 2.0:
+                api.par_get_answers(h, ("max", 4096))
+                time.sleep(0.005)
+        waited = time.monotonic() - t0
+    finally:
+        api.par_free_parallel_engine(h)
+    assert waited < 2.0, f"the client raised {waited:.2f} s after the kill"
+    deadline = time.monotonic() + 2.0
+    while any(_alive(pid) for pid in engine) and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert not any(_alive(pid) for pid in engine), "an engine process outlived its free"
+
+
+def _vm_rss_kb(pids):
+    total = 0
+    for pid in pids:
+        with open(f"/proc/{pid}/status") as f:
+            total += next(int(line.split()[1]) for line in f if line.startswith("VmRSS:"))
+    return total
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc")
+def test_a_paused_client_gets_every_answer_and_the_engine_buffers_little():
+    # the client reads nothing for 2 s after the first answer: a blocking
+    # send to it holds the engine back instead of piling answers up
+    h = make_engine("paused", [2])
+    master = h._procs[0].pid
+    engine = [master, *children_of(master)]
+    try:
+        api.par_run_goal(h, "spread(4,16)")
+        got = Counter(api.par_get_answers(h, ("exact", 1))[0])
+        before = _vm_rss_kb(engine)
+        time.sleep(2.0)
+        grown = _vm_rss_kb(engine) - before
+        got += drain(h)
+    finally:
+        api.par_free_parallel_engine(h)
+    assert got == oracle.enumerate_answers(get_program("spread"), [4, 16])
+    assert grown < 8 * 1024, f"the engine grew by {grown} kB while the client paused"
+
+
+@pytest.mark.parametrize("teams", [[1, 1, 1, 1], [2, 2]])
+@pytest.mark.parametrize("strategy", ["vs", "hs"])
+def test_goals_finish_exactly_over_4_kib_socket_buffers(tiny_socket_buffers, teams, strategy):
+    h = make_engine(f"tiny-{len(teams)}-{strategy}", teams, strategy=strategy)
+    try:
+        for goal, program, args in (("wide(6,10000)", "wide", [6, 10000]),
+                                    ("spread(4,10)", "spread", [4, 10])):
+            api.par_run_goal(h, goal)
+            got, finished = drain_within(h, 30.0)
+            assert finished, f"{goal} on {teams} {strategy} did not finish in 30 s"
+            assert got == oracle.enumerate_answers(get_program(program), args)
+    finally:
+        api.par_free_parallel_engine(h)
 
 
 # a client holding a two-team engine; prints its masters' pids, then waits
