@@ -9,7 +9,7 @@ A master dies with the agent that forked it.
 
 from __future__ import annotations
 
-import json
+import contextlib
 import multiprocessing
 import socket
 
@@ -48,14 +48,15 @@ def serve_agent(port: int, host: str = "0.0.0.0", max_teams: int | None = None,
             chan = SocketChannel(conn)
             try:
                 req = chan.get(timeout=10.0)
-            except (TimeoutError, json.JSONDecodeError):
+                if not isinstance(req, dict) or req.get("cmd") != "create_team":
+                    raise ValueError(f"not a create_team request: {req!r}")
+                boot = _boot_from_request(req, chan)
+            except (OSError, ValueError, KeyError, TypeError) as exc:
+                # a bad request or a broken link fails alone: the agent serves on
+                with contextlib.suppress(OSError):
+                    chan.put({"error": f"bad create request: {exc!r}"})
                 chan.close()
                 continue
-            if req.get("cmd") != "create_team":
-                chan.put({"error": f"unknown command {req.get('cmd')!r}"})
-                chan.close()
-                continue
-            boot = _boot_from_request(req, chan)
             proc = ctx.Process(target=master_entry, args=(boot,),
                                name=f"agent-{req['engine']}-t{req['team_id']}")
             proc.start()

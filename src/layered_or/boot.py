@@ -125,7 +125,6 @@ def _die_with_parent(parent_pid: int) -> None:
 
 
 def _worker_state(shared: TeamShared, team_id: int, rank: int) -> WorkerState:
-    shared.bind(rank)
     ws = WorkerState(team_id=team_id, worker_id=rank)
     ws.frames = shared
     ws.load_sink = lambda load: shared.set_load(rank, load)

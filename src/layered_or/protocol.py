@@ -8,10 +8,12 @@ turn, the result of a copy) and returns the actions that follow, as tuples
 its method ``_a_<name>``: ``mail`` and ``send`` put a mail into a teammate's
 box or a frame on a link; ``flag`` writes an idle register; ``copy`` makes
 a stack copy for a request and feeds it, or None, to the callback it names;
-``install`` installs one; ``forward`` buffers packed answers and ``answers``
-sends all that is buffered, with any credit; ``begin``, ``end``,
-``shutdown`` and ``push_back`` run a goal, end it, stop the process, and
-read the frame just fed again.
+``install`` installs one; ``flush`` mails a worker's answers and worker
+credit to its master, and ``hold`` hands the master's worker its credit;
+``forward`` buffers packed answers and ``answers`` sends them on, with any
+team credit; ``begin``, ``end``, ``shutdown``, ``push_back`` and ``trace``
+run a goal, end it, stop the process, read the frame just fed again, and
+record a trace event.
 
 A core does no I/O, reads no clock and never touches a team's shared
 region: the drivers read the idle and load registers and pass them in. The
@@ -28,16 +30,22 @@ its own stack, can split, and refuses it only for another goal or when its
 team goes idle; an idle team asks the busiest other team, one request at a
 time.
 
-A goal ends by credit recovery (Mattern, IPL 30(4), 1989). Team 0 starts it
-holding credit 1. Every SHARE_ACCEPT carries half of the sharer's credit,
-kept as an exponent ``k`` meaning ``2**-k``, so a team that works always
-holds some and a team that is idle holds none. A team going idle hands its
-credit back to team 0 on an ANSWER frame behind its last answers; on the
-FIFO link to team 0 that frame also ends the team's answer stream. Team 0
-sums what comes back exactly, as an integer over ``2**k`` for the largest
-``k`` yet, and broadcasts TERMINATE once it holds credit 1 again: then no
-team works, no stacks are in flight, and every answer has arrived. Load
-arrays only pick whom to ask for work.
+Both levels end their work by one rule, credit recovery (Mattern, IPL
+30(4), 1989). Credit is kept as an exponent ``k`` meaning ``2**-k``, and a
+``Credit`` sums what comes back exactly. Team 0 starts a goal holding team
+credit 1, and every SHARE_ACCEPT carries half of the sharer's; a team going
+idle hands its credit back to team 0 on an ANSWER frame behind its last
+answers, and team 0 broadcasts TERMINATE once it holds credit 1 again. In
+the same way a team's master starts each busy spell (team 0's GOAL, another
+team's SHARE_ACCEPT) holding worker credit 1, and each HAS_WORK and each
+teammate's copy carries half of its sender's; a worker out of work hands
+its credit back on the answer mail it sends before it flags itself idle,
+and the team goes idle once its master holds worker credit 1 again and no
+teammate serves a delegated request. Then no worker (team) runs, no copy
+is in flight, and every answer has reached the master (team 0): on the
+FIFO path a worker's (team's) answers go before its credit. Termination
+reads no register; idle flags, load registers and load arrays only pick
+whom to ask for work.
 """
 
 from __future__ import annotations
@@ -69,6 +77,24 @@ N_FAULT = "fault"
 N_ANSWERS = "answers"
 
 
+class Credit:
+    """Credit handed back, summed exactly as ``total / 2**scale``."""
+
+    def __init__(self):
+        self.total = self.scale = 0
+
+    def add(self, k) -> None:
+        """Add a returned ``2**-k``, rescaling when ``k`` passes the scale."""
+        if not isinstance(k, int) or k < 0:
+            raise ProtocolViolation(f"credit exponent {k!r} is not a natural number")
+        if k > self.scale:
+            self.total, self.scale = self.total << (k - self.scale), k
+        self.total += 1 << (self.scale - k)
+
+    def whole(self) -> bool:
+        return self.total == 1 << self.scale
+
+
 def _refusal(meta: dict) -> tuple:
     """Refuse a teammate's request, or one its master delegated."""
     return ("mail", 0 if "req" in meta else meta["local"], N_DELEGATE_REFUSE, meta, None)
@@ -79,24 +105,26 @@ class WorkerCore:
 
     Requests of the running goal are held: a busy tick serves a delegated
     one at once, with a split or a refusal, and a teammate's once this
-    worker has private load; an idle turn refuses them. An idle worker asks
-    one busy teammate at a time and, while it waits for the reply, mails
-    nothing else.
+    worker has private load; an idle turn refuses them. A worker holding no
+    credit has no work and refuses a teammate's request at once. An idle
+    worker asks one busy teammate at a time.
     """
 
     def __init__(self, rank: int):
         self.rank = rank
         self.start(None)
 
-    def start(self, goal) -> None:
-        """Join ``goal``, or park if it is None."""
+    def start(self, goal, credit=None) -> None:
+        """Join ``goal`` holding worker credit ``credit``, or park if it is None."""
         self.goal = goal              # the goal this worker is in, None while parked
+        self.credit = credit          # exponent k of the worker credit 2**-k held, or None
         self.held: list[dict] = []    # requests of this goal not answered yet
         self.asking = None            # the teammate whose reply this worker waits for
 
     def mail(self, kind: str, meta: dict, raw=None) -> list:
         if kind == N_DELEGATE_REQUEST:
-            if self.goal is None or meta.get("goal") != self.goal:
+            if self.goal is None or meta.get("goal") != self.goal \
+                    or (self.credit is None and "req" not in meta):
                 return [_refusal(meta)]
             self.held.append(meta)
         elif kind in (N_DELEGATE_ACCEPT, N_DELEGATE_REFUSE):
@@ -105,6 +133,9 @@ class WorkerCore:
                     and meta.get("goal") == self.goal:
                 self.asking = None
                 if kind == N_DELEGATE_ACCEPT:
+                    if self.credit is not None:
+                        raise ProtocolViolation(f"worker {self.rank} got a copy while it works")
+                    self.credit = meta["credit"]
                     return [("install", raw, True)]
         elif kind == N_GOAL_DONE:
             if meta.get("shutdown"):
@@ -134,13 +165,18 @@ class WorkerCore:
             return [("mail", 0, N_DELEGATE_ACCEPT, meta, raw)] if raw else [_refusal(meta)]
         if raw is None:
             return [_refusal(meta)]
+        if self.credit is None:
+            raise ProtocolViolation(f"worker {self.rank} shared work holding no credit")
+        self.credit += 1
         # open work always has a worker flagged busy, also while its copy travels
         requester = meta["local"]
-        return [("flag", requester, False), ("mail", requester, N_DELEGATE_ACCEPT, meta, raw)]
+        return [("flag", requester, False),
+                ("mail", requester, N_DELEGATE_ACCEPT, dict(meta, credit=self.credit), raw)]
 
     def idle(self) -> list:
-        """This worker is out of work and has mailed the answers it found."""
-        return [("flag", self.rank, True)]
+        """Out of work: mail the answers and the credit back, then flag idle."""
+        k, self.credit = self.credit, None
+        return [("flush", k), ("flag", self.rank, True)]
 
     def seek(self, loads, idle_flags) -> list:
         """An idle turn: refuse every held request, then ask the busy
@@ -158,7 +194,7 @@ class WorkerCore:
 
 
 class TeamCore:
-    """A team master's protocol between teams: requests, credit and goal end."""
+    """A team master's protocol: requests between teams, credit, goal end."""
 
     def __init__(self, team: int, n_teams: int, n_workers: int):
         self.team = team
@@ -168,8 +204,9 @@ class TeamCore:
         self.goal = None                     # the running goal, None while parked
         self.meta: dict = {}
         self.idle = True
-        self.credit = None                   # exponent k of the held 2**-k, or None
-        self.recovered = self.scale = 0      # team 0: credit back, as recovered / 2**scale
+        self.credit = None                   # exponent k of the team credit 2**-k held, or None
+        self.recovered = Credit()            # team 0: the teams' credit back
+        self.workers_back = Credit()         # this busy spell's worker credit back
         self.asked: list[tuple[int, int]] = []   # (requesting team, req) held
         self.delegations: set = set()        # (requesting team, req) a teammate serves
         self.outstanding = None              # (req, target team) asked and not answered
@@ -180,15 +217,13 @@ class TeamCore:
         """Team 0 starts the goal at its root; the others start idle and ask."""
         self.goal, self.meta = meta["goal"], meta
         self.asked, self.delegations, self.outstanding = [], set(), None
-        self.recovered = self.scale = 0
+        self.recovered = Credit()
+        self.parked = self.mates             # teammates not yet in the goal
         self.client_done = False
         if self.team != 0:
             self.idle, self.credit = True, None
             return self._seek()
-        self.idle, self.credit = False, 0
-        return [("flag", 0, False)] \
-            + [("send", t, ROOT_INFO, meta, b"") for t in self.peers] \
-            + [("mail", r, N_HAS_WORK, meta, None) for r in self.mates]
+        return [("send", t, ROOT_INFO, meta, b"") for t in self.peers] + self._work(0)
 
     # -- events -------------------------------------------------------------------
     def frame(self, kind: int, sender: int, meta: dict, loads, raw: bytes = b"") -> list:
@@ -227,7 +262,7 @@ class TeamCore:
                 raise ProtocolViolation("answers routed to a non-master team")
             acts = [("forward", sender, raw)] if raw else []
             if meta.get("credit") is not None:
-                self._recover(meta["credit"])
+                self.recovered.add(meta["credit"])
             return acts
         if kind == TERMINATE:
             if not self.idle:
@@ -240,9 +275,7 @@ class TeamCore:
         self.outstanding = None              # SHARE_ACCEPT or SHARE_REFUSE
         if kind == SHARE_REFUSE:
             return []
-        self.idle, self.credit = False, meta.get("credit")
-        return [("install", raw, False), ("flag", 0, False)] \
-            + [("mail", r, N_HAS_WORK, self.meta, None) for r in self.mates]
+        return [("install", raw, False)] + self._work(meta.get("credit"))
 
     def mail(self, kind: str, meta: dict, raw=None) -> list:
         """Teammates' answer batches and faults, and delegates' replies."""
@@ -250,7 +283,11 @@ class TeamCore:
             # a delegation of an ended goal is forgotten with its goal
             return []
         if kind == N_ANSWERS:
-            return [("forward", self.team, raw)]
+            acts = [("forward", self.team, raw)] if raw else []
+            if meta.get("credit") is not None:
+                self.workers_back.add(meta["credit"])
+                acts += self._spent()
+            return acts
         if kind == N_FAULT:
             return self.fault(meta.get("error", ""))
         if (key := (meta.get("team"), meta["req"])) not in self.delegations:
@@ -258,8 +295,8 @@ class TeamCore:
         self.delegations.remove(key)
         if kind == N_DELEGATE_REFUSE:
             self.asked.append(key)           # held again
-            return []
-        return self._share(key, raw, meta["load"])
+            return self._spent()
+        return self._share(key, raw, meta["load"]) + self._spent()
 
     def offer(self, loads, idle_flags) -> list:
         """Offer each held request to the busy worker with the highest load
@@ -284,15 +321,25 @@ class TeamCore:
             return []
         return self._share(key, raw, meta["load"])
 
-    def out_of_work(self, idle_flags, public_alts: int) -> bool:
-        """Whether the busy team just ran out of work: every worker flagged
-        idle, no open alternative in a frame, and no delegation that may
-        still ship stacks under this team's credit."""
-        return not self.idle and all(idle_flags) and not public_alts and not self.delegations
+    def fault(self, error: str) -> list:
+        """A worker of this team faulted: the goal ends engine-wide."""
+        return [("send", t, FAULT, {"goal": self.goal, "error": error}, b"") for t in self.peers] \
+            + self._client_fault(error) + self._end()
 
-    def go_idle(self) -> list:
-        """Refuse what the team holds, hand its credit back behind its last
-        answers, then ask another team for work."""
+    # -- rules ------------------------------------------------------------------------
+    def _work(self, credit) -> list:
+        """A busy spell holds team credit ``2**-credit`` and worker credit 1; HAS_WORK wakes
+        each teammate, and gives one that joins the goal half of the worker credit held."""
+        self.idle, self.credit, self.workers_back = False, credit, Credit()
+        parked, self.parked = self.parked, ()
+        return [("flag", 0, False), ("hold", len(parked))] + [("mail", r, N_HAS_WORK, dict(
+            self.meta, credit=r) if r in parked else self.meta, None) for r in self.mates]
+
+    def _spent(self) -> list:
+        """Go idle once all worker credit is back and no teammate serves a
+        delegated request, which may ship stacks under the team's credit."""
+        if self.idle or not self.workers_back.whole() or self.delegations:
+            return []
         self.idle = True
         acts = [("send", team, SHARE_REFUSE, {"goal": self.goal, "req": req}, b"")
                 for team, req in self.asked]
@@ -301,16 +348,10 @@ class TeamCore:
         if k is None:
             raise ProtocolViolation(f"team {self.team} went idle holding no credit")
         if self.team == 0:
-            self._recover(k)
+            self.recovered.add(k)
             k = None
-        return acts + [("answers", k)] + self._seek()
+        return acts + [("trace", "team_idle"), ("answers", k)] + self._seek()
 
-    def fault(self, error: str) -> list:
-        """A worker of this team faulted: the goal ends engine-wide."""
-        return [("send", t, FAULT, {"goal": self.goal, "error": error}, b"") for t in self.peers] \
-            + self._client_fault(error) + self._end()
-
-    # -- rules ------------------------------------------------------------------------
     def _share(self, key, raw: bytes, load: int) -> list:
         """Accept request ``key`` with a copy and half the held credit."""
         if self.credit is None:
@@ -320,19 +361,10 @@ class TeamCore:
         return [("send", key[0], SHARE_ACCEPT,
                  {"goal": self.goal, "req": key[1], "credit": self.credit}, raw)]
 
-    def _recover(self, k: int) -> None:
-        """Team 0 adds a returned 2**-k, rescaling when ``k`` passes the scale."""
-        if not isinstance(k, int) or k < 0:
-            raise ProtocolViolation(f"credit exponent {k!r} is not a natural number")
-        if k > self.scale:
-            self.recovered <<= k - self.scale
-            self.scale = k
-        self.recovered += 1 << (self.scale - k)
-
     def _seek(self) -> list:
         """An idle team: end the goal once team 0 holds all credit again,
         else ask the busiest other team unless a request is out."""
-        if self.team == 0 and self.recovered == 1 << self.scale:
+        if self.team == 0 and self.recovered.whole():
             return [("send", t, TERMINATE, {"goal": self.goal}, b"") for t in self.peers] \
                 + self._end()
         target = select_request_target(self.loads, self.team)

@@ -3,12 +3,13 @@
 One ``TeamShared`` region backs a team. It is an anonymous shared ``mmap``
 created before the team's worker processes fork, so every worker addresses
 the same physical pages. It holds the or-frame pool (the only hot shared
-mutable state) and three banks of one register per worker: its idle flag,
-its load register (open private alternatives) and its public-alternative
-counter. A worker writes its own registers, except that a worker sharing
-work flags its requester busy before it mails the copy. Everything bulky
-(stack copies, answers, notifications) travels through each worker's
-mailbox instead.
+mutable state) and two banks of one register per worker: its idle flag and
+its load register (open private alternatives). A worker writes its own
+registers, except that a worker sharing work flags its requester busy
+before it mails the copy. The registers only pick whom to ask for work; a
+team's termination reads none of them (``protocol``'s credit recovery
+decides it). Everything bulky (stack copies, answers, notifications)
+travels through each worker's mailbox instead.
 
 One team lock guards the whole pool, the free list and every frame's
 fields. ``lock(idx)`` returns it, so callers still name the frame they
@@ -25,18 +26,6 @@ to a process, not a thread: it excludes the processes of a team, and every
 engine process is single-threaded. No code holds two of these locks at
 once; a process blocked on a second one could get ``EDEADLK`` from the
 kernel's deadlock check.
-
-``public_alts`` counts open alternatives currently owned by live frames;
-the team is out of work exactly when every worker is idle and this count
-is zero. It is the sum of one single-writer counter per worker: a worker
-adds what its own ``alloc``, ``take``, ``kill_locked`` and
-``hsplit_locked`` calls move into or out of frames to its own slot, so a
-``take`` takes the lock once. A single slot may go negative (one
-worker allocates a frame, another takes from it); only the sum has a
-meaning. The sum is exact whenever no worker is busy, which is when the
-idle test reads it. Each process binds its rank into its own (forked) copy
-of the region with ``bind`` before it touches a frame; an unbound copy
-counts in slot 0.
 """
 
 from __future__ import annotations
@@ -45,12 +34,10 @@ import fcntl
 import mmap
 import os
 
-from .engine import count_open
-
 _HDR = 2                   # header slots before the per-worker arrays
 _SLOT_FREE_HEAD = 0
 _SLOT_HIGH_WATER = 1
-_BANKS = 3                 # idle, load, public alts
+_BANKS = 2                 # idle, load
 
 # or-frames per team; a share that finds the pool full is refused
 FRAME_POOL = 8192
@@ -103,11 +90,6 @@ class TeamShared:
         self._mv = memoryview(self._mm).cast("q")
         self._mv[_SLOT_FREE_HEAD] = -1
         self._lock = RecordLock("team")
-        self._alts_slot = self._warr(2, 0)
-
-    def bind(self, rank: int) -> None:
-        """Make this process's frame calls count in worker ``rank``'s slot."""
-        self._alts_slot = self._warr(2, rank)
 
     # -- per-worker registers -------------------------------------------------
     def _warr(self, bank: int, rank: int) -> int:
@@ -129,11 +111,6 @@ class TeamShared:
     def team_load(self) -> int:
         return sum(self.loads())
 
-    # -- counters ---------------------------------------------------------------
-    def public_alts(self) -> int:
-        base = self._warr(2, 0)
-        return sum(self._mv[base:base + self.n_workers])
-
     # -- or-frame pool ----------------------------------------------------------
     def _base(self, idx: int) -> int:
         return self._frames_off + idx * _FRAME_SLOTS
@@ -143,7 +120,7 @@ class TeamShared:
         return self._lock
 
     def alloc(self, n_alts: int, cursor: int, split_offset: int, depth: int) -> int:
-        """Create a frame for a freshly published node; counts its open load."""
+        """Create a frame for a freshly published node."""
         mv = self._mv
         with self._lock:
             idx = mv[_SLOT_FREE_HEAD]
@@ -160,7 +137,6 @@ class TeamShared:
         mv[base + _F_OFFSET] = split_offset
         mv[base + _F_MEMBERS] = 2          # publisher plus the receiving worker
         mv[base + _F_DEPTH] = depth
-        mv[self._alts_slot] += count_open(n_alts, cursor, split_offset)
         return idx
 
     def read_locked(self, idx: int) -> tuple[int, int, int]:
@@ -179,7 +155,6 @@ class TeamShared:
             if c >= n:
                 return -1
             mv[base + _F_CURSOR] = c + mv[base + _F_OFFSET]
-            mv[self._alts_slot] -= 1
             return c
 
     def join(self, idx: int) -> None:
@@ -197,19 +172,12 @@ class TeamShared:
                 mv[base + _F_NEXT] = mv[_SLOT_FREE_HEAD]
                 mv[_SLOT_FREE_HEAD] = idx
 
-    def kill_locked(self, idx: int) -> int:
-        """Move all remaining alternatives out of the frame (caller holds lock).
-
-        Returns how many were removed; used when a split assigns a public
-        node wholesale to the outgoing copy.
-        """
+    def kill_locked(self, idx: int) -> None:
+        """Move all remaining alternatives out of the frame (caller holds
+        lock), when a split assigns a public node wholesale to the outgoing
+        copy."""
         base = self._base(idx)
-        mv = self._mv
-        n, c, s = mv[base + _F_NALTS], mv[base + _F_CURSOR], mv[base + _F_OFFSET]
-        remaining = count_open(n, c, s)
-        mv[base + _F_CURSOR] = n
-        mv[self._alts_slot] -= remaining
-        return remaining
+        self._mv[base + _F_CURSOR] = self._mv[base + _F_NALTS]
 
     def hsplit_locked(self, idx: int) -> tuple[int, int]:
         """Double the frame's offset, keeping its cursor (caller holds lock).
@@ -219,14 +187,12 @@ class TeamShared:
         """
         base = self._base(idx)
         mv = self._mv
-        n, c, s = mv[base + _F_NALTS], mv[base + _F_CURSOR], mv[base + _F_OFFSET]
+        c, s = mv[base + _F_CURSOR], mv[base + _F_OFFSET]
         mv[base + _F_OFFSET] = 2 * s
-        mv[self._alts_slot] -= count_open(n, c + s, 2 * s)
         return c, s
 
     def set_offset_locked(self, idx: int, offset: int) -> None:
-        """Replace the frame's split offset (caller holds lock); the caller
-        keeps its open set, so ``public_alts`` does not move."""
+        """Replace the frame's split offset (caller holds lock)."""
         self._mv[self._base(idx) + _F_OFFSET] = offset
 
     def frame_state(self, idx: int) -> tuple[int, int, int, int]:

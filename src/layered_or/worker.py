@@ -17,8 +17,8 @@ stack copy (a ``splitting`` aux area with a frames column).
 Answers travel packed. A teammate mails the answers it found to its master
 as one batch: a little-endian ``u32`` answer count, then per answer a
 ``u32`` length and that many ``i64`` values. It mails a batch at most
-every ``ANSWER_FLUSH_S``, at once for a goal's first answer, and before it
-raises its idle flag. A master packs its own answers straight into its
+every ``ANSWER_FLUSH_S``, at once for a goal's first answer, and with its
+worker credit before it raises its idle flag. A master packs its own answers straight into its
 forward buffer, next to its teammates' batches of the goal and the ANSWER
 payloads of other teams. It sends the lot as one ANSWER frame, at most
 every ``ANSWER_FLUSH_S`` while its team works and at once when the team
@@ -32,10 +32,11 @@ its bytes have come, so a teammate that dies mid-put hangs nobody. Only a
 mailbox's reader holds its read end, so a put to a dead reader raises
 ``EngineError`` instead of blocking. This cannot deadlock: a writer blocks
 only on a full pipe, which its reader empties at its next tick or wake. A
-copy's reader asked for it and mails nothing until the reply is in;
-batches go to the master, which reads mail on every tick and every turn of
-its waits, and whose own puts go to a waiting requester or to busy
-teammates, whose pipes hold only short mail.
+copy's reader asked for it and, until the reply is in, mails only
+refusals, each to a teammate that waits for its own reply; batches go to
+the master, which reads mail on every tick and every turn of its waits,
+and whose own puts go to a waiting requester or to busy teammates, whose
+pipes hold only short mail.
 
 Ticks space themselves out while nobody asks for work. Each run starts
 ticking every ``k_backtracks`` steps. A tick that finds no mail but answers
@@ -166,10 +167,10 @@ class TeamContext:
 class Worker:
     """A teammate's driver: it runs stacks and feeds its ``WorkerCore``.
 
-    The master runs the same loops. It overrides three hooks: ``_pump``,
+    The master runs the same loops. It overrides two hooks: ``_pump``,
     which keeps its transport and answer forwarding going while it waits,
-    ``_await_mail``, which blocks in its endpoint's poller so that frames
-    wake it too, and ``_check_team``, which lets its team go idle.
+    and ``_await_mail``, which blocks in its endpoint's poller so that
+    frames wake it too.
     """
 
     def __init__(self, ctx: TeamContext, ws: WorkerState, rank: int):
@@ -186,9 +187,6 @@ class Worker:
     # -- hooks ------------------------------------------------------------------
     def _pump(self) -> None:
         """Work done on every turn of a wait loop besides the mailbox."""
-
-    def _check_team(self) -> None:
-        """An idle turn found no busy teammate; a teammate waits for mail."""
 
     def _await_mail(self) -> None:
         """Wait for mail, blocking in poll(2) on the mailbox's read end."""
@@ -210,6 +208,9 @@ class Worker:
     def _a_flag(self, rank: int, idle: bool) -> None:
         self.ctx.shared.set_idle(rank, idle)
 
+    def _a_flush(self, credit) -> None:
+        self._flush_answers(credit)
+
     def _a_copy(self, meta: dict, then) -> None:
         self._do(then(meta, self._copy(meta)))
 
@@ -218,6 +219,9 @@ class Worker:
         self._got_work = True
         if not local:
             self.ctx.trace(self.rank, "installed", load=self.ws.load, goal=self.goal_id)
+
+    def _a_trace(self, kind: str) -> None:
+        self.ctx.trace(self.rank, kind, goal=self.goal_id)
 
     def _a_end(self) -> None:
         raise GoalDone
@@ -244,7 +248,7 @@ class Worker:
         self._last_flush = float("-inf")   # a goal's first answer goes out at once
         setup_goal(self.ws, get_program(meta["program"]), list(meta["args"]),
                    meta.get("template"))
-        self.core.start(self.goal_id)
+        self.core.start(self.goal_id, meta.get("credit"))
 
     def _park_on_dead_root(self) -> None:
         allocate_dead_root(self.ws)
@@ -259,7 +263,6 @@ class Worker:
                     self._acquire_locally()
                 self._run(start_tag)
                 start_tag = None
-                self._flush_answers()
                 self.ws.reset_to_base()
         except GoalDone:
             pass
@@ -292,9 +295,11 @@ class Worker:
         self._answers.clear()
         return raw
 
-    def _flush_answers(self) -> None:
-        if self._answers:
-            self._a_mail(0, N_ANSWERS, {"goal": self.goal_id}, self._take_batch())
+    def _flush_answers(self, credit=None) -> None:
+        """Mail the answers found, with worker credit ``2**-credit`` if given."""
+        if self._answers or credit is not None:
+            raw = self._take_batch() if self._answers else None
+            self._a_mail(0, N_ANSWERS, {"goal": self.goal_id, "credit": credit}, raw)
             self._last_flush = time.monotonic()
 
     def _service(self) -> int:
@@ -351,8 +356,8 @@ class Worker:
         feeds the cores the mail (and, at a master, the frames) that came,
         and lets the worker core ask the busy teammate it picks. With nobody
         busy it waits for mail: open work always has a worker flagged busy,
-        so only mail (HAS_WORK, a stack copy or the goal's end) can bring
-        some."""
+        so only mail (HAS_WORK, a stack copy or the goal's end) or, at a
+        master, a frame can bring some."""
         shared = self.ctx.shared
         self._got_work = False
         self._do(self.core.idle())
@@ -363,8 +368,6 @@ class Worker:
                 return True
             if self.core.asking is None:
                 self._do(self.core.seek(shared.loads(), shared.idle_flags()))
-                if self.core.asking is None:
-                    self._check_team()
             self._await_mail()
 
     def _install(self, raw: bytes, local: bool) -> None:
@@ -410,14 +413,6 @@ class Master(Worker):
             timeout = max(0.0, self._last_forward + ANSWER_FLUSH_S - time.monotonic())
         self.ep.wait(timeout)
 
-    def _check_team(self) -> None:
-        shared = self.ctx.shared
-        if self.team.out_of_work(shared.idle_flags(), shared.public_alts()):
-            # workers mail their last answers before they raise their idle flags
-            self._drain_mailbox()
-            self.ctx.trace(0, "team_idle", goal=self.goal_id)
-            self._do(self.team.go_idle())
-
     def _core_for(self, kind: str, meta: dict):
         return self.team if kind in (N_ANSWERS, N_FAULT) or "req" in meta else self.core
 
@@ -435,6 +430,9 @@ class Master(Worker):
 
     def _a_forward(self, origin: int, raw: bytes) -> None:
         self._forward.append((origin, raw))
+
+    def _a_hold(self, credit: int) -> None:
+        self.core.credit = credit
 
     def _a_answers(self, credit) -> None:
         self._forward_answers(now=True, credit=credit)
@@ -511,10 +509,13 @@ class Master(Worker):
         return served
 
     # -- answers -------------------------------------------------------------------
-    def _flush_answers(self) -> None:
-        """A master packs its own answers straight into its forward buffer."""
+    def _flush_answers(self, credit=None) -> None:
+        """A master packs its own answers straight into its forward buffer
+        and hands its worker credit to its own team core."""
         if self._answers:
             self._forward.append((self.ctx.team_id, self._take_batch()))
+        if credit is not None:
+            self._do(self.team.mail(N_ANSWERS, {"goal": self.goal_id, "credit": credit}))
 
     def _forward_answers(self, now: bool = False, credit: int | None = None) -> None:
         """Send everything buffered as one ANSWER frame: to the client from

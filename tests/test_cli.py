@@ -1,5 +1,8 @@
 """Command-line front end and the remote-team agent."""
 
+import json
+import socket
+import struct
 import time
 from collections import Counter
 
@@ -99,6 +102,41 @@ def test_engine_with_agent_hosted_team(agent):
         got.update(batch[0])
     api.par_free_parallel_engine(h)
     assert got == oracle.enumerate_answers(get_program("queens"), [8])
+
+
+def _ask_agent(port, line):
+    """Send one request line to the agent: its json reply, or None if it
+    closed the link."""
+    with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+        sock.sendall(line)
+        reply = sock.makefile("rb").readline()
+    return json.loads(reply) if reply else None
+
+
+def test_an_agent_answers_bad_create_requests_and_serves_on(agent):
+    good = {"cmd": "create_team", "engine": "bad", "team_id": 1, "n_teams": 2,
+            "n_workers": 1, "options": {"delay": None, "trace": False}}
+    bad = [dict(good, options={"delay": None, "no_such_option": 1}),
+           {k: v for k, v in good.items() if k != "n_workers"},
+           [good], "create_team"]
+    for req in bad:
+        assert "error" in _ask_agent(agent, json.dumps(req).encode() + b"\n"), req
+    assert "error" in _ask_agent(agent, b'{"cmd": "\xff\xfe"}\n'), "bytes that are not UTF-8"
+    # a link reset in the middle of a request
+    sock = socket.create_connection(("127.0.0.1", agent))
+    sock.sendall(b'{"cmd": "create_te')
+    sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+    sock.close()
+    h = api.par_create_parallel_engine(
+        "after_bad", [("local", 1, "b"), (f"127.0.0.1:{agent}", 2, "b")], transport="tcp")
+    try:
+        api.par_run_goal(h, "queens(6)")
+        got = Counter()
+        while (batch := api.par_get_answers(h, ("exact", 64))) is not None:
+            got.update(batch[0])
+    finally:
+        api.par_free_parallel_engine(h)
+    assert got == oracle.enumerate_answers(get_program("queens"), [6])
 
 
 def test_bench_with_topology_file_of_agents(agent, tmp_path, capsys):

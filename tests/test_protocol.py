@@ -1,12 +1,14 @@
 """The team protocol checked over every delivery order up to a depth bound.
 
-The checker runs a whole engine in this process: 3, then 4 teams, team 0
-with two workers, every worker over a real ``WorkerState`` and every team
-over a real ``TeamShared`` region. Its processes are the drivers of
-``worker`` with their I/O replaced: mail and frames go into one FIFO
-channel per (sender, receiver, mail or frame), and a worker runs
-``STEPS`` engine steps between its service ticks. The decisions are the
-cores' of ``protocol``; the drivers' action handlers carry them out.
+The checker runs a whole engine in this process, on four topologies:
+``[2,1,1]``, ``[2,1,1,1]``, ``[2,2,1]`` (a team other than 0 with a
+teammate) and ``[3,1]`` (a team of three), every worker over a real
+``WorkerState`` and every team over a real ``TeamShared`` region. Its
+processes are the drivers of ``worker`` with their I/O replaced: mail and
+frames go into one FIFO channel per (sender, receiver, mail or frame), and
+a worker runs ``STEPS`` engine steps between its service ticks. The
+decisions are the cores' of ``protocol``; the drivers' action handlers
+carry them out.
 
 A transition is one of: a process carries out its pending actions up to and
 including the next one that mails or sends; a busy worker runs to its next
@@ -17,10 +19,14 @@ checking, Godefroid, POPL 1997); hypothesis draws whole schedules, and a
 failure shrinks to a short list of choices that replays.
 
 Checked at every state:
-- a running worker is flagged busy, and open alternatives in a team's frames
-  leave some worker of that team flagged busy;
-- a busy team holds credit, and the credit held, in flight and recovered
-  sums to exactly 1 while the goal runs;
+- a running worker is flagged busy and holds worker credit, and open
+  alternatives in a team's frames (read from its frame pool) leave some
+  worker of that team flagged busy;
+- a busy team holds credit, and the team credit held, in flight and
+  recovered sums to exactly 1 while the goal runs;
+- a busy team's worker credit held, in flight and recovered by its master
+  sums to exactly 1, and an idle team's workers hold none and have none in
+  flight;
 - once team 0 has ended the goal, no worker runs.
 
 Checked at every terminal state: the client got the oracle's answer
@@ -29,23 +35,22 @@ worker parked, and team 0 recovered all credit. A ``ProtocolViolation`` or
 any other error fails the path.
 """
 
-import copy
 import random
 import time
 from collections import Counter, deque
-from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from layered_or import boot, oracle, transport
 from layered_or.config import EngineOptions
-from layered_or.engine import run_loop
+from layered_or.engine import count_open, run_loop
 from layered_or.programs import get_program
 from layered_or.protocol import (
     ANSWER,
     CLIENT_ID,
     GOAL,
+    N_ANSWERS,
     N_DELEGATE_ACCEPT,
     N_DELEGATE_REFUSE,
     N_DELEGATE_REQUEST,
@@ -61,6 +66,7 @@ from layered_or.protocol import (
 from layered_or.team import TeamShared
 from layered_or.worker import GoalDone, Master, TeamContext, Worker, unpack_answers
 
+ONE = 1 << 128                # credit 1 in units of 2**-128: exact for exponents up to 128
 STEPS = 6                     # engine steps between two ticks of a simulated worker
 MAX_TRANSITIONS = 20_000      # a path this long is a livelock
 GOALS = [("queens", [4]), ("spread", [2, 3]), ("rand_tree", [3, 4, 3]),
@@ -69,6 +75,20 @@ GOALS = [("queens", [4]), ("spread", [2, 3]), ("rand_tree", [3, 4, 3]),
 
 class _Pause(Exception):
     """A simulated worker reached a service tick."""
+
+
+class _Shared(TeamShared):
+    """A team region that knows how far into its frame pool frames were made."""
+
+    top = 0
+
+    def alloc(self, *args):
+        idx = super().alloc(*args)
+        self.top = max(self.top, idx + 1)
+        return idx
+
+    def open_alts(self):
+        return sum(count_open(*self.read_locked(idx)) for idx in range(self.top))
 
 
 class _Endpoint(transport.Endpoint):
@@ -91,7 +111,7 @@ class _Process:
     """A driver whose waits and polls are the checker's transitions."""
 
     def __init__(self, sim, team, rank):
-        shared = copy.copy(sim.shared[team])          # one rank binding per process
+        shared = sim.shared[team]
         ctx = TeamContext("checked", team, sim.n_teams, sim.topology[team],
                           EngineOptions(), shared, None, None)
         ws = boot._worker_state(shared, team, rank)
@@ -104,15 +124,14 @@ class _Process:
         self.running = False          # it has stacks to run
         self.start_tag = None
         self.turn_due = False         # an idle turn follows its pending actions
-        self.check_due = False        # then, at a master, a look at the whole team
         self.terminates = 0           # TERMINATE frames it got
+
+    def _do(self, actions):
+        # what follows an action, such as a copy's flag and mail, is a step of its own
+        self.pending.extendleft(reversed(actions))
 
     def _a_mail(self, rank, kind, meta, raw=None):
         self.sim.put(self.pid, (self.pid[0], rank), "mail", (kind, dict(meta), raw))
-
-    def _a_copy(self, meta, then):
-        # what follows a copy, such as a flag and a mail, is a step of its own
-        self.pending.extendleft(reversed(then(meta, self._copy(meta))))
 
     def _a_install(self, raw, local):
         super()._a_install(raw, local)
@@ -121,13 +140,17 @@ class _Process:
     def _a_begin(self, meta):
         self._begin_goal(meta)
         if self.rank == 0:
-            self.pending.extendleft(reversed(self.team.start(meta)))
+            self._do(self.team.start(meta))
             if self.pid == (0, 0):
-                self.running, self.start_tag = True, self.ws.program.root_tag
+                # team 0's master runs the root once the start's actions are done
+                self.pending.append(("root",))
                 return
         self._park_on_dead_root()
         self.pending.extend(self.core.idle())
         self.turn_due = True
+
+    def _a_root(self):
+        self.running, self.start_tag = True, self.ws.program.root_tag
 
     # -- transitions ----------------------------------------------------------------
     def act(self):
@@ -135,7 +158,7 @@ class _Process:
             while self.pending:
                 name, *args = self.pending.popleft()
                 getattr(self, "_a_" + name)(*args)
-                if name in ("mail", "send", "answers"):
+                if name in ("mail", "send", "answers", "flush"):
                     break
         except GoalDone:
             self.pending.clear()
@@ -160,7 +183,6 @@ class _Process:
             self.pending.extend(acts)
             return
         self.start_tag, self.running = None, False
-        self._flush_answers()
         self.ws.reset_to_base()
         self.pending.extend(self.core.idle())
         self.turn_due = True
@@ -185,27 +207,15 @@ class _Process:
     def settle(self):
         """Once its actions are done, an idle worker takes an idle turn: as
         ``Worker._acquire_locally`` does, it offers what its team holds (a
-        master) and lets its core ask a busy teammate. A master that finds
-        none then, once those actions are done, lets its team go idle
-        after reading the last answer mail."""
+        master) and lets its core ask a busy teammate."""
         if self.pending or self.core.goal is None or self.running \
-                or self.core.asking is not None:
+                or self.core.asking is not None or not self.turn_due:
             return
         shared = self.ctx.shared
-        if self.turn_due:
-            self.turn_due = False
-            self.check_due = self.rank == 0
-            if self.rank == 0:
-                self.pending.extend(self.team.offer(shared.loads(), shared.idle_flags()))
-            self.pending.extend(self.core.seek(shared.loads(), shared.idle_flags()))
-            if self.pending:
-                return
-        if self.check_due and self.core.asking is None:
-            self.check_due = False
-            if self.team.out_of_work(shared.idle_flags(), shared.public_alts()):
-                for kind, meta, raw in self.sim.take_mail(self.pid):
-                    self.pending.extend(self._core_for(kind, meta).mail(kind, meta, raw))
-                self.pending.extend(self.team.go_idle())
+        self.turn_due = False
+        if self.rank == 0:
+            self.pending.extend(self.team.offer(shared.loads(), shared.idle_flags()))
+        self.pending.extend(self.core.seek(shared.loads(), shared.idle_flags()))
 
 
 class _Teammate(_Process, Worker):
@@ -222,7 +232,7 @@ class Sim:
     def __init__(self, topology, program, args, strategy):
         self.n_teams = len(topology)
         self.topology = topology
-        self.shared = [TeamShared(n, n_frames=256) for n in topology]
+        self.shared = [_Shared(n, n_frames=256) for n in topology]
         self.chans: dict = {}         # (sender, receiver, "mail" or "frame") -> deque
         self.client = []              # frames that reached the client, decoded
         self.procs = {}
@@ -244,15 +254,6 @@ class Sim:
             self.client.append(transport.decode_frame(item[0]))
         else:
             self.chans.setdefault((sender, receiver, kind), deque()).append(item)
-
-    def take_mail(self, pid):
-        """Every mail that waits for ``pid``, channel by channel."""
-        out = []
-        for (_, receiver, kind), queue in self.chans.items():
-            if receiver == pid and kind == "mail":
-                out += queue
-                queue.clear()
-        return out
 
     def enabled(self):
         out = []
@@ -280,31 +281,52 @@ class Sim:
         for team, shared in enumerate(self.shared):
             flags = shared.idle_flags()
             for rank in range(self.topology[team]):
-                assert not (self.procs[(team, rank)].running and flags[rank]), \
+                proc = self.procs[(team, rank)]
+                assert not (proc.running and flags[rank]), \
                     f"worker {rank} of team {team} runs flagged idle"
-            assert not (shared.public_alts() and all(flags)), \
+                assert not proc.running or proc.core.credit is not None, \
+                    f"worker {rank} of team {team} runs holding no credit"
+            assert not (all(flags) and shared.open_alts()), \
                 f"team {team} has open alternatives in frames and every worker flagged idle"
+        self.check_worker_credit()
         t0 = self.masters[0].team
         if t0.goal is None:
             assert not any(p.running for p in self.procs.values()), \
                 "a worker runs after team 0 ended the goal"
             return
-        total = Fraction(t0.recovered, 1 << t0.scale)
+        total = _back(t0.recovered)
         for master in self.masters:
             team = master.team
             assert team.idle or team.credit is not None, \
                 f"team {team.team} works holding no credit"
-            if team.credit is not None:
-                total += Fraction(1, 1 << team.credit)
+            total += _units(team.credit)
             for act in master.pending:
-                credit = act[1] if act[0] == "answers" else \
-                    act[3].get("credit") if act[0] == "send" else None
-                if credit is not None:
-                    total += Fraction(1, 1 << credit)
+                total += _units(act[1] if act[0] == "answers" else
+                                act[3].get("credit") if act[0] == "send" else None)
         for (_, _, kind), queue in self.chans.items():
-            if kind == "frame":
-                total += sum(Fraction(1, 1 << c) for _, c in queue if c is not None)
-        assert total == 1, f"credit held, in flight and recovered sums to {total}"
+            if kind == "frame" and queue:
+                total += sum(_units(c) for _, c in queue)
+        assert total == ONE, f"credit held, in flight and recovered sums to {total / ONE}"
+
+    def check_worker_credit(self):
+        totals = [0] * self.n_teams
+        for (team, _), proc in self.procs.items():
+            totals[team] += _units(proc.core.credit)
+            if proc.pending:
+                totals[team] += sum(map(_worker_credit, proc.pending))
+        for (_, receiver, kind), queue in self.chans.items():
+            if kind == "mail" and queue:
+                totals[receiver[0]] += sum(_units(item[1].get("credit")) for item in queue)
+        for team, total in enumerate(totals):
+            core = self.masters[team].team
+            if core.goal is None:
+                continue
+            if core.idle:
+                assert total == 0, \
+                    f"idle team {team} has worker credit {total / ONE} held or in flight"
+            else:
+                total += _back(core.workers_back)
+                assert total == ONE, f"team {team}'s worker credit sums to {total / ONE}"
 
     def check_end(self, want):
         kinds = [msg.kind for msg in self.client]
@@ -320,8 +342,26 @@ class Sim:
                 f"team {master.ctx.team_id} got {master.terminates} TERMINATE frames"
         assert all(p.core.goal is None for p in self.procs.values()), "a worker never parked"
         t0 = self.masters[0].team
-        assert t0.recovered == 1 << t0.scale, "team 0 ended without all its credit"
+        assert t0.recovered.whole(), "team 0 ended without all its credit"
         assert all(m.team.credit is None for m in self.masters)
+
+
+def _units(k):
+    """Credit ``2**-k`` (none if ``k`` is None) in units of ``2**-128``."""
+    return 0 if k is None else ONE >> k
+
+
+def _back(credit):
+    return credit.total << (128 - credit.scale)
+
+
+def _worker_credit(act):
+    """The worker credit that a pending action carries."""
+    name, *args = act
+    k = args[0] if name in ("flush", "hold") else \
+        args[0].get("credit") if name == "begin" else \
+        args[2].get("credit") if name == "mail" else None
+    return _units(k)
 
 
 def run_schedule(topology, goal, strategy, choose):
@@ -372,8 +412,8 @@ def explore(topology, goal, strategy, bound):
         prefix = path
 
 
-# (topology, depth bound) of the exhaustive part: 3 teams, then 4
-CONFIGS = [([2, 1, 1], 6), ([2, 1, 1, 1], 5)]
+# (topology, depth bound) of the exhaustive part
+CONFIGS = [([2, 1, 1], 6), ([2, 1, 1, 1], 5), ([2, 2, 1], 4), ([3, 1], 4)]
 
 
 def test_every_delivery_order_up_to_the_bound_keeps_the_invariants():
@@ -382,15 +422,16 @@ def test_every_delivery_order_up_to_the_bound_keeps_the_invariants():
     for topology, bound in CONFIGS:
         for goal in GOALS:
             for strategy in ("vs", "hs"):
-                paths[len(topology)] += explore(topology, goal, strategy, bound)
+                paths[str(topology)] += explore(topology, goal, strategy, bound)
     elapsed = time.monotonic() - t0
-    print(f"PROTOCOL CHECKER: {paths[3]} interleavings on 3 teams and {paths[4]} on 4, "
-          f"every choice at the first {CONFIGS[0][1]} and {CONFIGS[1][1]} states that offer "
-          f"one, {len(GOALS)} goals x vs/hs ({elapsed:.1f}s)")
+    counts = ", ".join(f"{paths[str(topology)]} on {topology} (every choice at the first "
+                       f"{bound} states that offer one)" for topology, bound in CONFIGS)
+    print(f"PROTOCOL CHECKER: interleavings {counts}; {len(GOALS)} goals x vs/hs "
+          f"({elapsed:.1f}s)")
     assert elapsed < 60
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(topology=st.sampled_from([c for c, _ in CONFIGS]), goal=st.sampled_from(GOALS),
        strategy=st.sampled_from(["vs", "hs"]),
        schedule=st.lists(st.integers(0, 15), max_size=400))
@@ -406,9 +447,38 @@ def test_drawn_delivery_orders_keep_the_invariants(topology, goal, strategy, sch
     run_schedule(topology, goal, strategy, choose)
 
 
+def test_an_idle_teammate_gets_work_in_each_busy_spell_of_its_team():
+    """Team 0 of ``[2, 1]`` shares with team 1, runs out and gets work back:
+    each busy spell's HAS_WORK wakes its idle teammate, which asks for and
+    installs a copy of the master's stacks."""
+    sim = Sim([2, 1], "queens", [7], "vs")
+    team, mate = sim.masters[0].team, sim.procs[(0, 1)]
+    spells, installs = 0, []
+    install = mate._a_install
+    mate._a_install = lambda raw, local: (installs.append(spells), install(raw, local))
+
+    def order(transition):
+        # mail and frames first; team 1 runs only while team 0 is idle
+        what, key = transition
+        return 0 if what != "run" else 1 if key[0] == 0 or team.idle else 2
+
+    try:
+        while transitions := sim.enabled():
+            assert sim.transitions < MAX_TRANSITIONS, "no end in sight: a livelock"
+            idle = team.idle
+            sim.step(min(transitions, key=order))
+            spells += idle and not team.idle
+        sim.check_end(oracle.enumerate_answers(get_program("queens"), [7]))
+    finally:
+        sim.close()
+    assert spells > 2, f"team 0 had {spells} busy spells"
+    assert set(installs) >= {1, spells}, \
+        f"team 0's teammate installed copies in spells {installs} of {spells}"
+
+
 def test_a_worker_core_holds_serves_and_refuses_requests():
     core = WorkerCore(1)
-    core.start(7)
+    core.start(7, credit=2)
     local, delegated = {"goal": 7, "local": 2}, {"goal": 7, "req": 3, "team": 1, "strategy": "hs"}
     assert core.mail(N_DELEGATE_REQUEST, {"goal": 6, "local": 2}) == \
         [("mail", 2, N_DELEGATE_REFUSE, {"goal": 6, "local": 2}, None)], "another goal's request"
@@ -422,21 +492,30 @@ def test_a_worker_core_holds_serves_and_refuses_requests():
         [("mail", 0, N_DELEGATE_REFUSE, delegated, None)], "a delegate refuses to its master"
     (copy_local,) = core.tick(5)
     assert copy_local[:2] == ("copy", local) and core.held == []
-    # the sharer flags its requester busy before it mails the copy
+    # the sharer flags its requester busy before it mails the copy, which
+    # carries half of the sharer's credit
     assert copy_local[2](local, b"stacks") == \
-        [("flag", 2, False), ("mail", 2, N_DELEGATE_ACCEPT, local, b"stacks")]
-    # an idle turn refuses what is held, then asks the busiest busy teammate
+        [("flag", 2, False), ("mail", 2, N_DELEGATE_ACCEPT, dict(local, credit=3), b"stacks")]
+    assert core.credit == 3
+    # an idle turn hands the credit back with the answers before the idle
+    # flag, refuses what is held, then asks the busiest busy teammate
     core.mail(N_DELEGATE_REQUEST, local)
-    assert core.idle() == [("flag", 1, True)]
+    assert core.idle() == [("flush", 3), ("flag", 1, True)] and core.credit is None
     assert core.seek([0, 0, 4, 9], [False, True, False, True]) == [
         ("mail", 2, N_DELEGATE_REFUSE, local, None),
         ("mail", 2, N_DELEGATE_REQUEST, {"goal": 7, "local": 1}, None)]
     assert core.asking == 2
-    assert core.mail(N_DELEGATE_ACCEPT, {"goal": 7, "local": 1}, b"copy") == \
-        [("install", b"copy", True)] and core.asking is None
+    # holding no credit, it has no work: a request is refused at once
+    assert core.mail(N_DELEGATE_REQUEST, {"goal": 7, "local": 3}) == \
+        [("mail", 3, N_DELEGATE_REFUSE, {"goal": 7, "local": 3}, None)]
+    assert core.mail(N_DELEGATE_ACCEPT, {"goal": 7, "local": 1, "credit": 4}, b"copy") == \
+        [("install", b"copy", True)] and core.asking is None and core.credit == 4
+    # a later busy spell's HAS_WORK, which carries no credit, only wakes it
+    assert core.mail(N_HAS_WORK, {"goal": 7}) == [] and core.credit == 4
     assert core.mail(N_GOAL_DONE, {"goal": 7}) == [("flag", 1, False), ("end",)]
     core.start(None)
-    assert core.mail(N_HAS_WORK, {"goal": 8}) == [("begin", {"goal": 8})]
+    assert core.mail(N_HAS_WORK, {"goal": 8, "credit": 1}) == \
+        [("begin", {"goal": 8, "credit": 1})]
 
 
 def test_a_team_core_delegates_held_requests_and_returns_its_credit_on_going_idle():
@@ -445,23 +524,36 @@ def test_a_team_core_delegates_held_requests_and_returns_its_credit_on_going_idl
     # a frame shows team 0 busy: the idle team asks it
     (ask,) = team.frame(SHARE_REFUSE, 0, {"goal": 4, "req": 9}, [(5, 2), (-1, 0), (-1, 0)])
     assert ask == ("send", 0, SHARE_REQUEST, {"goal": 4, "req": 0}, b"")
+    # the master's worker holds worker credit 1 less the halves it mails
+    # its teammates with HAS_WORK
     assert team.frame(SHARE_ACCEPT, 0, {"goal": 4, "req": 0, "credit": 3}, [], b"stacks") == [
-        ("install", b"stacks", False), ("flag", 0, False),
-        ("mail", 1, N_HAS_WORK, {"goal": 4, "strategy": "vs"}, None),
-        ("mail", 2, N_HAS_WORK, {"goal": 4, "strategy": "vs"}, None)]
+        ("install", b"stacks", False), ("flag", 0, False), ("hold", 2),
+        ("mail", 1, N_HAS_WORK, {"goal": 4, "strategy": "vs", "credit": 1}, None),
+        ("mail", 2, N_HAS_WORK, {"goal": 4, "strategy": "vs", "credit": 2}, None)]
     assert not team.idle and team.credit == 3
     # team 2's request is held, then offered to the busy teammate with load
     assert team.frame(SHARE_REQUEST, 2, {"goal": 4, "req": 0}, []) == []
     (delegate,) = team.offer([0, 3, 1], [True, False, False])
     assert delegate == ("mail", 1, N_DELEGATE_REQUEST,
                         {"goal": 4, "req": 0, "team": 2, "strategy": "vs"}, None)
-    assert not team.out_of_work([True] * 3, 0), "a delegation may still ship stacks"
-    assert team.mail(N_DELEGATE_REFUSE, delegate[3]) == [] and team.asked == [(2, 0)]
-    assert team.out_of_work([True] * 3, 0)
-    # going idle refuses what it holds and hands its credit back behind its answers
-    assert team.go_idle() == [("send", 2, SHARE_REFUSE, {"goal": 4, "req": 0}, b""),
-                              ("answers", 3),
-                              ("send", 0, SHARE_REQUEST, {"goal": 4, "req": 1}, b"")]
+    # every worker hands its credit back, on its last answers or alone
+    assert team.mail(N_ANSWERS, {"goal": 4, "credit": 2}) == []
+    assert team.mail(N_ANSWERS, {"goal": 4, "credit": 2}, b"batch") == [("forward", 1, b"batch")]
+    assert team.mail(N_ANSWERS, {"goal": 4, "credit": 1}) == [], \
+        "a delegation may still ship stacks"
+    # going idle refuses what it holds and hands the team credit back
+    # behind its answers
+    assert team.mail(N_DELEGATE_REFUSE, delegate[3]) == [
+        ("send", 2, SHARE_REFUSE, {"goal": 4, "req": 0}, b""), ("trace", "team_idle"),
+        ("answers", 3), ("send", 0, SHARE_REQUEST, {"goal": 4, "req": 1}, b"")]
+    # a later busy spell's HAS_WORK wakes the idle teammates, which are in
+    # the goal already: the master's worker holds all worker credit
+    assert team.frame(SHARE_ACCEPT, 0, {"goal": 4, "req": 1, "credit": 5}, [], b"more") == [
+        ("install", b"more", False), ("flag", 0, False), ("hold", 0),
+        ("mail", 1, N_HAS_WORK, {"goal": 4, "strategy": "vs"}, None),
+        ("mail", 2, N_HAS_WORK, {"goal": 4, "strategy": "vs"}, None)]
+    assert team.mail(N_ANSWERS, {"goal": 4, "credit": 0})[:2] == \
+        [("trace", "team_idle"), ("answers", 5)]
     assert team.frame(TERMINATE, 0, {"goal": 4}, []) == [
         ("answers", None), ("mail", 1, N_GOAL_DONE, {"goal": 4}, None),
         ("mail", 2, N_GOAL_DONE, {"goal": 4}, None), ("flag", 0, False), ("end",)]

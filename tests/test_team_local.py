@@ -330,11 +330,9 @@ def test_publish_moves_load_into_frames_conserving_open_count():
     shared = TeamShared(2)
     ws, _, _ = paused_on_shared(shared)
     private_before = ws.load
-    public_before = shared.public_alts()
     moved = publish_private_nodes(ws, shared)
     assert moved == private_before
     assert ws.load == 0
-    assert shared.public_alts() == public_before + moved
     for cp in ws.cps:
         if cp.frame >= 0:
             n, c, s, members = shared.frame_state(cp.frame)
@@ -367,7 +365,6 @@ def test_concurrent_backtracking_on_one_frame_yields_disjoint_alternatives():
         taken.append(got)
     assert taken == [1, 2, 3, 4, 5, 6, 7, 8]
     assert shared.take(idx) == -1
-    assert shared.public_alts() == 0
     shared.close()
 
 
@@ -393,7 +390,6 @@ def test_frame_hands_out_disjoint_alternatives_across_processes():
     out = ctx.SimpleQueue()
 
     def hammer(rank):
-        shared.bind(rank)
         taken = []
         while True:
             got = shared.take(idx)
@@ -410,15 +406,14 @@ def test_frame_hands_out_disjoint_alternatives_across_processes():
         p.join()
     everything = [i for chunk in chunks for i in chunk]
     assert sorted(everything) == list(range(400))
-    assert shared.public_alts() == 0
     shared.close()
 
 
 def test_per_worker_alt_counters_sum_to_the_open_alternatives_of_live_frames():
-    # three forked workers on two cores, started together, each counting in
-    # its own slot: they take from frames they all use and allocate, split
-    # and kill frames of their own; a lost update or a shared slot breaks
-    # the sum
+    # three forked workers on two cores, started together, each counting
+    # what it moves into and out of frames: they take from frames they all
+    # use and allocate, split and kill frames of their own; a lost update
+    # to a frame breaks the sum
     import random
 
     ctx = multiprocessing.get_context("fork")
@@ -427,44 +422,53 @@ def test_per_worker_alt_counters_sum_to_the_open_alternatives_of_live_frames():
               for _ in range(16)]
     start = ctx.Event()
     out = ctx.Queue()
+    moved = [0]                           # a worker's net count of alternatives into frames
+
+    def alloc(n_alts, cursor, split_offset):
+        moved[0] += count_open(n_alts, cursor, split_offset)
+        return shared.alloc(n_alts, cursor, split_offset, depth=1)
 
     def worker(rank):
-        shared.bind(rank)
         rnd = random.Random(rank)
-        mine = [shared.alloc(n_alts=3000, cursor=0, split_offset=1, depth=1)]
+        mine = [alloc(3000, 0, 1)]
         start.wait(10)
         for _ in range(20_000):
             op = rnd.randrange(100)
             if op < 90:
-                shared.take(rnd.choice(common + mine))
+                if shared.take(rnd.choice(common + mine)) >= 0:
+                    moved[0] -= 1
             elif op < 94:
                 if len(mine) < 40:
-                    mine.append(shared.alloc(n_alts=rnd.randrange(1, 3000),
-                                             cursor=rnd.randrange(0, 5),
-                                             split_offset=rnd.choice((1, 2, 4)), depth=1))
+                    mine.append(alloc(rnd.randrange(1, 3000), rnd.randrange(0, 5),
+                                      rnd.choice((1, 2, 4))))
             else:
                 idx = rnd.choice(mine)
                 with shared.lock(idx):
+                    n, c, s = shared.read_locked(idx)
                     if op < 97:
-                        if shared.read_locked(idx)[2] < 1 << 20:
+                        if s < 1 << 20:
                             shared.hsplit_locked(idx)
+                            moved[0] -= count_open(n, c + s, 2 * s)
                     else:
                         shared.kill_locked(idx)
-        out.put(mine)
+                        moved[0] -= count_open(n, c, s)
+        out.put((mine, moved[0]))
 
     procs = [ctx.Process(target=worker, args=(rank,)) for rank in (1, 2, 3)]
     for p in procs:
         p.start()
     start.set()
     live = list(common)
+    total = 16 * 200_000
     for _ in procs:
-        live.extend(out.get(timeout=60))
+        mine, net = out.get(timeout=60)
+        live.extend(mine)
+        total += net
     for p in procs:
         p.join(timeout=30)
         assert not p.is_alive() and p.exitcode == 0
     assert len(set(live)) == len(live)
-    want = sum(count_open(*shared.frame_state(idx)[:3]) for idx in live)
-    assert shared.public_alts() == want
+    assert sum(count_open(*shared.frame_state(idx)[:3]) for idx in live) == total
     shared.close()
 
 
@@ -563,7 +567,8 @@ def no_fork_teammate(goal, args, n_frames=16):
     boxes = [_Box(steps), _Box(steps)]
     tctx = TeamContext("ticks", 0, 1, 2, EngineOptions(), shared, boxes, None)
     teammate = Worker(tctx, WorkerState(team_id=0, worker_id=1), 1)
-    teammate._begin_goal({"program": goal, "args": args, "goal": 1})
+    # it runs the goal's root, so it holds the team's worker credit
+    teammate._begin_goal({"program": goal, "args": args, "goal": 1, "credit": 0})
     teammate.ws.program = steps
     return teammate, steps
 
@@ -681,6 +686,7 @@ def test_an_idle_teammate_gets_its_copy_from_a_busy_teammate_with_load_0():
     try:
         for w in (sharer, requester):
             w._begin_goal({"program": "queens", "args": [8], "goal": 1})
+        sharer.core.credit = 0            # the sharer holds the team's worker credit
         run_sharer(lambda: True, sharer.ws.program.root_tag)   # one tick into the goal
         publish_private_nodes(sharer.ws, shared)
         shared.set_idle(0, False)
@@ -695,6 +701,122 @@ def test_an_idle_teammate_gets_its_copy_from_a_busy_teammate_with_load_0():
     assert [kind for _, kind in boxes[1].log] == [protocol.N_DELEGATE_ACCEPT]
     assert flags == [False, False], "the sharer did not flag its requester busy"
     assert requester.ws.cps
+
+
+class _Stop(Exception):
+    """A driven master reached a wait."""
+
+
+def test_a_team_stays_busy_while_its_work_hops_between_idle_flag_reads(monkeypatch):
+    # The master of a three-worker team, driven in this process, reads its
+    # teammates' idle flags one at a time. Between its reads of worker 1's
+    # flag and worker 2's, worker 2 flags worker 1 busy and mails it a copy,
+    # worker 1 installs it and takes every frame alternative, and worker 2
+    # flags itself idle; before worker 1's flag, worker 1 hands the work back
+    # the same way. Every flag the master reads is idle and no frame holds
+    # an open alternative, yet a teammate always runs: the team must stay
+    # busy until worker 1 hands its credit back, and the client must get
+    # every answer.
+    meta = {"program": "spread", "args": [10, 2], "template": "p0", "goal": 1,
+            "strategy": "vs"}
+    mesh = transport.QueueMesh(1)
+    shared = TeamShared(3, n_frames=4096)
+    boxes = [Mailbox() for _ in range(3)]
+    ctx = TeamContext("window", 0, 1, 3, EngineOptions(), shared, boxes, None)
+    master = Master(ctx, boot._worker_state(shared, 0, 0), mesh.endpoint("window", 0))
+    w1, w2 = (Worker(ctx, boot._worker_state(shared, 0, rank), rank) for rank in (1, 2))
+    client = mesh.endpoint("window", transport.CLIENT_ID)
+
+    def stop():
+        raise _Stop
+
+    def run(w, until, start_tag=None):
+        """Run ``w`` until ``until()`` holds at a step (True) or its stacks run out."""
+        def step():
+            return stop() if until() else 1
+        try:
+            run_loop(w.ws, w._emit, start_tag=start_tag, service=step, service_every=1)
+        except _Stop:
+            return True
+        w.ws.reset_to_base()
+        return False
+
+    def hand(sharer, requester, ask_back=True):
+        """``sharer`` serves ``requester``'s request, the requester takes
+        every frame alternative, and the sharer runs out and goes idle."""
+        sharer._drain_mailbox()                          # the request is held
+        sharer._do(sharer.core.tick(sharer.ws.load))     # flag, then copy
+        requester._drain_mailbox()                       # install it
+        frames = [cp.frame for cp in requester.ws.cps if cp.frame >= 0]
+        assert frames and run(requester, lambda: requester.ws.load > 0 and all(
+            c >= n for n, c, _, _ in map(shared.frame_state, frames)))
+        assert not run(sharer, lambda: False), "the sharer kept work of its own"
+        sharer._flush_answers()
+        sharer._do(sharer.core.idle())
+        if ask_back:
+            sharer._do(sharer.core.seek(shared.loads(), shared.idle_flags()))
+            assert sharer.core.asking == requester.rank
+
+    reading = TeamShared.idle_flags
+    hops = []                                            # the worker each hop left running
+    in_hop = []
+
+    def idle_flags(self):
+        flags = []
+        for rank in range(self.n_workers):
+            if not in_hop:                               # a hop's own reads make no hop
+                in_hop.append(True)
+                if rank == 1 and w2.core.asking == 1:
+                    hand(w1, w2)
+                    hops.append(2)
+                elif rank == 2 and w1.core.asking == 2:
+                    hand(w2, w1)
+                    hops.append(1)
+                in_hop.clear()
+            flags.append(reading(self)[rank])
+        return flags
+
+    try:
+        master._begin_goal(meta)
+        master._do(master.team.start(meta))              # HAS_WORK to workers 1 and 2
+        for w in (w1, w2):
+            kind, join, _ = boxes[w.rank].get()
+            assert kind == protocol.N_HAS_WORK
+            w._begin_goal(join)
+            w._park_on_dead_root()
+            w._do(w.core.idle())
+        assert run(master, lambda: master.ws.load > 0, master.ws.program.root_tag)
+        w2._do(w2.core.seek(shared.loads(), shared.idle_flags()))
+        hand(master, w2, ask_back=False)
+        w1._do(w1.core.seek(shared.loads(), shared.idle_flags()))
+        assert w1.core.asking == 2
+        # the master's idle turn, with the hops between its flag reads
+        monkeypatch.setattr(TeamShared, "idle_flags", idle_flags)
+        master._await_mail = stop
+        try:
+            master._acquire_locally()
+        except GoalDone:
+            pytest.fail(f"the team went idle while worker {hops[-1]} ran")
+        except _Stop:
+            pass
+        assert hops, "no work hopped during the master's reads"
+        monkeypatch.undo()
+        master._drain_mailbox()
+        assert not master.team.idle, "the team went idle while a teammate ran"
+        # the last hop left worker 1 running: its credit ends the goal
+        assert hops[-1] == 1 and not run(w1, lambda: False)
+        w1._flush_answers()
+        w1._do(w1.core.idle())
+        with pytest.raises(GoalDone):
+            master._drain_mailbox()
+        got = Counter(a for msg in iter(client.poll, None) if msg.kind == transport.ANSWER
+                      for a in unpack_answers(msg.raw))
+    finally:
+        shared.close()
+        mesh.close()
+        for box in boxes:
+            box.close()
+    assert got == oracle.enumerate_answers(get_program("spread"), [10, 2], "p0")
 
 
 def _await(box):
@@ -893,6 +1015,12 @@ def test_each_share_request_resolves_to_exactly_one_reply(wire_log):
         f"only {resolved} of {len(sent_requests)} requests resolved"
 
 
+def _own_credit_back(team):
+    """The master's own worker runs out of work and hands its worker credit
+    1 (a one-worker team's) to its team core."""
+    return lambda: team.mail(protocol.N_ANSWERS, {"goal": team.goal, "credit": 0})
+
+
 def _credit_return(sender, k, n_teams=3):
     # sent by an idle team, so its whole view reads idle
     return (transport.ANSWER, sender, {"goal": 1, "credit": k}, [(-1, 9)] * n_teams)
@@ -939,8 +1067,7 @@ def test_termination_waits_for_credit_despite_an_all_idle_load_view():
         (transport.SHARE_REQUEST, 2, {"goal": 1, "req": 0}, [(-1, 9)] * 3), offer])
     assert [meta["credit"] for act, to, kind, meta in shares if kind == transport.SHARE_ACCEPT] \
         == [1, 2]
-    assert team.out_of_work([True], 0)
-    idle = _feed(team, [team.go_idle,
+    idle = _feed(team, [_own_credit_back(team),
                         (transport.SHARE_REFUSE, 1, {"goal": 1, "req": 7}, [(-1, 12)] * 3)])
     assert team.loads[1][0] == team.loads[2][0] == -1
     first = _feed(team, [_credit_return(1, 1)])
@@ -1013,8 +1140,7 @@ def test_a_busy_master_holds_a_share_request_until_its_stack_can_yield():
         return None
 
     run_loop(ws, lambda a: None, start_tag=_LateFork.root_tag, service=tick, service_every=32)
-    assert team.out_of_work([True], 0)
-    end = _replies(_feed(team, [team.go_idle]), 1)
+    end = _replies(_feed(team, [_own_credit_back(team)]), 1)
     first = next(i for i, (could, _) in enumerate(ticks) if could)
     assert first > 1, "the request did not arrive while the stack could not yield"
     assert not any(sent for _, sent in ticks[:first]), "a held request was answered early"
