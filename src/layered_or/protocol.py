@@ -7,7 +7,8 @@ turn, the result of a copy) and returns the actions that follow, as tuples
 ``(name, *args)`` that the drivers in ``worker`` carry out in order, each by
 its method ``_a_<name>``: ``mail`` and ``send`` put a mail into a teammate's
 box or a frame on a link; ``flag`` writes an idle register; ``copy`` makes
-a stack copy for a request and feeds it, or None, to the callback it names;
+a stack copy for a teammate's request, or a split of the master's stack for
+another team's, and feeds it, or None, to the callback it names;
 ``install`` installs one; ``flush`` mails a worker's answers and worker
 credit to its master, and ``hold`` hands the master's worker its credit;
 ``forward`` buffers packed answers and ``answers`` sends them on, with any
@@ -16,19 +17,20 @@ run a goal, end it, stop the process, read the frame just fed again, and
 record a trace event.
 
 A core does no I/O, reads no clock and never touches a team's shared
-region: the drivers read the idle and load registers and pass them in. The
-same cores run in the engine's processes and, all in one process, in the
-tier-1 checker that feeds them every delivery order up to a depth bound.
+region: a worker's driver reads the idle and load registers and passes them
+to its idle turn, and the team core reads none. The same cores run in the
+engine's processes and, all in one process, in the tier-1 checker that
+feeds them every delivery order up to a depth bound.
 
-Work is pulled. An idle worker asks the busy teammate with the highest load
-register; that teammate answers at its first tick with private load, or
-refuses when it goes idle. A sharer flags its requester busy before it mails
-the copy, so open work always has a worker flagged busy, and a parked worker
-counts as busy until it joins the next goal. A busy team's master holds
-another team's SHARE_REQUEST until a busy teammate with positive load, or
-its own stack, can split, and refuses it only for another goal or when its
-team goes idle; an idle team asks the busiest other team, one request at a
-time.
+Work is pulled at both levels. An idle worker asks the busy teammate with
+the highest load register; that teammate answers at its first tick with
+private load, or refuses when it goes idle. A sharer flags its requester
+busy before it mails the copy, so open work always has a worker flagged
+busy; a parked worker is flagged idle. Only a team's master splits work for
+another team: a busy team's master holds another team's SHARE_REQUEST until
+its own stack can split, one split per tick, and refuses it only for
+another goal or when its team goes idle; an idle team asks the busiest
+other team, one request at a time.
 
 Both levels end their work by one rule, credit recovery (Mattern, IPL
 30(4), 1989). Credit is kept as an exponent ``k`` meaning ``2**-k``, and a
@@ -40,12 +42,11 @@ the same way a team's master starts each busy spell (team 0's GOAL, another
 team's SHARE_ACCEPT) holding worker credit 1, and each HAS_WORK and each
 teammate's copy carries half of its sender's; a worker out of work hands
 its credit back on the answer mail it sends before it flags itself idle,
-and the team goes idle once its master holds worker credit 1 again and no
-teammate serves a delegated request. Then no worker (team) runs, no copy
-is in flight, and every answer has reached the master (team 0): on the
-FIFO path a worker's (team's) answers go before its credit. Termination
-reads no register; idle flags, load registers and load arrays only pick
-whom to ask for work.
+and the team goes idle once its master holds worker credit 1 again. Then
+no worker (team) runs, no copy is in flight, and every answer has reached
+the master (team 0): on the FIFO path a worker's (team's) answers go before
+its credit. Termination reads no register; idle flags, load registers and
+load arrays only pick whom to ask for work.
 """
 
 from __future__ import annotations
@@ -96,18 +97,17 @@ class Credit:
 
 
 def _refusal(meta: dict) -> tuple:
-    """Refuse a teammate's request, or one its master delegated."""
-    return ("mail", 0 if "req" in meta else meta["local"], N_DELEGATE_REFUSE, meta, None)
+    """Refuse a teammate's request."""
+    return ("mail", meta["local"], N_DELEGATE_REFUSE, meta, None)
 
 
 class WorkerCore:
     """One worker's share protocol inside its team (the master's too).
 
-    Requests of the running goal are held: a busy tick serves a delegated
-    one at once, with a split or a refusal, and a teammate's once this
-    worker has private load; an idle turn refuses them. A worker holding no
-    credit has no work and refuses a teammate's request at once. An idle
-    worker asks one busy teammate at a time.
+    A teammate's request of the running goal is held until a busy tick
+    with private load serves it, one per tick; an idle turn refuses what is
+    held. A worker holding no credit has no work and refuses a request at
+    once. An idle worker asks one busy teammate at a time.
     """
 
     def __init__(self, rank: int):
@@ -123,8 +123,7 @@ class WorkerCore:
 
     def mail(self, kind: str, meta: dict, raw=None) -> list:
         if kind == N_DELEGATE_REQUEST:
-            if self.goal is None or meta.get("goal") != self.goal \
-                    or (self.credit is None and "req" not in meta):
+            if self.goal is None or meta.get("goal") != self.goal or self.credit is None:
                 return [_refusal(meta)]
             self.held.append(meta)
         elif kind in (N_DELEGATE_ACCEPT, N_DELEGATE_REFUSE):
@@ -141,28 +140,19 @@ class WorkerCore:
             if meta.get("shutdown"):
                 return [("shutdown",)]
             if self.goal is not None and meta.get("goal") == self.goal:
-                # a parked worker counts as busy until it joins the next goal
-                return [("flag", self.rank, False), ("end",)]
+                return [("flag", self.rank, True), ("end",)]
         elif kind == N_HAS_WORK and self.goal is None:
             return [("begin", meta)]
         return []
 
     def tick(self, load: int) -> list:
-        """A busy tick with ``load`` private alternatives: serve what can be served."""
-        held, self.held = self.held, []
-        acts = []
-        for meta in held:
-            if "req" in meta or load > 0:
-                acts.append(("copy", meta, self.copied))
-                if "req" not in meta:
-                    load = 0                 # the copy publishes every private node
-            else:
-                self.held.append(meta)
-        return acts
+        """A busy tick with ``load`` private alternatives: serve the oldest
+        held request (the copy publishes every private node)."""
+        if load <= 0 or not self.held:
+            return []
+        return [("copy", self.held.pop(0), self.copied)]
 
     def copied(self, meta: dict, raw) -> list:
-        if "req" in meta:
-            return [("mail", 0, N_DELEGATE_ACCEPT, meta, raw)] if raw else [_refusal(meta)]
         if raw is None:
             return [_refusal(meta)]
         if self.credit is None:
@@ -208,7 +198,6 @@ class TeamCore:
         self.recovered = Credit()            # team 0: the teams' credit back
         self.workers_back = Credit()         # this busy spell's worker credit back
         self.asked: list[tuple[int, int]] = []   # (requesting team, req) held
-        self.delegations: set = set()        # (requesting team, req) a teammate serves
         self.outstanding = None              # (req, target team) asked and not answered
         self.next_req = 0
         self.client_done = False
@@ -216,7 +205,7 @@ class TeamCore:
     def start(self, meta: dict) -> list:
         """Team 0 starts the goal at its root; the others start idle and ask."""
         self.goal, self.meta = meta["goal"], meta
-        self.asked, self.delegations, self.outstanding = [], set(), None
+        self.asked, self.outstanding = [], None
         self.recovered = Credit()
         self.parked = self.mates             # teammates not yet in the goal
         self.client_done = False
@@ -278,48 +267,38 @@ class TeamCore:
         return [("install", raw, False)] + self._work(meta.get("credit"))
 
     def mail(self, kind: str, meta: dict, raw=None) -> list:
-        """Teammates' answer batches and faults, and delegates' replies."""
+        """Teammates' answer batches, with their worker credit, and faults."""
         if meta.get("goal") != self.goal:
-            # a delegation of an ended goal is forgotten with its goal
             return []
-        if kind == N_ANSWERS:
-            acts = [("forward", self.team, raw)] if raw else []
-            if meta.get("credit") is not None:
-                self.workers_back.add(meta["credit"])
-                acts += self._spent()
-            return acts
         if kind == N_FAULT:
             return self.fault(meta.get("error", ""))
-        if (key := (meta.get("team"), meta["req"])) not in self.delegations:
-            return []
-        self.delegations.remove(key)
-        if kind == N_DELEGATE_REFUSE:
-            self.asked.append(key)           # held again
-            return self._spent()
-        return self._share(key, raw, meta["load"]) + self._spent()
-
-    def offer(self, loads, idle_flags) -> list:
-        """Offer each held request to the busy worker with the highest load
-        register while that load is positive, else to this master's own
-        stack; hold what neither can serve yet."""
-        acts = []
-        while self.asked and (target := select_sharer(loads, idle_flags)) is not None:
-            team, req = self.asked.pop(0)
-            meta = {"goal": self.goal, "req": req, "team": team,
-                    "strategy": self.meta.get("strategy", "vs")}
-            if target != 0 and loads[target] > 0:
-                self.delegations.add((team, req))
-                acts.append(("mail", target, N_DELEGATE_REQUEST, meta, None))
-            else:
-                return acts + [("copy", meta, self.copied)]
+        acts = [("forward", self.team, raw)] if raw else []
+        if meta.get("credit") is not None:
+            self.workers_back.add(meta["credit"])
+            acts += self._spent()
         return acts
 
+    def offer(self) -> list:
+        """Offer the oldest held request to this master's own stack."""
+        if not self.asked:
+            return []
+        team, req = self.asked.pop(0)
+        return [("copy", {"goal": self.goal, "req": req, "team": team,
+                          "strategy": self.meta.get("strategy", "vs")}, self.copied)]
+
     def copied(self, meta: dict, raw) -> list:
+        """Accept the request with the split ``raw`` and half the held
+        credit, or hold it again if the stack could not split."""
         key = (meta["team"], meta["req"])
         if raw is None:
             self.asked.insert(0, key)
             return []
-        return self._share(key, raw, meta["load"])
+        if self.credit is None:
+            raise ProtocolViolation(f"team {self.team} shared work holding no credit")
+        self.credit += 1
+        record_receiver_busy(self.loads, key[0], meta["load"])
+        return [("send", key[0], SHARE_ACCEPT,
+                 {"goal": self.goal, "req": key[1], "credit": self.credit}, raw)]
 
     def fault(self, error: str) -> list:
         """A worker of this team faulted: the goal ends engine-wide."""
@@ -336,9 +315,8 @@ class TeamCore:
             self.meta, credit=r) if r in parked else self.meta, None) for r in self.mates]
 
     def _spent(self) -> list:
-        """Go idle once all worker credit is back and no teammate serves a
-        delegated request, which may ship stacks under the team's credit."""
-        if self.idle or not self.workers_back.whole() or self.delegations:
+        """Go idle once all worker credit is back."""
+        if self.idle or not self.workers_back.whole():
             return []
         self.idle = True
         acts = [("send", team, SHARE_REFUSE, {"goal": self.goal, "req": req}, b"")
@@ -351,15 +329,6 @@ class TeamCore:
             self.recovered.add(k)
             k = None
         return acts + [("trace", "team_idle"), ("answers", k)] + self._seek()
-
-    def _share(self, key, raw: bytes, load: int) -> list:
-        """Accept request ``key`` with a copy and half the held credit."""
-        if self.credit is None:
-            raise ProtocolViolation(f"team {self.team} shared work holding no credit")
-        self.credit += 1
-        record_receiver_busy(self.loads, key[0], load)
-        return [("send", key[0], SHARE_ACCEPT,
-                 {"goal": self.goal, "req": key[1], "credit": self.credit}, raw)]
 
     def _seek(self) -> list:
         """An idle team: end the goal once team 0 holds all credit again,
@@ -382,10 +351,10 @@ class TeamCore:
 
     def _end(self) -> list:
         """The goal is over here: send the last answers on, tell the client
-        (team 0) and the teammates, and park flagged busy."""
+        (team 0) and the teammates, and park flagged idle."""
         acts = [("answers", None)]
         if self.team == 0 and not self.client_done:
             acts.append(("send", CLIENT_ID, TERMINATE, {"goal": self.goal}, b""))
         acts += [("mail", r, N_GOAL_DONE, {"goal": self.goal}, None) for r in self.mates]
         self.goal, self.idle = None, True
-        return acts + [("flag", 0, False), ("end",)]
+        return acts + [("flag", 0, True), ("end",)]

@@ -65,10 +65,10 @@ def select_request_target(loads: Sequence[Entry], self_id: int) -> Optional[int]
 
 def select_sharer(worker_loads: Sequence[int], idle_flags: Sequence[bool],
                   exclude: int = -1) -> Optional[int]:
-    """Busy worker to ask for work for a teammate or another team: the
-    highest load register, even 0 (it counts only private alternatives, and
-    frame-held work grows more), ties to the lowest rank; never ``exclude``
-    (the asking worker). None when no other worker is busy."""
+    """Busy teammate for an idle worker to ask for work: the highest load
+    register, even 0 (it counts only private alternatives, and frame-held
+    work grows more), ties to the lowest rank; never ``exclude`` (the asking
+    worker). None when nobody else is busy. An idle team asks by it too."""
     best = None
     best_load = -1
     for rank, load in enumerate(worker_loads):

@@ -6,7 +6,7 @@ the same physical pages. It holds the or-frame pool (the only hot shared
 mutable state) and two banks of one register per worker: its idle flag and
 its load register (open private alternatives). A worker writes its own
 registers, except that a worker sharing work flags its requester busy
-before it mails the copy. The registers only pick whom to ask for work; a
+before it mails the copy. A parked worker is flagged idle, from creation on. The registers only pick whom to ask for work; a
 team's termination reads none of them (``protocol``'s credit recovery
 decides it). Everything bulky (stack copies, answers, notifications)
 travels through each worker's mailbox instead.
@@ -89,6 +89,8 @@ class TeamShared:
         self._mm = mmap.mmap(-1, size)
         self._mv = memoryview(self._mm).cast("q")
         self._mv[_SLOT_FREE_HEAD] = -1
+        for rank in range(n_workers):
+            self.set_idle(rank, True)
         self._lock = RecordLock("team")
 
     # -- per-worker registers -------------------------------------------------

@@ -32,11 +32,12 @@ its bytes have come, so a teammate that dies mid-put hangs nobody. Only a
 mailbox's reader holds its read end, so a put to a dead reader raises
 ``EngineError`` instead of blocking. This cannot deadlock: a writer blocks
 only on a full pipe, which its reader empties at its next tick or wake. A
-copy's reader asked for it and, until the reply is in, mails only
-refusals, each to a teammate that waits for its own reply; batches go to
-the master, which reads mail on every tick and every turn of its waits,
-and whose own puts go to a waiting requester or to busy teammates, whose
-pipes hold only short mail.
+stack copy goes only to a worker that asked for it, the master too, and
+that worker mails only refusals until the reply is in, each to a teammate
+that waits for its own reply. Otherwise a master gets answer batches and
+short mail, which it reads on every tick and every turn of its waits, and
+its own puts go to a waiting requester or to busy teammates, whose pipes
+hold only short mail.
 
 Ticks space themselves out while nobody asks for work. Each run starts
 ticking every ``k_backtracks`` steps. A tick that finds no mail but answers
@@ -331,24 +332,18 @@ class Worker:
 
     # -- stack copies -------------------------------------------------------------
     def _copy(self, meta: dict):
-        """A packed copy of this worker's stacks for request ``meta``, or None.
-        Another team's is a split, its load set in ``meta``. A teammate's
-        names the frames of every live node, published first."""
+        """A packed copy of this worker's stacks for teammate request
+        ``meta``, or None: it names the frames of every live node, published
+        first."""
         ws = self.ws
-        if "req" in meta:
-            aux = splitting.split_for_transfer(ws, self.goal_id, meta["strategy"])
-            if aux.load <= 0:
-                return None
-            meta["load"] = aux.load
-        else:
-            try:
-                publish_private_nodes(ws, self.ctx.shared)
-            except FramePoolExhausted:
-                return None
-            aux = splitting.snapshot_to_aux(ws, self.goal_id)
-            aux.frames = [cp.frame for cp in ws.cps]
-            self.ctx.trace(self.rank, "shared_locally", requester=meta["local"],
-                           frames=[f for f in aux.frames if f >= 0])
+        try:
+            publish_private_nodes(ws, self.ctx.shared)
+        except FramePoolExhausted:
+            return None
+        aux = splitting.snapshot_to_aux(ws, self.goal_id)
+        aux.frames = [cp.frame for cp in ws.cps]
+        self.ctx.trace(self.rank, "shared_locally", requester=meta["local"],
+                       frames=[f for f in aux.frames if f >= 0])
         return splitting.serialize_aux(aux)
 
     def _acquire_locally(self) -> bool:
@@ -403,7 +398,7 @@ class Master(Worker):
     # -- the hooks -----------------------------------------------------------------
     def _pump(self) -> None:
         self._drain_transport()
-        self._offer()
+        self._do(self.team.offer())
         self._forward_answers()
 
     def _await_mail(self) -> None:
@@ -414,7 +409,18 @@ class Master(Worker):
         self.ep.wait(timeout)
 
     def _core_for(self, kind: str, meta: dict):
-        return self.team if kind in (N_ANSWERS, N_FAULT) or "req" in meta else self.core
+        return self.team if kind in (N_ANSWERS, N_FAULT) else self.core
+
+    def _copy(self, meta: dict):
+        """For another team's request, a packed split of this master's
+        stack, its load set in ``meta``, or None; only a master splits."""
+        if "team" not in meta:
+            return super()._copy(meta)
+        aux = splitting.split_for_transfer(self.ws, self.goal_id, meta["strategy"])
+        if aux.load <= 0:
+            return None
+        meta["load"] = aux.load
+        return splitting.serialize_aux(aux)
 
     # -- the team core's actions ---------------------------------------------------
     def _a_send(self, dest: int, kind: int, meta: dict, raw: bytes) -> None:
@@ -487,16 +493,12 @@ class Master(Worker):
         served = self._drain_mailbox()
         polled = self._drain_transport()
         self._do(self.core.tick(self.ws.load))
-        self._offer()
+        self._do(self.team.offer())
         self._forward_answers()
         return self._next_spacing(served or polled or bool(self.team.asked))
 
     def _propagate_fault(self, error: str) -> None:
         self._do(self.team.fault(error))
-
-    def _offer(self) -> None:
-        shared = self.ctx.shared
-        self._do(self.team.offer(shared.loads(), shared.idle_flags()))
 
     def _drain_transport(self) -> bool:
         """Feed every frame that has arrived to the team core; True if any

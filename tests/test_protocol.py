@@ -168,7 +168,6 @@ class _Process:
         self.settle()
 
     def run(self):
-        shared = self.ctx.shared
         try:
             run_loop(self.ws, self._emit, start_tag=self.start_tag,
                      service=self._tick, service_every=STEPS)
@@ -176,7 +175,7 @@ class _Process:
             self.start_tag = None
             acts = self.core.tick(self.ws.load)
             if self.rank == 0:
-                acts += self.team.offer(shared.loads(), shared.idle_flags())
+                acts += self.team.offer()
                 self._forward_answers(now=True)
             else:
                 self._flush_answers()
@@ -214,7 +213,7 @@ class _Process:
         shared = self.ctx.shared
         self.turn_due = False
         if self.rank == 0:
-            self.pending.extend(self.team.offer(shared.loads(), shared.idle_flags()))
+            self.pending.extend(self.team.offer())
         self.pending.extend(self.core.seek(shared.loads(), shared.idle_flags()))
 
 
@@ -476,27 +475,55 @@ def test_an_idle_teammate_gets_work_in_each_busy_spell_of_its_team():
         f"team 0's teammate installed copies in spells {installs} of {spells}"
 
 
+def test_an_idle_master_asks_no_parked_teammate_for_work():
+    """Team 1 of ``[1, 2]`` takes every transition it has before team 0
+    takes one: its master, idle from the start, must not ask its teammate
+    for work before that teammate joins the goal."""
+    sim = Sim([1, 2], "queens", [5], "vs")
+    master, mate = sim.procs[(1, 0)], sim.procs[(1, 1)]
+    mail = master._a_mail
+
+    def checked_mail(rank, kind, meta, raw=None):
+        assert kind != N_DELEGATE_REQUEST or mate.core.goal is not None, \
+            "team 1's master asked its parked teammate for work"
+        mail(rank, kind, meta, raw)
+
+    def team(transition):
+        what, key = transition
+        return key[1][0] if what == "deliver" else key[0]
+
+    master._a_mail = checked_mail
+    try:
+        while transitions := sim.enabled():
+            assert sim.transitions < MAX_TRANSITIONS, "no end in sight: a livelock"
+            sim.step(max(transitions, key=team))
+        sim.check_end(oracle.enumerate_answers(get_program("queens"), [5]))
+    finally:
+        sim.close()
+
+
 def test_a_worker_core_holds_serves_and_refuses_requests():
     core = WorkerCore(1)
     core.start(7, credit=2)
-    local, delegated = {"goal": 7, "local": 2}, {"goal": 7, "req": 3, "team": 1, "strategy": "hs"}
+    local, other = {"goal": 7, "local": 2}, {"goal": 7, "local": 0}
     assert core.mail(N_DELEGATE_REQUEST, {"goal": 6, "local": 2}) == \
         [("mail", 2, N_DELEGATE_REFUSE, {"goal": 6, "local": 2}, None)], "another goal's request"
     assert core.mail(N_DELEGATE_REQUEST, local) == []
-    assert core.mail(N_DELEGATE_REQUEST, delegated) == []
-    # a busy tick without private load serves the delegated request at once
-    # and holds the teammate's until a tick with private load
-    (copy_delegated,) = core.tick(0)
-    assert copy_delegated[:2] == ("copy", delegated) and core.held == [local]
-    assert copy_delegated[2](delegated, None) == \
-        [("mail", 0, N_DELEGATE_REFUSE, delegated, None)], "a delegate refuses to its master"
+    assert core.mail(N_DELEGATE_REQUEST, other) == []
+    # a busy tick without private load holds both requests; one with
+    # private load serves the oldest, and its copy publishes that load
+    assert core.tick(0) == [] and core.held == [local, other]
     (copy_local,) = core.tick(5)
-    assert copy_local[:2] == ("copy", local) and core.held == []
+    assert copy_local[:2] == ("copy", local) and core.held == [other]
     # the sharer flags its requester busy before it mails the copy, which
     # carries half of the sharer's credit
     assert copy_local[2](local, b"stacks") == \
         [("flag", 2, False), ("mail", 2, N_DELEGATE_ACCEPT, dict(local, credit=3), b"stacks")]
     assert core.credit == 3
+    # a copy that could not be made is a refusal
+    (copy_other,) = core.tick(1)
+    assert copy_other[2](other, None) == [("mail", 0, N_DELEGATE_REFUSE, other, None)]
+    assert core.credit == 3 and core.held == []
     # an idle turn hands the credit back with the answers before the idle
     # flag, refuses what is held, then asks the busiest busy teammate
     core.mail(N_DELEGATE_REQUEST, local)
@@ -512,13 +539,16 @@ def test_a_worker_core_holds_serves_and_refuses_requests():
         [("install", b"copy", True)] and core.asking is None and core.credit == 4
     # a later busy spell's HAS_WORK, which carries no credit, only wakes it
     assert core.mail(N_HAS_WORK, {"goal": 7}) == [] and core.credit == 4
-    assert core.mail(N_GOAL_DONE, {"goal": 7}) == [("flag", 1, False), ("end",)]
+    # the goal's end parks it flagged idle, so nobody asks it for work
+    assert core.mail(N_GOAL_DONE, {"goal": 7}) == [("flag", 1, True), ("end",)]
     core.start(None)
+    assert core.mail(N_DELEGATE_REQUEST, {"goal": 8, "local": 2}) == \
+        [("mail", 2, N_DELEGATE_REFUSE, {"goal": 8, "local": 2}, None)]
     assert core.mail(N_HAS_WORK, {"goal": 8, "credit": 1}) == \
         [("begin", {"goal": 8, "credit": 1})]
 
 
-def test_a_team_core_delegates_held_requests_and_returns_its_credit_on_going_idle():
+def test_a_team_core_splits_held_requests_from_its_own_stack_and_refuses_them_on_going_idle():
     team = TeamCore(1, 3, 3)
     assert team.start({"goal": 4, "strategy": "vs"}) == [], "every other team looks idle"
     # a frame shows team 0 busy: the idle team asks it
@@ -531,21 +561,26 @@ def test_a_team_core_delegates_held_requests_and_returns_its_credit_on_going_idl
         ("mail", 1, N_HAS_WORK, {"goal": 4, "strategy": "vs", "credit": 1}, None),
         ("mail", 2, N_HAS_WORK, {"goal": 4, "strategy": "vs", "credit": 2}, None)]
     assert not team.idle and team.credit == 3
-    # team 2's request is held, then offered to the busy teammate with load
+    # team 2's request is held, then offered to the master's own stack; a
+    # stack that cannot split holds it again
     assert team.frame(SHARE_REQUEST, 2, {"goal": 4, "req": 0}, []) == []
-    (delegate,) = team.offer([0, 3, 1], [True, False, False])
-    assert delegate == ("mail", 1, N_DELEGATE_REQUEST,
-                        {"goal": 4, "req": 0, "team": 2, "strategy": "vs"}, None)
+    (copy,) = team.offer()
+    assert copy[:2] == ("copy", {"goal": 4, "req": 0, "team": 2, "strategy": "vs"})
+    assert copy[2](copy[1], None) == [] and team.asked == [(2, 0)]
+    # a split goes out with half the team credit, and team 2 reads busy
+    (copy,) = team.offer()
+    assert copy[2](dict(copy[1], load=4), b"split") == [
+        ("send", 2, SHARE_ACCEPT, {"goal": 4, "req": 0, "credit": 4}, b"split")]
+    assert team.credit == 4 and team.loads[2][0] == 4 and team.asked == []
+    assert team.frame(SHARE_REQUEST, 2, {"goal": 4, "req": 1}, []) == []
     # every worker hands its credit back, on its last answers or alone
     assert team.mail(N_ANSWERS, {"goal": 4, "credit": 2}) == []
     assert team.mail(N_ANSWERS, {"goal": 4, "credit": 2}, b"batch") == [("forward", 1, b"batch")]
-    assert team.mail(N_ANSWERS, {"goal": 4, "credit": 1}) == [], \
-        "a delegation may still ship stacks"
     # going idle refuses what it holds and hands the team credit back
     # behind its answers
-    assert team.mail(N_DELEGATE_REFUSE, delegate[3]) == [
-        ("send", 2, SHARE_REFUSE, {"goal": 4, "req": 0}, b""), ("trace", "team_idle"),
-        ("answers", 3), ("send", 0, SHARE_REQUEST, {"goal": 4, "req": 1}, b"")]
+    assert team.mail(N_ANSWERS, {"goal": 4, "credit": 1}) == [
+        ("send", 2, SHARE_REFUSE, {"goal": 4, "req": 1}, b""), ("trace", "team_idle"),
+        ("answers", 4), ("send", 0, SHARE_REQUEST, {"goal": 4, "req": 1}, b"")]
     # a later busy spell's HAS_WORK wakes the idle teammates, which are in
     # the goal already: the master's worker holds all worker credit
     assert team.frame(SHARE_ACCEPT, 0, {"goal": 4, "req": 1, "credit": 5}, [], b"more") == [
@@ -556,4 +591,4 @@ def test_a_team_core_delegates_held_requests_and_returns_its_credit_on_going_idl
         [("trace", "team_idle"), ("answers", 5)]
     assert team.frame(TERMINATE, 0, {"goal": 4}, []) == [
         ("answers", None), ("mail", 1, N_GOAL_DONE, {"goal": 4}, None),
-        ("mail", 2, N_GOAL_DONE, {"goal": 4}, None), ("flag", 0, False), ("end",)]
+        ("mail", 2, N_GOAL_DONE, {"goal": 4}, None), ("flag", 0, True), ("end",)]

@@ -1061,10 +1061,9 @@ def test_termination_waits_for_credit_despite_an_all_idle_load_view():
     # both teams have handed their credit back.
     team = TeamCore(0, 3, 1)
     team.start({"program": "queens", "args": [4], "goal": 1})
-    offer = lambda: team.offer([1], [False])          # noqa: E731
     shares = _feed(team, [
-        (transport.SHARE_REQUEST, 1, {"goal": 1, "req": 0}, [(-1, 9)] * 3), offer,
-        (transport.SHARE_REQUEST, 2, {"goal": 1, "req": 0}, [(-1, 9)] * 3), offer])
+        (transport.SHARE_REQUEST, 1, {"goal": 1, "req": 0}, [(-1, 9)] * 3), team.offer,
+        (transport.SHARE_REQUEST, 2, {"goal": 1, "req": 0}, [(-1, 9)] * 3), team.offer])
     assert [meta["credit"] for act, to, kind, meta in shares if kind == transport.SHARE_ACCEPT] \
         == [1, 2]
     idle = _feed(team, [_own_credit_back(team),
@@ -1135,7 +1134,7 @@ def test_a_busy_master_holds_a_share_request_until_its_stack_can_yield():
             # team 1 hands back the credit it was given, then asks again
             asked.append(1)
             events += [_credit_return(1, 1, n_teams=2), _share_request(1)]
-        events.append(lambda: team.offer([ws.load], [False]))
+        events.append(team.offer)
         ticks.append((could, _replies(_feed(team, events, ws), 1)))
         return None
 
