@@ -10,17 +10,21 @@ by indexing or slicing the cell list that both ``WorkerState`` and the
 oracle's copy store expose, with no method call per cell, and changes them
 only through the trailed ``write`` so backtracking can undo the change.
 
-``Queens`` keeps its attack state in the store. Setup pushes three zero
-cells, the column, left-diagonal and right-diagonal masks of row 0, and
-every choice expansion below the root pushes three more, the masks of the
-next row, behind its trailed row write. A child therefore finds its
-parent's masks in the top three store cells: the engine expands a tag on
-the store its parent's expansion left, and restores exactly that store
-when it backtracks into the parent. A failing or answer node pushes
-nothing. The free columns of a row are the clear bits of the three masks,
-emitted lowest first, so the alternatives and their order are those of a
-scan over the columns. New cells are pushed by extending ``store.store``,
-which, like ``push_cell``, needs no trail.
+``Queens`` keeps its whole state in cells it pushes, so it writes no cell
+and never touches the trail. Setup pushes ``n`` and the column,
+left-diagonal and right-diagonal masks of row 0. A placed row pushes four
+cells, its queen's column + 1 and the three masks of the next row, so the
+queen of row ``i`` sits in cell ``4 + 4*i``, and a node finds the masks of
+the row it places in the top three cells: the engine expands a tag on the
+store its parent's expansion left, and restores exactly that store when it
+backtracks into the parent. The last row pushes only its queen. While the
+next row has exactly one free column, the same expansion places that forced
+queen too, so an expansion ends in an answer, a failure or a choice of at
+least two columns, and no queens node is determinate. The free columns of
+a row are the clear bits of its three masks, emitted lowest first, so the
+alternatives and their order are those of a scan over the columns. New
+cells are pushed by extending ``store.store``, which, like ``push_cell``,
+needs no trail.
 
 ``REGISTRY`` holds the built-in programs; ``register`` adds one, such as a
 test program, before the engine processes that must see it are forked.
@@ -59,38 +63,37 @@ class Queens:
         if not 1 <= n <= _QUEENS_MAX:
             raise ValueError("queens arity out of range")
         store.push_cell(n)
-        for _ in range(n):
-            store.push_cell(0)  # row cells hold col+1, 0 = unassigned
         for _ in range(3):
             store.push_cell(0)  # columns, left and right diagonals of row 0
 
     def slots(self, args):
         n = int(args[0])
-        return {f"q{i + 1}": i + 1 for i in range(n)}
+        return {f"q{i + 1}": 4 + 4 * i for i in range(n)}
 
     def expand(self, store, tag):
         cells = store.store
         n = cells[0]
         full = (1 << n) - 1
-        cols, ld, rd = cells[-3:]     # the parent's masks of this node's row
-        if tag == 0:
-            depth = 0
-        else:
+        cols, ld, rd = cells[-3:]     # the masks of the row to place next
+        if tag:
             row, col = divmod(tag - 1, n)
-            store.write(1 + row, col + 1)
-            depth = row + 1
-            if depth == n:
+            free = 1 << col           # the tag's column, placed as a forced one
+        else:
+            row = 0
+            free = full & ~(cols | ld | rd)
+        while not free & (free - 1):  # one column to place
+            if not free:
+                return _FAIL
+            row += 1
+            if row == n:
+                cells.append(free.bit_length())
                 return _ANSWER
-            b = 1 << col
-            cols |= b
-            ld = (ld | b) << 1 & full
-            rd = (rd | b) >> 1
-        free = full & ~(cols | ld | rd)
-        if not free:
-            return _FAIL
-        if depth:
-            cells.extend((cols, ld, rd))
-        base = depth * n              # tag of column c is base + c + 1
+            cols |= free
+            ld = (ld | free) << 1 & full
+            rd = (rd | free) >> 1
+            cells.extend((free.bit_length(), cols, ld, rd))
+            free = full & ~(cols | ld | rd)
+        base = row * n                # tag of column c is base + c + 1
         alts = []
         while free:
             low = free & -free

@@ -64,7 +64,7 @@ def select_request_target(loads: Sequence[Entry], self_id: int) -> Optional[int]
 
 
 def select_sharer(worker_loads: Sequence[int], idle_flags: Sequence[bool],
-                  exclude: int = -1) -> Optional[int]:
+                  exclude: int) -> Optional[int]:
     """Busy teammate for an idle worker to ask for work: the highest load
     register, even 0 (it counts only private alternatives, and frame-held
     work grows more), ties to the lowest rank; never ``exclude`` (the asking

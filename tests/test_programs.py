@@ -4,8 +4,10 @@ The built-in programs read cells by indexing ``store.store``. The reference
 kernels below are the earlier versions that read one cell per ``read`` call;
 walking whole trees of small goals with both must give the same node kind,
 the same alternatives in the same order and the same store at every node.
-``ref_queens`` computes the attack masks it pushes from the placed rows
-alone, so that comparison also checks the kernel's incremental masks.
+``ref_queens`` reads the placed rows from the cells each row pushes and
+computes the free columns and the attack masks it pushes from those rows
+alone, so that comparison also checks the kernel's incremental masks and
+its forced moves.
 """
 
 import random
@@ -22,7 +24,7 @@ from layered_or.engine import (
     run_loop,
     setup_goal,
 )
-from layered_or.programs import _M64, _MAPS, REGISTRY, RandTree, _mix64, get_program
+from layered_or.programs import _M64, _MAPS, REGISTRY, Queens, RandTree, _mix64, get_program
 
 _FAIL = (EXPAND_FAIL, None)
 _ANSWER = (EXPAND_ANSWER, None)
@@ -50,33 +52,34 @@ class _RefStore:
 
 # -- reference kernels ---------------------------------------------------------
 
+def _ref_queens_free(n, placed):
+    """Columns of the next row that no placed queen attacks."""
+    depth = len(placed)
+    return [col for col in range(n)
+            if all(c != col and depth - r != abs(col - c) for r, c in enumerate(placed))]
+
+
 def ref_queens(store, tag):
     n = store.read(0)
+    # each placed row pushed (col+1, cols, ld, rd) above the n and row-0 masks
+    placed = [store.read(4 + 4 * r) - 1 for r in range(len(store.store) // 4 - 1)]
     if tag == 0:
-        depth = 0
+        todo = _ref_queens_free(n, placed)
     else:
         row, col = divmod(tag - 1, n)
-        store.write(1 + row, col + 1)
-        depth = row + 1
+        assert row == len(placed), f"tag {tag} places row {row} above {len(placed)} rows"
+        todo = [col]
+    while len(todo) == 1:
+        # one column to place: the tag's, or a forced one
+        col = todo[0]
+        placed.append(col)
+        store.push_cell(col + 1)
+        depth = len(placed)
         if depth == n:
             return _ANSWER
-    alts = []
-    for col in range(n):
-        ok = True
-        for r in range(depth):
-            c = store.read(1 + r) - 1
-            if c == col or depth - r == abs(col - c):
-                ok = False
-                break
-        if ok:
-            alts.append(1 + depth * n + col)
-    if not alts:
-        return _FAIL
-    if depth:
         # the next row's attack masks, from the placed rows alone
         cols = ld = rd = 0
-        for r in range(depth):
-            c = store.read(1 + r) - 1
+        for r, c in enumerate(placed):
             d = depth - r
             cols |= 1 << c
             if c + d < n:
@@ -85,7 +88,10 @@ def ref_queens(store, tag):
                 rd |= 1 << c - d
         for mask in (cols, ld, rd):
             store.push_cell(mask)
-    return (EXPAND_CHOICE, alts)
+        todo = _ref_queens_free(n, placed)
+    if not todo:
+        return _FAIL
+    return (EXPAND_CHOICE, [1 + len(placed) * n + col for col in todo])
 
 
 _JUMPS = ((1, 2), (2, 1), (2, -1), (1, -2), (-1, -2), (-2, -1), (-2, 1), (-1, 2))
@@ -336,7 +342,9 @@ def walk_both(name, args):
     ("wide", [4, 3]),
 ])
 def test_kernel_matches_reference_at_every_node(name, args):
-    assert walk_both(name, args) > 1
+    nodes = walk_both(name, args)
+    # queens(1) places its only queen, a forced move, at the root
+    assert nodes > 1 or (name, args) == ("queens", [1])
 
 
 def test_queens_kernel_matches_reference_on_random_paths_of_the_largest_board():
@@ -352,12 +360,13 @@ def test_queens_kernel_matches_reference_on_random_paths_of_the_largest_board():
         store = _RefStore()
         program.setup(store, [24])
         tag = program.root_tag
-        depth = 0
         while True:
             mine, ref = store.fork(), store.fork()
             want = ref_queens(ref, tag)
             assert program.expand(mine, tag) == want, f"queens(24) tag {tag}"
             assert mine.store == ref.store, f"queens(24) tag {tag}: stores differ"
+            # the rows placed so far: four cells each, the answer's last one
+            depth = (len(ref.store) - 1) // 4
             if want[0] != EXPAND_CHOICE:
                 break
             if path == 300:
@@ -366,9 +375,9 @@ def test_queens_kernel_matches_reference_on_random_paths_of_the_largest_board():
             else:
                 tag = rnd.choice(want[1])
             store = ref
-            depth += 1
         depths.append(depth)
     assert want[0] == EXPAND_ANSWER and depths[-1] == 24
+    assert [ref.store[4 + 4 * r] - 1 for r in range(24)] == solution
     assert sum(depths) > 3000
 
 
@@ -399,3 +408,27 @@ def test_queens11_backtracks_and_answers():
     run_loop(ws, answers.append, start_tag=program.root_tag)
     assert ws.backtracks == 61_076
     assert len(answers) == 2_680
+
+
+@pytest.mark.parametrize("n,expansions,backtracks,answers", [
+    (9, 5_028, 2_936, 352), (10, 21_835, 12_774, 724), (11, 104_526, 61_076, 2_680)])
+def test_queens_takes_forced_moves_inside_one_expansion(n, expansions, backtracks, answers):
+    # a row with one free column is placed by the expansion that reached
+    # it, so no expansion is determinate; the search is the same, fewer
+    # expansions find it (8,394, 35,539 and 166,926 with one row each)
+    calls = singles = 0
+
+    class Counted(Queens):
+        def expand(self, store, tag):
+            nonlocal calls, singles
+            calls += 1
+            got = super().expand(store, tag)
+            singles += got[0] == EXPAND_CHOICE and len(got[1]) == 1
+            return got
+
+    ws = WorkerState()
+    setup_goal(ws, Counted(), [n], None)
+    got = []
+    run_loop(ws, got.append, start_tag=Queens.root_tag)
+    assert (calls, ws.backtracks, len(got)) == (expansions, backtracks, answers)
+    assert singles == 0 and ws.trail_cells == []

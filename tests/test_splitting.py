@@ -418,9 +418,11 @@ def test_install_rejects_zero_load_payload():
 
 # -- what install_aux accepts ------------------------------------------------------
 
-# (program, args, backtracks before the split, strategy); queens trails its row writes
+# (program, args, backtracks before the split, strategy); queens only pushes
+# cells, while rand_tree and map_colouring trail their writes
 _SENDERS = [("queens", (8,), 40, "hs"), ("queens", (8,), 90, "vs"),
             ("rand_tree", (42, 7, 4), 25, "hs"), ("map_colouring", (1,), 200, "vs")]
+_TRAILING = 3                     # map_colouring: its copies ship trail entries
 
 
 @lru_cache(maxsize=None)
@@ -487,12 +489,12 @@ def _store_far_past_the_local_top(aux):
     _trailed_cell_outside_the_store, _store_far_past_the_local_top,
 ], ids=lambda f: f.__name__.strip("_"))
 def test_install_rejects_an_aux_area_no_sender_writes(mutate):
-    install_aux(receiver(0), deserialize_aux(sent_aux(0)))     # as sent, it installs
-    aux = deserialize_aux(sent_aux(0))
+    install_aux(receiver(_TRAILING), deserialize_aux(sent_aux(_TRAILING)))  # as sent, it installs
+    aux = deserialize_aux(sent_aux(_TRAILING))
     assert aux.trail_entries, "the sample trails no write"
     mutate(aux)
     with pytest.raises(ProtocolViolation):
-        install_aux(receiver(0), aux)
+        install_aux(receiver(_TRAILING), aux)
 
 
 @pytest.mark.parametrize("which", range(len(_SENDERS)))
@@ -539,8 +541,10 @@ def test_fuzzed_aux_payloads_install_or_raise_only_protocol_violation(which, edi
 # -- the wire form is pinned -------------------------------------------------------
 
 # sha256 prefixes of serialize_aux(split_for_transfer(...)) for (seed, strategy):
-# inter-team payloads keep their bytes while teammates' copies gain a column
-_GOLDEN = {(11, "vs"): "b4d5eb50e7da645d", (11, "hs"): "276f4ddd95d9f65d",
+# inter-team payloads keep their bytes while teammates' copies gain a column;
+# the queens pins follow its store (each placed row pushes four cells, and
+# forced rows are placed in one expansion), not the payload format
+_GOLDEN = {(11, "vs"): "66c2e56ed8e3c155", (11, "hs"): "16ffda9ce7c2a922",
            (12, "vs"): "75e038e81dffd1c9", (12, "hs"): "620b14bbabe399ba",
            (13, "vs"): "b491a2ee78af03e2", (13, "hs"): "747d857ac99fe353"}
 
