@@ -111,14 +111,18 @@ def test_refusal_with_newer_info_redirects_the_next_request():
 def test_local_target_argmax_and_tie_break():
     busy = [False, False, False]
     assert select_sharer([0, 5, 2], busy, 0) == 1
-    assert select_sharer([0, 6, 2], [True, False, False], 2) == 1
     assert select_sharer([0, 3, 3], busy, 0) == 1
-    assert select_sharer([3, 3, 1], busy, 2) == 0         # ties go low, the master too
     assert select_sharer([9, 1], [False, False], 0) == 1  # never itself
     # a busy teammate is asked even with load 0: its work may sit in frames
     assert select_sharer([0, 0, 0], busy, 0) == 1
-    assert select_sharer([0, 0, 0], busy, 2) == 0
     assert select_sharer([0, 0, 0], [False, True, False], 0) == 2
-    # idle workers hold nothing to split, whatever their load register reads
     assert select_sharer([0, 7, 7], [True, True, True], 0) is None
+
+
+def test_delegate_prefers_load_then_rank():
+    assert select_sharer([0, 6, 2], [True, False, False], 2) == 1
+    assert select_sharer([0, 4, 4], [False, False, False], 0) == 1
+    assert select_sharer([3, 3, 1], [False, False, False], 2) == 0  # ties go low, the master too
+    assert select_sharer([0, 0, 0], [False, False, False], 2) == 0
+    # idle workers hold nothing to split, whatever their load register reads
     assert select_sharer([0, 9, 0], [True, True, True], 2) is None
