@@ -47,7 +47,7 @@ from .engine import WorkerState
 from .errors import EngineShutdown
 from .team import TeamShared
 from .transport import CLIENT_ID, TcpEndpoint
-from .protocol import N_FAULT
+from .protocol import FAULT
 from .worker import Mailbox, Master, TeamContext, Worker
 
 # how long start-up waits for a ctrl reply and for its tcp peers to connect
@@ -142,7 +142,7 @@ def worker_process_main(ctx: TeamContext, rank: int) -> None:
         pass
     except Exception:
         ctx.trace(rank, "worker_crash", error=traceback.format_exc())
-        ctx.notify(0, N_FAULT, {"goal": w.goal_id, "error": traceback.format_exc()})
+        ctx.notify(0, FAULT, {"goal": w.goal_id, "error": traceback.format_exc()})
 
 
 def master_entry(boot: MasterBoot) -> None:

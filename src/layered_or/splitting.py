@@ -198,11 +198,11 @@ def horizontal_split(ws: WorkerState, aux: AuxArea) -> None:
 def can_yield_work(ws: WorkerState, strategy: str) -> bool:
     """Whether a split could move at least one alternative to the copy.
 
-    Checked before mutating anything: a refused horizontal attempt would
-    otherwise still have doubled every offset, and an idle team retrying
-    every millisecond would double them without bound. Frame states may
-    move between this check and the split; the post-split zero-load guard
-    stays as the backstop for that race.
+    Checked before mutating anything: a held request is offered to the
+    stack again at every tick until it can split, and each refused
+    horizontal attempt would otherwise double every offset again. Frame
+    states may move between this check and the split; the post-split
+    zero-load guard stays as the backstop for that race.
     """
     live = 0
     for cp in ws.cps:

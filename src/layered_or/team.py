@@ -123,23 +123,37 @@ class TeamShared:
 
     def alloc(self, n_alts: int, cursor: int, split_offset: int, depth: int) -> int:
         """Create a frame for a freshly published node."""
+        return self.publish((), [(n_alts, cursor, split_offset, depth)])[0]
+
+    def publish(self, joined, nodes) -> list[int]:
+        """Add a member to each frame of ``joined`` and create a frame for
+        each freshly published node ``(n_alts, cursor, split_offset,
+        depth)`` of ``nodes``, all under one hold of the team lock; if the
+        pool cannot hold every node, do nothing and raise."""
         mv = self._mv
+        made = []
         with self._lock:
-            idx = mv[_SLOT_FREE_HEAD]
-            if idx >= 0:
-                mv[_SLOT_FREE_HEAD] = mv[self._base(idx) + _F_NEXT]
-            else:
-                idx = mv[_SLOT_HIGH_WATER]
-                if idx >= self.n_frames:
+            free, top = mv[_SLOT_FREE_HEAD], mv[_SLOT_HIGH_WATER]
+            for _ in nodes:
+                if free >= 0:
+                    made.append(free)
+                    free = mv[self._base(free) + _F_NEXT]
+                elif top < self.n_frames:
+                    made.append(top)
+                    top += 1
+                else:
                     raise FramePoolExhausted(f"frame pool of {self.n_frames} full")
-                mv[_SLOT_HIGH_WATER] = idx + 1
-        base = self._base(idx)
-        mv[base + _F_NALTS] = n_alts
-        mv[base + _F_CURSOR] = cursor
-        mv[base + _F_OFFSET] = split_offset
-        mv[base + _F_MEMBERS] = 2          # publisher plus the receiving worker
-        mv[base + _F_DEPTH] = depth
-        return idx
+            mv[_SLOT_FREE_HEAD], mv[_SLOT_HIGH_WATER] = free, top
+            for idx in joined:
+                mv[self._base(idx) + _F_MEMBERS] += 1
+        for idx, (n_alts, cursor, split_offset, depth) in zip(made, nodes):
+            base = self._base(idx)
+            mv[base + _F_NALTS] = n_alts
+            mv[base + _F_CURSOR] = cursor
+            mv[base + _F_OFFSET] = split_offset
+            mv[base + _F_MEMBERS] = 2      # publisher plus the receiving worker
+            mv[base + _F_DEPTH] = depth
+        return made
 
     def read_locked(self, idx: int) -> tuple[int, int, int]:
         """(n_alts, cursor, split_offset); caller holds the frame lock."""
@@ -158,11 +172,6 @@ class TeamShared:
                 return -1
             mv[base + _F_CURSOR] = c + mv[base + _F_OFFSET]
             return c
-
-    def join(self, idx: int) -> None:
-        base = self._base(idx)
-        with self.lock(idx):
-            self._mv[base + _F_MEMBERS] += 1
 
     def leave(self, idx: int) -> None:
         """Drop membership; the last member of a dead frame recycles it."""
@@ -212,22 +221,21 @@ class TeamShared:
 
 
 def publish_private_nodes(ws, shared: TeamShared) -> int:
-    """Make every live private node public and pre-count the receiving member.
+    """Make every live private node public and pre-count the receiving
+    member of every frame, all or nothing: if the pool cannot hold a frame
+    for each private node, raise ``FramePoolExhausted`` and change nothing.
 
     Returns the number of alternatives moved from the private load register
     into frames. Cursor/offset authority moves to the frame; the private
     cursor is frozen where it was.
     """
+    fresh = [cp for cp in ws.cps if cp.frame < 0 and not cp.is_dead()]
+    frames = shared.publish([cp.frame for cp in ws.cps if cp.frame >= 0],
+                            [(cp.n_alts, cp.cursor, cp.split_offset, cp.depth) for cp in fresh])
     moved = 0
-    for cp in ws.cps:
-        if cp.frame >= 0:
-            shared.join(cp.frame)      # receiver will reference this frame too
-            continue
-        if cp.is_dead():
-            continue
-        open_here = cp.open_count()
-        cp.frame = shared.alloc(cp.n_alts, cp.cursor, cp.split_offset, cp.depth)
-        moved += open_here
+    for cp, idx in zip(fresh, frames):
+        cp.frame = idx
+        moved += cp.open_count()
     if moved:
         ws.set_load(ws.load - moved)
     return moved

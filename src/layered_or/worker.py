@@ -11,8 +11,9 @@ own. The client's goals enter through the master of team 0, and every
 worker parks between goals in ``getwork_first_time``.
 
 A worker's one intra-team channel is its mailbox: every mail is a
-``(kind, meta, payload)`` triple whose payload is checked bytes, such as a
-stack copy (a ``splitting`` aux area with a frames column).
+``(kind, meta, payload)`` triple, its kind one of ``protocol``'s message
+kinds and its payload checked bytes, such as a stack copy (a ``splitting``
+aux area with a frames column).
 
 Answers travel packed. A teammate mails the answers it found to its master
 as one batch: a little-endian ``u32`` answer count, then per answer a
@@ -63,8 +64,8 @@ from .config import EngineOptions
 from .engine import WorkerState, allocate_dead_root, run_loop, setup_goal
 from .errors import EngineError, EngineShutdown, ProtocolViolation
 from .programs import get_program
-from .protocol import (ANSWER, CLIENT_ID, FAULT, N_ANSWERS, N_FAULT, SHARE_ACCEPT,
-                       SHARE_REQUEST, TERMINATE, TeamCore, WorkerCore)
+from .protocol import (ANSWER, CLIENT_ID, FAULT, SHARE_ACCEPT, SHARE_REQUEST, TERMINATE,
+                       TeamCore, WorkerCore)
 from .team import FramePoolExhausted, RecordLock, TeamShared, publish_private_nodes
 
 # A busy master sends its buffered answers on at most this often, and a busy
@@ -147,7 +148,7 @@ class TeamContext:
         self.mailboxes = mailboxes
         self.trace_queue = trace_queue
 
-    def notify(self, rank: int, kind: str, meta: dict, payload=None) -> None:
+    def notify(self, rank: int, kind: int, meta: dict, payload=None) -> None:
         self.mailboxes[rank].put((kind, meta, payload))
 
     def close_others(self, rank: int) -> None:
@@ -195,7 +196,7 @@ class Worker:
         poller.register(self.ctx.mailboxes[self.rank].fd, select.POLLIN)
         poller.poll()
 
-    def _core_for(self, kind: str, meta: dict):
+    def _core_for(self, kind: int):
         return self.core
 
     # -- carrying out the cores' actions ------------------------------------------
@@ -203,7 +204,7 @@ class Worker:
         for name, *args in actions:
             getattr(self, "_a_" + name)(*args)
 
-    def _a_mail(self, rank: int, kind: str, meta: dict, raw=None) -> None:
+    def _a_mail(self, rank: int, kind: int, meta: dict, raw=None) -> None:
         self.ctx.notify(rank, kind, meta, raw)
 
     def _a_flag(self, rank: int, idle: bool) -> None:
@@ -212,11 +213,30 @@ class Worker:
     def _a_flush(self, credit) -> None:
         self._flush_answers(credit)
 
-    def _a_copy(self, meta: dict, then) -> None:
-        self._do(then(meta, self._copy(meta)))
+    def _a_copy(self, rank: int, meta: dict, then) -> None:
+        """Teammate ``rank``'s request: a packed copy of this worker's
+        stacks, or None if the frame pool cannot take its private nodes. It
+        names the frames of every live node, published first."""
+        ws, raw = self.ws, None
+        try:
+            publish_private_nodes(ws, self.ctx.shared)
+        except FramePoolExhausted:
+            pass
+        else:
+            aux = splitting.snapshot_to_aux(ws, self.goal_id)
+            aux.frames = [cp.frame for cp in ws.cps]
+            self.ctx.trace(self.rank, "shared_locally", requester=rank,
+                           frames=[f for f in aux.frames if f >= 0])
+            raw = splitting.serialize_aux(aux)
+        self._do(then(rank, meta, raw))
 
     def _a_install(self, raw: bytes, local: bool) -> None:
-        self._install(raw, local)
+        """Install a teammate's (``local``) or another team's stack copy."""
+        aux = splitting.deserialize_aux(raw, frames=local)
+        if aux.goal_id != self.goal_id:
+            raise ProtocolViolation("installed stacks belong to another goal")
+        self.ws.reset_to_base()
+        splitting.install_aux(self.ws, aux, local)
         self._got_work = True
         if not local:
             self.ctx.trace(self.rank, "installed", load=self.ws.load, goal=self.goal_id)
@@ -231,14 +251,14 @@ class Worker:
         raise EngineShutdown
 
     def _a_begin(self, meta: dict) -> None:
-        """HAS_WORK: join the goal on a dead root and look for work."""
+        """WAKE: join the goal on a dead root and look for work."""
         self._begin_goal(meta)
         self._park_on_dead_root()
         self._run_goal(None)
 
     # -- Alg. getwork: park, run, repeat ------------------------------------
     def getwork_first_time(self) -> None:
-        """Park between goals; a HAS_WORK mail runs one (``_a_begin``)."""
+        """Park between goals; a WAKE mail runs one (``_a_begin``)."""
         while True:
             self._drain_mailbox()
             self._await_mail()
@@ -284,7 +304,7 @@ class Worker:
             self._propagate_fault(traceback.format_exc())
 
     def _propagate_fault(self, error: str) -> None:
-        self._a_mail(0, N_FAULT, {"goal": self.goal_id, "error": error})
+        self._a_mail(0, FAULT, {"goal": self.goal_id, "error": error})
         raise GoalDone
 
     def _emit(self, answer: tuple) -> None:
@@ -300,7 +320,7 @@ class Worker:
         """Mail the answers found, with worker credit ``2**-credit`` if given."""
         if self._answers or credit is not None:
             raw = self._take_batch() if self._answers else None
-            self._a_mail(0, N_ANSWERS, {"goal": self.goal_id, "credit": credit}, raw)
+            self._a_mail(0, ANSWER, {"goal": self.goal_id, "credit": credit}, raw)
             self._last_flush = time.monotonic()
 
     def _service(self) -> int:
@@ -326,32 +346,16 @@ class Worker:
         served = False
         while (mail := self._next_mail()) is not None:
             kind, meta, raw = mail
-            self._do(self._core_for(kind, meta).mail(kind, meta, raw))
-            served |= kind != N_ANSWERS
+            self._do(self._core_for(kind).mail(kind, meta, raw))
+            served |= kind != ANSWER
         return served
-
-    # -- stack copies -------------------------------------------------------------
-    def _copy(self, meta: dict):
-        """A packed copy of this worker's stacks for teammate request
-        ``meta``, or None: it names the frames of every live node, published
-        first."""
-        ws = self.ws
-        try:
-            publish_private_nodes(ws, self.ctx.shared)
-        except FramePoolExhausted:
-            return None
-        aux = splitting.snapshot_to_aux(ws, self.goal_id)
-        aux.frames = [cp.frame for cp in ws.cps]
-        self.ctx.trace(self.rank, "shared_locally", requester=meta["local"],
-                       frames=[f for f in aux.frames if f >= 0])
-        return splitting.serialize_aux(aux)
 
     def _acquire_locally(self) -> bool:
         """Idle turns until a stack copy is installed (then True). Each turn
         feeds the cores the mail (and, at a master, the frames) that came,
         and lets the worker core ask the busy teammate it picks. With nobody
         busy it waits for mail: open work always has a worker flagged busy,
-        so only mail (HAS_WORK, a stack copy or the goal's end) or, at a
+        so only mail (WAKE, a stack copy or the goal's end) or, at a
         master, a frame can bring some."""
         shared = self.ctx.shared
         self._got_work = False
@@ -364,14 +368,6 @@ class Worker:
             if self.core.asking is None:
                 self._do(self.core.seek(shared.loads(), shared.idle_flags()))
             self._await_mail()
-
-    def _install(self, raw: bytes, local: bool) -> None:
-        """Install a teammate's (``local``) or another team's stack copy."""
-        aux = splitting.deserialize_aux(raw, frames=local)
-        if aux.goal_id != self.goal_id:
-            raise ProtocolViolation("installed stacks belong to another goal")
-        self.ws.reset_to_base()
-        splitting.install_aux(self.ws, aux, local)
 
 
 # ---------------------------------------------------------------------------
@@ -398,7 +394,7 @@ class Master(Worker):
     # -- the hooks -----------------------------------------------------------------
     def _pump(self) -> None:
         self._drain_transport()
-        self._do(self.team.offer())
+        self._do(self.team.serve())
         self._forward_answers()
 
     def _await_mail(self) -> None:
@@ -408,22 +404,11 @@ class Master(Worker):
             timeout = max(0.0, self._last_forward + ANSWER_FLUSH_S - time.monotonic())
         self.ep.wait(timeout)
 
-    def _core_for(self, kind: str, meta: dict):
-        return self.team if kind in (N_ANSWERS, N_FAULT) else self.core
-
-    def _copy(self, meta: dict):
-        """For another team's request, a packed split of this master's
-        stack, its load set in ``meta``, or None; only a master splits."""
-        if "team" not in meta:
-            return super()._copy(meta)
-        aux = splitting.split_for_transfer(self.ws, self.goal_id, meta["strategy"])
-        if aux.load <= 0:
-            return None
-        meta["load"] = aux.load
-        return splitting.serialize_aux(aux)
+    def _core_for(self, kind: int):
+        return self.team if kind in (ANSWER, FAULT) else self.core
 
     # -- the team core's actions ---------------------------------------------------
-    def _a_send(self, dest: int, kind: int, meta: dict, raw: bytes) -> None:
+    def _a_send(self, dest: int, kind: int, meta: dict, raw: bytes = b"") -> None:
         if kind == SHARE_REQUEST:
             self.ctx.trace(0, "share_requested", team=dest, req=meta["req"])
         elif kind == SHARE_ACCEPT:
@@ -433,6 +418,14 @@ class Master(Worker):
             # possibly observe the TERMINATE that ends the goal
             self.ctx.trace(0, "goal_done", goal=self.goal_id)
         self.ep.send(dest, kind, meta, raw)
+
+    def _a_split(self, team: int, meta: dict, then) -> None:
+        """For another team's request, a packed split of this master's
+        stack, or None if it cannot yield."""
+        aux = splitting.split_for_transfer(self.ws, self.goal_id,
+                                           self.team.meta.get("strategy", "vs"))
+        self._do(then(team, meta, splitting.serialize_aux(aux) if aux.load > 0 else None,
+                      aux.load))
 
     def _a_forward(self, origin: int, raw: bytes) -> None:
         self._forward.append((origin, raw))
@@ -465,7 +458,7 @@ class Master(Worker):
                 self._run_goal(None)
         except EngineError as exc:
             # a teammate that faulted mailed why before it died
-            faults = [m[1]["error"] for m in iter(self._next_mail, None) if m[0] == N_FAULT]
+            faults = [m[1]["error"] for m in iter(self._next_mail, None) if m[0] == FAULT]
             if faults:
                 raise EngineError("\n".join([str(exc), *faults])) from exc
             raise
@@ -493,9 +486,9 @@ class Master(Worker):
         served = self._drain_mailbox()
         polled = self._drain_transport()
         self._do(self.core.tick(self.ws.load))
-        self._do(self.team.offer())
+        self._do(self.team.serve())
         self._forward_answers()
-        return self._next_spacing(served or polled or bool(self.team.asked))
+        return self._next_spacing(served or polled or bool(self.team.held))
 
     def _propagate_fault(self, error: str) -> None:
         self._do(self.team.fault(error))
@@ -517,7 +510,7 @@ class Master(Worker):
         if self._answers:
             self._forward.append((self.ctx.team_id, self._take_batch()))
         if credit is not None:
-            self._do(self.team.mail(N_ANSWERS, {"goal": self.goal_id, "credit": credit}))
+            self._do(self.team.mail(ANSWER, {"goal": self.goal_id, "credit": credit}))
 
     def _forward_answers(self, now: bool = False, credit: int | None = None) -> None:
         """Send everything buffered as one ANSWER frame: to the client from

@@ -22,8 +22,8 @@ Checked at every state:
 - a running worker is flagged busy and holds worker credit, and open
   alternatives in a team's frames (read from its frame pool) leave some
   worker of that team flagged busy;
-- a busy team holds credit, and the team credit held, in flight and
-  recovered sums to exactly 1 while the goal runs;
+- the team credit held, in flight and recovered sums to exactly 1 while
+  the goal runs (a team is busy exactly while it holds credit);
 - a busy team's worker credit held, in flight and recovered by its master
   sums to exactly 1, and an idle team's workers hold none and have none in
   flight;
@@ -39,6 +39,7 @@ import random
 import time
 from collections import Counter, deque
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -49,17 +50,13 @@ from layered_or.programs import get_program
 from layered_or.protocol import (
     ANSWER,
     CLIENT_ID,
+    ENGINE_FREE,
     GOAL,
-    N_ANSWERS,
-    N_DELEGATE_ACCEPT,
-    N_DELEGATE_REFUSE,
-    N_DELEGATE_REQUEST,
-    N_GOAL_DONE,
-    N_HAS_WORK,
     SHARE_ACCEPT,
     SHARE_REFUSE,
     SHARE_REQUEST,
     TERMINATE,
+    WAKE,
     TeamCore,
     WorkerCore,
 )
@@ -82,10 +79,10 @@ class _Shared(TeamShared):
 
     top = 0
 
-    def alloc(self, *args):
-        idx = super().alloc(*args)
-        self.top = max(self.top, idx + 1)
-        return idx
+    def publish(self, *args):
+        made = super().publish(*args)
+        self.top = max([self.top, *(idx + 1 for idx in made)])
+        return made
 
     def open_alts(self):
         return sum(count_open(*self.read_locked(idx)) for idx in range(self.top))
@@ -175,7 +172,7 @@ class _Process:
             self.start_tag = None
             acts = self.core.tick(self.ws.load)
             if self.rank == 0:
-                acts += self.team.offer()
+                acts += self.team.serve()
                 self._forward_answers(now=True)
             else:
                 self._flush_answers()
@@ -198,7 +195,7 @@ class _Process:
         elif self.rank == 0 and self.core.goal is None:
             acts = []                 # a parked master drops mail
         else:
-            acts = self._core_for(item[0], item[1]).mail(*item)
+            acts = self._core_for(item[0]).mail(*item)
         self.pending.extend(acts)
         self.turn_due = True
         self.settle()
@@ -213,7 +210,7 @@ class _Process:
         shared = self.ctx.shared
         self.turn_due = False
         if self.rank == 0:
-            self.pending.extend(self.team.offer())
+            self.pending.extend(self.team.serve())
         self.pending.extend(self.core.seek(shared.loads(), shared.idle_flags()))
 
 
@@ -296,8 +293,6 @@ class Sim:
         total = _back(t0.recovered)
         for master in self.masters:
             team = master.team
-            assert team.idle or team.credit is not None, \
-                f"team {team.team} works holding no credit"
             total += _units(team.credit)
             for act in master.pending:
                 total += _units(act[1] if act[0] == "answers" else
@@ -448,7 +443,7 @@ def test_drawn_delivery_orders_keep_the_invariants(topology, goal, strategy, sch
 
 def test_an_idle_teammate_gets_work_in_each_busy_spell_of_its_team():
     """Team 0 of ``[2, 1]`` shares with team 1, runs out and gets work back:
-    each busy spell's HAS_WORK wakes its idle teammate, which asks for a
+    each busy spell's WAKE wakes its idle teammate, which asks for a
     copy of the master's stacks in every spell. Whether a spell's master
     still has a node to split when the request arrives depends on the tree,
     so installs are required only in the first spell and in some later one."""
@@ -459,7 +454,7 @@ def test_an_idle_teammate_gets_work_in_each_busy_spell_of_its_team():
     mate._a_install = lambda raw, local: (installs.append(spells), install(raw, local))
 
     def asking_mail(rank, kind, meta, raw=None):
-        if kind == N_DELEGATE_REQUEST:
+        if kind == SHARE_REQUEST:
             asks.append(spells)
         mail(rank, kind, meta, raw)
 
@@ -495,7 +490,7 @@ def test_an_idle_master_asks_no_parked_teammate_for_work():
     mail = master._a_mail
 
     def checked_mail(rank, kind, meta, raw=None):
-        assert kind != N_DELEGATE_REQUEST or mate.core.goal is not None, \
+        assert kind != SHARE_REQUEST or mate.core.goal is not None, \
             "team 1's master asked its parked teammate for work"
         mail(rank, kind, meta, raw)
 
@@ -513,50 +508,150 @@ def test_an_idle_master_asks_no_parked_teammate_for_work():
         sim.close()
 
 
+class _WorkerLevel:
+    """The table's events at the worker level: worker 1 of a team of four."""
+
+    post, copy, local = "mail", "copy", True
+
+    def __init__(self):
+        self.core = WorkerCore(1)
+        self.core.start(7)
+
+    def request(self, peer, goal=7):
+        meta = {"goal": goal, "local": peer, "req": 5}
+        return meta, self.core.mail(SHARE_REQUEST, meta)
+
+    def ask(self):
+        # worker 3 has more load than worker 2, but it is idle
+        return self.core.seek([0, 0, 4, 9], [False, True, False, True])
+
+    def asked(self, req):
+        return {"goal": 7, "local": 1, "req": req}
+
+    def reply(self, kind, meta, raw=None):
+        return self.core.mail(kind, meta, raw)
+
+    def serve(self):
+        return self.core.tick(5)
+
+    def read_busy(self, peer, done):
+        return done == [("flag", peer, False)]
+
+    def go_idle(self):
+        return self.core.idle()
+
+
+class _TeamLevel:
+    """The table's events at the team level: team 1 of four, with one worker."""
+
+    post, copy, local = "send", "split", False
+    loads = [(0, 1), (-1, 1), (4, 1), (-1, 1)]   # team 3 reads idle
+
+    def __init__(self):
+        self.core = TeamCore(1, 4, 1)
+        assert self.core.start({"goal": 7, "strategy": "vs"}) == [], "every team looks idle"
+
+    def request(self, peer, goal=7):
+        meta = {"goal": goal, "req": 5}
+        return meta, self.core.frame(SHARE_REQUEST, peer, meta, [])
+
+    def ask(self):
+        # any frame updates the load arrays; an idle team then looks again
+        return self.core.frame(SHARE_REFUSE, 0, {"goal": 7, "req": 99}, self.loads)
+
+    def asked(self, req):
+        return {"goal": 7, "req": req}
+
+    def reply(self, kind, meta, raw=b""):
+        return self.core.frame(kind, 2, meta, [], raw)
+
+    def serve(self):
+        return self.core.serve()
+
+    def read_busy(self, peer, done):
+        return done == [] and self.core.loads[peer][0] == 4
+
+    def go_idle(self):
+        # the master's worker hands its worker credit back: the team is out of work
+        return self.core.mail(ANSWER, {"goal": 7, "credit": 0})
+
+
+@pytest.mark.parametrize("level", [_WorkerLevel, _TeamLevel], ids=["worker", "team"])
+def test_both_levels_pull_work_by_the_same_rules(level):
+    level = level()
+    core, post = level.core, level.post
+    # holding no credit, a core has no work: a request is refused at once
+    meta, got = level.request(3)
+    assert got == [(post, 3, SHARE_REFUSE, meta)] and core.held == []
+    # an idle core asks the busiest busy peer, with one request out
+    assert level.ask() == [(post, 2, SHARE_REQUEST, level.asked(0))]
+    assert core.asking == (2, 0)
+    assert level.ask() == [], "a second request went out"
+    # only the reply to that request counts, and it carries the credit
+    assert level.reply(SHARE_ACCEPT, dict(level.asked(7), credit=3), b"copy") == []
+    assert core.asking == (2, 0) and core.credit is None
+    got = level.reply(SHARE_ACCEPT, dict(level.asked(0), credit=3), b"copy")
+    assert got[0] == ("install", b"copy", level.local)
+    assert core.asking is None and core.credit == 3
+    # another goal's request is refused; this goal's are held
+    meta, got = level.request(3, goal=6)
+    assert got == [(post, 3, SHARE_REFUSE, meta)], "another goal's request"
+    first, got = level.request(0)
+    assert got == []
+    second, got = level.request(3)
+    assert got == [] and core.held == [(0, first), (3, second)]
+    # a tick serves the oldest; a copy that could not be made holds it again
+    (copy,) = level.serve()
+    assert copy[:3] == (level.copy, 0, first) and core.held == [(3, second)]
+    assert copy[3](0, first, None) == [] and core.held == [(0, first), (3, second)]
+    assert core.credit == 3
+    # a copy goes out with half the credit held, once its receiver reads busy
+    (copy,) = level.serve()
+    assert copy[:3] == (level.copy, 0, first)
+    *busy, accept = copy[3](0, first, b"stacks", 4)
+    assert level.read_busy(0, busy), f"the receiver was not marked busy first: {busy}"
+    assert accept == (post, 0, SHARE_ACCEPT, dict(first, credit=4), b"stacks")
+    assert core.credit == 4 and core.held == [(3, second)]
+    # going idle gives the credit up and refuses everything held
+    got = level.go_idle()
+    assert [act for act in got if act[2:3] == (SHARE_REFUSE,)] == \
+        [(post, 3, SHARE_REFUSE, second)]
+    assert core.credit is None and core.held == []
+    meta, got = level.request(0)
+    assert got == [(post, 0, SHARE_REFUSE, meta)] and core.held == []
+
+
 def test_a_worker_core_holds_serves_and_refuses_requests():
     core = WorkerCore(1)
     core.start(7, credit=2)
-    local, other = {"goal": 7, "local": 2}, {"goal": 7, "local": 0}
-    assert core.mail(N_DELEGATE_REQUEST, {"goal": 6, "local": 2}) == \
-        [("mail", 2, N_DELEGATE_REFUSE, {"goal": 6, "local": 2}, None)], "another goal's request"
-    assert core.mail(N_DELEGATE_REQUEST, local) == []
-    assert core.mail(N_DELEGATE_REQUEST, other) == []
-    # a busy tick without private load holds both requests; one with
-    # private load serves the oldest, and its copy publishes that load
-    assert core.tick(0) == [] and core.held == [local, other]
-    (copy_local,) = core.tick(5)
-    assert copy_local[:2] == ("copy", local) and core.held == [other]
-    # the sharer flags its requester busy before it mails the copy, which
-    # carries half of the sharer's credit
-    assert copy_local[2](local, b"stacks") == \
-        [("flag", 2, False), ("mail", 2, N_DELEGATE_ACCEPT, dict(local, credit=3), b"stacks")]
-    assert core.credit == 3
-    # a copy that could not be made is a refusal
-    (copy_other,) = core.tick(1)
-    assert copy_other[2](other, None) == [("mail", 0, N_DELEGATE_REFUSE, other, None)]
-    assert core.credit == 3 and core.held == []
+    local = {"goal": 7, "local": 2, "req": 0}
+    # a busy tick without private load holds the request: only private
+    # load can be copied, and the copy publishes it
+    assert core.mail(SHARE_REQUEST, local) == []
+    assert core.tick(0) == [] and core.held == [(2, local)]
+    (copy,) = core.tick(1)
+    assert copy[:3] == ("copy", 2, local)
+    # the sharer flags its requester busy before it mails the copy
+    assert copy[3](2, local, b"stacks") == \
+        [("flag", 2, False), ("mail", 2, SHARE_ACCEPT, dict(local, credit=3), b"stacks")]
     # an idle turn hands the credit back with the answers before the idle
-    # flag, refuses what is held, then asks the busiest busy teammate
-    core.mail(N_DELEGATE_REQUEST, local)
-    assert core.idle() == [("flush", 3), ("flag", 1, True)] and core.credit is None
-    assert core.seek([0, 0, 4, 9], [False, True, False, True]) == [
-        ("mail", 2, N_DELEGATE_REFUSE, local, None),
-        ("mail", 2, N_DELEGATE_REQUEST, {"goal": 7, "local": 1}, None)]
-    assert core.asking == 2
-    # holding no credit, it has no work: a request is refused at once
-    assert core.mail(N_DELEGATE_REQUEST, {"goal": 7, "local": 3}) == \
-        [("mail", 3, N_DELEGATE_REFUSE, {"goal": 7, "local": 3}, None)]
-    assert core.mail(N_DELEGATE_ACCEPT, {"goal": 7, "local": 1, "credit": 4}, b"copy") == \
+    # flag, and refuses what is held after it
+    core.mail(SHARE_REQUEST, local)
+    assert core.idle() == [("flush", 3), ("flag", 1, True), ("mail", 2, SHARE_REFUSE, local)]
+    assert core.credit is None
+    assert core.seek([0, 0, 4, 9], [False, True, False, True]) == \
+        [("mail", 2, SHARE_REQUEST, {"goal": 7, "local": 1, "req": 0})]
+    assert core.mail(SHARE_ACCEPT, {"goal": 7, "local": 1, "req": 0, "credit": 4}, b"copy") == \
         [("install", b"copy", True)] and core.asking is None and core.credit == 4
-    # a later busy spell's HAS_WORK, which carries no credit, only wakes it
-    assert core.mail(N_HAS_WORK, {"goal": 7}) == [] and core.credit == 4
+    # a later busy spell's WAKE, which carries no credit, only wakes it
+    assert core.mail(WAKE, {"goal": 7}) == [] and core.credit == 4
     # the goal's end parks it flagged idle, so nobody asks it for work
-    assert core.mail(N_GOAL_DONE, {"goal": 7}) == [("flag", 1, True), ("end",)]
+    assert core.mail(TERMINATE, {"goal": 7}) == [("flag", 1, True), ("end",)]
     core.start(None)
-    assert core.mail(N_DELEGATE_REQUEST, {"goal": 8, "local": 2}) == \
-        [("mail", 2, N_DELEGATE_REFUSE, {"goal": 8, "local": 2}, None)]
-    assert core.mail(N_HAS_WORK, {"goal": 8, "credit": 1}) == \
-        [("begin", {"goal": 8, "credit": 1})]
+    assert core.mail(SHARE_REQUEST, {"goal": 8, "local": 2}) == \
+        [("mail", 2, SHARE_REFUSE, {"goal": 8, "local": 2})]
+    assert core.mail(WAKE, {"goal": 8, "credit": 1}) == [("begin", {"goal": 8, "credit": 1})]
+    assert core.mail(ENGINE_FREE, {}) == [("shutdown",)]
 
 
 def test_a_team_core_splits_held_requests_from_its_own_stack_and_refuses_them_on_going_idle():
@@ -564,42 +659,41 @@ def test_a_team_core_splits_held_requests_from_its_own_stack_and_refuses_them_on
     assert team.start({"goal": 4, "strategy": "vs"}) == [], "every other team looks idle"
     # a frame shows team 0 busy: the idle team asks it
     (ask,) = team.frame(SHARE_REFUSE, 0, {"goal": 4, "req": 9}, [(5, 2), (-1, 0), (-1, 0)])
-    assert ask == ("send", 0, SHARE_REQUEST, {"goal": 4, "req": 0}, b"")
+    assert ask == ("send", 0, SHARE_REQUEST, {"goal": 4, "req": 0})
     # the master's worker holds worker credit 1 less the halves it mails
-    # its teammates with HAS_WORK
+    # its teammates with WAKE
     assert team.frame(SHARE_ACCEPT, 0, {"goal": 4, "req": 0, "credit": 3}, [], b"stacks") == [
         ("install", b"stacks", False), ("flag", 0, False), ("hold", 2),
-        ("mail", 1, N_HAS_WORK, {"goal": 4, "strategy": "vs", "credit": 1}, None),
-        ("mail", 2, N_HAS_WORK, {"goal": 4, "strategy": "vs", "credit": 2}, None)]
+        ("mail", 1, WAKE, {"goal": 4, "strategy": "vs", "credit": 1}),
+        ("mail", 2, WAKE, {"goal": 4, "strategy": "vs", "credit": 2})]
     assert not team.idle and team.credit == 3
-    # team 2's request is held, then offered to the master's own stack; a
-    # stack that cannot split holds it again
+    # team 2's request is held, then offered to a split of the master's own
+    # stack, which marks team 2 busy in the load arrays
     assert team.frame(SHARE_REQUEST, 2, {"goal": 4, "req": 0}, []) == []
-    (copy,) = team.offer()
-    assert copy[:2] == ("copy", {"goal": 4, "req": 0, "team": 2, "strategy": "vs"})
-    assert copy[2](copy[1], None) == [] and team.asked == [(2, 0)]
-    # a split goes out with half the team credit, and team 2 reads busy
-    (copy,) = team.offer()
-    assert copy[2](dict(copy[1], load=4), b"split") == [
+    (split,) = team.serve()
+    assert split[:3] == ("split", 2, {"goal": 4, "req": 0})
+    assert split[3](*split[1:3], b"split", 4) == [
         ("send", 2, SHARE_ACCEPT, {"goal": 4, "req": 0, "credit": 4}, b"split")]
-    assert team.credit == 4 and team.loads[2][0] == 4 and team.asked == []
+    assert team.credit == 4 and team.loads[2][0] == 4
     assert team.frame(SHARE_REQUEST, 2, {"goal": 4, "req": 1}, []) == []
     # every worker hands its credit back, on its last answers or alone
-    assert team.mail(N_ANSWERS, {"goal": 4, "credit": 2}) == []
-    assert team.mail(N_ANSWERS, {"goal": 4, "credit": 2}, b"batch") == [("forward", 1, b"batch")]
+    assert team.mail(ANSWER, {"goal": 4, "credit": 2}) == []
+    assert team.mail(ANSWER, {"goal": 4, "credit": 2}, b"batch") == [("forward", 1, b"batch")]
     # going idle refuses what it holds and hands the team credit back
     # behind its answers
-    assert team.mail(N_ANSWERS, {"goal": 4, "credit": 1}) == [
-        ("send", 2, SHARE_REFUSE, {"goal": 4, "req": 1}, b""), ("trace", "team_idle"),
-        ("answers", 4), ("send", 0, SHARE_REQUEST, {"goal": 4, "req": 1}, b"")]
-    # a later busy spell's HAS_WORK wakes the idle teammates, which are in
-    # the goal already: the master's worker holds all worker credit
+    assert team.mail(ANSWER, {"goal": 4, "credit": 1}) == [
+        ("send", 2, SHARE_REFUSE, {"goal": 4, "req": 1}), ("trace", "team_idle"),
+        ("answers", 4), ("send", 0, SHARE_REQUEST, {"goal": 4, "req": 1})]
+    # a later busy spell's WAKE wakes the idle teammates, which are in the
+    # goal already: the master's worker holds all worker credit
     assert team.frame(SHARE_ACCEPT, 0, {"goal": 4, "req": 1, "credit": 5}, [], b"more") == [
         ("install", b"more", False), ("flag", 0, False), ("hold", 0),
-        ("mail", 1, N_HAS_WORK, {"goal": 4, "strategy": "vs"}, None),
-        ("mail", 2, N_HAS_WORK, {"goal": 4, "strategy": "vs"}, None)]
-    assert team.mail(N_ANSWERS, {"goal": 4, "credit": 0})[:2] == \
+        ("mail", 1, WAKE, {"goal": 4, "strategy": "vs"}),
+        ("mail", 2, WAKE, {"goal": 4, "strategy": "vs"})]
+    assert team.mail(ANSWER, {"goal": 4, "credit": 0})[:2] == \
         [("trace", "team_idle"), ("answers", 5)]
     assert team.frame(TERMINATE, 0, {"goal": 4}, []) == [
-        ("answers", None), ("mail", 1, N_GOAL_DONE, {"goal": 4}, None),
-        ("mail", 2, N_GOAL_DONE, {"goal": 4}, None), ("flag", 0, True), ("end",)]
+        ("answers", None), ("mail", 1, TERMINATE, {"goal": 4}),
+        ("mail", 2, TERMINATE, {"goal": 4}), ("flag", 0, True), ("end",)]
+    assert team.frame(ENGINE_FREE, 0, {}, []) == [
+        ("mail", 1, ENGINE_FREE, {}), ("mail", 2, ENGINE_FREE, {}), ("shutdown",)]

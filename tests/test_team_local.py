@@ -32,7 +32,7 @@ from layered_or.engine import (
 )
 from layered_or.errors import EngineCreationError, EngineError, GoalError
 from layered_or.programs import get_program
-from layered_or.team import TeamShared, publish_private_nodes
+from layered_or.team import FramePoolExhausted, TeamShared, publish_private_nodes
 from layered_or.protocol import TeamCore
 from layered_or.worker import (
     GoalDone,
@@ -341,6 +341,49 @@ def test_publish_moves_load_into_frames_conserving_open_count():
     shared.close()
 
 
+class _Pause(Exception):
+    """A paused run reached the tick it stops at."""
+
+
+def _run_ticks(ws, n, start_tag=None):
+    """Run ``ws`` one step per tick and stop it at its ``n``th tick."""
+    ticks = []
+
+    def service():
+        ticks.append(1)
+        if len(ticks) == n:
+            raise _Pause
+
+    with pytest.raises(_Pause):
+        run_loop(ws, lambda a: None, start_tag=start_tag, service=service, service_every=1)
+
+
+def test_a_publish_the_frame_pool_cannot_hold_changes_nothing():
+    # queens(8) publishes its two nodes into a pool of three frames, then
+    # runs on to three private nodes, one more than the pool holds: that
+    # publish takes no frame, joins none and moves no load, so the retry of
+    # a held request finds the pool as it was
+    shared = TeamShared(2, n_frames=3)
+    ws = _team_state(shared, 0)
+    setup_goal(ws, get_program("queens"), [8], None)
+    _run_ticks(ws, 3, ws.program.root_tag)
+    assert publish_private_nodes(ws, shared) == 13 and ws.load == 0
+    _run_ticks(ws, 4)
+    private = [cp for cp in ws.cps if cp.frame < 0]
+    assert len(private) == 3 and ws.load == 7
+    with pytest.raises(FramePoolExhausted):
+        publish_private_nodes(ws, shared)
+    try:
+        assert [cp.frame for cp in ws.cps] == [0, 1, -1, -1, -1]
+        assert [shared.frame_state(idx)[3] for idx in (0, 1)] == [2, 2], \
+            "a failed publish joined a frame"
+        assert ws.load == sum(cp.open_count() for cp in private) == 7
+        assert shared.loads()[0] == 7
+        assert shared.alloc(1, 0, 1, 0) == 2, "a failed publish kept a frame"
+    finally:
+        shared.close()
+
+
 def test_publish_refused_semantics_when_nothing_open():
     shared = TeamShared(2)
     ws = WorkerState()
@@ -479,8 +522,8 @@ def test_a_mail_cut_short_is_read_once_whole_without_blocking():
     boxes = [Mailbox() for _ in range(2)]
     tctx = TeamContext("cut", 0, 1, 2, EngineOptions(), shared, boxes, None)
     teammate = Worker(tctx, WorkerState(team_id=0, worker_id=1), 1)
-    whole = (protocol.N_ANSWERS, {"goal": 1}, b"x")
-    cut = (protocol.N_ANSWERS, {"goal": 1}, bytes(range(256)) * 512)   # twice a pipe
+    whole = (protocol.ANSWER, {"goal": 1}, b"x")
+    cut = (protocol.ANSWER, {"goal": 1}, bytes(range(256)) * 512)   # twice a pipe
     blob = pickle.dumps(cut)
     raw = len(blob).to_bytes(8, "little") + blob
     writer = threading.Thread(target=os.write, args=(boxes[1]._wfd, raw[4096:]))
@@ -519,7 +562,7 @@ def test_answer_batches_mail_a_goals_first_answer_at_once(monkeypatch):
         shared.close()
     puts = boxes[0].items
     assert len(puts) == 2
-    assert {(kind, meta["goal"]) for kind, meta, _ in puts} == {(protocol.N_ANSWERS, 1)}
+    assert {(kind, meta["goal"]) for kind, meta, _ in puts} == {(protocol.ANSWER, 1)}
     assert len(unpack_answers(puts[0][2])) <= opts.k_backtracks, \
         "the goal's first answer waited for the flush interval"
     got = Counter(unpack_answers(b"".join(raw for _, _, raw in puts)))
@@ -586,7 +629,7 @@ def test_quiet_ticks_widen_and_one_message_narrows_them():
         if mail_at and len(ticks) == mail_at[0]:
             mail_at.clear()
             # a stale goal's notice: mail that asks for nothing
-            box.put((protocol.N_GOAL_DONE, {"goal": 0}, None))
+            box.put((protocol.TERMINATE, {"goal": 0}, None))
         spacing = service()
         ticks.append((steps.count + 1, spacing))
         return spacing
@@ -628,7 +671,7 @@ def test_a_busy_teammate_answers_a_share_request_within_the_widest_spacing():
     def at_step(step):
         if step >= next_ask[0] and len(replies) == len(asked):
             asked.append(step)
-            box.put((protocol.N_DELEGATE_REQUEST, {"goal": 1, "local": 0}, None))
+            box.put((protocol.SHARE_REQUEST, {"goal": 1, "local": 0}, None))
             next_ask[0] = step + rng.randrange(1, 3 * cap)
 
     steps.at_step = at_step
@@ -641,11 +684,48 @@ def test_a_busy_teammate_answers_a_share_request_within_the_widest_spacing():
     if len(replies) < len(asked):
         asked.pop()                       # asked after the run's last tick
     assert len(asked) >= 8
-    assert {kind for _, kind in replies} >= {protocol.N_DELEGATE_ACCEPT}
+    assert {kind for _, kind in replies} >= {protocol.SHARE_ACCEPT}
     waits = [answered - at for at, (answered, _) in zip(asked, replies)]
     assert max(waits) < cap, f"a request waited {max(waits)} steps"
     # nobody took the published work, so this worker found every answer
     assert got == oracle.enumerate_answers(get_program("queens"), [10])
+
+
+def test_a_teammate_holds_a_request_its_full_frame_pool_cannot_copy_for():
+    # a request comes while every frame of the pool is taken: each busy
+    # tick's copy fails, and the request stays held, not refused; once the
+    # frames are free again, the next busy tick serves it
+    teammate, steps = no_fork_teammate("queens", [10], n_frames=64)
+    shared, box = teammate.ctx.shared, teammate.ctx.mailboxes[1]
+    mailed = teammate.ctx.mailboxes[0].log
+    taken = [shared.alloc(2, 2, 1, 0) for _ in range(64)]   # dead, with two members each
+    service = teammate._service
+    held = []                             # requests held after each tick
+    replies = []
+
+    def watched():
+        spacing = service()
+        held.append(len(teammate.core.held))
+        replies.extend(kind for _, kind in mailed if kind != protocol.ANSWER)
+        mailed.clear()
+        if replies:
+            raise GoalDone
+        if held == [1, 1, 1]:
+            for idx in taken:             # both members leave: the frame is free again
+                shared.leave(idx)
+                shared.leave(idx)
+        return spacing
+
+    teammate._service = watched
+    box.put((protocol.SHARE_REQUEST, {"goal": 1, "local": 0, "req": 0}, None))
+    try:
+        with pytest.raises(GoalDone):
+            teammate._run(start_tag=steps.root_tag)
+    finally:
+        shared.close()
+    assert replies == [protocol.SHARE_ACCEPT], \
+        f"the request got {replies} after ticks holding {held}"
+    assert held == [1, 1, 1, 0]
 
 
 def _team_state(shared, rank):
@@ -698,9 +778,9 @@ def test_an_idle_teammate_gets_its_copy_from_a_busy_teammate_with_load_0():
         flags = shared.idle_flags()
     finally:
         shared.close()
-    requests = [kind for _, kind in boxes[0].log if kind == protocol.N_DELEGATE_REQUEST]
+    requests = [kind for _, kind in boxes[0].log if kind == protocol.SHARE_REQUEST]
     assert len(requests) == 1
-    assert [kind for _, kind in boxes[1].log] == [protocol.N_DELEGATE_ACCEPT]
+    assert [kind for _, kind in boxes[1].log] == [protocol.SHARE_ACCEPT]
     assert flags == [False, False], "the sharer did not flag its requester busy"
     assert requester.ws.cps
 
@@ -757,7 +837,7 @@ def test_a_team_stays_busy_while_its_work_hops_between_idle_flag_reads(monkeypat
         sharer._do(sharer.core.idle())
         if ask_back:
             sharer._do(sharer.core.seek(shared.loads(), shared.idle_flags()))
-            assert sharer.core.asking == requester.rank
+            assert sharer.core.asking[0] == requester.rank
 
     reading = TeamShared.idle_flags
     hops = []                                            # the worker each hop left running
@@ -768,10 +848,10 @@ def test_a_team_stays_busy_while_its_work_hops_between_idle_flag_reads(monkeypat
         for rank in range(self.n_workers):
             if not in_hop:                               # a hop's own reads make no hop
                 in_hop.append(True)
-                if rank == 1 and w2.core.asking == 1:
+                if rank == 1 and w2.core.asking and w2.core.asking[0] == 1:
                     hand(w1, w2)
                     hops.append(2)
-                elif rank == 2 and w1.core.asking == 2:
+                elif rank == 2 and w1.core.asking and w1.core.asking[0] == 2:
                     hand(w2, w1)
                     hops.append(1)
                 in_hop.clear()
@@ -780,10 +860,10 @@ def test_a_team_stays_busy_while_its_work_hops_between_idle_flag_reads(monkeypat
 
     try:
         master._begin_goal(meta)
-        master._do(master.team.start(meta))              # HAS_WORK to workers 1 and 2
+        master._do(master.team.start(meta))              # WAKE to workers 1 and 2
         for w in (w1, w2):
             kind, join, _ = boxes[w.rank].get()
-            assert kind == protocol.N_HAS_WORK
+            assert kind == protocol.WAKE
             w._begin_goal(join)
             w._park_on_dead_root()
             w._do(w.core.idle())
@@ -791,7 +871,7 @@ def test_a_team_stays_busy_while_its_work_hops_between_idle_flag_reads(monkeypat
         w2._do(w2.core.seek(shared.loads(), shared.idle_flags()))
         hand(master, w2, ask_back=False)
         w1._do(w1.core.seek(shared.loads(), shared.idle_flags()))
-        assert w1.core.asking == 2
+        assert w1.core.asking[0] == 2
         # the master's idle turn, with the hops between its flag reads
         monkeypatch.setattr(TeamShared, "idle_flags", idle_flags)
         master._await_mail = stop
@@ -870,13 +950,12 @@ def test_a_teammate_waiting_for_a_reply_blocks_on_its_mailbox():
         _, meta, _ = _await(boxes[2])
         time.sleep(0.3)                   # until the target's next tick
         shared.set_idle(2, True)
-        tctx.notify(1, protocol.N_DELEGATE_REFUSE, meta)
-        tctx.notify(1, protocol.N_GOAL_DONE, {"goal": 1})
+        tctx.notify(1, protocol.SHARE_REFUSE, meta)
+        tctx.notify(1, protocol.TERMINATE, {"goal": 1})
 
     target = threading.Thread(target=busy_target)
     # a requester that misses the reply shuts down instead of hanging
-    watchdog = threading.Timer(10.0, tctx.notify, (1, protocol.N_GOAL_DONE,
-                                                   {"shutdown": True}))
+    watchdog = threading.Timer(10.0, tctx.notify, (1, protocol.ENGINE_FREE, {}))
     target.start()
     watchdog.start()
     try:
@@ -1020,7 +1099,7 @@ def test_each_share_request_resolves_to_exactly_one_reply(wire_log):
 def _own_credit_back(team):
     """The master's own worker runs out of work and hands its worker credit
     1 (a one-worker team's) to its team core."""
-    return lambda: team.mail(protocol.N_ANSWERS, {"goal": team.goal, "credit": 0})
+    return lambda: team.mail(protocol.ANSWER, {"goal": team.goal, "credit": 0})
 
 
 def _credit_return(sender, k, n_teams=3):
@@ -1030,19 +1109,19 @@ def _credit_return(sender, k, n_teams=3):
 
 def _feed(team, events, ws=None):
     """Feed ``team`` (a TeamCore) its ``events``, frames as (kind, sender,
-    meta, loads), and carry out what it returns: a copy is a split of
-    ``ws``, or stands for a copy of load 3 without one; the rest is only
+    meta, loads), and carry out what it returns: a split is one of ``ws``,
+    or stands for a split of load 3 without one; the rest is only
     recorded, as (action, dest, kind, meta)."""
     done = []
 
     def do(actions):
         for act in actions:
-            if act[0] == "copy":
-                meta, then = act[1:]
-                aux = splitting.split_for_transfer(ws, team.goal, meta["strategy"]) \
+            if act[0] == "split":
+                peer, meta, then = act[1:]
+                aux = splitting.split_for_transfer(ws, team.goal, team.meta["strategy"]) \
                     if ws else splitting.AuxArea(0, 0, 0, 0, 3, team.goal, 0, [], [], [])
-                meta["load"] = aux.load
-                do(then(meta, splitting.serialize_aux(aux) if aux.load > 0 else None))
+                do(then(peer, meta, splitting.serialize_aux(aux) if aux.load > 0 else None,
+                        aux.load))
             else:
                 done.append(act[:2] + tuple(act[2:4]) if act[0] in ("send", "mail") else act)
 
@@ -1064,8 +1143,8 @@ def test_termination_waits_for_credit_despite_an_all_idle_load_view():
     team = TeamCore(0, 3, 1)
     team.start({"program": "queens", "args": [4], "goal": 1})
     shares = _feed(team, [
-        (transport.SHARE_REQUEST, 1, {"goal": 1, "req": 0}, [(-1, 9)] * 3), team.offer,
-        (transport.SHARE_REQUEST, 2, {"goal": 1, "req": 0}, [(-1, 9)] * 3), team.offer])
+        (transport.SHARE_REQUEST, 1, {"goal": 1, "req": 0}, [(-1, 9)] * 3), team.serve,
+        (transport.SHARE_REQUEST, 2, {"goal": 1, "req": 0}, [(-1, 9)] * 3), team.serve])
     assert [meta["credit"] for act, to, kind, meta in shares if kind == transport.SHARE_ACCEPT] \
         == [1, 2]
     idle = _feed(team, [_own_credit_back(team),
@@ -1136,7 +1215,7 @@ def test_a_busy_master_holds_a_share_request_until_its_stack_can_yield():
             # team 1 hands back the credit it was given, then asks again
             asked.append(1)
             events += [_credit_return(1, 1, n_teams=2), _share_request(1)]
-        events.append(team.offer)
+        events.append(team.serve)
         ticks.append((could, _replies(_feed(team, events, ws), 1)))
         return None
 
