@@ -23,6 +23,7 @@ import multiprocessing
 # _free_all is registered lets _free_all stop the masters before that join
 import multiprocessing.util
 import os
+import pickle
 import re
 import socket
 import time
@@ -35,6 +36,7 @@ from .config import EngineOptions
 from .engine import WorkerState
 from .errors import EngineCreationError, EngineError, GoalError
 from .programs import get_program
+from .team import RecordLock
 from .transport import (
     ANSWER,
     CLIENT_ID,
@@ -45,7 +47,7 @@ from .transport import (
     QueueMesh,
     TcpEndpoint,
 )
-from .worker import Mailbox, unpack_answers
+from .worker import unpack_answers
 
 log = logging.getLogger("layered_or")
 
@@ -56,6 +58,47 @@ FREED = "freed"
 
 _REGISTRY: dict[str, "EngineHandle"] = {}
 _LOCAL_HOSTS = ("local", "localhost", "127.0.0.1")
+
+
+class Mailbox:
+    """The trace pipe: an engine's processes put events, the client gets
+    them. An event is a ``u64`` length and a pickle, kept whole by a
+    ``RecordLock`` (the kernel drops a dead holder's lock); ``get`` never
+    blocks and keeps the bytes of an event not yet whole, so a writer
+    killed mid-put hangs nobody. Build it before forking its writers."""
+
+    def __init__(self):
+        self.fd, self._wfd = os.pipe()
+        os.set_blocking(self.fd, False)
+        self._wlock = RecordLock("mailbox")
+        self._inbox = bytearray()          # the reader's bytes of an event not yet whole
+
+    def put(self, mail) -> None:
+        raw = pickle.dumps(mail)
+        view = memoryview(len(raw).to_bytes(8, "little") + raw)
+        try:
+            with self._wlock:
+                while view:
+                    view = view[os.write(self._wfd, view):]
+        except BrokenPipeError:
+            raise EngineError("the trace pipe's reader died") from None
+
+    def get(self):
+        """The next whole event, or None if its bytes have not all come."""
+        buf = self._inbox
+        while len(buf) < 8 or len(buf) < (end := 8 + int.from_bytes(buf[:8], "little")):
+            try:
+                buf += os.read(self.fd, 1 << 16)
+            except BlockingIOError:
+                return None
+        mail = pickle.loads(buf[8:end])
+        del buf[:end]
+        return mail
+
+    def close(self) -> None:
+        os.close(self.fd)
+        os.close(self._wfd)
+        self._wlock.close()
 
 
 @dataclass

@@ -18,15 +18,16 @@ Start-up cost is paid once in the client, not in every fork. Importing
 this module imports everything a master and its teammates use and resolves
 ``prctl`` through ``ctypes``; forked processes inherit both. Each master
 then pays for its own work only: the team's ``TeamShared`` region (an
-anonymous map and one memfd for its team lock), one mailbox per worker (a
-pipe and a memfd for its write lock), one fork per teammate, closing the
-inproc links it does not own (or setting up its tcp links), and one
-``prctl`` call. It builds no semaphore: every team lock is a kernel record
-lock (``team.RecordLock``). Each teammate pays one ``prctl`` call.
+anonymous map and one memfd for its team lock), the team's links (one
+socket pair per pair of workers), one fork per teammate, closing the
+links it does not own (or setting up its tcp links), and one ``prctl``
+call. It builds no semaphore: the team lock is a kernel record lock
+(``team.RecordLock``). Each teammate pays one ``prctl`` call and closes
+the team links it does not own.
 
 A master reports ready once it has forked its teammates and built its
-links. Nothing waits for them to run: what is sent early waits in a socket
-or pipe, and a death is an fd that the master's poller watches.
+links. Nothing waits for them to run: what is sent early waits in a
+socket, and a death is an fd that the master's poller watches.
 """
 
 from __future__ import annotations
@@ -40,15 +41,16 @@ import signal
 import socket
 import sys
 import traceback
+from contextlib import suppress
 from dataclasses import dataclass, field
 
 from .config import EngineOptions
 from .engine import WorkerState
-from .errors import EngineShutdown
+from .errors import EngineError, EngineShutdown
 from .team import TeamShared
-from .transport import CLIENT_ID, TcpEndpoint
+from .transport import CLIENT_ID, TcpEndpoint, TeamLinks
 from .protocol import FAULT
-from .worker import Mailbox, Master, TeamContext, Worker
+from .worker import Master, TeamContext, Worker
 
 # how long start-up waits for a ctrl reply and for its tcp peers to connect
 READY_TIMEOUT_S = 30.0
@@ -134,15 +136,17 @@ def _worker_state(shared: TeamShared, team_id: int, rank: int) -> WorkerState:
 def worker_process_main(ctx: TeamContext, rank: int) -> None:
     """Entry point of a teammate (worker ``rank`` > 0), forked by its master."""
     _die_with_parent(ctx.master_pid)
-    ctx.close_others(rank)
-    w = Worker(ctx, _worker_state(ctx.shared, ctx.team_id, rank), rank)
+    w = Worker(ctx, _worker_state(ctx.shared, ctx.team_id, rank), rank,
+               ctx.links.endpoint(ctx.engine_id, rank))
+    ctx.links.close_others(rank)
     try:
         w.getwork_first_time()
     except EngineShutdown:
         pass
     except Exception:
         ctx.trace(rank, "worker_crash", error=traceback.format_exc())
-        ctx.notify(0, FAULT, {"goal": w.goal_id, "error": traceback.format_exc()})
+        with suppress(EngineError):   # a dead master leaves nobody to tell
+            w._a_mail(0, FAULT, {"goal": w.goal_id, "error": traceback.format_exc()})
 
 
 def master_entry(boot: MasterBoot) -> None:
@@ -154,9 +158,8 @@ def master_entry(boot: MasterBoot) -> None:
     try:
         ctx = multiprocessing.get_context("fork")
         shared = TeamShared(boot.n_workers)
-        mailboxes = [Mailbox() for _ in range(boot.n_workers)]
         tctx = TeamContext(boot.engine_id, boot.team_id, boot.n_teams,
-                           boot.n_workers, boot.options, shared, mailboxes,
+                           boot.n_workers, boot.options, shared, TeamLinks(boot.n_workers),
                            boot.trace_queue)
         if boot.transport_kind == "inproc":
             # once only its owner holds an end, a dead owner reads as EOF
@@ -167,7 +170,8 @@ def master_entry(boot: MasterBoot) -> None:
                             daemon=True, name=f"{boot.engine_id}-t{boot.team_id}w{rank}")
             p.start()
             workers.append(p)
-        tctx.close_others(0)
+        links = tctx.links.endpoint(boot.engine_id, 0)
+        tctx.links.close_others(0)
 
         if boot.transport_kind == "tcp":
             ep = TcpEndpoint(boot.engine_id, boot.team_id, boot.n_teams,
@@ -184,12 +188,13 @@ def master_entry(boot: MasterBoot) -> None:
             ep.accept_peers(srv, expected, READY_TIMEOUT_S)
             srv.close()
         # one poll(2) wakes the master for frames, mail and teammate deaths
-        ep.watch(mailboxes[0].fd)
+        for fd in links.fds():
+            ep.watch(fd)
         for rank, p in enumerate(workers, 1):
             ep.watch(p.sentinel, f"worker {rank} of team {boot.team_id} died")
         chan.put({"ready": True})
 
-        Master(tctx, _worker_state(shared, boot.team_id, 0), ep).getwork_first_time()
+        Master(tctx, _worker_state(shared, boot.team_id, 0), ep, links).getwork_first_time()
     except EngineShutdown:
         pass                          # each teammate was mailed the shutdown
     except Exception:

@@ -8,7 +8,7 @@ from typing import ClassVar, Optional
 
 @dataclass
 class EngineOptions:
-    # busy-scheduler cadence, a constant: a worker drains its mailbox, and
+    # busy-scheduler cadence, a constant: a worker drains its mail, and
     # the master also polls its transport, k engine steps after a tick that
     # found something to do; quiet ticks double the spacing up to
     # worker.TICK_SPACING_CAP * k steps

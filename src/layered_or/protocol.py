@@ -15,9 +15,10 @@ and takes only the reply that carries that request's number. What differs:
   the master's stack (``split``), sent as a frame; the load arrays pick
   whom to ask and mark a receiver busy. It also starts and ends goals,
   forwards answers, spreads faults and recovers credit.
-A mail is named by the frame kind that means the same (SHARE_*, ANSWER,
-FAULT, TERMINATE for a goal's end, ENGINE_FREE for shutdown); only
-``WAKE``, a busy spell's call to the teammates, has no frame twin.
+A mail is a frame on a team's links, of the kind that means the same
+between teams (SHARE_*, ANSWER, FAULT, TERMINATE for a goal's end,
+ENGINE_FREE for shutdown); only ``WAKE`` is mail alone. At both levels a
+request's frame names its requester as its sender.
 
 Each event (a mail, a frame, a tick, an idle turn, a copy's result) returns
 actions ``(name, *args)`` that the drivers in ``worker`` carry out in order
@@ -143,16 +144,14 @@ class PullCore:
         self.held = []
         return k, refusals
 
-    def ask(self, target, **mine) -> list:
+    def ask(self, target) -> list:
         """Ask ``target``, the busiest peer (None if no peer is busy),
-        unless a request is out; ``mine`` names the asker where a message
-        does not."""
+        unless a request is out."""
         if self.asking is not None or target is None:
             return []
         self.asking = (target, self.next_req)
         self.next_req += 1
-        return [(self.POST, target, SHARE_REQUEST,
-                 {"goal": self.goal, **mine, "req": self.asking[1]})]
+        return [(self.POST, target, SHARE_REQUEST, {"goal": self.goal, "req": self.asking[1]})]
 
     def reply(self, kind: int, meta: dict, raw) -> list:
         """The reply to this core's request: install an accepted copy and
@@ -181,9 +180,9 @@ class WorkerCore(PullCore):
 
     POST, COPY, LOCAL = "mail", "copy", True
 
-    def mail(self, kind: int, meta: dict, raw=None) -> list:
+    def mail(self, kind: int, sender: int, meta: dict, raw: bytes = b"") -> list:
         if kind == SHARE_REQUEST:
-            return self.request(meta["local"], meta)
+            return self.request(sender, meta)
         if kind in (SHARE_ACCEPT, SHARE_REFUSE):
             return self.reply(kind, meta, raw)
         if kind == ENGINE_FREE:
@@ -209,7 +208,7 @@ class WorkerCore(PullCore):
         """An idle turn: ask the busy teammate with the highest load
         register, if there is one. The registers are read after ``idle``'s
         flag is written, so two idle workers never pick each other."""
-        return self.ask(select_sharer(loads, idle_flags, self.rank), local=self.rank)
+        return self.ask(select_sharer(loads, idle_flags, self.rank))
 
     def _mark_busy(self, peer: int, load: int) -> list:
         return [("flag", peer, False)]
@@ -291,7 +290,7 @@ class TeamCore(PullCore):
         acts = self.reply(kind, meta, raw)
         return acts + self._work() if acts else acts
 
-    def mail(self, kind: int, meta: dict, raw=None) -> list:
+    def mail(self, kind: int, sender: int, meta: dict, raw: bytes = b"") -> list:
         """Teammates' answer batches, with their worker credit, and faults."""
         if meta.get("goal") != self.goal:
             return []

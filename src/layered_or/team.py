@@ -9,7 +9,7 @@ registers, except that a worker sharing work flags its requester busy
 before it mails the copy. A parked worker is flagged idle, from creation on. The registers only pick whom to ask for work; a
 team's termination reads none of them (``protocol``'s credit recovery
 decides it). Everything bulky (stack copies, answers, notifications)
-travels through each worker's mailbox instead.
+travels as mail on the team's links instead.
 
 One team lock guards the whole pool, the free list and every frame's
 fields. ``lock(idx)`` returns it, so callers still name the frame they
@@ -17,8 +17,8 @@ lock. A team makes a few hundred frame operations per goal and no caller
 holds two frame locks, so finer locks would buy nothing. Frame
 cursor/offset fields are read and written only under the lock.
 
-Every lock of a team (the team lock, each mailbox's write lock and the
-client's trace pipe) is a ``RecordLock``: an exclusive ``fcntl`` record
+Every lock of an engine (a team's lock and the write lock of the client's
+trace pipe) is a ``RecordLock``: an exclusive ``fcntl`` record
 lock on a memfd of its own, which costs one fd to build, not a named POSIX
 semaphore. The kernel drops the lock of a holder that dies, so a process
 killed inside a ``take`` or a ``put`` blocks nobody. A record lock belongs

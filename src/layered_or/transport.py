@@ -1,11 +1,12 @@
-"""Message layer between team masters and the client worker.
+"""Message layer of both levels: between teams, the client and a team's workers.
 
-One endpoint type carries every link: a byte stream per pair of teams, and
-one between team 0 and the client. For a tcp engine the streams are TCP
-connections; for an inproc engine they are ``socket.socketpair`` ends,
-built by ``QueueMesh`` before the masters fork. Every frame is the same
-checksummed wire frame, so every message piggybacks the sender's full load
-array, and the codec is exercised constantly.
+One endpoint type carries every link: a byte stream per pair of teams, one
+between team 0 and the client, and one per pair of a team's workers (ids
+being ranks). Between the teams of a tcp engine they are TCP connections,
+all others ``socket.socketpair`` ends (``QueueMesh``, ``TeamLinks``). Every
+frame is the same checksummed wire frame, so every message piggybacks the
+sender's full load array (unread on a team's links), and the codec is
+exercised constantly.
 
 Delivery is reliable and in order per (sender, receiver) pair, and the
 links are served round-robin. An endpoint can hold each frame it reads for
@@ -16,15 +17,17 @@ Each endpoint keeps one ``select.poll`` object over its sockets, so a poll
 that finds nothing costs one ``poll(2)`` call, and a wait blocks there
 until a frame arrives. The object holds no kernel resource: an endpoint
 built before a fork stays valid in the child. ``watch`` adds the owner's
-other fds to it (a mailbox, a trace pipe, a process sentinel).
+other fds to it (a team's links, the trace pipe, a process sentinel).
 
 Sends block, and yet no cycle of blocked sends can form: each would need
 a large frame (a full link) on every hop. Large frames flow only toward
 team 0 or the client (ANSWER), or toward an idle team that asked for them
 (SHARE_ACCEPT). A team sends its credit-return ANSWER before its first
 SHARE_REQUEST, and while it waits for the reply it sends only small
-frames and reads on every turn. A test with 4 KiB socket buffers guards
-this argument.
+frames and reads on every turn. Mail is alike: large mail flows only to
+the master (answer batches) or to a worker that asked for it
+(SHARE_ACCEPT), and a worker mails its last batch before it asks. A test
+with 4 KiB socket buffers guards this argument at both levels.
 """
 
 from __future__ import annotations
@@ -392,6 +395,10 @@ class TcpEndpoint(Endpoint):
         elif timeout > 0:
             self._poller.poll(max(1, int(timeout * 1000)))
 
+    def fds(self) -> list[int]:
+        """The fds of its links, for another endpoint to ``watch``."""
+        return list(self._peer_of)
+
     def close(self) -> None:
         for fd in [*self._peer_of, *self._watched]:
             self._poller.unregister(fd)
@@ -416,12 +423,14 @@ class QueueMesh:
     written for the queue links this mesh once held still pass one.
     """
 
+    CLIENT = True       # a pair between team 0 and the client
+
     def __init__(self, n_teams: int, ctx=None, delay: tuple[int, float, float] | None = None):
         self.n_teams = n_teams
         self.delay = delay
         self.ends: dict[tuple[int, int], socket.socket] = {}   # (own, peer) -> own end
         pairs = [(a, b) for a in range(n_teams) for b in range(a + 1, n_teams)]
-        for a, b in pairs + [(0, CLIENT_ID)]:
+        for a, b in pairs + [(0, CLIENT_ID)] * self.CLIENT:
             self.ends[(a, b)], self.ends[(b, a)] = socket.socketpair()
 
     def close(self) -> None:
@@ -446,6 +455,13 @@ class QueueMesh:
             if own == team_id:
                 ep.attach(peer, end)
         return ep
+
+
+class TeamLinks(QueueMesh):
+    """A team's mail links, ids being ranks, built before its teammates
+    fork. They hold no frame back: ``EngineOptions.delay`` never held mail."""
+
+    CLIENT = False
 
 
 def _cut_frame(buf: bytearray) -> Optional[bytes]:

@@ -10,10 +10,10 @@ idle flags, and starts or ends goals. It makes no scheduling decision of its
 own. The client's goals enter through the master of team 0, and every
 worker parks between goals in ``getwork_first_time``.
 
-A worker's one intra-team channel is its mailbox: every mail is a
-``(kind, meta, payload)`` triple, its kind one of ``protocol``'s message
-kinds and its payload checked bytes, such as a stack copy (a ``splitting``
-aux area with a frames column).
+A worker's one intra-team channel is its endpoint on the team's links
+(``transport.TeamLinks``). Every mail is a wire frame of one of
+``protocol``'s message kinds, its payload checked bytes such as a stack
+copy (a ``splitting`` aux area with a frames column).
 
 Answers travel packed. A teammate mails the answers it found to its master
 as one batch: a little-endian ``u32`` answer count, then per answer a
@@ -25,20 +25,12 @@ payloads of other teams. It sends the lot as one ANSWER frame, at most
 every ``ANSWER_FLUSH_S`` while its team works and at once when the team
 goes idle or the goal ends. Nothing between worker and client unpacks it.
 
-Every wait is one blocking ``poll(2)``: a teammate's on its mailbox pipe,
-a master's in its endpoint's poller, which also watches its mailbox pipe
-and its teammates' sentinels. Only the shutdown mail stops a worker. A
-reader reads its ``Mailbox`` without blocking and takes a mail once all
-its bytes have come, so a teammate that dies mid-put hangs nobody. Only a
-mailbox's reader holds its read end, so a put to a dead reader raises
-``EngineError`` instead of blocking. This cannot deadlock: a writer blocks
-only on a full pipe, which its reader empties at its next tick or wake. A
-stack copy goes only to a worker that asked for it, the master too, and
-that worker mails only refusals until the reply is in, each to a teammate
-that waits for its own reply. Otherwise a master gets answer batches and
-short mail, which it reads on every tick and every turn of its waits, and
-its own puts go to a waiting requester or to busy teammates, whose pipes
-hold only short mail.
+Every wait is one blocking ``poll(2)``: a teammate's on its links, a
+master's in its endpoint's poller, which also watches its links and its
+teammates' sentinels. Only the shutdown mail stops a worker. A mail is
+taken once all its bytes have come, so a teammate that dies mid-send hangs
+nobody, and a send to a dead worker, or a read past its last mail, raises
+``EngineError``. Blocked sends form no cycle (see ``transport``).
 
 Ticks space themselves out while nobody asks for work. Each run starts
 ticking every ``k_backtracks`` steps. A tick that finds no mail but answers
@@ -52,11 +44,10 @@ held one is looked at again every ``k_backtracks`` steps.
 from __future__ import annotations
 
 import os
-import pickle
-import select
 import struct
 import time
 import traceback
+from contextlib import suppress
 from functools import lru_cache
 
 from . import splitting
@@ -66,7 +57,8 @@ from .errors import EngineError, EngineShutdown, ProtocolViolation
 from .programs import get_program
 from .protocol import (ANSWER, CLIENT_ID, FAULT, SHARE_ACCEPT, SHARE_REQUEST, TERMINATE,
                        TeamCore, WorkerCore)
-from .team import FramePoolExhausted, RecordLock, TeamShared, publish_private_nodes
+from .team import FramePoolExhausted, TeamShared, publish_private_nodes
+from .transport import TeamLinks, TcpEndpoint
 
 # A busy master sends its buffered answers on at most this often, and a busy
 # teammate mails them to its master at most this often; a team going idle
@@ -84,60 +76,11 @@ class GoalDone(Exception):
     """The current goal ended (termination, fault, or a newer goal appeared)."""
 
 
-class Mailbox:
-    """A pipe that many processes put mail into and one reads. A mail is a
-    little-endian ``u64`` length and a pickle, kept whole in the pipe by a
-    ``RecordLock``, which the kernel drops when its holder dies, so a writer
-    killed inside a put blocks no other writer. ``get`` never blocks: it
-    keeps the bytes of a mail that has not all come, so such a writer hangs
-    no reader either. Build it before forking the processes that use it; once
-    only the reader holds the read end, a put to a dead reader raises."""
-
-    def __init__(self):
-        self.fd, self._wfd = os.pipe()
-        os.set_blocking(self.fd, False)
-        self._wlock = RecordLock("mailbox")
-        self._inbox = bytearray()          # the reader's bytes of a mail not yet whole
-
-    def put(self, mail) -> None:
-        raw = pickle.dumps(mail)
-        view = memoryview(len(raw).to_bytes(8, "little") + raw)
-        try:
-            with self._wlock:
-                while view:
-                    view = view[os.write(self._wfd, view):]
-        except BrokenPipeError:
-            raise EngineError("a mailbox's reader died") from None
-
-    def get(self):
-        """The next whole mail, or None if its bytes have not all come."""
-        buf = self._inbox
-        while len(buf) < 8 or len(buf) < (end := 8 + int.from_bytes(buf[:8], "little")):
-            try:
-                buf += os.read(self.fd, 1 << 16)
-            except BlockingIOError:
-                return None
-        mail = pickle.loads(buf[8:end])
-        del buf[:end]
-        return mail
-
-    def close_reader(self) -> None:
-        """Close this process's copy of the read end."""
-        os.close(self.fd)
-        self.fd = -1
-
-    def close(self) -> None:
-        if self.fd >= 0:
-            os.close(self.fd)
-        os.close(self._wfd)
-        self._wlock.close()
-
-
 class TeamContext:
     """Per-team plumbing inherited by every worker at fork time."""
 
     def __init__(self, engine_id, team_id, n_teams, n_workers, options,
-                 shared, mailboxes, trace_queue):
+                 shared, links, trace_queue):
         self.master_pid = os.getpid()      # built by the master, before it forks
         self.engine_id = engine_id
         self.team_id = team_id
@@ -145,17 +88,8 @@ class TeamContext:
         self.n_workers = n_workers
         self.options: EngineOptions = options
         self.shared: TeamShared = shared
-        self.mailboxes = mailboxes
+        self.links: TeamLinks = links
         self.trace_queue = trace_queue
-
-    def notify(self, rank: int, kind: int, meta: dict, payload=None) -> None:
-        self.mailboxes[rank].put((kind, meta, payload))
-
-    def close_others(self, rank: int) -> None:
-        """Close the read end of every mailbox but worker ``rank``'s own."""
-        for r, box in enumerate(self.mailboxes):
-            if r != rank:
-                box.close_reader()
 
     def trace(self, rank: int, kind: str, **data) -> None:
         if self.trace_queue is not None:
@@ -175,10 +109,11 @@ class Worker:
     frames wake it too.
     """
 
-    def __init__(self, ctx: TeamContext, ws: WorkerState, rank: int):
+    def __init__(self, ctx: TeamContext, ws: WorkerState, rank: int, links: TcpEndpoint):
         self.ctx = ctx
         self.ws = ws
         self.rank = rank
+        self.links = links
         self.core = WorkerCore(rank)
         self.goal_id = -1
         self._answers: list[tuple] = []    # found since the last flush
@@ -188,13 +123,11 @@ class Worker:
 
     # -- hooks ------------------------------------------------------------------
     def _pump(self) -> None:
-        """Work done on every turn of a wait loop besides the mailbox."""
+        """Work done on every turn of a wait loop besides the mail."""
 
     def _await_mail(self) -> None:
-        """Wait for mail, blocking in poll(2) on the mailbox's read end."""
-        poller = select.poll()
-        poller.register(self.ctx.mailboxes[self.rank].fd, select.POLLIN)
-        poller.poll()
+        """Wait for mail, blocking in poll(2) on this worker's links."""
+        self.links.wait(None)
 
     def _core_for(self, kind: int):
         return self.core
@@ -204,8 +137,8 @@ class Worker:
         for name, *args in actions:
             getattr(self, "_a_" + name)(*args)
 
-    def _a_mail(self, rank: int, kind: int, meta: dict, raw=None) -> None:
-        self.ctx.notify(rank, kind, meta, raw)
+    def _a_mail(self, rank: int, kind: int, meta: dict, raw: bytes = b"") -> None:
+        self.links.send(rank, kind, meta, raw)
 
     def _a_flag(self, rank: int, idle: bool) -> None:
         self.ctx.shared.set_idle(rank, idle)
@@ -260,7 +193,7 @@ class Worker:
     def getwork_first_time(self) -> None:
         """Park between goals; a WAKE mail runs one (``_a_begin``)."""
         while True:
-            self._drain_mailbox()
+            self._drain_mail()
             self._await_mail()
 
     def _begin_goal(self, meta: dict) -> None:
@@ -319,14 +252,14 @@ class Worker:
     def _flush_answers(self, credit=None) -> None:
         """Mail the answers found, with worker credit ``2**-credit`` if given."""
         if self._answers or credit is not None:
-            raw = self._take_batch() if self._answers else None
+            raw = self._take_batch() if self._answers else b""
             self._a_mail(0, ANSWER, {"goal": self.goal_id, "credit": credit}, raw)
             self._last_flush = time.monotonic()
 
     def _service(self) -> int:
         if self._answers and time.monotonic() - self._last_flush >= ANSWER_FLUSH_S:
             self._flush_answers()
-        served = self._drain_mailbox()
+        served = self._drain_mail()
         self._do(self.core.tick(self.ws.load))
         return self._next_spacing(served)
 
@@ -337,17 +270,12 @@ class Worker:
         self._spacing = k if served else min(2 * self._spacing, TICK_SPACING_CAP * k)
         return self._spacing
 
-    def _next_mail(self):
-        """The next whole mail of this worker's mailbox, or None."""
-        return self.ctx.mailboxes[self.rank].get()
-
-    def _drain_mailbox(self) -> bool:
+    def _drain_mail(self) -> bool:
         """Feed every whole mail to the cores; True if any was not answers."""
         served = False
-        while (mail := self._next_mail()) is not None:
-            kind, meta, raw = mail
-            self._do(self._core_for(kind).mail(kind, meta, raw))
-            served |= kind != ANSWER
+        while (msg := self.links.poll()) is not None:
+            self._do(self._core_for(msg.kind).mail(msg.kind, msg.sender, msg.meta, msg.raw))
+            served |= msg.kind != ANSWER
         return served
 
     def _acquire_locally(self) -> bool:
@@ -361,7 +289,7 @@ class Worker:
         self._got_work = False
         self._do(self.core.idle())
         while True:
-            self._drain_mailbox()
+            self._drain_mail()
             self._pump()
             if self._got_work:
                 return True
@@ -377,8 +305,8 @@ class Worker:
 class Master(Worker):
     """Worker 0: also owns the endpoint and drives its team's ``TeamCore``."""
 
-    def __init__(self, ctx: TeamContext, ws: WorkerState, endpoint):
-        super().__init__(ctx, ws, rank=0)
+    def __init__(self, ctx: TeamContext, ws: WorkerState, endpoint, links: TcpEndpoint):
+        super().__init__(ctx, ws, 0, links)
         self.ep = endpoint
         self.team = TeamCore(ctx.team_id, ctx.n_teams, ctx.n_workers)
         endpoint.loads = self.team.loads  # the endpoint stamps this team's own entry
@@ -398,7 +326,7 @@ class Master(Worker):
         self._forward_answers()
 
     def _await_mail(self) -> None:
-        # the poller watches the mailbox too; held answers bound the wait
+        # the poller watches the links too; held answers bound the wait
         timeout = None
         if self._forward:
             timeout = max(0.0, self._last_forward + ANSWER_FLUSH_S - time.monotonic())
@@ -457,8 +385,13 @@ class Master(Worker):
                 self._park_on_dead_root()
                 self._run_goal(None)
         except EngineError as exc:
-            # a teammate that faulted mailed why before it died
-            faults = [m[1]["error"] for m in iter(self._next_mail, None) if m[0] == FAULT]
+            # a teammate that faulted mailed why before it died; its link's
+            # end of file follows its last mail
+            faults = []
+            with suppress(EngineError):
+                while (msg := self.links.poll()) is not None:
+                    if msg.kind == FAULT:
+                        faults.append(msg.meta["error"])
             if faults:
                 raise EngineError("\n".join([str(exc), *faults])) from exc
             raise
@@ -472,7 +405,7 @@ class Master(Worker):
         readable. A dead teammate or peer raises ``EngineError`` at the poll.
         """
         while True:
-            while self._next_mail() is not None:
+            while self.links.poll() is not None:
                 pass
             self._drain_transport()
             self.ep.wait(None)
@@ -483,7 +416,7 @@ class Master(Worker):
         super()._begin_goal(meta)
 
     def _service(self) -> int:
-        served = self._drain_mailbox()
+        served = self._drain_mail()
         polled = self._drain_transport()
         self._do(self.core.tick(self.ws.load))
         self._do(self.team.serve())
@@ -495,7 +428,7 @@ class Master(Worker):
 
     def _drain_transport(self) -> bool:
         """Feed every frame that has arrived to the team core; True if any
-        was not ANSWER, as ``_drain_mailbox`` counts answer mail."""
+        was not ANSWER, as ``_drain_mail`` counts answer mail."""
         served = False
         while (msg := self.ep.poll()) is not None:
             self._msg = msg
@@ -510,7 +443,7 @@ class Master(Worker):
         if self._answers:
             self._forward.append((self.ctx.team_id, self._take_batch()))
         if credit is not None:
-            self._do(self.team.mail(ANSWER, {"goal": self.goal_id, "credit": credit}))
+            self._do(self.team.mail(ANSWER, 0, {"goal": self.goal_id, "credit": credit}))
 
     def _forward_answers(self, now: bool = False, credit: int | None = None) -> None:
         """Send everything buffered as one ANSWER frame: to the client from

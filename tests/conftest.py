@@ -203,8 +203,9 @@ def agent(agent_process):
 
 @pytest.fixture
 def tiny_socket_buffers(monkeypatch):
-    """Give every inproc link 4 KiB socket buffers each way, so that a
-    large frame fills its link and its send blocks until the peer reads."""
+    """Give every inproc link and every team's mail link 4 KiB socket
+    buffers each way, so that a large frame fills its link and its send
+    blocks until the peer reads."""
     build = QueueMesh.__init__
 
     def tiny(self, *args, **kw):

@@ -5,8 +5,10 @@ The checker runs a whole engine in this process, on four topologies:
 teammate) and ``[3,1]`` (a team of three), every worker over a real
 ``WorkerState`` and every team over a real ``TeamShared`` region. Its
 processes are the drivers of ``worker`` with their I/O replaced: mail and
-frames go into one FIFO channel per (sender, receiver, mail or frame), and
-a worker runs ``STEPS`` engine steps between its service ticks. The
+frames go into one FIFO channel per (sender, receiver, mail or frame),
+which is exactly the order the links give, since mail and frames travel
+on links of their own per pair of workers or teams, and a worker runs
+``STEPS`` engine steps between its service ticks. The
 decisions are the cores' of ``protocol``; the drivers' action handlers
 carry them out.
 
@@ -113,9 +115,9 @@ class _Process:
                           EngineOptions(), shared, None, None)
         ws = boot._worker_state(shared, team, rank)
         if rank:
-            Worker.__init__(self, ctx, ws, rank)
+            Worker.__init__(self, ctx, ws, rank, None)
         else:
-            Master.__init__(self, ctx, ws, _Endpoint(sim, team))
+            Master.__init__(self, ctx, ws, _Endpoint(sim, team), None)
         self.sim, self.pid = sim, (team, rank)
         self.pending = deque()        # actions not carried out yet
         self.running = False          # it has stacks to run
@@ -127,8 +129,8 @@ class _Process:
         # what follows an action, such as a copy's flag and mail, is a step of its own
         self.pending.extendleft(reversed(actions))
 
-    def _a_mail(self, rank, kind, meta, raw=None):
-        self.sim.put(self.pid, (self.pid[0], rank), "mail", (kind, dict(meta), raw))
+    def _a_mail(self, rank, kind, meta, raw=b""):
+        self.sim.put(self.pid, (self.pid[0], rank), "mail", (kind, self.rank, dict(meta), raw))
 
     def _a_install(self, raw, local):
         super()._a_install(raw, local)
@@ -310,7 +312,7 @@ class Sim:
                 totals[team] += sum(map(_worker_credit, proc.pending))
         for (_, receiver, kind), queue in self.chans.items():
             if kind == "mail" and queue:
-                totals[receiver[0]] += sum(_units(item[1].get("credit")) for item in queue)
+                totals[receiver[0]] += sum(_units(item[2].get("credit")) for item in queue)
         for team, total in enumerate(totals):
             core = self.masters[team].team
             if core.goal is None:
@@ -453,7 +455,7 @@ def test_an_idle_teammate_gets_work_in_each_busy_spell_of_its_team():
     install, mail = mate._a_install, mate._a_mail
     mate._a_install = lambda raw, local: (installs.append(spells), install(raw, local))
 
-    def asking_mail(rank, kind, meta, raw=None):
+    def asking_mail(rank, kind, meta, raw=b""):
         if kind == SHARE_REQUEST:
             asks.append(spells)
         mail(rank, kind, meta, raw)
@@ -489,7 +491,7 @@ def test_an_idle_master_asks_no_parked_teammate_for_work():
     master, mate = sim.procs[(1, 0)], sim.procs[(1, 1)]
     mail = master._a_mail
 
-    def checked_mail(rank, kind, meta, raw=None):
+    def checked_mail(rank, kind, meta, raw=b""):
         assert kind != SHARE_REQUEST or mate.core.goal is not None, \
             "team 1's master asked its parked teammate for work"
         mail(rank, kind, meta, raw)
@@ -518,18 +520,18 @@ class _WorkerLevel:
         self.core.start(7)
 
     def request(self, peer, goal=7):
-        meta = {"goal": goal, "local": peer, "req": 5}
-        return meta, self.core.mail(SHARE_REQUEST, meta)
+        meta = {"goal": goal, "req": 5}
+        return meta, self.core.mail(SHARE_REQUEST, peer, meta)
 
     def ask(self):
         # worker 3 has more load than worker 2, but it is idle
         return self.core.seek([0, 0, 4, 9], [False, True, False, True])
 
     def asked(self, req):
-        return {"goal": 7, "local": 1, "req": req}
+        return {"goal": 7, "req": req}
 
-    def reply(self, kind, meta, raw=None):
-        return self.core.mail(kind, meta, raw)
+    def reply(self, kind, meta, raw=b""):
+        return self.core.mail(kind, 2, meta, raw)
 
     def serve(self):
         return self.core.tick(5)
@@ -573,7 +575,7 @@ class _TeamLevel:
 
     def go_idle(self):
         # the master's worker hands its worker credit back: the team is out of work
-        return self.core.mail(ANSWER, {"goal": 7, "credit": 0})
+        return self.core.mail(ANSWER, 0, {"goal": 7, "credit": 0})
 
 
 @pytest.mark.parametrize("level", [_WorkerLevel, _TeamLevel], ids=["worker", "team"])
@@ -624,10 +626,10 @@ def test_both_levels_pull_work_by_the_same_rules(level):
 def test_a_worker_core_holds_serves_and_refuses_requests():
     core = WorkerCore(1)
     core.start(7, credit=2)
-    local = {"goal": 7, "local": 2, "req": 0}
+    local = {"goal": 7, "req": 0}
     # a busy tick without private load holds the request: only private
     # load can be copied, and the copy publishes it
-    assert core.mail(SHARE_REQUEST, local) == []
+    assert core.mail(SHARE_REQUEST, 2, local) == []
     assert core.tick(0) == [] and core.held == [(2, local)]
     (copy,) = core.tick(1)
     assert copy[:3] == ("copy", 2, local)
@@ -636,22 +638,21 @@ def test_a_worker_core_holds_serves_and_refuses_requests():
         [("flag", 2, False), ("mail", 2, SHARE_ACCEPT, dict(local, credit=3), b"stacks")]
     # an idle turn hands the credit back with the answers before the idle
     # flag, and refuses what is held after it
-    core.mail(SHARE_REQUEST, local)
+    core.mail(SHARE_REQUEST, 2, local)
     assert core.idle() == [("flush", 3), ("flag", 1, True), ("mail", 2, SHARE_REFUSE, local)]
     assert core.credit is None
     assert core.seek([0, 0, 4, 9], [False, True, False, True]) == \
-        [("mail", 2, SHARE_REQUEST, {"goal": 7, "local": 1, "req": 0})]
-    assert core.mail(SHARE_ACCEPT, {"goal": 7, "local": 1, "req": 0, "credit": 4}, b"copy") == \
+        [("mail", 2, SHARE_REQUEST, {"goal": 7, "req": 0})]
+    assert core.mail(SHARE_ACCEPT, 2, {"goal": 7, "req": 0, "credit": 4}, b"copy") == \
         [("install", b"copy", True)] and core.asking is None and core.credit == 4
     # a later busy spell's WAKE, which carries no credit, only wakes it
-    assert core.mail(WAKE, {"goal": 7}) == [] and core.credit == 4
+    assert core.mail(WAKE, 0, {"goal": 7}) == [] and core.credit == 4
     # the goal's end parks it flagged idle, so nobody asks it for work
-    assert core.mail(TERMINATE, {"goal": 7}) == [("flag", 1, True), ("end",)]
+    assert core.mail(TERMINATE, 0, {"goal": 7}) == [("flag", 1, True), ("end",)]
     core.start(None)
-    assert core.mail(SHARE_REQUEST, {"goal": 8, "local": 2}) == \
-        [("mail", 2, SHARE_REFUSE, {"goal": 8, "local": 2})]
-    assert core.mail(WAKE, {"goal": 8, "credit": 1}) == [("begin", {"goal": 8, "credit": 1})]
-    assert core.mail(ENGINE_FREE, {}) == [("shutdown",)]
+    assert core.mail(SHARE_REQUEST, 2, {"goal": 8}) == [("mail", 2, SHARE_REFUSE, {"goal": 8})]
+    assert core.mail(WAKE, 0, {"goal": 8, "credit": 1}) == [("begin", {"goal": 8, "credit": 1})]
+    assert core.mail(ENGINE_FREE, 0, {}) == [("shutdown",)]
 
 
 def test_a_team_core_splits_held_requests_from_its_own_stack_and_refuses_them_on_going_idle():
@@ -677,11 +678,11 @@ def test_a_team_core_splits_held_requests_from_its_own_stack_and_refuses_them_on
     assert team.credit == 4 and team.loads[2][0] == 4
     assert team.frame(SHARE_REQUEST, 2, {"goal": 4, "req": 1}, []) == []
     # every worker hands its credit back, on its last answers or alone
-    assert team.mail(ANSWER, {"goal": 4, "credit": 2}) == []
-    assert team.mail(ANSWER, {"goal": 4, "credit": 2}, b"batch") == [("forward", 1, b"batch")]
+    assert team.mail(ANSWER, 1, {"goal": 4, "credit": 2}) == []
+    assert team.mail(ANSWER, 2, {"goal": 4, "credit": 2}, b"batch") == [("forward", 1, b"batch")]
     # going idle refuses what it holds and hands the team credit back
     # behind its answers
-    assert team.mail(ANSWER, {"goal": 4, "credit": 1}) == [
+    assert team.mail(ANSWER, 0, {"goal": 4, "credit": 1}) == [
         ("send", 2, SHARE_REFUSE, {"goal": 4, "req": 1}), ("trace", "team_idle"),
         ("answers", 4), ("send", 0, SHARE_REQUEST, {"goal": 4, "req": 1})]
     # a later busy spell's WAKE wakes the idle teammates, which are in the
@@ -690,7 +691,7 @@ def test_a_team_core_splits_held_requests_from_its_own_stack_and_refuses_them_on
         ("install", b"more", False), ("flag", 0, False), ("hold", 0),
         ("mail", 1, WAKE, {"goal": 4, "strategy": "vs"}),
         ("mail", 2, WAKE, {"goal": 4, "strategy": "vs"})]
-    assert team.mail(ANSWER, {"goal": 4, "credit": 0})[:2] == \
+    assert team.mail(ANSWER, 0, {"goal": 4, "credit": 0})[:2] == \
         [("trace", "team_idle"), ("answers", 5)]
     assert team.frame(TERMINATE, 0, {"goal": 4}, []) == [
         ("answers", None), ("mail", 1, TERMINATE, {"goal": 4}),

@@ -4,7 +4,6 @@ import json
 import multiprocessing
 import multiprocessing.synchronize
 import os
-import pickle
 import random
 import resource
 import select
@@ -34,9 +33,9 @@ from layered_or.errors import EngineCreationError, EngineError, GoalError
 from layered_or.programs import get_program
 from layered_or.team import FramePoolExhausted, TeamShared, publish_private_nodes
 from layered_or.protocol import TeamCore
+from layered_or.transport import TeamLinks, TeamMessage
 from layered_or.worker import (
     GoalDone,
-    Mailbox,
     Master,
     TeamContext,
     Worker,
@@ -143,7 +142,8 @@ def test_a_team_region_builds_one_semaphore(monkeypatch):
 
 
 def test_a_team_builds_no_semaphore(monkeypatch):
-    # the team lock and every mailbox's write lock are record locks on memfds
+    # the team lock and the trace pipe's write lock are record locks on
+    # memfds, and the team's links are socket pairs
     made = []
     init = multiprocessing.synchronize.SemLock.__init__
 
@@ -153,22 +153,23 @@ def test_a_team_builds_no_semaphore(monkeypatch):
 
     monkeypatch.setattr(multiprocessing.synchronize.SemLock, "__init__", counting_init)
     shared = TeamShared(4)
-    boxes = [Mailbox() for _ in range(4)]
+    links = TeamLinks(4)
+    trace = api.Mailbox()
     try:
         assert made == [], f"a team built semaphores: {made}"
     finally:
         shared.close()
-        for box in boxes:
-            box.close()
+        links.close()
+        trace.close()
 
 
 def _stop_reading(_self):
     time.sleep(60)                        # a teammate busy in a long run
 
 
-def _put_raises_engine_error(box, mail):
+def _send_raises_engine_error(ep, dest, raw):
     with pytest.raises(EngineError):
-        box.put(mail)
+        ep.send(dest, protocol.SHARE_ACCEPT, {}, raw)
 
 
 def _hold_until_killed(lock, ready_fd):
@@ -219,7 +220,7 @@ def test_a_holder_killed_inside_the_team_lock_blocks_no_take():
 
 
 def test_a_writer_killed_inside_a_mailbox_lock_blocks_no_put():
-    box = Mailbox()
+    box = api.Mailbox()                   # the trace pipe
     try:
         _killed_inside(box._wlock)
         assert _finishes_within(2.0, box.put, ("note", {}, b"after")), \
@@ -229,13 +230,12 @@ def test_a_writer_killed_inside_a_mailbox_lock_blocks_no_put():
         box.close()
 
 
-def test_a_put_into_a_dead_teammates_full_pipe_raises(monkeypatch):
-    # teammate 1 stops reading and its pipe fills; once it dies, a put
-    # blocked on that pipe must fail, which it does only if neither the
-    # master nor teammate 2 still holds the pipe's read end
+def test_a_send_into_a_dead_teammates_full_link_raises(monkeypatch):
+    # teammate 1 stops reading and its link from the master fills; once it
+    # dies, a send blocked on that link must fail, which it does only if
+    # neither the master nor teammate 2 still holds teammate 1's end
     shared = TeamShared(3, n_frames=16)
-    boxes = [Mailbox() for _ in range(3)]
-    tctx = TeamContext("epipe", 0, 1, 3, EngineOptions(), shared, boxes, None)
+    tctx = TeamContext("epipe", 0, 1, 3, EngineOptions(), shared, TeamLinks(3), None)
     monkeypatch.setattr(Worker, "getwork_first_time", _stop_reading)
     fork = multiprocessing.get_context("fork")
     procs = [fork.Process(target=boot.worker_process_main, args=(tctx, rank))
@@ -243,24 +243,45 @@ def test_a_put_into_a_dead_teammates_full_pipe_raises(monkeypatch):
     for proc in procs:
         proc.start()
     try:
-        tctx.close_others(0)              # as a master does after its forks
-        putter = fork.Process(target=_put_raises_engine_error,
-                              args=(boxes[1], ("copy", {}, bytes(1 << 20))))
-        procs.append(putter)
-        putter.start()
-        time.sleep(0.2)                   # until the pipe is full
-        assert putter.is_alive(), "the put did not block on the full pipe"
+        master = tctx.links.endpoint("epipe", 0)
+        tctx.links.close_others(0)        # as a master does after its forks
+        sender = fork.Process(target=_send_raises_engine_error,
+                              args=(master, 1, bytes(1 << 22)))
+        procs.append(sender)
+        sender.start()
+        time.sleep(0.2)                   # until the link is full
+        assert sender.is_alive(), "the send did not block on the full link"
         procs[0].kill()
-        putter.join(timeout=2.0)
-        assert not putter.is_alive(), "a put to a dead teammate's full pipe hung"
-        assert putter.exitcode == 0, "the put did not raise EngineError"
+        sender.join(timeout=2.0)
+        assert not sender.is_alive(), "a send to a dead teammate's full link hung"
+        assert sender.exitcode == 0, "the send did not raise EngineError"
     finally:
         for proc in procs:
             proc.kill()
             proc.join(timeout=5.0)
         shared.close()
-        for box in boxes:
-            box.close()
+        tctx.links.close()
+
+
+def test_a_teammate_whose_master_is_gone_exits_quietly(capfd):
+    # its master's link reads end of file, and the FAULT it would report
+    # has nobody to go to: the teammate returns instead of raising, which
+    # would have multiprocessing print a traceback
+    shared = TeamShared(2, n_frames=16)
+    tctx = TeamContext("orphan", 0, 1, 2, EngineOptions(), shared, TeamLinks(2), None)
+    teammate = multiprocessing.get_context("fork").Process(
+        target=boot.worker_process_main, args=(tctx, 1))
+    teammate.start()
+    tctx.links.close()                    # the master's end with the rest
+    teammate.join(timeout=5.0)
+    try:
+        assert not teammate.is_alive(), "the teammate outlived its master's link"
+        assert teammate.exitcode == 0, "worker_process_main raised"
+        assert "Traceback" not in capfd.readouterr().err
+    finally:
+        teammate.kill()
+        teammate.join(timeout=5.0)
+        shared.close()
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/fd")
@@ -515,33 +536,36 @@ def test_per_worker_alt_counters_sum_to_the_open_alternatives_of_live_frames():
     shared.close()
 
 
+def _fields(msg):
+    return msg.kind, msg.sender, msg.meta, msg.raw
+
+
 def test_a_mail_cut_short_is_read_once_whole_without_blocking():
-    # a teammate killed inside a put leaves a mail cut short: its reader
+    # a teammate killed inside a send leaves a mail cut short: its reader
     # must go on serving, not wait for bytes that never come
     shared = TeamShared(2, n_frames=16)
-    boxes = [Mailbox() for _ in range(2)]
-    tctx = TeamContext("cut", 0, 1, 2, EngineOptions(), shared, boxes, None)
-    teammate = Worker(tctx, WorkerState(team_id=0, worker_id=1), 1)
-    whole = (protocol.ANSWER, {"goal": 1}, b"x")
-    cut = (protocol.ANSWER, {"goal": 1}, bytes(range(256)) * 512)   # twice a pipe
-    blob = pickle.dumps(cut)
-    raw = len(blob).to_bytes(8, "little") + blob
-    writer = threading.Thread(target=os.write, args=(boxes[1]._wfd, raw[4096:]))
+    links = TeamLinks(2)
+    tctx = TeamContext("cut", 0, 1, 2, EngineOptions(), shared, links, None)
+    teammate = Worker(tctx, WorkerState(team_id=0, worker_id=1), 1, links.endpoint("cut", 1))
+    master, end = links.endpoint("cut", 0), links.ends[(0, 1)]
+    cut = bytes(range(256)) * 4096        # 1 MiB: more than a socket buffer holds
+    raw = transport.encode_frame(protocol.ANSWER, 0, master.stamp(),
+                                 transport.encode_payload({"goal": 1}, cut))
+    writer = threading.Thread(target=end.sendall, args=(raw[4096:],))
     try:
-        tctx.notify(1, *whole)
-        os.write(boxes[1]._wfd, raw[:4096])
-        assert teammate._next_mail() == whole
-        assert teammate._next_mail() is None, "a mail cut short was returned"
-        writer.start()                    # blocks on the full pipe until it is read
-        while (got := teammate._next_mail()) is None:
+        master.send(1, protocol.ANSWER, {"goal": 1}, b"x")
+        end.sendall(raw[:4096])
+        assert _fields(teammate.links.poll()) == (protocol.ANSWER, 0, {"goal": 1}, b"x")
+        assert teammate.links.poll() is None, "a mail cut short was returned"
+        writer.start()                    # blocks on the full link until it is read
+        while (got := teammate.links.poll()) is None:
             teammate._await_mail()
         writer.join()
-        assert got == cut
-        assert teammate._next_mail() is None
+        assert _fields(got) == (protocol.ANSWER, 0, {"goal": 1}, cut)
+        assert teammate.links.poll() is None
     finally:
         shared.close()
-        for box in boxes:
-            box.close()
+        links.close()
 
 
 def test_answer_batches_mail_a_goals_first_answer_at_once(monkeypatch):
@@ -552,8 +576,8 @@ def test_answer_batches_mail_a_goals_first_answer_at_once(monkeypatch):
     boxes = [_Box(), _Box()]
     shared = TeamShared(2, n_frames=16)
     opts = EngineOptions()
-    tctx = TeamContext("batches", 0, 1, 2, opts, shared, boxes, None)
-    teammate = Worker(tctx, WorkerState(team_id=0, worker_id=1), 1)
+    tctx = TeamContext("batches", 0, 1, 2, opts, shared, None, None)
+    teammate = Worker(tctx, WorkerState(team_id=0, worker_id=1), 1, _Links(boxes, 1))
     teammate._begin_goal({"program": "spread", "args": [6, 5], "goal": 1})
     try:
         teammate._run(start_tag=teammate.ws.program.root_tag)
@@ -562,28 +586,46 @@ def test_answer_batches_mail_a_goals_first_answer_at_once(monkeypatch):
         shared.close()
     puts = boxes[0].items
     assert len(puts) == 2
-    assert {(kind, meta["goal"]) for kind, meta, _ in puts} == {(protocol.ANSWER, 1)}
-    assert len(unpack_answers(puts[0][2])) <= opts.k_backtracks, \
+    assert {(msg.kind, msg.meta["goal"]) for msg in puts} == {(protocol.ANSWER, 1)}
+    assert len(unpack_answers(puts[0].raw)) <= opts.k_backtracks, \
         "the goal's first answer waited for the flush interval"
-    got = Counter(unpack_answers(b"".join(raw for _, _, raw in puts)))
+    got = Counter(unpack_answers(b"".join(msg.raw for msg in puts)))
     assert got == oracle.enumerate_answers(get_program("spread"), [6, 5])
 
 
 class _Box:
-    """An in-process mailbox that notes the step of ``steps`` (if given) at
-    which each message came."""
+    """One worker's in-process inbox, which notes the step of ``steps`` (if
+    given) at which each message came."""
 
     def __init__(self, steps=None):
         self.steps = steps
         self.items = deque()
         self.log = []                     # (step, message kind)
 
-    def put(self, item):
-        self.items.append(item)
-        self.log.append((self.steps and self.steps.count, item[0]))
+    def put(self, msg):
+        self.items.append(msg)
+        self.log.append((self.steps and self.steps.count, msg.kind))
 
     def get(self):
         return self.items.popleft() if self.items else None
+
+
+class _Links:
+    """A worker's links in this process: what it sends to rank ``d`` goes
+    into ``boxes[d]``, and it reads its own box."""
+
+    def __init__(self, boxes, rank):
+        self.boxes, self.rank = boxes, rank
+
+    def send(self, dest, kind, meta=None, raw=b""):
+        self.boxes[dest].put(TeamMessage(kind, self.rank, [], meta, raw))
+
+    def poll(self):
+        return self.boxes[self.rank].get()
+
+
+def _mail(kind, meta, sender=0):
+    return TeamMessage(kind, sender, [], meta)
 
 
 class _Counted:
@@ -604,12 +646,12 @@ class _Counted:
 
 def no_fork_teammate(goal, args, n_frames=16):
     """Worker 1 of a two-worker team, driven in this process; worker 0's
-    mailbox only records what it is sent."""
+    box only records what it is sent."""
     shared = TeamShared(2, n_frames=n_frames)
     steps = _Counted(get_program(goal))
     boxes = [_Box(steps), _Box(steps)]
-    tctx = TeamContext("ticks", 0, 1, 2, EngineOptions(), shared, boxes, None)
-    teammate = Worker(tctx, WorkerState(team_id=0, worker_id=1), 1)
+    tctx = TeamContext("ticks", 0, 1, 2, EngineOptions(), shared, None, None)
+    teammate = Worker(tctx, WorkerState(team_id=0, worker_id=1), 1, _Links(boxes, 1))
     # it runs the goal's root, so it holds the team's worker credit
     teammate._begin_goal({"program": goal, "args": args, "goal": 1, "credit": 0})
     teammate.ws.program = steps
@@ -618,7 +660,7 @@ def no_fork_teammate(goal, args, n_frames=16):
 
 def test_quiet_ticks_widen_and_one_message_narrows_them():
     teammate, steps = no_fork_teammate("queens", [10])
-    shared, box = teammate.ctx.shared, teammate.ctx.mailboxes[1]
+    shared, box = teammate.ctx.shared, teammate.links.boxes[1]
     k = teammate.ctx.options.k_backtracks
     cap = worker.TICK_SPACING_CAP * k
     service = teammate._service
@@ -629,7 +671,7 @@ def test_quiet_ticks_widen_and_one_message_narrows_them():
         if mail_at and len(ticks) == mail_at[0]:
             mail_at.clear()
             # a stale goal's notice: mail that asks for nothing
-            box.put((protocol.TERMINATE, {"goal": 0}, None))
+            box.put(_mail(protocol.TERMINATE, {"goal": 0}))
         spacing = service()
         ticks.append((steps.count + 1, spacing))
         return spacing
@@ -661,17 +703,17 @@ def test_a_busy_teammate_answers_a_share_request_within_the_widest_spacing():
     # spacing to widen to the cap; every one is answered at the next tick
     rng = random.Random(7)
     teammate, steps = no_fork_teammate("queens", [10], n_frames=4096)
-    shared, box = teammate.ctx.shared, teammate.ctx.mailboxes[1]
+    shared, box = teammate.ctx.shared, teammate.links.boxes[1]
     teammate.ws.frames = shared
     cap = worker.TICK_SPACING_CAP * teammate.ctx.options.k_backtracks
     asked = []
-    replies = teammate.ctx.mailboxes[0].log
+    replies = teammate.links.boxes[0].log
     next_ask = [rng.randrange(1, 3 * cap)]
 
     def at_step(step):
         if step >= next_ask[0] and len(replies) == len(asked):
             asked.append(step)
-            box.put((protocol.SHARE_REQUEST, {"goal": 1, "local": 0}, None))
+            box.put(_mail(protocol.SHARE_REQUEST, {"goal": 1}))
             next_ask[0] = step + rng.randrange(1, 3 * cap)
 
     steps.at_step = at_step
@@ -696,8 +738,8 @@ def test_a_teammate_holds_a_request_its_full_frame_pool_cannot_copy_for():
     # tick's copy fails, and the request stays held, not refused; once the
     # frames are free again, the next busy tick serves it
     teammate, steps = no_fork_teammate("queens", [10], n_frames=64)
-    shared, box = teammate.ctx.shared, teammate.ctx.mailboxes[1]
-    mailed = teammate.ctx.mailboxes[0].log
+    shared, box = teammate.ctx.shared, teammate.links.boxes[1]
+    mailed = teammate.links.boxes[0].log
     taken = [shared.alloc(2, 2, 1, 0) for _ in range(64)]   # dead, with two members each
     service = teammate._service
     held = []                             # requests held after each tick
@@ -717,7 +759,7 @@ def test_a_teammate_holds_a_request_its_full_frame_pool_cannot_copy_for():
         return spacing
 
     teammate._service = watched
-    box.put((protocol.SHARE_REQUEST, {"goal": 1, "local": 0, "req": 0}, None))
+    box.put(_mail(protocol.SHARE_REQUEST, {"goal": 1, "req": 0}))
     try:
         with pytest.raises(GoalDone):
             teammate._run(start_tag=steps.root_tag)
@@ -741,8 +783,9 @@ def test_an_idle_teammate_gets_its_copy_from_a_busy_teammate_with_load_0():
     # worker 0's first tick with private load, from one request
     shared = TeamShared(2, n_frames=4096)
     boxes = [_Box(), _Box()]
-    tctx = TeamContext("held", 0, 1, 2, EngineOptions(), shared, boxes, None)
-    sharer, requester = (Worker(tctx, _team_state(shared, rank), rank) for rank in (0, 1))
+    tctx = TeamContext("held", 0, 1, 2, EngineOptions(), shared, None, None)
+    sharer, requester = (Worker(tctx, _team_state(shared, rank), rank, _Links(boxes, rank))
+                         for rank in (0, 1))
     service = sharer._service
 
     def run_sharer(until, start_tag=None):
@@ -801,12 +844,13 @@ def test_a_team_stays_busy_while_its_work_hops_between_idle_flag_reads(monkeypat
     # every answer.
     meta = {"program": "spread", "args": [10, 2], "template": "p0", "goal": 1,
             "strategy": "vs"}
-    mesh = transport.QueueMesh(1)
+    mesh, links = transport.QueueMesh(1), TeamLinks(3)
     shared = TeamShared(3, n_frames=4096)
-    boxes = [Mailbox() for _ in range(3)]
-    ctx = TeamContext("window", 0, 1, 3, EngineOptions(), shared, boxes, None)
-    master = Master(ctx, boot._worker_state(shared, 0, 0), mesh.endpoint("window", 0))
-    w1, w2 = (Worker(ctx, boot._worker_state(shared, 0, rank), rank) for rank in (1, 2))
+    ctx = TeamContext("window", 0, 1, 3, EngineOptions(), shared, links, None)
+    master = Master(ctx, boot._worker_state(shared, 0, 0), mesh.endpoint("window", 0),
+                    links.endpoint("window", 0))
+    w1, w2 = (Worker(ctx, boot._worker_state(shared, 0, rank), rank,
+                     links.endpoint("window", rank)) for rank in (1, 2))
     client = mesh.endpoint("window", transport.CLIENT_ID)
 
     def stop():
@@ -826,9 +870,9 @@ def test_a_team_stays_busy_while_its_work_hops_between_idle_flag_reads(monkeypat
     def hand(sharer, requester, ask_back=True):
         """``sharer`` serves ``requester``'s request, the requester takes
         every frame alternative, and the sharer runs out and goes idle."""
-        sharer._drain_mailbox()                          # the request is held
+        sharer._drain_mail()                             # the request is held
         sharer._do(sharer.core.tick(sharer.ws.load))     # flag, then copy
-        requester._drain_mailbox()                       # install it
+        requester._drain_mail()                          # install it
         frames = [cp.frame for cp in requester.ws.cps if cp.frame >= 0]
         assert frames and run(requester, lambda: requester.ws.load > 0 and all(
             c >= n for n, c, _, _ in map(shared.frame_state, frames)))
@@ -862,9 +906,9 @@ def test_a_team_stays_busy_while_its_work_hops_between_idle_flag_reads(monkeypat
         master._begin_goal(meta)
         master._do(master.team.start(meta))              # WAKE to workers 1 and 2
         for w in (w1, w2):
-            kind, join, _ = boxes[w.rank].get()
-            assert kind == protocol.WAKE
-            w._begin_goal(join)
+            wake = w.links.poll()
+            assert wake.kind == protocol.WAKE
+            w._begin_goal(wake.meta)
             w._park_on_dead_root()
             w._do(w.core.idle())
         assert run(master, lambda: master.ws.load > 0, master.ws.program.root_tag)
@@ -883,26 +927,26 @@ def test_a_team_stays_busy_while_its_work_hops_between_idle_flag_reads(monkeypat
             pass
         assert hops, "no work hopped during the master's reads"
         monkeypatch.undo()
-        master._drain_mailbox()
+        master._drain_mail()
         assert not master.team.idle, "the team went idle while a teammate ran"
         # the last hop left worker 1 running: its credit ends the goal
         assert hops[-1] == 1 and not run(w1, lambda: False)
         w1._flush_answers()
         w1._do(w1.core.idle())
         with pytest.raises(GoalDone):
-            master._drain_mailbox()
+            master._drain_mail()
         got = Counter(a for msg in iter(client.poll, None) if msg.kind == transport.ANSWER
                       for a in unpack_answers(msg.raw))
     finally:
         shared.close()
         mesh.close()
-        for box in boxes:
-            box.close()
+        links.close()
     assert got == oracle.enumerate_answers(get_program("spread"), [10, 2], "p0")
 
 
 def _await(box):
-    """The next mail of ``box``, blocking in poll(2) until it is whole."""
+    """The next event of the trace pipe ``box``, blocking in poll(2) until
+    it is whole."""
     poller = select.poll()
     poller.register(box.fd, select.POLLIN)
     while (mail := box.get()) is None:
@@ -912,50 +956,60 @@ def _await(box):
 
 def test_mails_larger_than_a_pipe_from_several_writers_arrive_whole():
     ctx = multiprocessing.get_context("fork")
-    box = Mailbox()
+    links = TeamLinks(4)
     per_writer = 8
 
     def writer(rank):
+        ep = links.endpoint("writers", rank)
         for i in range(per_writer):
-            box.put((rank, i, bytes([rank * per_writer + i]) * 100_000))
+            ep.send(0, protocol.ANSWER, {"i": i}, bytes([rank * per_writer + i]) * 100_000)
 
     procs = [ctx.Process(target=writer, args=(r,)) for r in (1, 2, 3)]
     for p in procs:
         p.start()
-    got = [_await(box) for _ in range(3 * per_writer)]
+    reader = links.endpoint("writers", 0)
+    got = []
+    while len(got) < 3 * per_writer:
+        if (msg := reader.poll()) is None:
+            reader.wait(None)
+        else:
+            got.append((msg.sender, msg.meta["i"], msg.raw))
     for p in procs:
         p.join(timeout=5.0)
         assert not p.is_alive()
-    assert sorted((r, i) for r, i, _ in got) == \
-        [(r, i) for r in (1, 2, 3) for i in range(per_writer)]
+    # each writer's mails come in the order it sent them
+    for rank in (1, 2, 3):
+        assert [i for r, i, _ in got if r == rank] == list(range(per_writer))
     assert all(blob == bytes([r * per_writer + i]) * 100_000 for r, i, blob in got)
-    assert box.get() is None
-    box.close()
+    assert reader.poll() is None
+    links.close()
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RUSAGE_THREAD is Linux-only")
-def test_a_teammate_waiting_for_a_reply_blocks_on_its_mailbox():
+def test_a_teammate_waiting_for_a_reply_blocks_in_poll():
     # worker 1 asks busy worker 2, which refuses at its next tick, 0.3 s
-    # later, and goes idle; then nobody is busy and the goal ends
+    # later, and goes idle; then nobody is busy and the master ends the goal
     shared = TeamShared(3, n_frames=16)
-    boxes = [Mailbox() for _ in range(3)]
-    tctx = TeamContext("wait", 0, 1, 3, EngineOptions(), shared, boxes, None)
-    requester = Worker(tctx, WorkerState(team_id=0, worker_id=1), 1)
+    links = TeamLinks(3)
+    tctx = TeamContext("wait", 0, 1, 3, EngineOptions(), shared, links, None)
+    requester = Worker(tctx, WorkerState(team_id=0, worker_id=1), 1, links.endpoint("wait", 1))
+    master, busy = links.endpoint("wait", 0), links.endpoint("wait", 2)
     requester.goal_id = 1
     requester.core.start(1)
     for rank, idle in enumerate((True, True, False)):
         shared.set_idle(rank, idle)
 
     def busy_target():
-        _, meta, _ = _await(boxes[2])
+        while (request := busy.poll()) is None:
+            busy.wait(None)
         time.sleep(0.3)                   # until the target's next tick
         shared.set_idle(2, True)
-        tctx.notify(1, protocol.SHARE_REFUSE, meta)
-        tctx.notify(1, protocol.TERMINATE, {"goal": 1})
+        busy.send(1, protocol.SHARE_REFUSE, request.meta)
+        master.send(1, protocol.TERMINATE, {"goal": 1})
 
     target = threading.Thread(target=busy_target)
     # a requester that misses the reply shuts down instead of hanging
-    watchdog = threading.Timer(10.0, tctx.notify, (1, protocol.ENGINE_FREE, {}))
+    watchdog = threading.Timer(10.0, master.send, (1, protocol.ENGINE_FREE, {}))
     target.start()
     watchdog.start()
     try:
@@ -969,8 +1023,7 @@ def test_a_teammate_waiting_for_a_reply_blocks_on_its_mailbox():
         watchdog.cancel()
         target.join(timeout=5.0)
         shared.close()
-        for box in boxes:
-            box.close()
+        links.close()
     assert not target.is_alive()
     assert waited >= 0.3
     assert switches < 20, f"a requester woke {switches} times waiting 0.3 s for a reply"
@@ -1099,7 +1152,7 @@ def test_each_share_request_resolves_to_exactly_one_reply(wire_log):
 def _own_credit_back(team):
     """The master's own worker runs out of work and hands its worker credit
     1 (a one-worker team's) to its team core."""
-    return lambda: team.mail(protocol.ANSWER, {"goal": team.goal, "credit": 0})
+    return lambda: team.mail(protocol.ANSWER, 0, {"goal": team.goal, "credit": 0})
 
 
 def _credit_return(sender, k, n_teams=3):
@@ -1237,11 +1290,11 @@ def _master_on_a_mesh(name, meta):
     with the client's and team 1's endpoints."""
     mesh = transport.QueueMesh(2)
     shared = TeamShared(1, n_frames=4096)
-    ctx = TeamContext(name, 0, 2, 1, EngineOptions(), shared, [_Box()], None)
+    ctx = TeamContext(name, 0, 2, 1, EngineOptions(), shared, None, None)
     ws = WorkerState(team_id=0, worker_id=0)
     ws.frames = shared
     ep = mesh.endpoint(name, 0)
-    master = Master(ctx, ws, ep)
+    master = Master(ctx, ws, ep, _Links([_Box()], 0))
     master._begin_goal(meta)
     ends = mesh.endpoint(name, transport.CLIENT_ID), mesh.endpoint(name, 1)
     return master, ends, lambda: (shared.close(), mesh.close())
@@ -1554,7 +1607,8 @@ def test_a_paused_client_gets_every_answer_and_the_engine_buffers_little():
     assert grown < 8 * 1024, f"the engine grew by {grown} kB while the client paused"
 
 
-@pytest.mark.parametrize("teams", [[1, 1, 1, 1], [2, 2]])
+# [4] fills links that carry only mail
+@pytest.mark.parametrize("teams", [[1, 1, 1, 1], [2, 2], [4]])
 @pytest.mark.parametrize("strategy", ["vs", "hs"])
 def test_goals_finish_exactly_over_4_kib_socket_buffers(tiny_socket_buffers, teams, strategy):
     h = make_engine(f"tiny-{len(teams)}-{strategy}", teams, strategy=strategy)
