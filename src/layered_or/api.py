@@ -201,6 +201,8 @@ def _validate_goal(goal: GoalSpec) -> None:
         slots = program.slots(goal.args)
     except (ValueError, TypeError) as exc:
         raise GoalError(f"bad arguments for {goal.program}: {exc}") from None
+    if not slots:
+        raise GoalError(f"{goal.program}{tuple(goal.args)} has no cell to report answers by")
     if goal.template is not None and goal.template not in slots:
         raise GoalError(f"unknown template slot {goal.template!r}; "
                         f"slots: {sorted(slots)}")

@@ -71,6 +71,13 @@ FAULT = 9
 WAKE = 10          # mail only: a busy spell began, so teammates look for work
 
 
+def natural(k, what: str) -> int:
+    """``k``, if it is a natural number; else a ``ProtocolViolation``."""
+    if not isinstance(k, int) or k < 0:
+        raise ProtocolViolation(f"{what} {k!r} is not a natural number")
+    return k
+
+
 class Credit:
     """Credit handed back, summed exactly as ``total / 2**scale``."""
 
@@ -79,9 +86,7 @@ class Credit:
 
     def add(self, k) -> None:
         """Add a returned ``2**-k``, rescaling when ``k`` passes the scale."""
-        if not isinstance(k, int) or k < 0:
-            raise ProtocolViolation(f"credit exponent {k!r} is not a natural number")
-        if k > self.scale:
+        if natural(k, "credit exponent") > self.scale:
             self.total, self.scale = self.total << (k - self.scale), k
         self.total += 1 << (self.scale - k)
 
@@ -160,14 +165,13 @@ class PullCore:
         if self.asking is None or (meta.get("goal"), meta.get("req")) != \
                 (self.goal, self.asking[1]):
             return []
+        if kind == SHARE_ACCEPT:
+            if self.credit is not None:
+                raise ProtocolViolation(f"{type(self).__name__} {self.rank} got a copy "
+                                        f"while it works")
+            self.credit = natural(meta.get("credit"), "credit exponent")
         self.asking = None
-        if kind != SHARE_ACCEPT:
-            return []
-        if self.credit is not None or meta.get("credit") is None:
-            raise ProtocolViolation(f"{type(self).__name__} {self.rank} got a copy while "
-                                    f"it works, or one that carries no credit")
-        self.credit = meta["credit"]
-        return [("install", raw, self.LOCAL)]
+        return [("install", raw, self.LOCAL)] if kind == SHARE_ACCEPT else []
 
     def _mark_busy(self, peer: int, load: int) -> list:
         raise NotImplementedError
@@ -236,7 +240,7 @@ class TeamCore(PullCore):
 
     def start(self, meta: dict) -> list:
         """Team 0 starts the goal at its root; the others start idle and ask."""
-        super().start(meta["goal"])
+        super().start(natural(meta.get("goal"), "goal"))
         self.meta = meta
         self.recovered = Credit()
         self.parked = self.mates             # teammates not yet in the goal
@@ -266,11 +270,11 @@ class TeamCore(PullCore):
         if self.goal is None:
             # parked: a GOAL or ROOT_INFO starts one; other frames of an ended goal are dropped
             return [("begin", meta)] if kind == (ROOT_INFO if self.rank else GOAL) else []
-        if kind == GOAL or (kind == ROOT_INFO and not (goal > self.goal and self.idle)):
-            raise ProtocolViolation(f"a frame of kind {kind} reached a running team")
-        if kind == ROOT_INFO:
+        if kind == ROOT_INFO and natural(goal, "goal") > self.goal and self.idle:
             # the previous goal ended by a FAULT still on its way here
             return [("push_back",)] + self._end()
+        if kind in (GOAL, ROOT_INFO):
+            raise ProtocolViolation(f"a frame of kind {kind} reached a running team")
         if goal != self.goal:
             return []
         if kind == ANSWER:

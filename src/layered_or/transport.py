@@ -4,9 +4,9 @@ One endpoint type carries every link: a byte stream per pair of teams, one
 between team 0 and the client, and one per pair of a team's workers (ids
 being ranks). Between the teams of a tcp engine they are TCP connections,
 all others ``socket.socketpair`` ends (``QueueMesh``, ``TeamLinks``). Every
-frame is the same checksummed wire frame, so every message piggybacks the
-sender's full load array (unread on a team's links), and the codec is
-exercised constantly.
+frame is the same checksummed wire frame, so every message between teams
+piggybacks the sender's full load array, and the codec is exercised
+constantly. A frame on a team's links carries an empty one.
 
 Delivery is reliable and in order per (sender, receiver) pair, and the
 links are served round-robin. An endpoint can hold each frame it reads for
@@ -462,6 +462,11 @@ class TeamLinks(QueueMesh):
     fork. They hold no frame back: ``EngineOptions.delay`` never held mail."""
 
     CLIENT = False
+
+    def endpoint(self, engine_id: str, team_id: int, own_load_fn=None) -> TcpEndpoint:
+        ep = super().endpoint(engine_id, team_id, own_load_fn)
+        ep.loads = []         # nobody reads a teammate's load array
+        return ep
 
 
 def _cut_frame(buf: bytearray) -> Optional[bytes]:

@@ -15,15 +15,16 @@ A worker's one intra-team channel is its endpoint on the team's links
 ``protocol``'s message kinds, its payload checked bytes such as a stack
 copy (a ``splitting`` aux area with a frames column).
 
-Answers travel packed. A teammate mails the answers it found to its master
-as one batch: a little-endian ``u32`` answer count, then per answer a
-``u32`` length and that many ``i64`` values. It mails a batch at most
-every ``ANSWER_FLUSH_S``, at once for a goal's first answer, and with its
-worker credit before it raises its idle flag. A master packs its own answers straight into its
-forward buffer, next to its teammates' batches of the goal and the ANSWER
-payloads of other teams. It sends the lot as one ANSWER frame, at most
-every ``ANSWER_FLUSH_S`` while its team works and at once when the team
-goes idle or the goal ends. Nothing between worker and client unpacks it.
+Answers travel packed. A batch is a little-endian ``u32`` count and ``u32``
+width (all answers of a goal have its template's width), then count × width
+little-endian ``i64`` values; an ANSWER payload is a concatenation of
+batches. A worker keeps the answers it found and one flush timer. A
+teammate mails them to its master as one batch at most every
+``ANSWER_FLUSH_S``, at once for a goal's first answer, and with its worker
+credit before it raises its idle flag. A master buffers the batches it is
+sent and sends them, its own answers packed last, as one ANSWER frame by
+the same timer, and at once when its team goes idle or the goal ends. Only
+the client unpacks a batch; team 0 reads the headers, for its trace.
 
 Every wait is one blocking ``poll(2)``: a teammate's on its links, a
 master's in its endpoint's poller, which also watches its links and its
@@ -48,7 +49,7 @@ import struct
 import time
 import traceback
 from contextlib import suppress
-from functools import lru_cache
+from itertools import chain
 
 from . import splitting
 from .config import EngineOptions
@@ -103,10 +104,10 @@ class TeamContext:
 class Worker:
     """A teammate's driver: it runs stacks and feeds its ``WorkerCore``.
 
-    The master runs the same loops. It overrides two hooks: ``_pump``,
-    which keeps its transport and answer forwarding going while it waits,
-    and ``_await_mail``, which blocks in its endpoint's poller so that
-    frames wake it too.
+    The master runs the same loops. It overrides three hooks: ``_pump``,
+    which also keeps its transport going, ``_a_flush``, which keeps its
+    answers for its own ANSWER frame, and ``_await_mail``, which blocks in
+    its endpoint's poller so that frames wake it too.
     """
 
     def __init__(self, ctx: TeamContext, ws: WorkerState, rank: int, links: TcpEndpoint):
@@ -117,13 +118,17 @@ class Worker:
         self.core = WorkerCore(rank)
         self.goal_id = -1
         self._answers: list[tuple] = []    # found since the last flush
-        self._last_flush = 0.0
+        self._last_flush = 0.0             # when answers last went out
         self._spacing = 0                  # steps from the last service tick to the next
         self._got_work = False             # a stack copy was installed since the last look
 
     # -- hooks ------------------------------------------------------------------
-    def _pump(self) -> None:
-        """Work done on every turn of a wait loop besides the mail."""
+    def _pump(self) -> bool:
+        """Work done on every service tick and idle turn besides the mail:
+        send the answers held once a flush is due. True if asked for work."""
+        if self._flush_wait() <= 0:
+            self._a_flush()
+        return False
 
     def _await_mail(self) -> None:
         """Wait for mail, blocking in poll(2) on this worker's links."""
@@ -143,8 +148,13 @@ class Worker:
     def _a_flag(self, rank: int, idle: bool) -> None:
         self.ctx.shared.set_idle(rank, idle)
 
-    def _a_flush(self, credit) -> None:
-        self._flush_answers(credit)
+    def _a_flush(self, credit=None) -> None:
+        """Mail the answers held as one batch, with any worker credit."""
+        if self._answers or credit is not None:
+            self._a_mail(0, ANSWER, {"goal": self.goal_id, "credit": credit},
+                         pack_answers(self._answers))
+            self._answers.clear()
+            self._last_flush = time.monotonic()
 
     def _a_copy(self, rank: int, meta: dict, then) -> None:
         """Teammate ``rank``'s request: a packed copy of this worker's
@@ -243,25 +253,14 @@ class Worker:
     def _emit(self, answer: tuple) -> None:
         self._answers.append(answer)
 
-    def _take_batch(self) -> bytes:
-        """Pack the buffered answers into one batch and empty the buffer."""
-        raw = pack_answers(self._answers)
-        self._answers.clear()
-        return raw
-
-    def _flush_answers(self, credit=None) -> None:
-        """Mail the answers found, with worker credit ``2**-credit`` if given."""
-        if self._answers or credit is not None:
-            raw = self._take_batch() if self._answers else b""
-            self._a_mail(0, ANSWER, {"goal": self.goal_id, "credit": credit}, raw)
-            self._last_flush = time.monotonic()
+    def _flush_wait(self) -> float:
+        """Seconds until the answers held are due to go out (none: now)."""
+        return self._last_flush + ANSWER_FLUSH_S - time.monotonic()
 
     def _service(self) -> int:
-        if self._answers and time.monotonic() - self._last_flush >= ANSWER_FLUSH_S:
-            self._flush_answers()
         served = self._drain_mail()
         self._do(self.core.tick(self.ws.load))
-        return self._next_spacing(served)
+        return self._next_spacing(self._pump() | served)
 
     def _next_spacing(self, served: bool) -> int:
         """Steps to the next tick, by the rule of the module docstring."""
@@ -312,25 +311,26 @@ class Master(Worker):
         endpoint.loads = self.team.loads  # the endpoint stamps this team's own entry
         endpoint.own_load_fn = self.own_load
         self._msg = None                  # the frame being fed to the team core
-        self._forward: list[tuple[int, bytes]] = []   # (origin team, packed batches)
-        self._last_forward = 0.0          # when the last ANSWER frame went out
+        self._forward = bytearray()       # batches to send on, own answers not yet packed
 
     def own_load(self) -> int:
         """This team's entry in the load arrays it stamps on its frames."""
         return -1 if self.team.idle else self.ctx.shared.team_load()
 
     # -- the hooks -----------------------------------------------------------------
-    def _pump(self) -> None:
-        self._drain_transport()
+    def _pump(self) -> bool:
+        """Feed the frames that came to the team core, serve, and send the
+        answers held once a flush is due. True if asked for work."""
+        asked = self._drain_transport()
         self._do(self.team.serve())
-        self._forward_answers()
+        if self._flush_wait() <= 0:
+            self._a_answers()
+        return asked or bool(self.team.held)
 
     def _await_mail(self) -> None:
         # the poller watches the links too; held answers bound the wait
-        timeout = None
-        if self._forward:
-            timeout = max(0.0, self._last_forward + ANSWER_FLUSH_S - time.monotonic())
-        self.ep.wait(timeout)
+        held = self._answers or self._forward
+        self.ep.wait(max(0.0, self._flush_wait()) if held else None)
 
     def _core_for(self, kind: int):
         return self.team if kind in (ANSWER, FAULT) else self.core
@@ -355,14 +355,30 @@ class Master(Worker):
         self._do(then(team, meta, splitting.serialize_aux(aux) if aux.load > 0 else None,
                       aux.load))
 
+    def _a_flush(self, credit=None) -> None:
+        """Hand the worker credit to the team core; the answers wait."""
+        self._do(self.team.mail(ANSWER, 0, {"goal": self.goal_id, "credit": credit}))
+
     def _a_forward(self, origin: int, raw: bytes) -> None:
-        self._forward.append((origin, raw))
+        if self.ctx.team_id == 0 and self.ctx.trace_queue is not None:
+            for count, _, _ in answer_batches(raw):
+                self.ctx.trace(0, "client_answer", origin=origin, count=count)
+        self._forward += raw
 
     def _a_hold(self, credit: int) -> None:
         self.core.credit = credit
 
-    def _a_answers(self, credit) -> None:
-        self._forward_answers(now=True, credit=credit)
+    def _a_answers(self, credit=None) -> None:
+        """Send the batches held and this master's own answers as one ANSWER
+        frame to the client (team 0) or team 0, with any team credit."""
+        if self._answers:
+            self._a_forward(self.ctx.team_id, pack_answers(self._answers))
+            self._answers.clear()
+        if self._forward or credit is not None:
+            self.ep.send(0 if self.ctx.team_id else CLIENT_ID, ANSWER,
+                         {"goal": self.goal_id, "credit": credit}, bytes(self._forward))
+            self._forward.clear()
+            self._last_flush = time.monotonic()
 
     def _a_push_back(self) -> None:
         self.ep.push_back(self._msg)
@@ -410,19 +426,6 @@ class Master(Worker):
             self._drain_transport()
             self.ep.wait(None)
 
-    def _begin_goal(self, meta: dict) -> None:
-        self._forward.clear()
-        self._last_forward = float("-inf")   # a goal's first answers go out at once
-        super()._begin_goal(meta)
-
-    def _service(self) -> int:
-        served = self._drain_mail()
-        polled = self._drain_transport()
-        self._do(self.core.tick(self.ws.load))
-        self._do(self.team.serve())
-        self._forward_answers()
-        return self._next_spacing(served or polled or bool(self.team.held))
-
     def _propagate_fault(self, error: str) -> None:
         self._do(self.team.fault(error))
 
@@ -436,92 +439,42 @@ class Master(Worker):
             served |= msg.kind != ANSWER
         return served
 
-    # -- answers -------------------------------------------------------------------
-    def _flush_answers(self, credit=None) -> None:
-        """A master packs its own answers straight into its forward buffer
-        and hands its worker credit to its own team core."""
-        if self._answers:
-            self._forward.append((self.ctx.team_id, self._take_batch()))
-        if credit is not None:
-            self._do(self.team.mail(ANSWER, 0, {"goal": self.goal_id, "credit": credit}))
-
-    def _forward_answers(self, now: bool = False, credit: int | None = None) -> None:
-        """Send everything buffered as one ANSWER frame: to the client from
-        the master team, to the master team from the others.
-
-        The frame goes out at most every ``ANSWER_FLUSH_S`` unless ``now``
-        is set. A ``credit`` goes out at once on the frame, answers or not.
-        """
-        ctx = self.ctx
-        self._flush_answers()
-        if not self._forward and credit is None:
-            return
-        t = time.monotonic()
-        if not now and credit is None and t - self._last_forward < ANSWER_FLUSH_S:
-            return
-        self._last_forward = t
-        if ctx.team_id != 0:
-            dest = 0
-        else:
-            dest = CLIENT_ID
-            if ctx.trace_queue is not None:
-                for origin, raw in self._forward:
-                    for answer in unpack_answers(raw):
-                        ctx.trace(0, "client_answer", origin=origin, answer=answer)
-        raw = b"".join(raw for _, raw in self._forward)
-        self._forward.clear()
-        meta = {"goal": self.goal_id}
-        if credit is not None:
-            meta["credit"] = credit
-        self.ep.send(dest, ANSWER, meta, raw)
-
 
 # ---------------------------------------------------------------------------
 # answer batch codec (ANSWER frame payload)
 # ---------------------------------------------------------------------------
 
-_U32 = struct.Struct("<I")
+_HEAD = struct.Struct("<II")      # a batch's answer count and width
 
 
-@lru_cache(maxsize=64)
-def _answer_record(n: int) -> struct.Struct:
-    """Length prefix plus ``n`` values: one packed answer."""
-    return struct.Struct(f"<I{n}q")
+def pack_answers(answers) -> bytes:
+    """Pack answers of one width as one batch; no answers make no batch."""
+    if not answers:
+        return b""
+    count, width = len(answers), len(answers[0])
+    return struct.pack(f"<II{count * width}q", count, width, *chain.from_iterable(answers))
 
 
-def pack_answers(batch) -> bytes:
-    """Pack one batch: the answer count, then each answer's length and values."""
-    out = [_U32.pack(len(batch))]
-    for answer in batch:
-        n = len(answer)
-        out.append(_answer_record(n).pack(n, *answer))
-    return b"".join(out)
+def answer_batches(raw: bytes):
+    """Each batch of an ANSWER payload as (count, width, offset of its values),
+    its header checked against the bytes left before its block is read."""
+    off, end = 0, len(raw)
+    while off < end:
+        if end - off < _HEAD.size:
+            raise ProtocolViolation("answer payload ends inside a batch header")
+        count, width = _HEAD.unpack_from(raw, off)
+        off += _HEAD.size
+        if not count or not width or 8 * count * width > end - off:
+            raise ProtocolViolation(f"answer batch of {count} x {width} values "
+                                    f"does not fit the payload")
+        yield count, width, off
+        off += 8 * count * width
 
 
 def unpack_answers(raw: bytes) -> list[tuple]:
-    """Unpack a concatenation of packed batches into one answer list.
-
-    Every count and length is checked against the bytes left before it is
-    used, so a malformed payload raises ``ProtocolViolation`` and never
-    builds a record format larger than the payload itself.
-    """
+    """Unpack a concatenation of batches into one answer list."""
     answers = []
-    off = 0
-    end = len(raw)
-    while off < end:
-        if end - off < 4:
-            raise ProtocolViolation("answer payload ends inside a batch count")
-        (count,) = _U32.unpack_from(raw, off)
-        off += 4
-        if 4 * count > end - off:
-            raise ProtocolViolation(f"answer batch of {count} runs past the payload")
-        for _ in range(count):
-            if end - off < 4:
-                raise ProtocolViolation("answer payload ends inside an answer length")
-            (n,) = _U32.unpack_from(raw, off)
-            size = 4 + 8 * n
-            if size > end - off:
-                raise ProtocolViolation(f"answer of {n} values runs past the payload")
-            answers.append(_answer_record(n).unpack_from(raw, off)[1:])
-            off += size
+    for count, width, off in answer_batches(raw):
+        values = struct.unpack_from(f"<{count * width}q", raw, off)
+        answers += zip(*[iter(values)] * width)
     return answers

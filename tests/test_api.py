@@ -124,6 +124,8 @@ def test_unknown_program_and_arity_mismatch():
         api.par_run_goal(h, "queens(999)")   # rejected by the program's setup
     with pytest.raises(GoalError):
         api.par_run_goal(h, "queens(8) -> nope")
+    with pytest.raises(GoalError, match="no cell"):
+        api.par_run_goal(h, "wide(0,1)")     # every answer batch needs a width
     api.par_free_parallel_engine(h)
 
 

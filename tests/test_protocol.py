@@ -48,12 +48,14 @@ from hypothesis import strategies as st
 from layered_or import boot, oracle, transport
 from layered_or.config import EngineOptions
 from layered_or.engine import count_open, run_loop
+from layered_or.errors import ProtocolViolation
 from layered_or.programs import get_program
 from layered_or.protocol import (
     ANSWER,
     CLIENT_ID,
     ENGINE_FREE,
     GOAL,
+    ROOT_INFO,
     SHARE_ACCEPT,
     SHARE_REFUSE,
     SHARE_REQUEST,
@@ -175,9 +177,9 @@ class _Process:
             acts = self.core.tick(self.ws.load)
             if self.rank == 0:
                 acts += self.team.serve()
-                self._forward_answers(now=True)
+                self._a_answers()
             else:
-                self._flush_answers()
+                self._a_flush()
             self.pending.extend(acts)
             return
         self.start_tag, self.running = None, False
@@ -592,6 +594,11 @@ def test_both_levels_pull_work_by_the_same_rules(level):
     # only the reply to that request counts, and it carries the credit
     assert level.reply(SHARE_ACCEPT, dict(level.asked(7), credit=3), b"copy") == []
     assert core.asking == (2, 0) and core.credit is None
+    # a copy whose credit is not a natural number is a protocol violation
+    for credit in (None, -1, "3", 2.5):
+        with pytest.raises(ProtocolViolation):
+            level.reply(SHARE_ACCEPT, dict(level.asked(0), credit=credit), b"copy")
+    assert core.asking == (2, 0) and core.credit is None
     got = level.reply(SHARE_ACCEPT, dict(level.asked(0), credit=3), b"copy")
     assert got[0] == ("install", b"copy", level.local)
     assert core.asking is None and core.credit == 3
@@ -653,6 +660,17 @@ def test_a_worker_core_holds_serves_and_refuses_requests():
     assert core.mail(SHARE_REQUEST, 2, {"goal": 8}) == [("mail", 2, SHARE_REFUSE, {"goal": 8})]
     assert core.mail(WAKE, 0, {"goal": 8, "credit": 1}) == [("begin", {"goal": 8, "credit": 1})]
     assert core.mail(ENGINE_FREE, 0, {}) == [("shutdown",)]
+
+
+def test_a_goal_number_that_is_not_a_natural_number_is_a_protocol_violation():
+    # a running idle team compares a ROOT_INFO's goal with its own
+    team = TeamCore(1, 2, 1)
+    assert team.start({"goal": 4, "strategy": "vs"}) == []
+    for goal in ("5", None, 5.0):
+        with pytest.raises(ProtocolViolation):
+            team.frame(ROOT_INFO, 0, {"goal": goal}, [])
+    with pytest.raises(ProtocolViolation):
+        TeamCore(1, 2, 1).start({"goal": "5", "strategy": "vs"})
 
 
 def test_a_team_core_splits_held_requests_from_its_own_stack_and_refuses_them_on_going_idle():

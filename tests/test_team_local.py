@@ -581,7 +581,7 @@ def test_answer_batches_mail_a_goals_first_answer_at_once(monkeypatch):
     teammate._begin_goal({"program": "spread", "args": [6, 5], "goal": 1})
     try:
         teammate._run(start_tag=teammate.ws.program.root_tag)
-        teammate._flush_answers()
+        teammate._a_flush()
     finally:
         shared.close()
     puts = boxes[0].items
@@ -877,7 +877,7 @@ def test_a_team_stays_busy_while_its_work_hops_between_idle_flag_reads(monkeypat
         assert frames and run(requester, lambda: requester.ws.load > 0 and all(
             c >= n for n, c, _, _ in map(shared.frame_state, frames)))
         assert not run(sharer, lambda: False), "the sharer kept work of its own"
-        sharer._flush_answers()
+        sharer._a_flush()
         sharer._do(sharer.core.idle())
         if ask_back:
             sharer._do(sharer.core.seek(shared.loads(), shared.idle_flags()))
@@ -931,7 +931,7 @@ def test_a_team_stays_busy_while_its_work_hops_between_idle_flag_reads(monkeypat
         assert not master.team.idle, "the team went idle while a teammate ran"
         # the last hop left worker 1 running: its credit ends the goal
         assert hops[-1] == 1 and not run(w1, lambda: False)
-        w1._flush_answers()
+        w1._a_flush()
         w1._do(w1.core.idle())
         with pytest.raises(GoalDone):
             master._drain_mail()
@@ -1116,6 +1116,19 @@ def test_remote_answers_arrive_tagged_with_origin_team():
     finally:
         api.par_free_parallel_engine(h)
     assert origins - {0}, "remote teams contributed no answers in 5 goals"
+
+
+@pytest.mark.parametrize("topology", [[2, 2], [1, 1, 1, 1]], ids=["2,2", "1,1,1,1"])
+def test_client_answer_events_count_every_answer_the_client_got(topology):
+    # team 0 traces each batch it forwards by the count in its header
+    h = make_engine(f"counted{len(topology)}", topology, options=EngineOptions(trace=True))
+    try:
+        api.par_run_goal(h, "queens(8)")
+        got = drain(h)
+        counts = [e[3]["count"] for e in h.trace_events() if e[2] == "client_answer"]
+    finally:
+        api.par_free_parallel_engine(h)
+    assert sum(got.values()) == 92 and sum(counts) == 92, counts
 
 
 def test_each_share_request_resolves_to_exactly_one_reply(wire_log):
@@ -1311,10 +1324,10 @@ def test_a_goals_first_answers_leave_the_master_at_once():
         "first", {"program": "queens", "args": [4], "goal": 1})
     try:
         master._emit((2, 4, 1, 3))
-        master._forward_answers(now=True)
+        master._a_answers()
         master._begin_goal({"program": "queens", "args": [4], "goal": 2})
         master._emit((3, 1, 4, 2))
-        master._forward_answers()
+        master._pump()
         got = [(msg.kind, msg.goal_id) for msg in _frames(client)]
     finally:
         close()
@@ -1354,7 +1367,7 @@ def test_answer_frames_leave_a_masters_quiet_ticks_widening():
     try:
         master._do(master.team.start(meta))
         master._run(start_tag=master.ws.program.root_tag)
-        master._forward_answers(now=True)
+        master._a_answers()
         sent = {msg.kind for msg in _frames(peer) + _frames(client)}
     finally:
         close()

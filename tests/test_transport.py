@@ -160,7 +160,9 @@ def test_fuzzed_aux_areas_raise_only_protocol_violation(data):
 
 
 # two batches, as an ANSWER payload concatenates them
-_BATCHES = pack_answers([(1, -2, 3), (), (1 << 62,)]) + pack_answers([(7, 8)])
+_BATCHES = pack_answers([(1, -2, 3), (4, 5, 6), (1 << 62, 0, -(1 << 63))]) \
+    + pack_answers([(7,), (8,)])
+_ANSWERS = [(1, -2, 3), (4, 5, 6), (1 << 62, 0, -(1 << 63)), (7,), (8,)]
 
 
 @given(st.binary(max_size=120) | _mutations(_BATCHES))
@@ -170,21 +172,26 @@ def test_fuzzed_answer_payloads_raise_only_protocol_violation(data):
         answers = unpack_answers(data)
     except ProtocolViolation:
         return
-    # what unpacks filled the payload exactly: a count per batch, a length
-    # and the values per answer
-    assert all(isinstance(v, int) for answer in answers for v in answer)
-    assert (len(data) - sum(4 + 8 * len(a) for a in answers)) % 4 == 0
+    # what unpacks filled the payload exactly: an 8-byte header per batch,
+    # then 8 bytes per value, and no answer is empty
+    assert all(answers) and all(isinstance(v, int) for answer in answers for v in answer)
+    assert (len(data) - sum(8 * len(a) for a in answers)) % 8 == 0
 
 
 @pytest.mark.parametrize("raw", [
-    _BATCHES[:2],                                      # ends inside a batch count
-    _BATCHES[:-5],                                     # a record runs past the payload
+    _BATCHES[:6],                                      # ends inside a count and width header
+    _BATCHES[:-5],                                     # a block of records runs past the payload
     _BATCHES + b"\x01",                               # trailing bytes
-    struct.pack("<I", 5) + struct.pack("<Iq", 1, 9),   # more answers than bytes
-    struct.pack("<II", 1, (1 << 31) - 1) + bytes(16),  # a length far past the payload
-], ids=["cut-count", "cut-record", "trailing", "count-past-end", "huge-length"])
+    struct.pack("<IIq", 5, 1, 9),                      # more answers than bytes
+    struct.pack("<II", 1, (1 << 31) - 1) + bytes(16),  # an answer length (width) far past it
+    struct.pack("<II", 3, 0),                          # answers of no value
+    struct.pack("<II", 0, (1 << 32) - 1),              # no answer, of a huge width
+    # count × width wraps to 1 in 32 bits: 8 bytes would pass a wrapped check
+    struct.pack("<II", (1 << 32) - 1, (1 << 32) - 1) + bytes(8),
+], ids=["cut-count", "cut-record", "trailing", "count-past-end", "huge-length", "width-0",
+        "count-0", "count-times-width-overflow"])
 def test_malformed_answer_payloads_are_protocol_violations(raw):
-    assert unpack_answers(_BATCHES) == [(1, -2, 3), (), (1 << 62,), (7, 8)]
+    assert unpack_answers(_BATCHES) == _ANSWERS
     with pytest.raises(ProtocolViolation):
         unpack_answers(raw)
 
@@ -352,6 +359,16 @@ def test_an_endpoint_keeps_its_mesh_open():
         assert next_msg(ep, 0.02) is None
     finally:
         ep._mesh.close()
+
+
+def test_mail_on_a_teams_links_carries_no_load_array():
+    links = transport.TeamLinks(2)
+    try:
+        links.endpoint("t", 0).send(1, transport.ANSWER, {"goal": 1}, b"x")
+        msg = next_msg(links.endpoint("t", 1), 1.0)
+    finally:
+        links.close()
+    assert (msg.kind, msg.loads, msg.raw) == (transport.ANSWER, [], b"x")
 
 
 def test_terminate_after_refuse_keeps_order():
