@@ -1,19 +1,19 @@
-"""Host agent: pre-started process that spawns team masters on request.
+"""Host agent: pre-started process that starts teams on request.
 
 Remote entries in an engine topology name a ``host:port`` where one of these
 agents listens. The client connects, sends a one-line json create request,
 and keeps the connection as the team's control channel; the agent forks the
-master process (handing it the connection) and goes back to accepting.
-A master dies with the agent that forked it.
+team's master (handing it the connection) and teammates through
+``boot.start_team`` and goes back to accepting. A team's processes die with
+the agent that forked them.
 """
 
 from __future__ import annotations
 
 import contextlib
-import multiprocessing
 import socket
 
-from .boot import MasterBoot, SocketChannel, master_entry
+from .boot import MasterBoot, SocketChannel, start_team
 from .config import EngineOptions
 
 
@@ -31,7 +31,6 @@ def _boot_from_request(req: dict, chan: SocketChannel) -> MasterBoot:
 def serve_agent(port: int, host: str = "0.0.0.0", max_teams: int | None = None,
                 on_bound=None) -> None:
     """Accept create-team requests forever (or for ``max_teams`` of them)."""
-    ctx = multiprocessing.get_context("fork")
     children: list = []
     srv = socket.create_server((host, port))
     srv.settimeout(0.5)
@@ -57,11 +56,7 @@ def serve_agent(port: int, host: str = "0.0.0.0", max_teams: int | None = None,
                     chan.put({"error": f"bad create request: {exc!r}"})
                 chan.close()
                 continue
-            proc = ctx.Process(target=master_entry, args=(boot,),
-                               name=f"agent-{req['engine']}-t{req['team_id']}")
-            proc.start()
-            children.append(proc)
-            conn.close()          # the forked master owns its copy now
+            children += start_team(boot)   # the forked master owns the connection now
             served += 1
         for c in children:
             c.join()

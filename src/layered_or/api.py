@@ -1,12 +1,13 @@
 """Client-side engine registry and the five-call engine lifecycle.
 
-The client process creates engines (spawning one master process per team,
-which in turn forks its teammates), submits goals, and drains answers. All
-calls are non-blocking except ``par_get_answers`` in ``exact`` mode, which
-waits until enough answers exist or the goal finishes. It blocks in the
-client endpoint's poller, which also watches the trace pipe and every
-local master's sentinel: a dead master raises ``EngineError`` at the next
-read, with what failed masters reported on their ctrl channels.
+The client process creates engines (forking each local team's master and
+teammates side by side, ``boot.start_team``), submits goals, and drains
+answers. All calls are non-blocking except ``par_get_answers`` in
+``exact`` mode, which waits until enough answers exist or the goal
+finishes. It blocks in the client endpoint's poller, which also watches
+the trace pipe and every local master's sentinel: a dead master raises
+``EngineError`` at the next read, with what failed masters reported on
+their ctrl channels.
 
 Worker processes are forked, so engines must be created from a process
 without running threads (the POSIX fork constraint). Remote teams are hosted
@@ -17,10 +18,9 @@ from __future__ import annotations
 
 import atexit
 import logging
-import multiprocessing
 # at its first import this registers the atexit hook that joins every live
-# master; atexit runs hooks last-registered first, so importing it before
-# _free_all is registered lets _free_all stop the masters before that join
+# engine process; atexit runs hooks last-registered first, so importing it
+# before _free_all is registered lets _free_all stop them before that join
 import multiprocessing.util
 import os
 import pickle
@@ -31,7 +31,7 @@ from collections import deque
 from dataclasses import asdict, dataclass, field
 from typing import Optional, Sequence, Union
 
-from .boot import READY_TIMEOUT_S, MasterBoot, SocketChannel, master_entry
+from .boot import READY_TIMEOUT_S, MasterBoot, SocketChannel, start_team
 from .config import EngineOptions
 from .engine import WorkerState
 from .errors import EngineCreationError, EngineError, GoalError
@@ -228,7 +228,7 @@ class EngineHandle:
         self.current_goal: Optional[GoalSpec] = None
         self._ep = None
         self._mesh = None
-        self._procs: list = []
+        self._procs: list = []            # every local team's processes, each master first
         self._channels: list = []
         self._trace_queue = None
         self._trace_buffer: list = []
@@ -313,14 +313,12 @@ def par_create_parallel_engine(name: str, teams: Sequence[Union[TeamSpec, tuple]
     options = options or EngineOptions()
 
     handle = EngineHandle(name, specs, strategy, options, transport_kind)
-    n_teams = len(specs)
-    ctx = multiprocessing.get_context("fork")
     if options.trace:
         handle._trace_queue = Mailbox()
     if transport_kind == "inproc":
-        handle._mesh = QueueMesh(n_teams, delay=options.delay)
+        handle._mesh = QueueMesh(len(specs), delay=options.delay)
     try:
-        _launch_teams(handle, ctx)
+        _launch_teams(handle)
     except Exception:
         _teardown(handle, force=True)
         raise
@@ -328,25 +326,21 @@ def par_create_parallel_engine(name: str, teams: Sequence[Union[TeamSpec, tuple]
     return handle
 
 
-def _launch_teams(handle: EngineHandle, ctx) -> None:
+def _launch_teams(handle: EngineHandle) -> None:
     opts = handle.options
     n_teams = len(handle.topology)
+    masters = {}
     for team_id, spec in enumerate(handle.topology):
         if spec.host in _LOCAL_HOSTS:
             ours, theirs = (SocketChannel(s) for s in socket.socketpair())
             handle._channels.append(ours)
-            boot = MasterBoot(
+            team = start_team(MasterBoot(
                 engine_id=handle.name, team_id=team_id, n_teams=n_teams,
                 n_workers=spec.n_workers, options=opts,
                 transport_kind=handle.transport_kind, channel=theirs,
-                mesh=handle._mesh, trace_queue=handle._trace_queue)
-            proc = ctx.Process(target=master_entry, args=(boot,),
-                               name=f"{handle.name}-master{team_id}")
-            try:
-                proc.start()
-            finally:
-                theirs.close()        # the forked master owns its copy now
-            handle._procs.append(proc)
+                mesh=handle._mesh, trace_queue=handle._trace_queue))
+            handle._procs += team
+            masters[team_id] = team[0]
         else:
             host, _, port = spec.host.partition(":")
             if not port:
@@ -362,7 +356,6 @@ def _launch_teams(handle: EngineHandle, ctx) -> None:
                       "team_id": team_id, "n_teams": n_teams,
                       "n_workers": spec.n_workers, "options": asdict(opts),
                       "bind_host": "0.0.0.0"})
-            handle._procs.append(None)
             handle._channels.append(chan)
 
     if handle.transport_kind == "tcp":
@@ -380,10 +373,9 @@ def _launch_teams(handle: EngineHandle, ctx) -> None:
         handle._ep.dial(0, host, port)
     else:
         handle._ep = handle._mesh.endpoint(handle.name, CLIENT_ID)
-        handle._mesh.close_others(CLIENT_ID)    # every master is forked by now
-    for team_id, proc in enumerate(handle._procs):
-        if proc is not None:
-            handle._ep.watch(proc.sentinel, f"master of team {team_id} died")
+        handle._mesh.close_others(CLIENT_ID)    # every process is forked by now
+    for team_id, proc in masters.items():
+        handle._ep.watch(proc.sentinel, f"master of team {team_id} died")
     if handle._trace_queue is not None:
         handle._ep.watch(handle._trace_queue.fd)
 
@@ -480,8 +472,6 @@ def _teardown(handle: EngineHandle, force: bool) -> None:
         pass
     deadline = time.monotonic() + 5.0
     for proc in handle._procs:
-        if proc is None:
-            continue
         proc.join(timeout=max(0.1, deadline - time.monotonic()))
         if proc.is_alive():
             proc.terminate()

@@ -440,9 +440,9 @@ class QueueMesh:
     def close_others(self, owner: int) -> None:
         """Close every end that ``owner`` does not own.
 
-        The client calls this once it has forked every master, and each
-        master before it forks its teammates. Then each end is held only by
-        its owner's processes, and when the owner dies its peers read EOF.
+        The client calls this once it has forked every engine process, and
+        each master as it starts; a teammate closes every end. Then each end
+        is held only by its owner, and when the owner dies its peers read EOF.
         """
         for (own, _), end in self.ends.items():
             if own != owner:

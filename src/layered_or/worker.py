@@ -27,10 +27,12 @@ the same timer, and at once when its team goes idle or the goal ends. Only
 the client unpacks a batch; team 0 reads the headers, for its trace.
 
 Every wait is one blocking ``poll(2)``: a teammate's on its links, a
-master's in its endpoint's poller, which also watches its links and its
-teammates' sentinels. Only the shutdown mail stops a worker. A mail is
-taken once all its bytes have come, so a teammate that dies mid-send hangs
-nobody, and a send to a dead worker, or a read past its last mail, raises
+master's in its endpoint's poller, which also watches its links. No
+process watches a teammate's sentinel: a dead teammate reads as end of
+file on its links, and a dead master on its teammates' links. A worker
+stops at the shutdown mail or at such an end of file. A mail is taken once
+all its bytes have come, so a teammate that dies mid-send hangs nobody,
+and a send to a dead worker, or a read past its last mail, raises
 ``EngineError``. Blocked sends form no cycle (see ``transport``).
 
 Ticks space themselves out while nobody asks for work. Each run starts
@@ -82,7 +84,7 @@ class TeamContext:
 
     def __init__(self, engine_id, team_id, n_teams, n_workers, options,
                  shared, links, trace_queue):
-        self.master_pid = os.getpid()      # built by the master, before it forks
+        self.parent_pid = os.getpid()      # built by the starter, before it forks
         self.engine_id = engine_id
         self.team_id = team_id
         self.n_teams = n_teams

@@ -94,13 +94,15 @@ def _alive(pid) -> bool:
         return False
 
 
-def _with_descendants(pids) -> list:
-    found, stack = [], list(pids)
-    while stack:
-        pid = stack.pop()
-        found.append(pid)
-        stack += children_of(pid)
-    return found
+def _forked_by_agent(agent, before, n) -> list:
+    """The pids of the ``n`` processes that the agent forked for a team since
+    ``before``, its master first (the agent forks the master first). The
+    master can report ready before the agent has forked every teammate."""
+    deadline = time.monotonic() + 2.0
+    while len(new := sorted(set(children_of(agent.proc.pid)) - before)) < n \
+            and time.monotonic() < deadline:
+        time.sleep(0.005)
+    return new
 
 
 class Agent:
@@ -133,11 +135,17 @@ def run_killed(name, teams, transport, strategy, goal, want, rng, agent) -> tupl
     before = set(children_of(agent.proc.pid))
     handle = api.par_create_parallel_engine(name, spec, strategy=strategy,
                                             transport=transport, options=options)
-    remote = sorted(set(children_of(agent.proc.pid)) - before)
-    masters = [(p.pid, "master") for p in handle._procs if p is not None] + \
-        [(pid, "agent-hosted master") for pid in remote]
-    victims = masters + [(pid, "teammate") for pid, _ in masters
-                         for pid in _with_descendants([pid])[1:]]
+    # the client and the agent fork every process of a team, its master first
+    local = iter(handle._procs)
+    victims = []
+    for team, n in enumerate(teams):
+        if team == hosted:
+            master, *mates = _forked_by_agent(agent, before, n)
+            victims.append((master, "agent-hosted master"))
+        else:
+            master, *mates = [next(local).pid for _ in range(n)]
+            victims.append((master, "master"))
+        victims += [(pid, "teammate") for pid in mates]
     engine = [pid for pid, _ in victims]
     victim, role = rng.choice(victims)
     kill_at = time.monotonic() + rng.uniform(0.0, KILL_WINDOW_S)

@@ -75,7 +75,7 @@ def test_zero_worker_team_rejected_at_creation():
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc")
 @pytest.mark.parametrize("kind", ["inproc", "tcp"])
 def test_a_master_that_dies_before_ready_fails_the_create(monkeypatch, kind):
-    monkeypatch.setattr(api, "master_entry", lambda _boot: os._exit(1))
+    monkeypatch.setattr(boot, "master_entry", lambda _boot, _tctx: os._exit(1))
     before = set(children_of(os.getpid()))
     with pytest.raises(EngineCreationError, match="team 0 failed to start"):
         make_engine(f"stillborn-{kind}", [1, 1], transport=kind)
@@ -91,9 +91,9 @@ from layered_or import api, boot
 at_fork, replies = {}, []
 entry, put, ctrl_get = boot.master_entry, boot.SocketChannel.put, api._ctrl_get
 
-def snapshot_entry(b):
+def snapshot_entry(b, tctx):
     at_fork["modules"] = set(sys.modules)
-    entry(b)
+    entry(b, tctx)
 
 def put_with_imports(self, obj):
     if "ready" in obj:
@@ -104,7 +104,7 @@ def recording_get(chan, team_id, expect=None):
     replies.append(ctrl_get(chan, team_id, expect))
     return replies[-1]
 
-api.master_entry, boot.SocketChannel.put, api._ctrl_get = (
+boot.master_entry, boot.SocketChannel.put, api._ctrl_get = (
     snapshot_entry, put_with_imports, recording_get)
 h = api.par_create_parallel_engine("imports", [("local", 2, "builtin")],
                                    transport=sys.argv[1])
@@ -1454,15 +1454,60 @@ def test_teammates_die_with_a_killed_master():
     h = make_engine("orphans", [2])
     api.par_run_goal(h, "queens(6)")
     assert sum(drain(h).values()) == 4
-    master = h._procs[0].pid
-    teammates = children_of(master)
-    assert teammates, "the master forked no teammate"
+    # the client forked the master and its teammate side by side
+    master, *teammates = [p.pid for p in h._procs]
+    assert teammates, "the client forked no teammate"
     os.kill(master, signal.SIGKILL)
     deadline = time.monotonic() + 2.0
     while any(_alive(pid) for pid in teammates) and time.monotonic() < deadline:
         time.sleep(0.01)
     assert not any(_alive(pid) for pid in teammates), "teammate outlived its master"
     api.par_free_parallel_engine(h)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc")
+def test_teammates_leave_when_their_master_is_killed_mid_goal():
+    # the teammates are busy running stacks: they see the end of file on
+    # their master's links at a service tick
+    h = make_engine("orphans_running", [3])
+    master, *teammates = [p.pid for p in h._procs]
+    assert len(teammates) == 2
+    api.par_run_goal(h, "queens(12)")
+    while not api.par_probe_answers(h):
+        time.sleep(0.001)
+    os.kill(master, signal.SIGKILL)
+    t0 = time.monotonic()
+    try:
+        with pytest.raises(EngineError):
+            while time.monotonic() - t0 < 2.0:
+                api.par_get_answers(h, ("max", 4096))
+                time.sleep(0.005)
+        while any(_alive(pid) for pid in teammates) and time.monotonic() - t0 < 2.0:
+            time.sleep(0.01)
+        assert not any(_alive(pid) for pid in teammates), "a teammate outlived its master by 2 s"
+    finally:
+        api.par_free_parallel_engine(h)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc")
+def test_every_engine_process_is_a_direct_child_of_the_client():
+    # benchmark/machine.py and the conftest leak filter find an engine's
+    # processes among the client's multiprocessing children
+    inproc = make_engine("tree-inproc", [2, 3])
+    tcp = make_engine("tree-tcp", [1, 2], transport="tcp")
+    engine = [p.pid for h in (inproc, tcp) for p in h._procs]
+    try:
+        kids = multiprocessing.active_children()
+        assert sorted(p.name for p in kids) == sorted(
+            [f"tree-inproc-t{t}w{w}" for t, n in enumerate([2, 3]) for w in range(n)] +
+            [f"tree-tcp-t{t}w{w}" for t, n in enumerate([1, 2]) for w in range(n)])
+        assert sorted(p.pid for p in kids) == sorted(engine)
+        assert set(engine) <= set(children_of(os.getpid())), "an engine process is a grandchild"
+        assert not [pid for pid in engine if children_of(pid)], "an engine process forked"
+    finally:
+        api.par_free_parallel_engine(inproc)
+        api.par_free_parallel_engine(tcp)
+    assert not any(_alive(pid) for pid in engine), "an engine process outlived its free"
 
 
 def test_a_killed_inproc_master_becomes_an_engine_error():
@@ -1481,10 +1526,10 @@ def test_a_killed_inproc_master_becomes_an_engine_error():
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc")
 def test_a_killed_teammate_becomes_an_engine_error():
-    # the master watches its teammates' sentinels; a dead teammate's share
+    # a dead teammate reads as end of file on its master's link; its share
     # of the goal must not vanish into a short answer set
     h = make_engine("killed_teammate", [2])
-    (teammate,) = children_of(h._procs[0].pid)
+    (teammate,) = [p.pid for p in h._procs[1:]]
     api.par_run_goal(h, "queens(12)")
     time.sleep(0.3)
     os.kill(teammate, signal.SIGKILL)
@@ -1499,9 +1544,9 @@ def test_a_killed_teammate_becomes_an_engine_error():
 
 
 def test_a_teammate_that_dies_before_it_runs_becomes_an_engine_error(monkeypatch):
-    # the master watches the teammate's sentinel from its fork on; no
-    # start-up wait may stand between the death and the client
-    monkeypatch.setattr(boot, "worker_process_main", lambda ctx, rank: os._exit(1))
+    # the master reads the teammate's death on its link from the fork on;
+    # no start-up wait may stand between the death and the client
+    monkeypatch.setattr(boot, "worker_process_main", lambda ctx, rank, *ends: os._exit(1))
     h = make_engine("stillborn_teammate", [2])
     deadline = time.monotonic() + 2.0
     try:
@@ -1570,9 +1615,14 @@ def test_a_killed_agent_hosted_master_becomes_an_engine_error(agent, agent_proce
     teams = [("local", 1, "b")] * 2
     teams[agent_team] = (f"127.0.0.1:{agent}", 2, "b")
     h = api.par_create_parallel_engine(f"agent_kill{agent_team}", teams, transport="tcp")
-    (master,) = children_of(agent_process.pid)
-    engine = [master, *_descendants(master)] + \
-        [pid for p in h._procs if p is not None for pid in (p.pid, *_descendants(p.pid))]
+    # the agent forks the team's master first, then its teammate, which can
+    # still be under way when the master reports ready
+    deadline = time.monotonic() + 2.0
+    while len(kids := sorted(children_of(agent_process.pid))) < 2 \
+            and time.monotonic() < deadline:
+        time.sleep(0.005)
+    master, teammate = kids
+    engine = [master, teammate] + [p.pid for p in h._procs]
     try:
         api.par_run_goal(h, "queens(12)")
         time.sleep(0.3)
@@ -1605,8 +1655,7 @@ def test_a_paused_client_gets_every_answer_and_the_engine_buffers_little():
     # the client reads nothing for 2 s after the first answer: a blocking
     # send to it holds the engine back instead of piling answers up
     h = make_engine("paused", [2])
-    master = h._procs[0].pid
-    engine = [master, *children_of(master)]
+    engine = [p.pid for p in h._procs]
     try:
         api.par_run_goal(h, "spread(4,16)")
         got = Counter(api.par_get_answers(h, ("exact", 1))[0])
@@ -1636,23 +1685,14 @@ def test_goals_finish_exactly_over_4_kib_socket_buffers(tiny_socket_buffers, tea
         api.par_free_parallel_engine(h)
 
 
-# a client holding a two-team engine; prints its masters' pids, then waits
+# a client holding a two-team engine; prints its processes' pids, then waits
 _HOLDING_CLIENT = """
 import time
 from layered_or import api
-h = api.par_create_parallel_engine("held", [("local", 1, "builtin"), ("local", 1, "builtin")])
+h = api.par_create_parallel_engine("held", [("local", 2, "builtin"), ("local", 1, "builtin")])
 print(" ".join(str(p.pid) for p in h._procs), flush=True)
 time.sleep(60)
 """
-
-
-def _descendants(pid):
-    found, stack = [], [pid]
-    while stack:
-        kids = children_of(stack.pop())
-        found += kids
-        stack += kids
-    return found
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="PR_SET_PDEATHSIG is Linux-only")
@@ -1663,9 +1703,9 @@ def test_masters_die_with_a_killed_client():
                               text=True, env=dict(os.environ, PYTHONPATH=path))
     engine = []
     try:
-        masters = [int(pid) for pid in client.stdout.readline().split()]
-        assert len(masters) == 2, "the client created no engine"
-        engine = masters + [pid for m in masters for pid in _descendants(m)]
+        # two masters and a teammate, each forked by the client
+        engine = [int(pid) for pid in client.stdout.readline().split()]
+        assert len(engine) == 3, "the client created no engine"
         os.kill(client.pid, signal.SIGKILL)
         client.wait()
         deadline = time.monotonic() + 3.0
@@ -1691,7 +1731,7 @@ h = api.par_create_parallel_engine("left", [("local", 2, "builtin")])
 api.par_run_goal(h, "queens(6)")
 while api.par_get_answers(h, ("exact", 4)) is not None:
     pass
-print(h._procs[0].pid, flush=True)
+print(" ".join(str(p.pid) for p in h._procs), flush=True)
 sys.stdin.readline()
 if sys.argv[1] == "raise":
     raise RuntimeError("the client fails with its engine live")
@@ -1709,8 +1749,7 @@ def test_a_client_that_never_frees_its_engine_still_exits(how):
                           stderr=subprocess.DEVNULL, text=True,
                           env=dict(os.environ, PYTHONPATH=path)) as client:
         try:
-            master = int(client.stdout.readline())
-            engine = [master] + _descendants(master)
+            engine = [int(pid) for pid in client.stdout.readline().split()]
             assert len(engine) == 2, "the client's engine has no teammate"
             t0 = time.monotonic()
             client.stdin.write("\n")
@@ -1768,7 +1807,7 @@ def test_parked_teammates_block_until_mail_comes():
     h = make_engine("parked_teammates", [4])
     api.par_run_goal(h, "queens(6)")
     assert sum(drain(h).values()) == 4
-    teammates = _descendants(h._procs[0].pid)
+    teammates = [p.pid for p in h._procs[1:]]
     assert len(teammates) == 3
     time.sleep(0.2)
     before = [_voluntary_switches(pid) for pid in teammates]
@@ -1785,7 +1824,7 @@ def test_a_parked_engine_sleeps_in_the_kernel():
     h = make_engine("parked", [4])
     api.par_run_goal(h, "queens(6)")
     assert sum(drain(h).values()) == 4
-    engine = [h._procs[0].pid] + _descendants(h._procs[0].pid)
+    engine = [p.pid for p in h._procs]
     assert len(engine) == 4
     time.sleep(0.2)
     cpu, t0 = _cpu_seconds(engine), time.monotonic()
