@@ -57,20 +57,20 @@ class ChoicePoint:
     ``post_store`` and ``post_trail`` cache the expansion result locally and
     are rebuilt lazily after a stack install. While ``frame >= 0`` the node
     is public and cursor/offset authority lives in the or-frame, not here.
+    A node's depth is its index in ``WorkerState.cps``, so no field holds it.
     """
 
     __slots__ = ("node_tag", "n_alts", "cursor", "split_offset", "store_mark",
-                 "trail_mark", "depth", "frame", "alts", "post_store", "post_trail")
+                 "trail_mark", "frame", "alts", "post_store", "post_trail")
 
     def __init__(self, node_tag, n_alts, cursor, split_offset, store_mark,
-                 trail_mark, depth, frame=-1, alts=None, post_store=-1, post_trail=-1):
+                 trail_mark, frame=-1, alts=None, post_store=-1, post_trail=-1):
         self.node_tag = node_tag
         self.n_alts = n_alts
         self.cursor = cursor
         self.split_offset = split_offset
         self.store_mark = store_mark
         self.trail_mark = trail_mark
-        self.depth = depth
         self.frame = frame
         self.alts = alts
         self.post_store = post_store
@@ -123,15 +123,6 @@ class WorkerState:
         self.base_trail = 0
         self._guard = 0                    # writes below this store index are trailed
 
-    # registers (store top, trail top)
-    @property
-    def H(self) -> int:
-        return len(self.store)
-
-    @property
-    def TR(self) -> int:
-        return len(self.trail_cells)
-
     # -- store access used by programs --------------------------------------
     def push_cell(self, value: int) -> int:
         self.store.append(value)
@@ -171,25 +162,6 @@ def restore_trail(ws: WorkerState, mark: int) -> None:
 def _restore_to(ws: WorkerState, store_mark: int, trail_mark: int) -> None:
     restore_trail(ws, trail_mark)
     del ws.store[store_mark:]
-
-
-def push_choice_point(ws: WorkerState, node_tag: int, alts: Sequence[int],
-                      store_mark: int, trail_mark: int) -> int:
-    """Push a fresh node and take its first alternative immediately.
-
-    The marks must be the ones captured just before ``node_tag`` was
-    expanded. Returns the taken alternative's tag; the remaining
-    ``len(alts) - 1`` alternatives are counted in ``ws.load`` (the shared
-    load register is left to the next service tick).
-    """
-    n = len(alts)
-    assert n >= 1, "choice point needs at least one alternative"
-    cp = ChoicePoint(node_tag, n, 1, 1, store_mark, trail_mark,
-                     depth=len(ws.cps), frame=-1, alts=list(alts),
-                     post_store=len(ws.store), post_trail=len(ws.trail_cells))
-    ws.cps.append(cp)
-    ws.load += n - 1
-    return alts[0]
 
 
 def _rederive(ws: WorkerState, cp: ChoicePoint) -> None:
@@ -269,7 +241,7 @@ def allocate_dead_root(ws: WorkerState) -> None:
     """
     assert not ws.cps, "root must be the first choice point"
     cp = ChoicePoint(ws.program.root_tag, 0, 0, 1,
-                     ws.base_store, ws.base_trail, depth=0, alts=[])
+                     ws.base_store, ws.base_trail, alts=[])
     ws.cps.append(cp)
 
 
@@ -326,8 +298,8 @@ def run_loop(ws: WorkerState, emit: Callable[[tuple], None], *,
                 if det is not None:
                     # give the elided determinate node its choice point now,
                     # so the pending tag has a node to go back to
-                    cps.append(ChoicePoint(det, 1, 1, 1, pre_store, pre_trail, len(cps),
-                                           -1, payload, len(store), len(tcells)))
+                    cps.append(ChoicePoint(det, 1, 1, 1, pre_store, pre_trail, -1,
+                                           payload, len(store), len(tcells)))
                 held = cps[-1]
                 held.cursor = 0
                 load += 1
@@ -395,8 +367,8 @@ def run_loop(ws: WorkerState, emit: Callable[[tuple], None], *,
                 det = tag
             else:
                 assert n >= 1, "choice point needs at least one alternative"
-                cps.append(ChoicePoint(tag, n, 1, 1, pre_store, pre_trail, len(cps),
-                                       -1, payload, len(store), len(tcells)))
+                cps.append(ChoicePoint(tag, n, 1, 1, pre_store, pre_trail, -1,
+                                       payload, len(store), len(tcells)))
                 load += n - 1
                 det = None
             tag = payload[0]
@@ -437,10 +409,11 @@ def install_segments(ws: WorkerState, store_lo: int, store_cells: Sequence[int],
     ws.cps = []
     load = 0
     for i, rec in enumerate(cp_records):
-        tag, n_alts, cursor, offset, smark, tmark, depth = rec
+        # words past the 6th are ignored: benchmark/layers.py installs
+        # snapshot_segments records, which keep a 7th until ROADMAP item 1
+        tag, n_alts, cursor, offset, smark, tmark = rec[:6]
         frame = frames[i] if frames is not None else -1
-        cp = ChoicePoint(tag, n_alts, cursor, offset, smark, tmark, depth,
-                         frame=frame, alts=None)
+        cp = ChoicePoint(tag, n_alts, cursor, offset, smark, tmark, frame)
         ws.cps.append(cp)
         if frame < 0:
             load += cp.open_count()

@@ -16,7 +16,8 @@ A teammate's copy is the same area plus a frames column, a frame id (or
 records arrive parked dead and its work lives in the frames they name.
 
 The serialized layout is little-endian 8-byte integers with no padding:
-header fields in declaration order, store cells, choice points as 7-tuples,
+header fields in declaration order, store cells, choice points as 6-tuples
+(node tag, n_alts, cursor, split offset, store mark, trail mark),
 trail entries as (cell index, previous value) pairs, and, in a teammate's
 copy only, the frames column.
 """
@@ -29,20 +30,20 @@ from .engine import WorkerState, count_open, install_segments
 from .errors import ProtocolViolation
 
 HEADER_FIELDS = ("store_lo", "store_hi", "cp_count", "trail_lo", "trail_hi",
-                 "load", "goal_id", "root_depth")
-_HEADER = struct.Struct("<8q")
-CP_RECORD_LEN = 7
+                 "load", "goal_id")
+_HEADER = struct.Struct("<7q")
+CP_RECORD_LEN = 6
 
 
 class AuxArea:
     """Header plus gap-free packed copies of store/choice-point/trail segments."""
 
     __slots__ = ("store_lo", "store_hi", "cp_count", "trail_lo", "trail_hi",
-                 "load", "goal_id", "root_depth",
+                 "load", "goal_id",
                  "store_cells", "cp_records", "trail_entries", "frames")
 
     def __init__(self, store_lo, store_hi, trail_lo, trail_hi, load, goal_id,
-                 root_depth, store_cells, cp_records, trail_entries, frames=None):
+                 store_cells, cp_records, trail_entries, frames=None):
         self.store_lo = store_lo
         self.store_hi = store_hi
         self.cp_count = len(cp_records)
@@ -50,7 +51,6 @@ class AuxArea:
         self.trail_hi = trail_hi
         self.load = load
         self.goal_id = goal_id
-        self.root_depth = root_depth
         self.store_cells = store_cells
         self.cp_records = cp_records
         self.trail_entries = trail_entries
@@ -93,8 +93,10 @@ def snapshot_segments(ws: WorkerState):
     return {
         "store_lo": store_lo,
         "store_cells": list(ws.store[store_lo:]),
+        # a 7th word, the node's index, stays while benchmark/layers.py reads
+        # it as r[6] (ROADMAP item 1)
         "cp_records": [(cp.node_tag, cp.n_alts, cp.cursor, cp.split_offset,
-                        cp.store_mark, cp.trail_mark, cp.depth) for cp in ws.cps],
+                        cp.store_mark, cp.trail_mark, i) for i, cp in enumerate(ws.cps)],
         "frames": [cp.frame for cp in ws.cps],
         "trail_lo": trail_lo,
         "trail_entries": list(zip(ws.trail_cells[trail_lo:], ws.trail_prevs[trail_lo:])),
@@ -109,10 +111,8 @@ def snapshot_to_aux(ws: WorkerState, goal_id: int = 0) -> AuxArea:
     aux side owns nothing. The sharer's stacks are untouched.
     """
     store_lo, trail_lo = _segment_bounds(ws)
-    records = []
-    for cp in ws.cps:
-        records.append([cp.node_tag, cp.n_alts, cp.n_alts, cp.split_offset,
-                        cp.store_mark, cp.trail_mark, cp.depth])
+    records = [[cp.node_tag, cp.n_alts, cp.n_alts, cp.split_offset,
+                cp.store_mark, cp.trail_mark] for cp in ws.cps]
     return AuxArea(
         store_lo=store_lo,
         store_hi=len(ws.store),
@@ -120,7 +120,6 @@ def snapshot_to_aux(ws: WorkerState, goal_id: int = 0) -> AuxArea:
         trail_hi=len(ws.trail_cells),
         load=0,
         goal_id=goal_id,
-        root_depth=ws.cps[0].depth,
         store_cells=list(ws.store[store_lo:]),
         cp_records=records,
         trail_entries=list(zip(ws.trail_cells[trail_lo:], ws.trail_prevs[trail_lo:])),
@@ -253,7 +252,7 @@ def split_for_transfer(ws: WorkerState, goal_id: int, strategy: str) -> AuxArea:
     if strategy not in ("vs", "hs"):
         raise ValueError(f"unknown splitting strategy {strategy!r}")
     if not can_yield_work(ws, strategy):
-        return AuxArea(0, 0, 0, 0, 0, goal_id, 0, [], [], [])
+        return AuxArea(0, 0, 0, 0, 0, goal_id, [], [], [])
     narrow_last_alternatives(ws)
     aux = snapshot_to_aux(ws, goal_id)
     if strategy == "vs":
@@ -272,7 +271,7 @@ def serialize_aux(aux: AuxArea) -> bytes:
     if aux.trail_hi - aux.trail_lo != len(aux.trail_entries):
         raise ProtocolViolation("trail segment bounds disagree with entry count")
     words = [aux.store_lo, aux.store_hi, aux.cp_count, aux.trail_lo, aux.trail_hi,
-             aux.load, aux.goal_id, aux.root_depth, *aux.store_cells]
+             aux.load, aux.goal_id, *aux.store_cells]
     for rec in aux.cp_records:
         words.extend(rec)
     for entry in aux.trail_entries:
@@ -292,8 +291,8 @@ def deserialize_aux(data: bytes, frames: bool = False) -> AuxArea:
     """
     if len(data) < _HEADER.size:
         raise ProtocolViolation("aux payload shorter than its header")
-    (store_lo, store_hi, cp_count, trail_lo, trail_hi,
-     load, goal_id, root_depth) = _HEADER.unpack_from(data, 0)
+    store_lo, store_hi, cp_count, trail_lo, trail_hi, load, goal_id = \
+        _HEADER.unpack_from(data, 0)
     n_cells = store_hi - store_lo
     n_trail = trail_hi - trail_lo
     if n_cells < 0 or n_trail < 0 or cp_count < 0:
@@ -309,7 +308,7 @@ def deserialize_aux(data: bytes, frames: bool = False) -> AuxArea:
     entries = list(zip(words[off:end:2], words[off + 1:end:2]))
     column = list(words[end:]) if frames else None
     return AuxArea(store_lo, store_hi, trail_lo, trail_hi, load, goal_id,
-                   root_depth, list(words[:n_cells]), records, entries, column)
+                   list(words[:n_cells]), records, entries, column)
 
 
 def check_aux(aux: AuxArea, n_frames: int | None = None) -> None:
@@ -336,7 +335,7 @@ def check_aux(aux: AuxArea, n_frames: int | None = None) -> None:
     if cells and not (store_lo <= min(cells) and max(cells) < aux.store_hi):
         raise ProtocolViolation("a trailed cell lies outside the store segment")
     for rec in aux.cp_records:
-        _, n_alts, cursor, offset, store_mark, trail_mark, _ = rec
+        _, n_alts, cursor, offset, store_mark, trail_mark = rec
         if not 0 <= cursor <= n_alts:
             raise ProtocolViolation(f"cursor {cursor} outside a node of {n_alts} alternatives")
         if offset <= 0 or offset & (offset - 1):

@@ -42,8 +42,8 @@ _BANKS = 2                 # idle, load
 # or-frames per team; a share that finds the pool full is refused
 FRAME_POOL = 8192
 
-_FRAME_SLOTS = 6           # n_alts, cursor, split_offset, members, depth, next_free
-_F_NALTS, _F_CURSOR, _F_OFFSET, _F_MEMBERS, _F_DEPTH, _F_NEXT = range(_FRAME_SLOTS)
+_FRAME_SLOTS = 5           # n_alts, cursor, split_offset, members, next_free
+_F_NALTS, _F_CURSOR, _F_OFFSET, _F_MEMBERS, _F_NEXT = range(_FRAME_SLOTS)
 
 
 class FramePoolExhausted(RuntimeError):
@@ -121,15 +121,16 @@ class TeamShared:
         """The lock of frame ``idx``, for a ``with`` statement."""
         return self._lock
 
-    def alloc(self, n_alts: int, cursor: int, split_offset: int, depth: int) -> int:
+    def alloc(self, n_alts: int, cursor: int, split_offset: int, depth: int = 0) -> int:
         """Create a frame for a freshly published node."""
-        return self.publish((), [(n_alts, cursor, split_offset, depth)])[0]
+        # depth is not stored; benchmark/layers.py passes one until ROADMAP item 1
+        return self.publish((), [(n_alts, cursor, split_offset)])[0]
 
     def publish(self, joined, nodes) -> list[int]:
         """Add a member to each frame of ``joined`` and create a frame for
-        each freshly published node ``(n_alts, cursor, split_offset,
-        depth)`` of ``nodes``, all under one hold of the team lock; if the
-        pool cannot hold every node, do nothing and raise."""
+        each freshly published node ``(n_alts, cursor, split_offset)`` of
+        ``nodes``, all under one hold of the team lock; if the pool cannot
+        hold every node, do nothing and raise."""
         mv = self._mv
         made = []
         with self._lock:
@@ -146,13 +147,12 @@ class TeamShared:
             mv[_SLOT_FREE_HEAD], mv[_SLOT_HIGH_WATER] = free, top
             for idx in joined:
                 mv[self._base(idx) + _F_MEMBERS] += 1
-        for idx, (n_alts, cursor, split_offset, depth) in zip(made, nodes):
+        for idx, (n_alts, cursor, split_offset) in zip(made, nodes):
             base = self._base(idx)
             mv[base + _F_NALTS] = n_alts
             mv[base + _F_CURSOR] = cursor
             mv[base + _F_OFFSET] = split_offset
             mv[base + _F_MEMBERS] = 2      # publisher plus the receiving worker
-            mv[base + _F_DEPTH] = depth
         return made
 
     def read_locked(self, idx: int) -> tuple[int, int, int]:
@@ -206,14 +206,6 @@ class TeamShared:
         """Replace the frame's split offset (caller holds lock)."""
         self._mv[self._base(idx) + _F_OFFSET] = offset
 
-    def frame_state(self, idx: int) -> tuple[int, int, int, int]:
-        """(n_alts, cursor, split_offset, members) snapshot for tests/inspection."""
-        base = self._base(idx)
-        mv = self._mv
-        with self.lock(idx):
-            return (mv[base + _F_NALTS], mv[base + _F_CURSOR],
-                    mv[base + _F_OFFSET], mv[base + _F_MEMBERS])
-
     def close(self) -> None:
         self._mv.release()
         self._mm.close()
@@ -231,7 +223,7 @@ def publish_private_nodes(ws, shared: TeamShared) -> int:
     """
     fresh = [cp for cp in ws.cps if cp.frame < 0 and not cp.is_dead()]
     frames = shared.publish([cp.frame for cp in ws.cps if cp.frame >= 0],
-                            [(cp.n_alts, cp.cursor, cp.split_offset, cp.depth) for cp in fresh])
+                            [(cp.n_alts, cp.cursor, cp.split_offset) for cp in fresh])
     moved = 0
     for cp, idx in zip(fresh, frames):
         cp.frame = idx

@@ -63,7 +63,8 @@ KIND_NAMES = {
 }
 
 MAGIC = b"YTOR"
-VERSION = 1
+VERSION = 2          # changes with any frame or payload layout, so a peer of
+                     # another layout fails at its first frame
 _FIXED = struct.Struct("<4sBBHH")    # magic, version, kind, sender, n_teams
 _ENTRY = struct.Struct("<qQ")        # load (signed), timestamp (unsigned)
 _PLEN = struct.Struct("<Q")

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import layered_or
-from layered_or import api, programs
+from layered_or import api, programs, team
 from layered_or.engine import EXPAND_ANSWER, EXPAND_CHOICE
 from layered_or.transport import QueueMesh, TcpEndpoint
 
@@ -104,6 +104,14 @@ def children_of(pid):
         if int(fields[1]) == pid and fields[0] not in ("Z", "X"):
             kids.append(int(entry))
     return kids
+
+
+def frame_state(shared, idx):
+    """(n_alts, cursor, split_offset, members) of or-frame ``idx`` of a
+    ``TeamShared``, read under its lock."""
+    with shared.lock(idx):
+        n, c, s = shared.read_locked(idx)
+        return n, c, s, shared._mv[shared._base(idx) + team._F_MEMBERS]
 
 
 def _describe(pid):

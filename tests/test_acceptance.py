@@ -13,6 +13,7 @@ import time
 from collections import Counter
 
 import pytest
+from conftest import frame_state
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -89,10 +90,10 @@ def _random_stack(rng, shared=None):
         n = rng.randrange(1, 9)
         offset = 1 << rng.randrange(0, 3)
         cursor = rng.randrange(0, n + 1)
-        cp = ChoicePoint(depth, n, cursor, offset, 0, 0, depth,
+        cp = ChoicePoint(depth, n, cursor, offset, 0, 0,
                          alts=list(range(n)), post_store=0, post_trail=0)
         if publish and rng.random() < 0.4 and cursor < n:
-            cp.frame = shared.alloc(n, cursor, offset, depth)
+            cp.frame = shared.alloc(n, cursor, offset)
         ws.cps.append(cp)
     ws.set_load(sum(cp.open_count() for cp in ws.cps if cp.frame < 0))
     return ws
@@ -102,7 +103,7 @@ def _open_sets(ws, shared):
     out = []
     for cp in ws.cps:
         if cp.frame >= 0:
-            n, c, s, _ = shared.frame_state(cp.frame)
+            n, c, s, _ = frame_state(shared, cp.frame)
         else:
             n, c, s = cp.n_alts, cp.cursor, cp.split_offset
         out.append((set(range(c, n, s)), s))
@@ -239,12 +240,12 @@ def test_c5_serialization_roundtrips_and_gap_free_sizes():
         n_trail = rng.randrange(0, 20)
         aux = splitting.AuxArea(
             store_lo=rng.randrange(0, 8), store_hi=0, trail_lo=rng.randrange(0, 8),
-            trail_hi=0, load=0, goal_id=rng.randrange(1 << 30), root_depth=0,
+            trail_hi=0, load=0, goal_id=rng.randrange(1 << 30),
             store_cells=[rng.randrange(-9, 1 << 30) for _ in range(n_cells)],
             cp_records=[[rng.randrange(1 << 40), rng.randrange(1, 9),
                          rng.randrange(0, 9), 1 << rng.randrange(0, 4),
-                         rng.randrange(0, 40), rng.randrange(0, 40), d]
-                        for d in range(n_cps)],
+                         rng.randrange(0, 40), rng.randrange(0, 40)]
+                        for _ in range(n_cps)],
             trail_entries=[(rng.randrange(0, 50), rng.randrange(-9, 1 << 30))
                            for _ in range(n_trail)])
         aux.store_hi = aux.store_lo + n_cells
@@ -252,7 +253,7 @@ def test_c5_serialization_roundtrips_and_gap_free_sizes():
         aux.recount_load()
         blob = splitting.serialize_aux(aux)
         assert splitting.deserialize_aux(blob) == aux
-        assert len(blob) == 8 * (8 + n_cells + 7 * n_cps + 2 * n_trail)
+        assert len(blob) == 8 * (7 + n_cells + 6 * n_cps + 2 * n_trail)
 
         loads = [(rng.randrange(-1, 99), rng.randrange(0, 99))
                  for _ in range(rng.randrange(1, 6))]

@@ -10,15 +10,31 @@ from hypothesis import strategies as st
 from layered_or import engine, oracle
 from layered_or.engine import (
     EXHAUSTED,
+    ChoicePoint,
     WorkerState,
     backtrack,
-    push_choice_point,
     restore_trail,
     run_loop,
     setup_goal,
 )
 from layered_or.programs import get_program
 from layered_or.team import TeamShared
+
+
+def push_choice_point(ws, node_tag, alts, store_mark, trail_mark):
+    """Push a fresh node and take its first alternative, as ``run_loop``
+    pushes a node that is not determinate.
+
+    The marks must be the ones captured just before ``node_tag`` was
+    expanded. Returns the taken alternative's tag; the remaining
+    ``len(alts) - 1`` alternatives are counted in ``ws.load``.
+    """
+    n = len(alts)
+    assert n >= 1, "choice point needs at least one alternative"
+    ws.cps.append(ChoicePoint(node_tag, n, 1, 1, store_mark, trail_mark, alts=list(alts),
+                              post_store=len(ws.store), post_trail=len(ws.trail_cells)))
+    ws.load += n - 1
+    return alts[0]
 
 
 def fresh_worker(name="spread", args=(2, 2), template=None):
@@ -39,7 +55,7 @@ def run_all(name, args, template=None):
 
 def test_push_takes_first_alternative_and_counts_open():
     ws, _ = fresh_worker()
-    first = push_choice_point(ws, 0, [10, 11, 12], ws.H, ws.TR)
+    first = push_choice_point(ws, 0, [10, 11, 12], len(ws.store), len(ws.trail_cells))
     cp = ws.cps[-1]
     assert first == 10
     assert cp.cursor == 1
@@ -50,15 +66,15 @@ def test_push_takes_first_alternative_and_counts_open():
 
 def test_push_single_alternative_is_immediately_dead():
     ws, _ = fresh_worker()
-    push_choice_point(ws, 0, [5], ws.H, ws.TR)
+    push_choice_point(ws, 0, [5], len(ws.store), len(ws.trail_cells))
     assert ws.cps[-1].is_dead()
     assert ws.load == 0
 
 
 def test_two_nested_pushes_load_two():
     ws, _ = fresh_worker()
-    push_choice_point(ws, 0, [1, 2], ws.H, ws.TR)
-    push_choice_point(ws, 1, [3, 4], ws.H, ws.TR)
+    push_choice_point(ws, 0, [1, 2], len(ws.store), len(ws.trail_cells))
+    push_choice_point(ws, 1, [3, 4], len(ws.store), len(ws.trail_cells))
     assert ws.load == 2
     assert ws.load == sum(cp.open_count() for cp in ws.cps)
 
@@ -66,13 +82,13 @@ def test_two_nested_pushes_load_two():
 def test_push_requires_alternatives():
     ws, _ = fresh_worker()
     with pytest.raises(AssertionError):
-        push_choice_point(ws, 0, [], ws.H, ws.TR)
+        push_choice_point(ws, 0, [], len(ws.store), len(ws.trail_cells))
 
 
 # -- backtrack ----------------------------------------------------------------
 
 def _manual_node(ws, alts, cursor, split_offset):
-    first = push_choice_point(ws, 0, alts, ws.H, ws.TR)
+    first = push_choice_point(ws, 0, alts, len(ws.store), len(ws.trail_cells))
     cp = ws.cps[-1]
     cp.cursor = cursor
     cp.split_offset = split_offset
@@ -112,7 +128,7 @@ def test_backtrack_restores_store_between_alternatives():
 
 def test_restore_single_write():
     ws, _ = fresh_worker()
-    ws._guard = ws.H
+    ws._guard = len(ws.store)
     idx = 3
     before = ws.store[idx]
     ws.write(idx, 7)
@@ -122,22 +138,22 @@ def test_restore_single_write():
 
 def test_restore_to_current_top_is_noop():
     ws, _ = fresh_worker()
-    ws._guard = ws.H
+    ws._guard = len(ws.store)
     ws.write(2, 9)
     snapshot = list(ws.store)
-    restore_trail(ws, ws.TR)
+    restore_trail(ws, len(ws.trail_cells))
     assert ws.store == snapshot
 
 
 def test_restore_mark_above_top_asserts():
     ws, _ = fresh_worker()
     with pytest.raises(AssertionError):
-        restore_trail(ws, ws.TR + 1)
+        restore_trail(ws, len(ws.trail_cells) + 1)
 
 
 def test_restore_hundred_random_writes():
     ws, _ = fresh_worker("spread", (4, 3))
-    ws._guard = ws.H
+    ws._guard = len(ws.store)
     baseline = list(ws.store)
     rng = random.Random(7)
     for _ in range(100):
@@ -151,7 +167,7 @@ def test_restore_hundred_random_writes():
 @settings(max_examples=60, deadline=None)
 def test_restore_reproduces_any_marked_snapshot(writes, data):
     ws, _ = fresh_worker("spread", (4, 3))
-    ws._guard = ws.H
+    ws._guard = len(ws.store)
     marks = {0: list(ws.store)}
     for i, (idx, val) in enumerate(writes):
         ws.write(idx, val)
@@ -273,8 +289,8 @@ def reference_ticks(ws, tag, spacing):
             tag = backtrack(ws)
             if tag is EXHAUSTED:
                 return seen
-        ws._guard = pre_store = ws.H
-        pre_trail = ws.TR
+        ws._guard = pre_store = len(ws.store)
+        pre_trail = len(ws.trail_cells)
         kind, payload = ws.program.expand(ws, tag)
         if kind == EXPAND_CHOICE:
             tag = push_choice_point(ws, tag, payload, pre_store, pre_trail)
@@ -461,11 +477,11 @@ def stacked_dead_nodes(cached):
     ws.frames = _LeaveCountingFrames()
     tag = prog.root_tag
     for _ in range(4):
-        ws._guard = pre_store = ws.H
-        pre_trail = ws.TR
+        ws._guard = pre_store = len(ws.store)
+        pre_trail = len(ws.trail_cells)
         tag = push_choice_point(ws, tag, prog.expand(ws, tag)[1], pre_store, pre_trail)
     root, live, *dead = ws.cps
-    root.frame = ws.frames.alloc(root.n_alts, root.n_alts, 1, 0)
+    root.frame = ws.frames.alloc(root.n_alts, root.n_alts, 1)
     for cp in dead:
         cp.cursor = cp.n_alts
     if not cached:

@@ -7,6 +7,7 @@ from collections import Counter
 from functools import lru_cache
 
 import pytest
+from conftest import frame_state
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -36,8 +37,9 @@ def stack_of(ws, open_counts, n_alts=4):
     for depth, want in enumerate(open_counts):
         n = max(n_alts, want)
         cp = ChoicePoint(node_tag=depth, n_alts=n, cursor=n - want, split_offset=1,
-                         store_mark=ws.H, trail_mark=ws.TR, depth=depth,
-                         alts=list(range(n)), post_store=ws.H, post_trail=ws.TR)
+                         store_mark=len(ws.store), trail_mark=len(ws.trail_cells),
+                         alts=list(range(n)), post_store=len(ws.store),
+                         post_trail=len(ws.trail_cells))
         ws.cps.append(cp)
     ws.set_load(sum(cp.open_count() for cp in ws.cps))
 
@@ -80,7 +82,7 @@ def clone_worker(ws):
     dup.load = ws.load
     for cp in ws.cps:
         dup.cps.append(ChoicePoint(cp.node_tag, cp.n_alts, cp.cursor, cp.split_offset,
-                                   cp.store_mark, cp.trail_mark, cp.depth, cp.frame,
+                                   cp.store_mark, cp.trail_mark, cp.frame,
                                    list(cp.alts) if cp.alts is not None else None,
                                    cp.post_store, cp.post_trail))
     return dup
@@ -116,8 +118,8 @@ def test_snapshot_trail_segment_counts_entries_above_root_mark():
     ws, _, _ = paused_worker()
     root_mark = ws.cps[0].trail_mark
     aux = snapshot_to_aux(ws)
-    assert len(aux.trail_entries) == ws.TR - root_mark
-    assert aux.trail_lo == root_mark and aux.trail_hi == ws.TR
+    assert len(aux.trail_entries) == len(ws.trail_cells) - root_mark
+    assert aux.trail_lo == root_mark and aux.trail_hi == len(ws.trail_cells)
 
 
 def test_snapshot_ships_cells_written_below_root_mark():
@@ -182,8 +184,8 @@ def test_vertical_split_empties_public_nodes_through_their_frames():
     shared = TeamShared(n_workers=2)
     ws, _, _ = paused_worker(shared=shared)
     publish_private_nodes(ws, shared)
-    live = [cp.frame for cp in ws.cps
-            if cp.frame >= 0 and shared.frame_state(cp.frame)[1] < shared.frame_state(cp.frame)[0]]
+    live = [cp.frame for cp in ws.cps if cp.frame >= 0
+            and frame_state(shared, cp.frame)[1] < frame_state(shared, cp.frame)[0]]
     assert len(live) >= 2, "scenario needs several live public nodes"
     aux = snapshot_to_aux(ws)
     vertical_split(ws, aux)
@@ -192,7 +194,7 @@ def test_vertical_split_empties_public_nodes_through_their_frames():
     # every alternative moved out of a frame is now closed there
     for cp, rec in zip(ws.cps, aux.cp_records):
         if cp.frame >= 0 and count_open(rec[1], rec[2], rec[3]):
-            n, c, _, _ = shared.frame_state(cp.frame)
+            n, c, _, _ = frame_state(shared, cp.frame)
             assert c >= n
     shared.close()
 
@@ -201,7 +203,7 @@ def test_vertical_split_empties_public_nodes_through_their_frames():
 
 def hs_case(n_alts, cursor, offset):
     ws = WorkerState()
-    cp = ChoicePoint(0, n_alts, cursor, offset, 0, 0, 0, alts=list(range(n_alts)),
+    cp = ChoicePoint(0, n_alts, cursor, offset, 0, 0, alts=list(range(n_alts)),
                      post_store=0, post_trail=0)
     ws.cps.append(cp)
     ws.set_load(cp.open_count())
@@ -233,14 +235,14 @@ def test_horizontal_split_applies_to_frames_under_lock():
     shared = TeamShared(n_workers=2)
     ws, _, _ = paused_worker(shared=shared)
     publish_private_nodes(ws, shared)
-    states = {cp.frame: shared.frame_state(cp.frame) for cp in ws.cps if cp.frame >= 0}
+    states = {cp.frame: frame_state(shared, cp.frame) for cp in ws.cps if cp.frame >= 0}
     aux = snapshot_to_aux(ws)
     horizontal_split(ws, aux)
     for cp, rec in zip(ws.cps, aux.cp_records):
         if cp.frame < 0:
             continue
         n, c, s, _ = states[cp.frame]
-        n2, c2, s2, _ = shared.frame_state(cp.frame)
+        n2, c2, s2, _ = frame_state(shared, cp.frame)
         if c >= n:
             continue
         assert (c2, s2) == (c, 2 * s)
@@ -315,14 +317,15 @@ def test_hs_offsets_stay_bounded_while_the_root_keeps_one_alternative(public):
     try:
         for _ in range(70):
             del ws.cps[1:]       # fresh work below the root, as the search pushes it
-            ws.cps.append(ChoicePoint(1, 4, 0, 1, ws.H, ws.TR, 1, alts=list(range(4)),
-                                      post_store=ws.H, post_trail=ws.TR))
+            top = len(ws.store), len(ws.trail_cells)
+            ws.cps.append(ChoicePoint(1, 4, 0, 1, *top, alts=list(range(4)),
+                                      post_store=top[0], post_trail=top[1]))
             ws.set_load(ws.cps[1].open_count())
             aux = splitting.split_for_transfer(ws, 1, "hs")
             assert aux.load == 2
             assert deserialize_aux(serialize_aux(aux)) == aux
             if public:
-                n, c, s, _ = shared.frame_state(root.frame)
+                n, c, s, _ = frame_state(shared, root.frame)
             else:
                 n, c, s = root.n_alts, root.cursor, root.split_offset
             assert open_set(n, c, s) == {3}
@@ -360,11 +363,11 @@ def random_aux(rng):
     store_lo = rng.randrange(0, 10)
     trail_lo = rng.randrange(0, 10)
     records = [[rng.randrange(0, 1 << 40), rng.randrange(1, 9), rng.randrange(0, 9),
-                1 << rng.randrange(0, 4), rng.randrange(0, 50), rng.randrange(0, 50),
-                d] for d in range(n_cps)]
+                1 << rng.randrange(0, 4), rng.randrange(0, 50), rng.randrange(0, 50)]
+               for _ in range(n_cps)]
     aux = AuxArea(store_lo=store_lo, store_hi=store_lo + n_cells,
                   trail_lo=trail_lo, trail_hi=trail_lo + n_trail,
-                  load=0, goal_id=rng.randrange(1 << 20), root_depth=0,
+                  load=0, goal_id=rng.randrange(1 << 20),
                   store_cells=[rng.randrange(-5, 300) for _ in range(n_cells)],
                   cp_records=records,
                   trail_entries=[(rng.randrange(0, 60), rng.randrange(-5, 300))
@@ -385,7 +388,7 @@ def test_aux_serialized_size_is_exactly_header_plus_segments():
     for _ in range(100):
         aux = random_aux(rng)
         blob = serialize_aux(aux)
-        expect = 8 * (8 + len(aux.store_cells) + 7 * len(aux.cp_records)
+        expect = 8 * (7 + len(aux.store_cells) + 6 * len(aux.cp_records)
                       + 2 * len(aux.trail_entries))
         assert len(blob) == expect
 
@@ -396,7 +399,7 @@ def test_aux_with_empty_trail_has_zero_length_trail_section():
     aux = snapshot_to_aux(ws)
     assert aux.trail_hi == aux.trail_lo
     blob = serialize_aux(aux)
-    assert len(blob) == 8 * (8 + len(aux.store_cells) + 7)
+    assert len(blob) == 8 * (7 + len(aux.store_cells) + 6)
 
 
 def test_deserialize_rejects_truncated_and_padded_payloads():
@@ -509,7 +512,7 @@ def test_a_horizontal_split_ships_no_cursor_past_its_node():
     # a 6-way node's last open alternative, 3, after narrowing gave it offset 4:
     # one pre-split step later is 7, which the record clamps to 6
     ws = WorkerState()
-    ws.cps.append(ChoicePoint(0, 6, 3, 4, 0, 0, 0, alts=list(range(6)),
+    ws.cps.append(ChoicePoint(0, 6, 3, 4, 0, 0, alts=list(range(6)),
                               post_store=0, post_trail=0))
     ws.set_load(1)
     aux = snapshot_to_aux(ws)
@@ -543,10 +546,12 @@ def test_fuzzed_aux_payloads_install_or_raise_only_protocol_violation(which, edi
 # sha256 prefixes of serialize_aux(split_for_transfer(...)) for (seed, strategy):
 # inter-team payloads keep their bytes while teammates' copies gain a column;
 # the queens pins follow its store (each placed row pushes four cells, and
-# forced rows are placed in one expansion), not the payload format
-_GOLDEN = {(11, "vs"): "66c2e56ed8e3c155", (11, "hs"): "16ffda9ce7c2a922",
-           (12, "vs"): "75e038e81dffd1c9", (12, "hs"): "620b14bbabe399ba",
-           (13, "vs"): "b491a2ee78af03e2", (13, "hs"): "747d857ac99fe353"}
+# forced rows are placed in one expansion), not the payload format. Each pin
+# is the previous layout's payload less the header's last word (the root's
+# depth, 0) and each record's last word (its node's depth, its index).
+_GOLDEN = {(11, "vs"): "909044ee1e18ae1d", (11, "hs"): "80f5da49fdc11799",
+           (12, "vs"): "1d31f59d826be197", (12, "hs"): "b9f8a7aa57c025f1",
+           (13, "vs"): "ebaa4bc7ddaabb07", (13, "hs"): "3715a45ea4fc4e30"}
 
 
 @pytest.mark.parametrize("seed,program,args", [
@@ -585,7 +590,7 @@ def test_a_teammates_copy_installs_into_the_frames_it_names():
         assert any(f >= 0 for f in aux.frames)
         # the two workers draw the remaining alternatives from the same frames
         assert drain(ws) + drain(peer) == remainder
-        assert not any(count_open(*shared.frame_state(f)[:3]) for f in aux.frames if f >= 0)
+        assert not any(count_open(*frame_state(shared, f)[:3]) for f in aux.frames if f >= 0)
     finally:
         shared.close()
 

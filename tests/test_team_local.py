@@ -16,7 +16,7 @@ from collections import Counter, deque
 from pathlib import Path
 
 import pytest
-from conftest import children_of
+from conftest import children_of, frame_state
 
 from layered_or import api, boot, oracle, protocol, splitting, transport, worker
 from layered_or.config import EngineOptions
@@ -211,10 +211,10 @@ def _finishes_within(seconds, call, *args):
 def test_a_holder_killed_inside_the_team_lock_blocks_no_take():
     shared = TeamShared(2, n_frames=16)
     try:
-        idx = shared.alloc(n_alts=3, cursor=0, split_offset=1, depth=0)
+        idx = shared.alloc(n_alts=3, cursor=0, split_offset=1)
         _killed_inside(shared.lock(idx))
         assert _finishes_within(2.0, shared.take, idx), "a take hung on a dead holder's lock"
-        assert shared.frame_state(idx)[1] == 1, "the take handed out no alternative"
+        assert frame_state(shared, idx)[1] == 1, "the take handed out no alternative"
     finally:
         shared.close()
 
@@ -356,7 +356,7 @@ def test_publish_moves_load_into_frames_conserving_open_count():
     assert ws.load == 0
     for cp in ws.cps:
         if cp.frame >= 0:
-            n, c, s, members = shared.frame_state(cp.frame)
+            n, c, s, members = frame_state(shared, cp.frame)
             assert members == 2
             assert (n, c, s) == (cp.n_alts, cp.cursor, cp.split_offset)
     shared.close()
@@ -396,11 +396,11 @@ def test_a_publish_the_frame_pool_cannot_hold_changes_nothing():
         publish_private_nodes(ws, shared)
     try:
         assert [cp.frame for cp in ws.cps] == [0, 1, -1, -1, -1]
-        assert [shared.frame_state(idx)[3] for idx in (0, 1)] == [2, 2], \
+        assert [frame_state(shared, idx)[3] for idx in (0, 1)] == [2, 2], \
             "a failed publish joined a frame"
         assert ws.load == sum(cp.open_count() for cp in private) == 7
         assert shared.loads()[0] == 7
-        assert shared.alloc(1, 0, 1, 0) == 2, "a failed publish kept a frame"
+        assert shared.alloc(1, 0, 1) == 2, "a failed publish kept a frame"
     finally:
         shared.close()
 
@@ -411,7 +411,7 @@ def test_publish_refused_semantics_when_nothing_open():
     ws.frames = shared
     prog = get_program("spread")
     setup_goal(ws, prog, [2, 2], None)
-    cp = ChoicePoint(0, 2, 2, 1, ws.H, ws.TR, 0, alts=[1, 2])
+    cp = ChoicePoint(0, 2, 2, 1, len(ws.store), len(ws.trail_cells), alts=[1, 2])
     ws.cps.append(cp)        # only a dead node
     assert publish_private_nodes(ws, shared) == 0
     assert cp.frame == -1    # dead nodes get no frame
@@ -420,7 +420,7 @@ def test_publish_refused_semantics_when_nothing_open():
 
 def test_concurrent_backtracking_on_one_frame_yields_disjoint_alternatives():
     shared = TeamShared(2)
-    idx = shared.alloc(n_alts=9, cursor=1, split_offset=1, depth=0)
+    idx = shared.alloc(n_alts=9, cursor=1, split_offset=1)
     taken = []
     while True:
         got = shared.take(idx)
@@ -434,7 +434,7 @@ def test_concurrent_backtracking_on_one_frame_yields_disjoint_alternatives():
 
 def test_frame_take_respects_split_offset_stepping():
     shared = TeamShared(2)
-    idx = shared.alloc(n_alts=9, cursor=1, split_offset=2, depth=0)
+    idx = shared.alloc(n_alts=9, cursor=1, split_offset=2)
     taken = []
     while True:
         got = shared.take(idx)
@@ -450,7 +450,7 @@ def test_frame_hands_out_disjoint_alternatives_across_processes():
 
     ctx = multiprocessing.get_context("fork")
     shared = TeamShared(4)
-    idx = shared.alloc(n_alts=400, cursor=0, split_offset=1, depth=0)
+    idx = shared.alloc(n_alts=400, cursor=0, split_offset=1)
     out = ctx.SimpleQueue()
 
     def hammer(rank):
@@ -482,7 +482,7 @@ def test_per_worker_alt_counters_sum_to_the_open_alternatives_of_live_frames():
 
     ctx = multiprocessing.get_context("fork")
     shared = TeamShared(4, n_frames=256)
-    common = [shared.alloc(n_alts=200_000, cursor=0, split_offset=1, depth=0)
+    common = [shared.alloc(n_alts=200_000, cursor=0, split_offset=1)
               for _ in range(16)]
     start = ctx.Event()
     out = ctx.Queue()
@@ -490,7 +490,7 @@ def test_per_worker_alt_counters_sum_to_the_open_alternatives_of_live_frames():
 
     def alloc(n_alts, cursor, split_offset):
         moved[0] += count_open(n_alts, cursor, split_offset)
-        return shared.alloc(n_alts, cursor, split_offset, depth=1)
+        return shared.alloc(n_alts, cursor, split_offset)
 
     def worker(rank):
         rnd = random.Random(rank)
@@ -532,7 +532,7 @@ def test_per_worker_alt_counters_sum_to_the_open_alternatives_of_live_frames():
         p.join(timeout=30)
         assert not p.is_alive() and p.exitcode == 0
     assert len(set(live)) == len(live)
-    assert sum(count_open(*shared.frame_state(idx)[:3]) for idx in live) == total
+    assert sum(count_open(*frame_state(shared, idx)[:3]) for idx in live) == total
     shared.close()
 
 
@@ -740,7 +740,7 @@ def test_a_teammate_holds_a_request_its_full_frame_pool_cannot_copy_for():
     teammate, steps = no_fork_teammate("queens", [10], n_frames=64)
     shared, box = teammate.ctx.shared, teammate.links.boxes[1]
     mailed = teammate.links.boxes[0].log
-    taken = [shared.alloc(2, 2, 1, 0) for _ in range(64)]   # dead, with two members each
+    taken = [shared.alloc(2, 2, 1) for _ in range(64)]   # dead, with two members each
     service = teammate._service
     held = []                             # requests held after each tick
     replies = []
@@ -875,7 +875,7 @@ def test_a_team_stays_busy_while_its_work_hops_between_idle_flag_reads(monkeypat
         requester._drain_mail()                          # install it
         frames = [cp.frame for cp in requester.ws.cps if cp.frame >= 0]
         assert frames and run(requester, lambda: requester.ws.load > 0 and all(
-            c >= n for n, c, _, _ in map(shared.frame_state, frames)))
+            c >= n for n, c, _, _ in (frame_state(shared, f) for f in frames)))
         assert not run(sharer, lambda: False), "the sharer kept work of its own"
         sharer._a_flush()
         sharer._do(sharer.core.idle())
@@ -1031,10 +1031,10 @@ def test_a_teammate_waiting_for_a_reply_blocks_in_poll():
 
 def test_frame_recycled_after_last_member_leaves():
     shared = TeamShared(2, n_frames=4)
-    idx = shared.alloc(2, 2, 1, 0)     # dead on arrival
+    idx = shared.alloc(2, 2, 1)     # dead on arrival
     shared.leave(idx)
     shared.leave(idx)                  # members hit zero; slot recycled
-    again = shared.alloc(3, 0, 1, 0)
+    again = shared.alloc(3, 0, 1)
     assert again == idx
     shared.close()
 
@@ -1185,7 +1185,7 @@ def _feed(team, events, ws=None):
             if act[0] == "split":
                 peer, meta, then = act[1:]
                 aux = splitting.split_for_transfer(ws, team.goal, team.meta["strategy"]) \
-                    if ws else splitting.AuxArea(0, 0, 0, 0, 3, team.goal, 0, [], [], [])
+                    if ws else splitting.AuxArea(0, 0, 0, 0, 3, team.goal, [], [], [])
                 do(then(peer, meta, splitting.serialize_aux(aux) if aux.load > 0 else None,
                         aux.load))
             else:
@@ -1557,6 +1557,29 @@ def test_a_teammate_that_dies_before_it_runs_becomes_an_engine_error(monkeypatch
                 time.sleep(0.005)
     finally:
         api.par_free_parallel_engine(h)
+
+
+def test_an_engine_process_is_its_own_current_process(monkeypatch, tmp_path):
+    # multiprocessing inside an engine process names that process, and finds
+    # none of the starter's earlier children (here the master) among its own
+    report = tmp_path / "teammate.json"
+
+    def teammate(ctx, rank, *ends):
+        me = multiprocessing.current_process()
+        (tmp_path / "part").write_text(json.dumps([me.name, len(multiprocessing.active_children())]))
+        os.replace(tmp_path / "part", report)
+
+    monkeypatch.setattr(boot, "worker_process_main", teammate)
+    h = make_engine("own_process", [2])
+    try:
+        deadline = time.monotonic() + 5.0
+        while not report.exists() and time.monotonic() < deadline:
+            time.sleep(0.005)
+        name, children = json.loads(report.read_text())
+    finally:
+        api.par_free_parallel_engine(h)
+    assert name == "own_process-t0w1"
+    assert children == 0
 
 
 def test_a_teammate_that_faults_and_dies_tells_the_client_why(monkeypatch):

@@ -8,6 +8,7 @@ import statistics
 import struct
 import threading
 import time
+import zlib
 
 import pytest
 from hypothesis import given, settings
@@ -93,6 +94,17 @@ def test_wireframe_rejects_bad_magic_and_truncation():
         decode_frame(frame[:-3])
 
 
+@pytest.mark.parametrize("version", [transport.VERSION - 1, transport.VERSION + 1])
+def test_a_frame_of_another_version_is_a_protocol_violation(version):
+    # an engine of another checkout fails at its first frame, with a valid
+    # checksum, not later at a payload whose layout it reads differently
+    frame = encode_frame(transport.SHARE_ACCEPT, 1, [(0, 1)], encode_payload({}))
+    assert decode_frame(frame).kind == transport.SHARE_ACCEPT
+    body = frame[:4] + bytes([version]) + frame[5:-4]
+    with pytest.raises(ProtocolViolation, match=f"unsupported frame version {version}"):
+        decode_frame(body + struct.pack("<I", zlib.crc32(body)))
+
+
 def _frame_with_meta(blob: bytes, declared=None, raw: bytes = b"") -> bytes:
     """A frame with a valid checksum whose payload meta is ``blob``."""
     n = len(blob) if declared is None else declared
@@ -145,7 +157,7 @@ def test_fuzzed_meta_of_a_checksummed_frame_raises_only_protocol_violation(blob,
     assert isinstance(msg.meta, dict)
 
 
-_AUX = serialize_aux(AuxArea(10, 13, 4, 5, 2, 9, 1, [1, 2, 3],
+_AUX = serialize_aux(AuxArea(10, 13, 4, 5, 2, 9, [1, 2, 3],
                              [list(range(CP_RECORD_LEN))] * 2, [(11, 0)]))
 
 
